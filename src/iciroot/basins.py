@@ -18,14 +18,15 @@ assembled raster is bit-identical regardless of the worker count.
 from __future__ import annotations
 
 import colorsys
+import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from mpmath.libmp import from_man_exp
 
-from . import expr as _expr
-from .mpscalar import LOG2_10, Precision
+from .expr import compile_pair
+from .mpscalar import LOG2_10, Precision, opened
 
 DEFAULT_BASIN_DIGITS = 34
 
@@ -56,18 +57,26 @@ class BasinSpec:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
-    def pixel_center(self, i: int, j: int):
-        """Center of pixel (i, j); row j = 0 sits at the top of im_range.
+    def grid(self):
+        """Pixel centers as (re of each column, im of each row).
 
-        Range endpoints go through their decimal string form, matching the
-        renderer's grid exactly whether the spec carried floats or strings.
+        Row j = 0 sits at the top of im_range.  Range endpoints go through
+        their decimal string form, so a spec carrying floats, strings or mpf
+        values gives the same grid.
         """
-        ctx = self.precision.ctx
-        re0, re1 = (self.precision.real(str(v)) for v in self.re_range)
-        im0, im1 = (self.precision.real(str(v)) for v in self.im_range)
+        p = self.precision
+        half = p.ctx.mpf("0.5")
+        re0, re1 = (p.real(str(v)) for v in self.re_range)
+        im0, im1 = (p.real(str(v)) for v in self.im_range)
         dre = (re1 - re0) / self.width
         dim = (im1 - im0) / self.height
-        return ctx.mpc(re0 + (i + ctx.mpf("0.5")) * dre, im1 - (j + ctx.mpf("0.5")) * dim)
+        return ([re0 + (i + half) * dre for i in range(self.width)],
+                [im1 - (j + half) * dim for j in range(self.height)])
+
+    def pixel_center(self, i: int, j: int):
+        """Center of pixel (i, j), read from :meth:`grid`."""
+        res, ims = self.grid()
+        return self.precision.ctx.mpc(res[i], ims[j])
 
 
 @dataclass
@@ -89,27 +98,16 @@ class BasinRaster:
         return conv, nan
 
     def to_csv(self, path_or_file):
-        import csv
-
-        close = False
-        if isinstance(path_or_file, (str, bytes)):
-            fh = open(path_or_file, "w", newline="")
-            close = True
-        else:
-            fh = path_or_file
-        try:
+        res, ims = self.spec.grid()
+        with opened(path_or_file, "w") as fh:
             w = csv.writer(fh)
             w.writerow(["i", "j", "re_z0", "im_z0", "converged", "iterations", "phase"])
-            for j in range(self.height):
-                for i in range(self.width):
-                    z0 = self.spec.pixel_center(i, j)
+            for j, im in enumerate(ims):
+                for i, re in enumerate(res):
                     ph = self.phase[j][i]
-                    w.writerow([i, j, repr(float(z0.real)), repr(float(z0.imag)),
+                    w.writerow([i, j, repr(float(re)), repr(float(im)),
                                 int(self.converged[j][i]), self.iterations[j][i],
                                 "" if ph is None else repr(ph)])
-        finally:
-            if close:
-                fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +223,13 @@ def _abs_le(a, tol_man, tol_exp):
 _STATE: dict = {}
 
 
-def _compile_state(payload: dict) -> dict:
-    p = Precision(payload["digits"])
+def _pixel_state(spec: BasinSpec) -> dict:
+    p = spec.precision
     ctx = p.ctx
-    tree = _expr.parse(payload["ftext"])
-    names = _expr.free_variables(tree)
-    if len(names) > 1:
-        raise _expr.UnknownIdentifierError(
-            f"more than one variable in expression: {sorted(names)[1]!r}")
-    var = names.pop() if names else "z"
-    f = _expr.compile_fn(tree, var, p, complex_mode=True)
-    fp = _expr.compile_fn(_expr.differentiate(tree, var), var, p, complex_mode=True)
-    tol = p.real(payload["tol"])
+    f, fp = compile_pair(spec.ftext, p, complex_mode=True)
+    tol = p.real(str(spec.tol))         # as text, the form the workers receive
     tol_sign, tol_man, tol_exp, _ = tol._mpf_
+    re, im = spec.grid()
     return {
         "ctx": ctx,
         "P": ctx.prec,
@@ -247,18 +239,16 @@ def _compile_state(payload: dict) -> dict:
         "tol": tol,
         "tol_man": -tol_man if tol_sign else tol_man,
         "tol_exp": tol_exp,
-        "max_iter": payload["max_iter"],
-        "cap_mag": int(payload["overflow_exp"] * LOG2_10) + 1,
-        "re0": p.real(payload["re0"]), "re1": p.real(payload["re1"]),
-        "im0": p.real(payload["im0"]), "im1": p.real(payload["im1"]),
-        "width": payload["width"], "height": payload["height"],
-        "half": ctx.mpf("0.5"),
+        "max_iter": spec.max_iter,
+        "cap_mag": int(spec.overflow_exp * LOG2_10) + 1,
+        "re": re,
+        "im": im,
     }
 
 
-def _init_worker(payload):
+def _init_worker(spec: BasinSpec):
     _STATE.clear()
-    _STATE.update(_compile_state(payload))
+    _STATE.update(_pixel_state(spec))
 
 
 def _iterate_point(state, z0):
@@ -329,13 +319,9 @@ def _iterate_point(state, z0):
 def _render_row(j):
     state = _STATE
     ctx = state["ctx"]
-    w = state["width"]
-    dre = (state["re1"] - state["re0"]) / w
-    dim = (state["im1"] - state["im0"]) / state["height"]
-    im = state["im1"] - (j + state["half"]) * dim
+    im = state["im"][j]
     row = []
-    for i in range(w):
-        re = state["re0"] + (i + state["half"]) * dre
+    for re in state["re"]:
         z, iters, conv, nan = _iterate_point(state, ctx.mpc(re, im))
         if nan:
             row.append((None, iters, False, True, None))
@@ -344,35 +330,26 @@ def _render_row(j):
     return j, row
 
 
-def _spec_payload(spec: BasinSpec) -> dict:
-    return {
-        "ftext": spec.ftext,
-        "digits": spec.precision.digits,
-        "tol": str(spec.tol),
-        "max_iter": spec.max_iter,
-        "overflow_exp": spec.overflow_exp,
-        "re0": str(spec.re_range[0]), "re1": str(spec.re_range[1]),
-        "im0": str(spec.im_range[0]), "im1": str(spec.im_range[1]),
-        "width": spec.width, "height": spec.height,
-    }
-
-
 def render(spec: BasinSpec) -> BasinRaster:
     """Iterate from every pixel center and assemble the outcome raster.
 
     The result is a pure function of the spec: identical specs give
     bit-identical rasters, whatever ``spec.workers`` is.
     """
-    payload = _spec_payload(spec)
+    # an mpf is bound to its context and does not pickle, and the spawn and
+    # forkserver start methods pickle initargs: send tol and ranges as text
+    portable = replace(spec, tol=str(spec.tol),
+                       re_range=tuple(str(v) for v in spec.re_range),
+                       im_range=tuple(str(v) for v in spec.im_range))
+    _init_worker(portable)      # here too, so bad text raises before any pool starts
     rows = [None] * spec.height
     if spec.workers == 1 or spec.height == 1:
-        _init_worker(payload)
         for j in range(spec.height):
             rows[j] = _render_row(j)[1]
     else:
         with ProcessPoolExecutor(max_workers=spec.workers,
                                  initializer=_init_worker,
-                                 initargs=(payload,)) as pool:
+                                 initargs=(portable,)) as pool:
             chunk = max(1, spec.height // (spec.workers * 4))
             for j, row in pool.map(_render_row, range(spec.height), chunksize=chunk):
                 rows[j] = row
@@ -417,7 +394,7 @@ def line_scan(spec: BasinSpec, segment, samples: int):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    state = _compile_state(_spec_payload(spec))
+    state = _pixel_state(spec)
     ctx = state["ctx"]
     p = spec.precision
     z_start, z_end = p.scalar(segment[0]), p.scalar(segment[1])

@@ -128,7 +128,7 @@ def _resolve(args, keys, defaults):
     out = {}
     for key in keys:
         value = getattr(args, key, None)
-        if value in (None, False):
+        if value is None or value is False:     # an explicit 0 is a value (0 == False)
             value = config.get(key, preset.get(key, defaults.get(key)))
         out[key] = value
     return out
@@ -240,6 +240,8 @@ def _grid_spec(values) -> BasinSpec:
     size = values["size"]
     if isinstance(size, int):
         size = [size]
+    if len(size) > 2:
+        raise CliUsageError(f"--size takes WIDTH [HEIGHT], got {len(size)} values")
     width = int(size[0])
     height = int(size[1]) if len(size) > 1 else width
     return BasinSpec(ftext=values["f"],

@@ -18,10 +18,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .mpscalar import context_of, log10_abs, to_decimal
+from .mpscalar import context_of, log10_abs, opened, to_decimal
 from .solve import IterationTrace
-
-ORDER_TARGET = "1+sqrt(3)"
 
 
 class DiagnosticsError(ValueError):
@@ -182,6 +180,11 @@ def _fmt_optional(value, digits):
     return to_decimal(value, digits) if value is not None else "-"
 
 
+def _ratio_cell(report: ConvergenceReport, k: int, digits: int) -> str:
+    """Ratio r_k as text; empty for k < 2 and past the truncated sequence."""
+    return to_decimal(report.ratios[k - 2], digits) if 2 <= k < len(report.ratios) + 2 else ""
+
+
 def report_to_text(report: ConvergenceReport, digits: int = 8) -> str:
     lines = [
         f"fitted_constant: {_fmt_optional(report.fitted_constant, digits)}",
@@ -191,50 +194,30 @@ def report_to_text(report: ConvergenceReport, digits: int = 8) -> str:
         "k,digits,ratio",
     ]
     for k, d in enumerate(report.digits_per_step):
-        ratio = to_decimal(report.ratios[k - 2], digits) if 2 <= k < len(report.ratios) + 2 else ""
-        lines.append(f"{k},{to_decimal(d, digits)},{ratio}")
+        lines.append(f"{k},{to_decimal(d, digits)},{_ratio_cell(report, k, digits)}")
     return "\n".join(lines) + "\n"
 
 
 def write_report_csv(report: ConvergenceReport, path_or_file, digits: int = 12):
     """Per-step table (digits, ratio) plus summary columns on the k = 0 row."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)):
-        fh = open(path_or_file, "w", newline="")
-        close = True
-    else:
-        fh = path_or_file
-    try:
+    with opened(path_or_file, "w") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "digits", "ratio",
                     "fitted_constant", "predicted_next", "fit_misfit_log10", "order_tail"])
         tail = report.order_estimates[-1] if report.order_estimates else None
         for k, d in enumerate(report.digits_per_step):
-            ratio = to_decimal(report.ratios[k - 2], digits) if 2 <= k < len(report.ratios) + 2 else ""
             summary = ([_fmt_optional(report.fitted_constant, digits),
                         _fmt_optional(report.predicted_next, digits),
                         _fmt_optional(report.fit_misfit_log10, digits),
                         _fmt_optional(tail, digits)]
                        if k == 0 else ["", "", "", ""])
-            w.writerow([k, to_decimal(d, digits), ratio] + summary)
-    finally:
-        if close:
-            fh.close()
+            w.writerow([k, to_decimal(d, digits), _ratio_cell(report, k, digits)] + summary)
 
 
 def write_logplot_csv(trace: IterationTrace, path_or_file, digits: int = 12):
     """Two-column (k, log10|y_k|) CSV, ready for external plotting."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)):
-        fh = open(path_or_file, "w", newline="")
-        close = True
-    else:
-        fh = path_or_file
-    try:
+    with opened(path_or_file, "w") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "log10_abs_y"])
         for rec in trace.records:
             w.writerow([rec.n, to_decimal(log10_abs(rec.y), digits)])
-    finally:
-        if close:
-            fh.close()

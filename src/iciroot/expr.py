@@ -77,9 +77,6 @@ class Call:
     arg: object
 
 
-ExprNode = object  # any of the node classes above
-
-
 def free_variables(e) -> set[str]:
     if isinstance(e, Var):
         return {e.name}
@@ -435,13 +432,25 @@ def compile_fn(e, var: str, p: Precision, complex_mode: bool = False):
     return evaluate_at
 
 
-def evaluate(e, x, p: Precision):
-    """Evaluate ``e`` at the point ``x`` (real or complex) at precision ``p``."""
+def _sole_variable(e) -> str:
+    """The one free variable of ``e`` ("x" when there is none, which no node reads)."""
     names = free_variables(e)
     if len(names) > 1:
         extra = sorted(names)[1]
         raise UnknownIdentifierError(f"more than one variable in expression: {extra!r}")
-    var = names.pop() if names else "x"
+    return names.pop() if names else "x"
+
+
+def compile_pair(text: str, p: Precision, complex_mode: bool):
+    """Parse one-variable function text; compile it and its exact derivative."""
+    tree = parse(text)
+    var = _sole_variable(tree)
+    return (compile_fn(tree, var, p, complex_mode),
+            compile_fn(differentiate(tree, var), var, p, complex_mode))
+
+
+def evaluate(e, x, p: Precision):
+    """Evaluate ``e`` at the point ``x`` (real or complex) at precision ``p``."""
     complex_mode = hasattr(x, "_mpc_") or isinstance(x, complex)
     xv = p.scalar(x)
-    return compile_fn(e, var, p, complex_mode)(xv)
+    return compile_fn(e, _sole_variable(e), p, complex_mode)(xv)

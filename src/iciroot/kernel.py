@@ -81,6 +81,13 @@ def secant_step(p_prev: PointSample, p_cur: PointSample):
     return p_cur.x - p_cur.y * (p_cur.x - p_prev.x) / (p_cur.y - p_prev.y)
 
 
+def _check_blend(p_prev: PointSample, p_cur: PointSample):
+    if p_prev.y == p_cur.y:
+        raise EqualResidualsError("equal residuals: blended step undefined")
+    if p_prev.yp == 0 or p_cur.yp == 0:
+        raise ZeroDerivativeError("zero derivative in blended step")
+
+
 def _weights(p_prev: PointSample, p_cur: PointSample):
     # u - v = 1, so v*v + u*u - 2*u*v = 1 exactly in exact arithmetic.
     dy = p_prev.y - p_cur.y
@@ -98,10 +105,7 @@ def ici_step(p_prev: PointSample, p_cur: PointSample):
     weight to the more accurate estimate.  Exact for samples of an inverse
     cubic, and independent of the argument order.
     """
-    if p_prev.y == p_cur.y:
-        raise EqualResidualsError("equal residuals: blended step undefined")
-    if p_prev.yp == 0 or p_cur.yp == 0:
-        raise ZeroDerivativeError("zero derivative in blended step")
+    _check_blend(p_prev, p_cur)
     w_prev, w_cur, w_sec = _weights(p_prev, p_cur)
     return (w_prev * newton_step(p_prev)
             + w_cur * newton_step(p_cur)
@@ -115,10 +119,7 @@ def ici_step_blind(p_prev: PointSample, p_cur: PointSample):
     stabilizing small-update grouping; kept for cross-checks and stability
     experiments.
     """
-    if p_prev.y == p_cur.y:
-        raise EqualResidualsError("equal residuals: blended step undefined")
-    if p_prev.yp == 0 or p_cur.yp == 0:
-        raise ZeroDerivativeError("zero derivative in blended step")
+    _check_blend(p_prev, p_cur)
     a, fa, dfa = p_prev.x, p_prev.y, p_prev.yp
     b, dfb = p_cur.x, p_cur.yp
     delta = p_cur.y - p_prev.y
@@ -134,10 +135,7 @@ def ici_step_averaged(p_prev: PointSample, p_cur: PointSample):
     (x_prev, x_cur, x_cur) and the three small updates are averaged
     separately before combining.  Mathematically equal to :func:`ici_step`.
     """
-    if p_prev.y == p_cur.y:
-        raise EqualResidualsError("equal residuals: blended step undefined")
-    if p_prev.yp == 0 or p_cur.yp == 0:
-        raise ZeroDerivativeError("zero derivative in blended step")
+    _check_blend(p_prev, p_cur)
     w_prev, w_cur, w_sec = _weights(p_prev, p_cur)
     base = w_prev * p_prev.x + w_cur * p_cur.x + w_sec * p_cur.x
     update = (w_prev * (-p_prev.y / p_prev.yp)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re as _re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,10 +51,6 @@ class Precision:
     @property
     def ctx(self) -> MPContext:
         return _context(self.digits)
-
-    @property
-    def prec_bits(self) -> int:
-        return self.ctx.prec
 
     @property
     def eps(self):
@@ -103,8 +100,14 @@ def is_real_scalar(x) -> bool:
     return hasattr(x, "_mpf_")
 
 
-def is_complex_scalar(x) -> bool:
-    return hasattr(x, "_mpc_")
+@contextmanager
+def opened(path_or_file, mode: str):
+    """Yield a file object as it is, or open a path (``newline=""``) and close it after."""
+    if not isinstance(path_or_file, (str, bytes)):
+        yield path_or_file
+        return
+    with open(path_or_file, mode, newline="") as fh:
+        yield fh
 
 
 def is_finite(x) -> bool:

@@ -20,12 +20,12 @@ Degenerate situations the step formulas cannot handle are safeguarded:
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
-from . import expr as _expr
-from .kernel import PointSample, ici_step, ici_step_averaged, newton_step, secant_step
-from .mpscalar import Precision, is_finite, log10_abs, parse_complex, parse_real, to_decimal
+from .expr import compile_pair
+from .kernel import ici_step, ici_step_averaged, newton_step, secant_step
+from .mpscalar import (Precision, is_finite, log10_abs, opened, parse_complex, parse_real,
+                       to_decimal)
 
 METHODS = ("newton", "secant", "ici", "ici_averaged")
 
@@ -94,15 +94,8 @@ class IterationTrace:
     def converged(self) -> bool:
         return self.status == STATUS_CONVERGED
 
-    def iterates(self):
-        return [r.x for r in self.records]
-
     def residuals(self):
         return [r.y for r in self.records]
-
-
-def _sample(rec: IterationRecord) -> PointSample:
-    return PointSample(rec.x, rec.y, rec.yp)
 
 
 def solve(f, fp, x0, cfg: SolveConfig | None = None) -> IterationTrace:
@@ -123,54 +116,50 @@ def solve(f, fp, x0, cfg: SolveConfig | None = None) -> IterationTrace:
     records = []
 
     def evaluate(xv, kind):
+        """Record one fresh (f, fp) pair; return the status it stops on, or None."""
         try:
             y = f(xv)
             yp = fp(xv)
         except ZeroDivisionError:
             y = yp = cfg.precision.nan
         records.append(IterationRecord(len(records), xv, y, yp, kind))
-        return y, yp
-
-    y, yp = evaluate(x, "seed")
-    if not (is_finite(y) and is_finite(yp)):
-        return IterationTrace(records, STATUS_NAN)
-    if abs(y) <= cfg.tol:
-        return IterationTrace(records, STATUS_CONVERGED)
+        if not (is_finite(y) and is_finite(yp)):
+            return STATUS_NAN
+        return STATUS_CONVERGED if abs(y) <= cfg.tol else None
 
     def df_floor(cur_y):
         scale = abs(cur_y)
         return cfg.dfmin * (scale if scale > 1 else 1)
 
+    stop = evaluate(x, "seed")
     for _ in range(cfg.max_iter):
+        if stop:
+            break
         cur = records[-1]
         if len(records) == 1 or cfg.method == "newton":
             if abs(cur.yp) <= df_floor(cur.y):
                 return IterationTrace(records, STATUS_DEGENERATE)
-            x_next, kind = newton_step(_sample(cur)), "newton"
+            x_next, kind = newton_step(cur), "newton"
         else:
             prev = records[-2]
             gap = abs(cur.y - prev.y)
             if gap <= cfg.dy_guard * max(abs(cur.y), abs(prev.y)):
                 if abs(cur.yp) <= df_floor(cur.y):
                     return IterationTrace(records, STATUS_DEGENERATE)
-                x_next, kind = newton_step(_sample(cur)), "safeguard_newton"
+                x_next, kind = newton_step(cur), "safeguard_newton"
             elif cfg.method == "secant":
-                x_next, kind = secant_step(_sample(prev), _sample(cur)), "secant"
+                x_next, kind = secant_step(prev, cur), "secant"
             elif abs(cur.yp) <= df_floor(cur.y):
-                x_next, kind = secant_step(_sample(prev), _sample(cur)), "secant"
+                x_next, kind = secant_step(prev, cur), "secant"
             elif abs(prev.yp) <= df_floor(prev.y):
-                x_next, kind = newton_step(_sample(cur)), "safeguard_newton"
+                x_next, kind = newton_step(cur), "safeguard_newton"
             else:
                 step = ici_step if cfg.method == "ici" else ici_step_averaged
-                x_next, kind = step(_sample(prev), _sample(cur)), cfg.method
+                x_next, kind = step(prev, cur), cfg.method
         if not is_finite(x_next):
             return IterationTrace(records, STATUS_NAN)
-        y, yp = evaluate(x_next, kind)
-        if not (is_finite(y) and is_finite(yp)):
-            return IterationTrace(records, STATUS_NAN)
-        if abs(y) <= cfg.tol:
-            return IterationTrace(records, STATUS_CONVERGED)
-    return IterationTrace(records, STATUS_MAX_ITER)
+        stop = evaluate(x_next, kind)
+    return IterationTrace(records, stop or STATUS_MAX_ITER)
 
 
 def solve_expr(ftext: str, x0, cfg: SolveConfig | None = None) -> IterationTrace:
@@ -180,16 +169,8 @@ def solve_expr(ftext: str, x0, cfg: SolveConfig | None = None) -> IterationTrace
     identifier errors from the expression module surface unchanged.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    tree = _expr.parse(ftext)
-    names = _expr.free_variables(tree)
-    if len(names) > 1:
-        extra = sorted(names)[1]
-        raise _expr.UnknownIdentifierError(f"more than one variable in expression: {extra!r}")
-    var = names.pop() if names else "x"
-    dtree = _expr.differentiate(tree, var)
     complex_mode = hasattr(x0, "_mpc_") or isinstance(x0, complex)
-    f = _expr.compile_fn(tree, var, cfg.precision, complex_mode)
-    fp = _expr.compile_fn(dtree, var, cfg.precision, complex_mode)
+    f, fp = compile_pair(ftext, cfg.precision, complex_mode)
     return solve(f, fp, x0, cfg)
 
 
@@ -210,40 +191,20 @@ def _record_row(rec: IterationRecord, digits: int):
 
 def write_trace_csv(trace: IterationTrace, path_or_file, digits: int | None = None):
     """Write the trace as CSV with full-precision decimal columns."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)):
-        fh = open(path_or_file, "w", newline="")
-        close = True
-    else:
-        fh = path_or_file
-    try:
+    with opened(path_or_file, "w") as fh:
         w = csv.writer(fh)
         w.writerow(_CSV_HEADER)
         for rec in trace.records:
             w.writerow(_record_row(rec, digits))
-    finally:
-        if close:
-            fh.close()
 
 
 def write_trace_text(trace: IterationTrace, meta: dict, path_or_file):
     """Write run metadata (key: value lines) followed by the CSV table."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)):
-        fh = open(path_or_file, "w", newline="")
-        close = True
-    else:
-        fh = path_or_file
-    try:
+    with opened(path_or_file, "w") as fh:
         for key, value in meta.items():
             fh.write(f"{key}: {value}\n")
         fh.write(f"status: {trace.status}\n")
-        buf = io.StringIO()
-        write_trace_csv(trace, buf, digits=int(meta["digits"]) if "digits" in meta else None)
-        fh.write(buf.getvalue())
-    finally:
-        if close:
-            fh.close()
+        write_trace_csv(trace, fh, digits=int(meta["digits"]) if "digits" in meta else None)
 
 
 def read_trace_text(path_or_file):
@@ -253,18 +214,9 @@ def read_trace_text(path_or_file):
         (IterationTrace, meta dict).  Record values are reconstructed at the
         precision named by the ``digits`` metadata entry.
     """
-    close = False
-    if isinstance(path_or_file, (str, bytes)):
-        fh = open(path_or_file, "r", newline="")
-        close = True
-    else:
-        fh = path_or_file
-    try:
-        meta = {}
+    with opened(path_or_file, "r") as fh:
         lines = fh.read().splitlines()
-    finally:
-        if close:
-            fh.close()
+    meta = {}
     k = 0
     while k < len(lines) and not lines[k].startswith("n,"):
         if lines[k].strip():

@@ -1,6 +1,9 @@
 import io
 import math
+import multiprocessing
+import pickle
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -196,19 +199,52 @@ def test_pixel_iteration_matches_the_solver():
 
 
 def test_pixel_iteration_matches_the_solver_over_a_grid():
-    # every pixel of a small grid, the origin (zero derivative) included
-    spec = _cube_spec(width=7, height=7)
-    raster = render(spec)
-    p = spec.precision
-    cfg = SolveConfig(precision=p, tol="1e-8", max_iter=13)
-    for j in range(spec.height):
-        for i in range(spec.width):
-            trace = solve_expr("z^3-1", spec.pixel_center(i, j), cfg)
-            assert trace.converged == raster.converged[j][i]
-            if trace.converged:
+    # every pixel that is not NaN agrees with the solver in flag, count and limit
+    kepler = BasinSpec(ftext="z - 0.083*sin(z) - 1", re_range=(-30.5, -29.5),
+                       im_range=(-17.5, -16.5), width=12, height=12, max_iter=30, tol="1e-8")
+    for spec in (_cube_spec(width=12, height=12), kepler):
+        raster = render(spec)
+        p = spec.precision
+        cfg = SolveConfig(precision=p, tol=spec.tol, max_iter=spec.max_iter)
+        for j in range(spec.height):
+            for i in range(spec.width):
+                if raster.nan_mask[j][i]:
+                    continue
+                trace = solve_expr(spec.ftext, spec.pixel_center(i, j), cfg)
+                assert trace.converged == raster.converged[j][i]
                 assert len(trace) - 1 == raster.iterations[j][i]
                 assert abs(trace.final.x - raster.final[j][i]) <= p.real("1e-20")
-    assert spec.pixel_center(3, 3) == 0 and raster.nan_mask[3][3]   # f'(0) = 0
+    # the overflow cap, which the solver does not have, leaves NaN pixels here
+    assert any(any(row) for row in raster.nan_mask)
+    origin = _cube_spec(width=1, height=1, re_range=(-1.0, 1.0), im_range=(-1.0, 1.0))
+    assert origin.pixel_center(0, 0) == 0 and render(origin).nan_mask[0][0]   # f'(0) = 0
+
+
+def test_render_of_mpf_valued_spec_under_spawn(monkeypatch):
+    # spawn pickles the pool's initargs; fork, the Linux default, would hide a spec
+    # whose mpf values cannot be pickled
+    p = Precision(34)
+    text = _cube_spec(width=5, height=4, re_range=("-1.5", "0.5"), im_range=("-0.75", "1.25"))
+    mp_spec = _cube_spec(width=5, height=4, re_range=(p.real("-1.5"), p.real("0.5")),
+                         im_range=(p.real("-0.75"), p.real("1.25")), tol=p.real("1e-8"),
+                         workers=2)
+    with pytest.raises(pickle.PicklingError):
+        pickle.dumps(mp_spec)
+    initargs = []
+
+    class SpawnPool(ProcessPoolExecutor):
+        def __init__(self, **kw):
+            initargs.append(kw["initargs"])
+            super().__init__(mp_context=multiprocessing.get_context("spawn"), **kw)
+
+    monkeypatch.setattr(basins, "ProcessPoolExecutor", SpawnPool)
+    got = render(mp_spec)
+    assert len(initargs) == 1 and pickle.loads(pickle.dumps(initargs[0])) == initargs[0]
+    want = render(text)
+    assert got.iterations == want.iterations and got.phase == want.phase
+    assert got.nan_mask == want.nan_mask and got.converged == want.converged
+    assert [[str(z) for z in row] for row in got.final] == \
+           [[str(z) for z in row] for row in want.final]
 
 
 def test_fixed_precision_complex_arithmetic_against_mpmath():

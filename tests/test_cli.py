@@ -20,6 +20,34 @@ def test_bad_function_text_exits_one(capsys):
     assert "offset" in capsys.readouterr().err
 
 
+def test_two_variable_function_exits_one(capsys):
+    assert main(["solve", "--f", "x*y", "--x0", "1"]) == 1
+    assert "'y'" in capsys.readouterr().err
+
+
+def test_explicit_zero_max_iter_is_not_replaced_by_the_default(capsys):
+    assert main(["solve", "--f", "x^2-2", "--x0", "1", "--max-iter", "0"]) == 1
+    assert "max_iter must be >= 1" in capsys.readouterr().err
+
+
+def test_explicit_zero_overflow_exp_reaches_the_render(tmp_path, capsys):
+    out_file = str(tmp_path / "b.ppm")
+    flags = ["basin", "--f", "z^3-1", "--size", "4", "--out", out_file]
+    assert main(flags) == 0
+    assert capsys.readouterr().out.endswith("converged 16/16, nan 0\n")
+    assert main(flags + ["--overflow-exp", "0"]) == 0
+    # with a cap of 10**0, every seed of this grid counts as overflow
+    assert capsys.readouterr().out.endswith("converged 0/16, nan 16\n")
+
+
+def test_more_than_two_size_values_is_usage_error(tmp_path, capsys):
+    code = main(["basin", "--f", "z^3-1", "--size", "4", "3", "9",
+                 "--out", str(tmp_path / "b.ppm")])
+    assert code == 1
+    assert "--size" in capsys.readouterr().err
+    assert not (tmp_path / "b.ppm").exists()
+
+
 def test_solve_linear_converges_with_exit_zero(capsys):
     code = main(["solve", "--f", "x", "--x0", "5", "--digits", "20"])
     out = capsys.readouterr().out

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from iciroot import basins
 from iciroot.expr import (Bin, Call, ExprSyntaxError, Num, UnknownIdentifierError,
                           Var, compile_fn, differentiate, evaluate, free_variables,
                           parse, render)
 from iciroot.mpscalar import Precision, is_nan
+from iciroot.solve import SolveConfig, solve_expr
 
 from oracles import central_diff, make_ctx
 
@@ -188,6 +190,21 @@ def test_unbound_identifier_at_eval():
         evaluate(parse("x + y"), p.real(1), p)
     with pytest.raises(UnknownIdentifierError):
         compile_fn(parse("y + 1"), "x", p)
+
+
+_P34 = Precision(34)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evaluate(parse("x*y"), _P34.real(1), _P34),
+    lambda: solve_expr("x*y", _P34.real(1), SolveConfig(precision=_P34)),
+    lambda: basins.render(basins.BasinSpec("x*y", width=2, height=2)),
+    lambda: basins.render(basins.BasinSpec("x*y", width=2, height=2, workers=2)),
+    lambda: basins.line_scan(basins.BasinSpec("x*y"), (0, 1), 3),
+], ids=["evaluate", "solve_expr", "render", "render_workers_2", "line_scan"])
+def test_two_variables_rejected_at_every_entry_point(call):
+    with pytest.raises(UnknownIdentifierError, match="more than one variable.*'y'"):
+        call()
 
 
 def test_literal_conversion_happens_at_evaluation_precision():
