@@ -19,7 +19,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 
-from .mpscalar import Precision, is_real_scalar
+from .mpscalar import Precision, is_complex_scalar, is_real_scalar
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log")
 CONSTANTS = ("pi",)
@@ -451,6 +451,5 @@ def compile_pair(text: str, p: Precision, complex_mode: bool):
 
 def evaluate(e, x, p: Precision):
     """Evaluate ``e`` at the point ``x`` (real or complex) at precision ``p``."""
-    complex_mode = hasattr(x, "_mpc_") or isinstance(x, complex)
-    xv = p.scalar(x)
-    return compile_fn(e, _sole_variable(e), p, complex_mode)(xv)
+    f = compile_fn(e, _sole_variable(e), p, is_complex_scalar(x))
+    return f(p.scalar(x))

@@ -11,6 +11,7 @@ arithmetic instead of raising.
 from __future__ import annotations
 
 import math
+import os
 import re as _re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -100,10 +101,15 @@ def is_real_scalar(x) -> bool:
     return hasattr(x, "_mpf_")
 
 
+def is_complex_scalar(x) -> bool:
+    """An mpc or a Python complex: the values that put a solve in complex mode."""
+    return hasattr(x, "_mpc_") or isinstance(x, complex)
+
+
 @contextmanager
 def opened(path_or_file, mode: str):
     """Yield a file object as it is, or open a path (``newline=""``) and close it after."""
-    if not isinstance(path_or_file, (str, bytes)):
+    if not isinstance(path_or_file, (str, bytes, os.PathLike)):
         yield path_or_file
         return
     with open(path_or_file, mode, newline="") as fh:
@@ -174,12 +180,17 @@ def parse_real(text: str, p: Precision):
 _IMAG_SUFFIX = _re.compile(r"[ij]\s*$")
 
 
+def is_complex_literal(text: str) -> bool:
+    """Whether ``text`` ends in the imaginary unit suffix ``i`` or ``j`` (so ``inf`` is real)."""
+    return _IMAG_SUFFIX.search(text) is not None
+
+
 def parse_complex(text: str, p: Precision):
     """Parse ``a``, ``bi``, or ``a±bi`` (``j`` accepted for ``i``) at precision ``p``."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
-    if not _IMAG_SUFFIX.search(s):
+    if not is_complex_literal(s):
         return p.cplx(parse_real(s, p))
     body = s[:-1]
     # split at the last top-level +/- that is not an exponent sign

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 from .expr import compile_pair
 from .kernel import ici_step, ici_step_averaged, newton_step, secant_step
-from .mpscalar import (Precision, is_finite, log10_abs, opened, parse_complex, parse_real,
-                       to_decimal)
+from .mpscalar import (Precision, is_complex_literal, is_complex_scalar, is_finite, log10_abs,
+                       opened, parse_complex, parse_real, to_decimal)
 
 METHODS = ("newton", "secant", "ici", "ici_averaged")
 
@@ -169,8 +169,7 @@ def solve_expr(ftext: str, x0, cfg: SolveConfig | None = None) -> IterationTrace
     identifier errors from the expression module surface unchanged.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    complex_mode = hasattr(x0, "_mpc_") or isinstance(x0, complex)
-    f, fp = compile_pair(ftext, cfg.precision, complex_mode)
+    f, fp = compile_pair(ftext, cfg.precision, is_complex_scalar(x0))
     return solve(f, fp, x0, cfg)
 
 
@@ -231,7 +230,7 @@ def read_trace_text(path_or_file):
         if not row:
             continue
         n, x_s, y_s, yp_s, kind = row[0], row[1], row[2], row[3], row[4]
-        conv = parse_complex if x_s.rstrip().endswith("i") else parse_real
+        conv = parse_complex if is_complex_literal(x_s) else parse_real
         records.append(IterationRecord(int(n), conv(x_s, p), conv(y_s, p), conv(yp_s, p), kind))
     status = meta.pop("status", STATUS_MAX_ITER)
     return IterationTrace(records, status), meta

@@ -185,6 +185,14 @@ def test_raster_csv_dump():
     assert len(lines) == 1 + 6
 
 
+def test_raster_csv_accepts_a_pathlib_path(tmp_path):
+    raster = render(_cube_spec(width=3, height=2))
+    buf = io.StringIO()
+    raster.to_csv(buf)
+    raster.to_csv(tmp_path / "b.csv")
+    assert (tmp_path / "b.csv").read_bytes() == buf.getvalue().encode()
+
+
 def test_pixel_iteration_matches_the_solver():
     # same seeding (Newton then blended steps): limits must agree
     spec = _cube_spec(width=1, height=1, re_range=(0.45, 0.55), im_range=(0.25, 0.35))

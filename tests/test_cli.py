@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +219,73 @@ def test_complex_mode_inferred_from_x0(capsys):
 
 def test_wrong_preset_for_subcommand(capsys):
     assert main(["basin", "--preset", "newton-classic"]) == 1
+
+
+def test_readme_scan_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = next(l for l in readme.splitlines() if l.startswith("iciroot scan "))
+    argv = shlex.split(line)[1:]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    changes = int(re.search(r"assignment changes: (\d+)", out).group(1))
+    assert changes > 2
+
+
+def test_x0_inf_stays_real(capsys):
+    assert main(["solve", "--f", "x-1", "--x0", "inf"]) == 2
+    out = capsys.readouterr().out
+    assert out.endswith("root: inf\n")
+    assert "+0.0i" not in out
+
+
+def test_config_complex_key_forces_complex_mode(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "x-1", "x0": "5", "complex": True}))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert "root: 1.0+0.0i" in capsys.readouterr().out
+
+
+def test_config_from_and_to_keys_give_the_segment(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "z^3-1", "from": "0.9+0i", "to": "1.1+0i",
+                               "samples": 9, "max-iter": 13}))
+    assert main(["scan", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "samples: 9" in out
+    assert "assignment changes: 0" in out
+
+
+@pytest.mark.parametrize("key", ["digit", "complex_mode", "seg_from", "trace"])
+def test_config_unknown_key_is_usage_error(tmp_path, capsys, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "x", "x0": "5", key: 20}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_precedence_explicit_over_config_over_preset(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"x0": "3", "max_iter": 2}))
+    # preset x^3-2*x-5 from 1 at 40 digits; config moves x0 and max_iter
+    assert main(["solve", "--preset", "newton-classic", "--config", str(cfg)]) == 2
+    out = capsys.readouterr().out
+    assert "   0  seed             3.0 " in out
+    assert "status: max_iter (2 iterations)" in out
+    assert main(["solve", "--preset", "newton-classic", "--config", str(cfg),
+                 "--max-iter", "40"]) == 0
+    out = capsys.readouterr().out
+    assert "   0  seed             3.0 " in out
+    assert "root: 2.09455148154232659148238654057930" in out
+
+
+def test_config_values_go_through_the_flag_types(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "x-1", "x0": 5, "digits": "25", "max_iter": 5.0}))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert "root: 1.0\n" in capsys.readouterr().out
+    cfg.write_text(json.dumps({"f": "z^3-1", "size": 3, "out": str(tmp_path / "b.ppm")}))
+    assert main(["basin", "--config", str(cfg)]) == 0
+    assert "3x3" in capsys.readouterr().out
+    cfg.write_text(json.dumps({"f": "x", "x0": "5", "digits": [20]}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "--config: digits:" in capsys.readouterr().err

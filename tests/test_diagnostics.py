@@ -176,3 +176,16 @@ def test_report_serialization_smoke():
     plot_lines = buf2.getvalue().splitlines()
     assert plot_lines[0] == "k,log10_abs_y"
     assert len(plot_lines) == len(trace) + 1
+
+
+def test_report_writers_accept_pathlib_paths(tmp_path):
+    p = Precision(60)
+    trace = solve_expr("x^2-2", p.real("1.5"), SolveConfig(precision=p, max_iter=8))
+    report = build_report(trace)
+    report_buf, plot_buf = io.StringIO(), io.StringIO()
+    write_report_csv(report, report_buf)
+    write_logplot_csv(trace, plot_buf)
+    write_report_csv(report, tmp_path / "report.csv")
+    write_logplot_csv(trace, tmp_path / "plot.csv")
+    assert (tmp_path / "report.csv").read_bytes() == report_buf.getvalue().encode()
+    assert (tmp_path / "plot.csv").read_bytes() == plot_buf.getvalue().encode()

@@ -251,3 +251,20 @@ def test_complex_trace_text_round_trip():
     back, _ = read_trace_text(io.StringIO(buf.getvalue()))
     assert hasattr(back.final.x, "_mpc_")
     assert abs(back.final.x - trace.final.x) <= abs(trace.final.x) * 10 * p.eps
+
+
+def test_trace_writers_and_reader_accept_pathlib_paths(tmp_path):
+    p = Precision(40)
+    trace = solve_expr("x^3-2*x-5", p.real(1), SolveConfig(precision=p))
+    meta = {"function": "x^3-2*x-5", "x0": "1", "digits": 40}
+    csv_buf, text_buf = io.StringIO(), io.StringIO()
+    write_trace_csv(trace, csv_buf, digits=40)
+    write_trace_text(trace, meta, text_buf)
+    write_trace_csv(trace, tmp_path / "t.csv", digits=40)
+    write_trace_text(trace, meta, tmp_path / "t.txt")
+    assert (tmp_path / "t.csv").read_bytes() == csv_buf.getvalue().encode()
+    assert (tmp_path / "t.txt").read_bytes() == text_buf.getvalue().encode()
+    back, meta2 = read_trace_text(tmp_path / "t.txt")
+    assert meta2["function"] == "x^3-2*x-5"
+    assert ([to_decimal(r.x, 40) for r in back.records]
+            == [to_decimal(r.x, 40) for r in trace.records])
