@@ -226,7 +226,7 @@ _STATE: dict = {}
 def _pixel_state(spec: BasinSpec) -> dict:
     p = spec.precision
     ctx = p.ctx
-    f, fp = compile_pair(spec.ftext, p, complex_mode=True)
+    pair = compile_pair(spec.ftext, p, complex_mode=True)
     tol = p.real(str(spec.tol))         # as text, the form the workers receive
     tol_sign, tol_man, tol_exp, _ = tol._mpf_
     re, im = spec.grid()
@@ -234,8 +234,7 @@ def _pixel_state(spec: BasinSpec) -> dict:
         "ctx": ctx,
         "P": ctx.prec,
         "one": _cnorm(1, 0, 0, ctx.prec),
-        "f": f,
-        "fp": fp,
+        "pair": pair,
         "tol": tol,
         "tol_man": -tol_man if tol_sign else tol_man,
         "tol_exp": tol_exp,
@@ -261,7 +260,7 @@ def _iterate_point(state, z0):
     """
     ctx = state["ctx"]
     P = state["P"]
-    f, fp = state["f"], state["fp"]
+    pair = state["pair"]
     tol_man, tol_exp = state["tol_man"], state["tol_exp"]
     cap = state["cap_mag"]
     max_iter = state["max_iter"]
@@ -269,11 +268,11 @@ def _iterate_point(state, z0):
 
     def sample(z):
         """(f(z), f'(z)) as triples, or None on a NaN or an overflow."""
-        zm = _to_mpc(ctx, z)
-        y = _from_mp(f(zm), P)
+        fz, dz = pair(_to_mpc(ctx, z))
+        y = _from_mp(fz, P)
         if y is None or _cmag(y) > cap:
             return None
-        d = _from_mp(fp(zm), P)
+        d = _from_mp(dz, P)
         if d is None or _cmag(d) > cap:
             return None
         return y, d

@@ -70,30 +70,33 @@ def _build_parser():
         p.add_argument("--max-iter", type=int, dest="max_iter", default=max_iter)
         p.add_argument("--preset", choices=sorted(PRESETS))
         p.add_argument("--config", help="JSON file with flag values")
-        p.add_argument("--out", type=str, help="output file path")
 
-    def add_solve_like(name, help, run):
+    def add_solve_like(name, help, run, one_method=True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         add_common(p, digits=40, max_iter=100, tol=None)
         p.add_argument("--x0", type=str, help="initial guess; an 'i'/'j' suffix selects "
                        "complex mode" + dash_note.format("x0"))
-        p.add_argument("--method", choices=METHODS, default="ici")
         p.add_argument("--complex", action="store_true", dest="complex_mode",
                        help="force complex mode even for a real x0")
-        p.add_argument("--format", choices=("csv", "text"), default="csv",
-                       help="--out file format")
+        if one_method:      # compare runs every method and writes no file
+            p.add_argument("--method", choices=METHODS, default="ici")
+            p.add_argument("--out", type=str, help="output file path")
+            p.add_argument("--format", choices=("csv", "text"), default="csv",
+                           help="--out file format")
         return p
 
     add_solve_like("solve", "run one solve and print the trace", _run_solve)
     p_order = add_solve_like("order", "solve and report convergence diagnostics", _run_order)
     p_order.add_argument("--trace", type=str, help="read a saved text trace instead of solving")
-    add_solve_like("compare", "newton vs ici vs secant on one problem", _run_compare)
+    add_solve_like("compare", "newton vs ici vs secant on one problem", _run_compare,
+                   one_method=False)
 
     def add_grid(name, help, run):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         add_common(p, digits=34, max_iter=13, tol="1e-8")
+        p.add_argument("--out", type=str, help="output file path")
         p.add_argument("--re", nargs=2, type=float, default=[-2.0, 2.0],
                        help="real-axis range MIN MAX")
         p.add_argument("--im", nargs=2, type=float, default=[-2.0, 2.0],

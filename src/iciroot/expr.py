@@ -12,10 +12,22 @@ Grammar (no implicit multiplication)::
 ``-x^2`` parses as ``-(x^2)``.  Numeric literals are kept as decimal text in
 the tree and converted at evaluation precision, so ``0.083`` stays honest at
 1000 digits.  Trees are immutable; evaluation is reentrant.
+
+:func:`compile_fn` compiles one tree into a closure ``x -> value``; it is
+the reference evaluator.  :func:`compile_jet` compiles a tree and its
+symbolic derivative into one "jet" closure ``x -> (f(x), f'(x))`` that
+evaluates every subexpression the two share once per call: variable-free
+subtrees are folded to values at compile time, ``sin``/``cos`` of one
+argument come from a single cos/sin evaluation, ``exp(u)`` serves as its own
+derivative factor, and ``u^n`` reuses the ``u^(n-1)`` of n*u^(n-1).  Each
+component equals :func:`compile_fn` of its own tree, NaN where that gives
+NaN.  :func:`compile_pair` parses text into this jet; the solver and the
+basin renderer use it.
 """
 
 from __future__ import annotations
 
+import operator
 import re as _re
 from dataclasses import dataclass
 
@@ -432,6 +444,134 @@ def compile_fn(e, var: str, p: Precision, complex_mode: bool = False):
     return evaluate_at
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def compile_jet(e, var: str, p: Precision, complex_mode: bool = False):
+    """Compile ``e`` and its exact derivative into one closure ``x -> (f(x), f'(x))``.
+
+    One call sweeps once over the DAG that ``e`` and ``differentiate(e, var)``
+    form together, so each distinct subexpression is evaluated once (the
+    module docstring lists what is shared).  Each component keeps the
+    semantics of :func:`compile_fn` on its own tree, every fold of
+    ``differentiate`` included: it is NaN where that closure gives NaN, and
+    only there (``sqrt(x)`` at 0 gives f = 0 and f' = NaN).  Values are
+    bit-identical to that closure's except u^n for n >= 3, rounded twice.
+    """
+    ctx = p.ctx
+    nan = ctx.mpf("nan")
+    nan_result = ctx.mpc(nan, nan) if complex_mode else nan
+
+    def real_only(r):
+        return r if is_real_scalar(r) else nan
+
+    def pow_(a, b):
+        return a ** b if complex_mode else real_only(a ** b)
+
+    def call(fn):
+        g = getattr(ctx, fn)
+        if complex_mode or fn == "exp":
+            return lambda a, _: g(a)
+        return lambda a, _: real_only(g(a))
+
+    # slot 0 is x; a slot holds a value fixed here, or None when a step
+    # (slot, fn, i, j) computes it per call as fn(vals[i], vals[j]) (a unary
+    # fn ignores its second argument)
+    template = [None]
+    steps = []
+    # compile_fn turns a ZeroDivisionError anywhere in its tree into a NaN
+    # result, even where a NaN would not propagate (an mpc NaN**0 is 1): a
+    # component is NaN when a slot in its cone raised
+    raised = set()          # slots whose evaluation here raised ZeroDivisionError
+    cones = [frozenset()]   # per slot: the computed slots it depends on, itself included
+    index = {}
+
+    def add(fn, i, j=None):
+        j = i if j is None else j
+        k = len(template)
+        value = None
+        if template[i] is None or template[j] is None:
+            steps.append((k, fn, i, j))
+        else:
+            try:
+                value = fn(template[i], template[j])
+            except ZeroDivisionError:
+                value = nan_result
+                raised.add(k)
+        template.append(value)
+        cones.append(cones[i] | cones[j] | {k})
+        return k
+
+    def constant(value):
+        template.append(value)
+        cones.append(frozenset())
+        return len(template) - 1
+
+    def slot(node):
+        k = index.get(node)
+        if k is None:
+            k = index[node] = build(node)
+        return k
+
+    def build(node):
+        if isinstance(node, Num):
+            return constant(ctx.mpf(node.text))
+        if isinstance(node, Const):
+            return constant(+ctx.pi)
+        if isinstance(node, Var):
+            if node.name != var:
+                raise UnknownIdentifierError(
+                    f"unbound identifier {node.name!r} (expected variable {var!r})")
+            return 0
+        if isinstance(node, Neg):
+            return add(lambda a, _: -a, slot(node.child))
+        if isinstance(node, Bin):
+            u = slot(node.left)
+            if node.op == "^" and _is_int_literal(node.right) and _int_of(node.right) >= 3:
+                n = _int_of(node.right)
+                lower = index.get(Bin("^", node.left, Num(str(n - 1))))
+                if lower is not None:       # f' is built first: it needs u^(n-1)
+                    n_mp = ctx.mpf(n)
+
+                    # mpmath's integer powers of a non-finite complex value
+                    # follow their own rules (NaN**3 == 0): keep ** there
+                    def times_base(lower_pow, base):
+                        return lower_pow * base if ctx.isfinite(base) else pow_(base, n_mp)
+                    return add(times_base, lower, u)
+            return add(_ARITH.get(node.op, pow_), u, slot(node.right))
+        if isinstance(node, Call):
+            if node.fn in ("sin", "cos"):
+                pair = index.get(("cos_sin", node.arg))
+                if pair is None:
+                    pair = index[("cos_sin", node.arg)] = add(
+                        lambda a, _: ctx.cos_sin(a), slot(node.arg))
+                pick = 0 if node.fn == "cos" else 1
+                return add(lambda t, _: t[pick], pair)
+            return add(call(node.fn), slot(node.arg))
+        raise TypeError(f"not an expression node: {node!r}")
+
+    kd = slot(differentiate(e, var))
+    kf = slot(e)
+    cone_f, cone_d = cones[kf], cones[kd]
+    static_raised = frozenset(raised)
+
+    def jet(x):
+        vals = template.copy()
+        vals[0] = x
+        failed = static_raised
+        for k, fn, i, j in steps:
+            try:
+                vals[k] = fn(vals[i], vals[j])
+            except ZeroDivisionError:
+                vals[k] = nan_result
+                failed = failed | {k}
+        if failed:
+            return (vals[kf] if failed.isdisjoint(cone_f) else nan_result,
+                    vals[kd] if failed.isdisjoint(cone_d) else nan_result)
+        return vals[kf], vals[kd]
+    return jet
+
+
 def _sole_variable(e) -> str:
     """The one free variable of ``e`` ("x" when there is none, which no node reads)."""
     names = free_variables(e)
@@ -442,11 +582,9 @@ def _sole_variable(e) -> str:
 
 
 def compile_pair(text: str, p: Precision, complex_mode: bool):
-    """Parse one-variable function text; compile it and its exact derivative."""
+    """Parse one-variable function text into its jet ``x -> (f(x), f'(x))``."""
     tree = parse(text)
-    var = _sole_variable(tree)
-    return (compile_fn(tree, var, p, complex_mode),
-            compile_fn(differentiate(tree, var), var, p, complex_mode))
+    return compile_jet(tree, _sole_variable(tree), p, complex_mode)
 
 
 def evaluate(e, x, p: Precision):

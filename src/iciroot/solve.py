@@ -111,6 +111,11 @@ def solve(f, fp, x0, cfg: SolveConfig | None = None) -> IterationTrace:
         IterationTrace whose records satisfy y = f(x), yp = fp(x), with one
         fresh (f, fp) evaluation pair per record.
     """
+    return _solve(lambda x: (f(x), fp(x)), x0, cfg)
+
+
+def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
+    """:func:`solve` on a closure ``pair(x) -> (f(x), f'(x))``."""
     cfg = cfg if cfg is not None else SolveConfig()
     x = cfg.precision.scalar(x0)
     records = []
@@ -118,8 +123,7 @@ def solve(f, fp, x0, cfg: SolveConfig | None = None) -> IterationTrace:
     def evaluate(xv, kind):
         """Record one fresh (f, fp) pair; return the status it stops on, or None."""
         try:
-            y = f(xv)
-            yp = fp(xv)
+            y, yp = pair(xv)
         except ZeroDivisionError:
             y = yp = cfg.precision.nan
         records.append(IterationRecord(len(records), xv, y, yp, kind))
@@ -163,14 +167,13 @@ def solve(f, fp, x0, cfg: SolveConfig | None = None) -> IterationTrace:
 
 
 def solve_expr(ftext: str, x0, cfg: SolveConfig | None = None) -> IterationTrace:
-    """Parse ``ftext``, differentiate it symbolically, and solve.
+    """Parse ``ftext``, compile its (f, f') jet, and solve.
 
     The working mode (real/complex) follows the kind of ``x0``.  Parse and
     identifier errors from the expression module surface unchanged.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    f, fp = compile_pair(ftext, cfg.precision, is_complex_scalar(x0))
-    return solve(f, fp, x0, cfg)
+    return _solve(compile_pair(ftext, cfg.precision, is_complex_scalar(x0)), x0, cfg)
 
 
 # ---------------------------------------------------------------------------

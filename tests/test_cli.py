@@ -147,6 +147,25 @@ def test_compare_tie_on_linear_function(capsys):
         assert l.split()[2] == "1"
 
 
+@pytest.mark.parametrize("flags", [["--method", "newton"], ["--out", "cmp.csv"],
+                                   ["--format", "text"]], ids=["method", "out", "format"])
+def test_compare_rejects_the_flags_it_cannot_honour(tmp_path, capsys, flags):
+    # compare runs every method and writes no file
+    if "--out" in flags:
+        flags = ["--out", str(tmp_path / "cmp.csv")]
+    assert main(["compare", "--f", "x^2-2", "--x0", "1", "--digits", "20", *flags]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["method", "out", "format"])
+def test_compare_config_keys_it_cannot_honour_are_usage_errors(tmp_path, capsys, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "x^2-2", "x0": "1", key: "text"}))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
 def test_basin_one_pixel_is_valid_ppm(tmp_path, capsys):
     out_file = tmp_path / "b.ppm"
     code = main(["basin", "--f", "z^3-1", "--re", "-2", "2", "--im", "-2", "2",

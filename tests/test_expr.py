@@ -1,15 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from iciroot import basins
 from iciroot.expr import (Bin, Call, ExprSyntaxError, Num, UnknownIdentifierError,
-                          Var, compile_fn, differentiate, evaluate, free_variables,
-                          parse, render)
+                          Var, compile_fn, compile_jet, differentiate, evaluate,
+                          free_variables, parse, render)
 from iciroot.mpscalar import Precision, is_nan
 from iciroot.solve import SolveConfig, solve_expr
 
 from oracles import central_diff, make_ctx
+from test_properties import SETTINGS, trees_over
 
 
 def test_parse_classic_cubic_structure():
@@ -213,3 +215,112 @@ def test_literal_conversion_happens_at_evaluation_precision():
     v = evaluate(parse("0.083"), p.real(0), p)
     assert v == p.real("0.083")
     assert abs(v - p.real(0.083)) > 0
+
+
+# ---------------------------------------------------------------------------
+# the (f, f') jet against compile_fn of the tree and of its derivative tree
+
+# The jet repeats compile_fn's operations except that u^n (n >= 3) is
+# u^(n-1) * u, two roundings where u ** n makes one: allow 4 units of the
+# last bit of max(1, |reference|).  NaN must sit in exactly the same components.
+JET_ULPS = 4
+
+# zeros, poles and branch cuts of the generated trees sit at these points.
+# They stay within |x| <= 1: from larger points the nested exp/cos of the
+# random trees reach arguments so large that mpmath's cos of them does not
+# finish within seconds, for compile_fn as for the jet.
+_REAL_POINTS = ("0", "1", "-1", "0.5", "-0.75")
+_COMPLEX_POINTS = ((0, 0), (1, 0), (-1, 0), (0, 1), (-0.6, 0.5), (0.25, -0.9))
+
+
+def _points(p, complex_mode):
+    if complex_mode:
+        return [p.cplx(*z) for z in _COMPLEX_POINTS]
+    return [p.real(t) for t in _REAL_POINTS]
+
+
+def assert_jet_matches_reference(tree, points, p, complex_mode, ulps=JET_ULPS):
+    ctx = p.ctx
+    var = (free_variables(tree) or {"x"}).pop()
+    try:
+        ref_f = compile_fn(tree, var, p, complex_mode)
+        ref_d = compile_fn(differentiate(tree, var), var, p, complex_mode)
+    except ValueError as exc:      # a literal mpmath cannot read fails both alike
+        with pytest.raises(type(exc)):
+            compile_jet(tree, var, p, complex_mode)
+        return
+    jet = compile_jet(tree, var, p, complex_mode)
+    bound = ulps * ctx.mpf(2) ** -ctx.prec
+    for x in points:
+        for got, want in zip(jet(x), (ref_f(x), ref_d(x))):
+            where = (render(tree), str(x), str(got), str(want))
+            assert ctx.isnan(got) == ctx.isnan(want), where
+            if ctx.isnan(want):
+                continue
+            if not ctx.isfinite(want):
+                assert got == want, where
+            else:
+                assert abs(got - want) <= bound * max(1, abs(want)), where
+
+
+@pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
+def test_jet_matches_reference_on_random_trees(complex_mode):
+    p = Precision(40)
+    rng = random.Random(2718)
+    for _ in range(80):
+        tree = _random_tree(rng, rng.randint(1, 6))
+        assert_jet_matches_reference(tree, _points(p, complex_mode), p, complex_mode)
+
+
+@SETTINGS
+@given(trees_over(["x"]))
+def test_jet_matches_reference_on_generated_trees(tree):
+    p = Precision(30)
+    for complex_mode in (False, True):
+        assert_jet_matches_reference(tree, _points(p, complex_mode), p, complex_mode)
+
+
+@pytest.mark.parametrize("text, x, want_f_nan, want_d_nan", [
+    ("sqrt(x)", "-4", True, True),
+    ("log(x)", "-2", True, False),      # f' = 1/x needs no log
+    ("x^0.5", "-1", True, True),
+    ("1/x", "0", True, True),
+    ("sqrt(x)", "0", False, True),      # f = 0; f' = 1/(2*sqrt(0)) divides by zero
+    ("log(x)", "0", False, True),       # f = -inf; f' = 1/0
+])
+def test_jet_real_domain_nan_components(text, x, want_f_nan, want_d_nan):
+    p = Precision(30)
+    tree = parse(text)
+    assert_jet_matches_reference(tree, [p.real(x)], p, complex_mode=False)
+    f, d = compile_jet(tree, "x", p)(p.real(x))
+    assert (is_nan(f), is_nan(d)) == (want_f_nan, want_d_nan)
+
+
+def test_jet_division_by_zero_makes_the_whole_complex_component_nan():
+    # as in compile_fn, where 1/0 raises; mpmath itself gives 1 for an mpc NaN^0
+    p = Precision(30)
+    tree = parse("(1/x)^(x-x)")
+    assert_jet_matches_reference(tree, [p.cplx(0)], p, complex_mode=True)
+    f, _ = compile_jet(tree, "x", p, complex_mode=True)(p.cplx(0))
+    assert is_nan(f)
+
+
+def test_jet_power_of_an_infinite_complex_value_is_mpmaths_power():
+    # log(0) = -inf: ** keeps (-inf)^3 real, where (-inf)^2 * (-inf) as mpc
+    # values would get a NaN imaginary part
+    p = Precision(30)
+    tree = parse("log(x)^3")
+    assert_jet_matches_reference(tree, [p.cplx(0)], p, complex_mode=True)
+    f, _ = compile_jet(tree, "x", p, complex_mode=True)(p.cplx(0))
+    assert f == p.cplx("-inf")
+
+
+def test_jet_matches_reference_at_every_a8_window_pixel_center():
+    kepler = basins.BasinSpec("z - 0.083*sin(z) - 1", re_range=(-30.5, -29.5),
+                              im_range=(-17.5, -16.5), width=12, height=12)
+    cube = basins.BasinSpec("z^3-1", width=12, height=12)
+    for spec, ulps in ((kepler, 0), (cube, JET_ULPS)):    # Kepler has no shared power
+        p = spec.precision
+        res, ims = spec.grid()
+        centers = [p.ctx.mpc(re, im) for im in ims for re in res]
+        assert_jet_matches_reference(parse(spec.ftext), centers, p, complex_mode=True, ulps=ulps)

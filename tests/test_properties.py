@@ -1,4 +1,5 @@
-"""Property tests over generated expression trees and polynomials with known roots.
+"""Property tests over generated expression trees, polynomials with known roots
+and samples for the blended step.
 
 The polynomial tests also run ``mpmath.findroot`` as an independent reference.
 Examples are drawn from a fixed seed so the suite is reproducible; raise
@@ -6,10 +7,11 @@ Examples are drawn from a fixed seed so the suite is reproducible; raise
 """
 
 import mpmath
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iciroot.expr import FUNCTIONS, Call, Const, Num, Var, _bin, _neg, parse, render
+from iciroot.kernel import PointSample, ici_step
 from iciroot.mpscalar import Precision
 from iciroot.solve import (METHODS, STATUS_CONVERGED, STATUS_DEGENERATE, STATUS_MAX_ITER,
                            STATUS_NAN, SolveConfig, solve_expr)
@@ -21,7 +23,6 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 _numbers = st.from_regex(r"(\d{1,3}(\.\d{0,3})?|\.\d{1,3})([eE][+-]?\d{1,2})?",
                          fullmatch=True).map(Num)
-_leaves = st.one_of(_numbers, st.just(Const("pi")), st.sampled_from(["x", "t"]).map(Var))
 
 
 def _extend(children):
@@ -32,11 +33,14 @@ def _extend(children):
     )
 
 
-_trees = st.recursive(_leaves, _extend, max_leaves=12)
+def trees_over(names):
+    """Trees built through the smart constructors, with variables from ``names``."""
+    leaves = st.one_of(_numbers, st.just(Const("pi")), st.sampled_from(names).map(Var))
+    return st.recursive(leaves, _extend, max_leaves=12)
 
 
 @SETTINGS
-@given(_trees)
+@given(trees_over(["x", "t"]))
 def test_parse_inverts_render(tree):
     assert parse(render(tree)) == tree
 
@@ -103,3 +107,58 @@ def test_solve_agrees_with_findroot_near_a_simple_root(roots, scale, pick, offse
         assert abs(reference - target) <= bound
         assert abs(ours - target) <= bound
         assert abs(ours - reference) <= 2 * bound
+
+
+# ---------------------------------------------------------------------------
+# the blended step: symmetric in its samples, covariant under x -> alpha*x + beta
+
+_P30 = Precision(30)
+_STEP_ULPS = 4
+
+
+def _dyadics(limit):
+    return st.integers(-limit, limit).map(lambda k: _P30.real(k) / 64)
+
+
+def _scalars(nonzero=False):
+    values = st.one_of(_dyadics(4096), st.builds(_P30.cplx, _dyadics(4096), _dyadics(4096)))
+    return values.filter(lambda v: v != 0) if nonzero else values
+
+
+_samples = st.builds(PointSample, _scalars(), _scalars(), _scalars(nonzero=True))
+
+
+def _step_error_scale(a, b):
+    """What one unit of rounding in ici_step(a, b) can move its result by.
+
+    The step sums two Newton points and a secant point with weights v^2,
+    u^2 and -2uv (u = y_a/(y_a - y_b), v = y_b/(y_a - y_b)); the secant point
+    itself carries the factor u or v on the abscissa gap.
+    """
+    dy = a.y - b.y
+    u, v = abs(a.y / dy), abs(b.y / dy)
+    terms = max(abs(a.x), abs(b.x)) + max(abs(a.y / a.yp), abs(b.y / b.yp))
+    return (u + v) ** 2 * (1 + u + v) * terms
+
+
+@SETTINGS
+@given(_samples, _samples)
+def test_step_is_symmetric_in_its_samples(a, b):
+    assume(a.y != b.y)
+    bound = _STEP_ULPS * _P30.ctx.mpf(2) ** -_P30.ctx.prec * _step_error_scale(a, b)
+    assert abs(ici_step(a, b) - ici_step(b, a)) <= bound
+
+
+@SETTINGS
+@given(_samples, _samples, _scalars(nonzero=True), _scalars())
+def test_step_is_covariant_under_affine_maps_of_the_abscissa(a, b, alpha, beta):
+    # g(t) = f((t - beta)/alpha) has g = f and g' = f'/alpha at t = alpha*x + beta
+    assume(a.y != b.y)
+
+    def remap(s):
+        return PointSample(alpha * s.x + beta, s.y, s.yp / alpha)
+
+    ra, rb = remap(a), remap(b)
+    scale = abs(alpha) * _step_error_scale(a, b) + _step_error_scale(ra, rb) + abs(beta)
+    bound = _STEP_ULPS * _P30.ctx.mpf(2) ** -_P30.ctx.prec * scale
+    assert abs(ici_step(ra, rb) - (alpha * ici_step(a, b) + beta)) <= bound
