@@ -7,8 +7,9 @@ degeneracy (equal residuals, zero derivative, division by zero) or escaped
 the overflow cap.  Arbitrary-precision arithmetic never overflows on its
 own, so the cap — a decimal exponent, IEEE-double-like 308 by default —
 is what makes "iteration blew up" an observable pixel state.  The step
-arithmetic runs on fixed-precision complex numbers at the spec's binary
-precision; f and f' are evaluated by mpmath.
+arithmetic, and f and f' from the expression's tape, run on fixed-precision
+complex numbers at the spec's binary precision; an op with no fixed-precision
+form falls back to mpmath for its own value only.
 
 Pixels are independent; rows may be partitioned across worker processes.
 Per-pixel results are transported as raw mantissa/exponent tuples, so the
@@ -24,8 +25,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from mpmath.libmp import from_man_exp
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase, ln2_fixed
 
-from .expr import compile_pair
+from .expr import compile_tape, lower, mp_lowering
 from .mpscalar import LOG2_10, Precision, opened
 
 DEFAULT_BASIN_DIGITS = 34
@@ -118,9 +120,10 @@ class BasinRaster:
 # (P = the spec's binary working precision); zero is (0, 0, 0).  One shared
 # exponent turns each complex operation into a few integer multiplications
 # and shifts, several times cheaper than going through mpmath's per-component
-# rounding, at a normwise error of about 2**-P per operation.  Only f and f'
-# are evaluated by mpmath; every value stays finite, so the NaN and overflow
-# checks reduce to reading the exponent.
+# rounding, at a normwise error of about 2**-P per operation.  f and f' come
+# from the expression's tape lowered onto triples (below); every value the
+# step sees is finite, so the NaN and overflow checks reduce to reading the
+# exponent.
 
 _CZERO = (0, 0, 0)
 
@@ -217,6 +220,177 @@ def _abs_le(a, tol_man, tol_exp):
     return lhs << -sh <= rhs
 
 
+def _cpow(a, n, P):
+    """a**n for an integer n, by repeated squaring (then 1/a**-n for n < 0)."""
+    if n < 0:
+        return _cdiv(_cnorm(1, 0, 0, P), _cpow(a, -n, P), P)
+    r = None
+    while n:
+        if n & 1:
+            r = a if r is None else _cmul(r, a, P)
+        n >>= 1
+        if n:
+            a = _cmul(a, a, P)
+    return _cnorm(1, 0, 0, P) if r is None else r
+
+
+# exp and cos_sin run in fixed point, on mpmath's fixed-point kernels, while
+# the argument's real and imaginary parts lie below 2**_FIXED_MAG in
+# magnitude; beyond that (where exp and cosh of 1024 are already past the
+# default overflow cap) the slot goes to mpmath.  The argument is reduced
+# with _FIXED_GUARD guard bits plus one per bit of its integer part, which
+# the reduction by ln 2 or pi/2 consumes.
+_FIXED_MAG = 10
+_FIXED_GUARD = 16
+
+
+def _fixed(m, e, wp):
+    """m * 2**e as an integer scaled by 2**wp (rounded down)."""
+    s = e + wp
+    return m << s if s >= 0 else m >> -s
+
+
+def _fixed_prec(a, P):
+    """Working precision for exp/cos_sin of the triple a, or None past _FIXED_MAG."""
+    ar, ai, ae = a
+    mag = ae + (abs(ar) | abs(ai)).bit_length()
+    if mag > _FIXED_MAG:
+        return None
+    return P + _FIXED_GUARD + max(mag, 0)
+
+
+def _exp_fixed(x, wp):
+    """(v, n) with e**(x / 2**wp) = v * 2**(n - wp).
+
+    mpmath's ``exp_fixed`` returns v shifted by n into fixed point, which
+    drops the low bits of a small result; a triple keeps n in its exponent.
+    """
+    n, t = divmod(x, ln2_fixed(wp))
+    return exp_basecase(t, wp), n
+
+
+def _cexp(a, P):
+    """exp(re + i*im) = e**re (cos im + i sin im); None past _FIXED_MAG."""
+    wp = _fixed_prec(a, P)
+    if wp is None:
+        return None
+    ar, ai, ae = a
+    v, n = _exp_fixed(_fixed(ar, ae, wp), wp)
+    if not ai:
+        return _cnorm(v, 0, n - wp, P)
+    c, s = cos_sin_fixed(_fixed(ai, ae, wp), wp)
+    return _cnorm(v * c, v * s, n - 2 * wp, P)
+
+
+def _ccos_sin(a, P):
+    """(cos a, sin a); None past _FIXED_MAG.
+
+    With a = x + iy: cos a = cos x cosh y - i sin x sinh y and
+    sin a = sin x cosh y + i cos x sinh y.
+    """
+    wp = _fixed_prec(a, P)
+    if wp is None:
+        return None
+    ar, ai, ae = a
+    c, s = cos_sin_fixed(_fixed(ar, ae, wp), wp)
+    if not ai:
+        return _cnorm(c, 0, -wp, P), _cnorm(s, 0, -wp, P)
+    # e**y = v * 2**(n - wp) and e**-y = w * 2**(-n - wp), brought to one
+    # exponent h: cosh y = (v + w) * 2**h and sinh y = (v - w) * 2**h
+    v, n = _exp_fixed(_fixed(ai, ae, wp), wp)
+    w = (1 << 2 * wp) // v
+    if n >= 0:
+        v <<= 2 * n
+        h = -n - wp - 1
+    else:
+        w <<= -2 * n
+        h = n - wp - 1
+    ch, sh = v + w, v - w
+    return _cnorm(c * ch, -s * sh, h - wp, P), _cnorm(s * ch, c * sh, h - wp, P)
+
+
+def _triple_lowering(ctx, P):
+    """The lowering of an expression tape onto triples at precision P (complex mode).
+
+    A slot holds a triple while its value is finite, else mpmath's value (an
+    infinity or NaN).  add, sub, mul, div, neg, powint and ``pow`` by a
+    folded integer below 2**16 in magnitude run on triples, exp and
+    cos_sin in fixed point.
+    Any other op (``pow``, ``log``, ``sqrt``), an exp/cos_sin argument past
+    _FIXED_MAG, or an operand that is not a triple falls back to the mpmath
+    lowering for that slot only; a finite result turns back into a triple.
+    A zero divisor raises ZeroDivisionError, as in mpmath, so a tape's NaN
+    cones fall where they fall for mpmath values.
+    """
+    mp = mp_lowering(ctx, complex_mode=True)
+
+    def canon(v):
+        """An mpmath value (or a cos_sin pair of them) in slot form."""
+        if type(v) is tuple:
+            return canon(v[0]), canon(v[1])
+        t = _from_mp(v, P)
+        return v if t is None else t
+
+    def via_mp(op, arg):
+        fn = mp[op](arg)
+
+        def slot(a, b):
+            if type(a) is tuple:
+                a = _to_mpc(ctx, a)
+            if type(b) is tuple:
+                b = _to_mpc(ctx, b)
+            return canon(fn(a, b))
+        return slot
+
+    def binary(op, kernel):
+        def make(arg):
+            fallback = via_mp(op, arg)
+
+            def fn(a, b):
+                if type(a) is tuple and type(b) is tuple:
+                    return kernel(a, b, P)
+                return fallback(a, b)
+            return fn
+        return make
+
+    def unary(op, kernel):
+        """kernel(a, arg) on a triple; None from it means mpmath."""
+        def make(arg):
+            fallback = via_mp(op, arg)
+
+            def fn(a, b):
+                if type(a) is tuple:
+                    r = kernel(a, arg)
+                    if r is not None:
+                        return r
+                return fallback(a, b)
+            return fn
+        return make
+
+    def pow_(n):
+        # repeated squaring takes one step per bit of n: a power beyond
+        # 2**16 goes to mpmath, which takes it through exp and log
+        if n is None or abs(n) >> 16:
+            return via_mp("pow", n)
+        return unary("pow", lambda a, _: _cpow(a, n, P))(n)
+
+    return {
+        "const": canon,
+        "add": binary("add", _cadd),
+        "sub": binary("sub", _csub),
+        "mul": binary("mul", _cmul),
+        "div": binary("div", _cdiv),
+        "powint": binary("powint", _cmul),      # u^(n-1) * u
+        "neg": unary("neg", lambda a, _: (-a[0], -a[1], a[2])),
+        "pow": pow_,
+        "exp": unary("exp", lambda a, _: _cexp(a, P)),
+        "cos_sin": unary("cos_sin", lambda a, _: _ccos_sin(a, P)),
+        "log": lambda arg: via_mp("log", arg),
+        "sqrt": lambda arg: via_mp("sqrt", arg),
+        "pick": mp["pick"],
+    }
+
+
 # ---------------------------------------------------------------------------
 # per-process iteration machinery
 
@@ -226,22 +400,23 @@ _STATE: dict = {}
 def _pixel_state(spec: BasinSpec) -> dict:
     p = spec.precision
     ctx = p.ctx
-    pair = compile_pair(spec.ftext, p, complex_mode=True)
+    P = ctx.prec
+    jet = lower(compile_tape(spec.ftext, p, complex_mode=True), _triple_lowering(ctx, P))
     tol = p.real(str(spec.tol))         # as text, the form the workers receive
     tol_sign, tol_man, tol_exp, _ = tol._mpf_
     re, im = spec.grid()
     return {
         "ctx": ctx,
-        "P": ctx.prec,
-        "one": _cnorm(1, 0, 0, ctx.prec),
-        "pair": pair,
+        "P": P,
+        "one": _cnorm(1, 0, 0, P),
+        "jet": jet,
         "tol": tol,
         "tol_man": -tol_man if tol_sign else tol_man,
         "tol_exp": tol_exp,
         "max_iter": spec.max_iter,
         "cap_mag": int(spec.overflow_exp * LOG2_10) + 1,
-        "re": re,
-        "im": im,
+        "re": [_from_mp(v, P) for v in re],                   # real triples
+        "im": [(0, t[0], t[2]) for t in (_from_mp(v, P) for v in im)],
     }
 
 
@@ -253,35 +428,31 @@ def _init_worker(spec: BasinSpec):
 def _iterate_point(state, z0):
     """Newton seed step then blended steps; returns (z, iters, converged, nan).
 
-    Degeneracies and overflow produce (None, iters, False, True) instead of
-    raising; their pixels render as NaN.  The blended step is the one of
+    z0 is a triple, or None for a seed that is not finite.  Degeneracies
+    and overflow produce (None, iters, False, True) instead of raising;
+    their pixels render as NaN.  The blended step is the one of
     :func:`iciroot.kernel.ici_step`, written with the weights u = y_prev/dy
     and v = y_cur/dy, dy = y_prev - y_cur.
     """
     ctx = state["ctx"]
     P = state["P"]
-    pair = state["pair"]
+    jet = state["jet"]
     tol_man, tol_exp = state["tol_man"], state["tol_exp"]
     cap = state["cap_mag"]
     max_iter = state["max_iter"]
     one = state["one"]
 
     def sample(z):
-        """(f(z), f'(z)) as triples, or None on a NaN or an overflow."""
-        fz, dz = pair(_to_mpc(ctx, z))
-        y = _from_mp(fz, P)
-        if y is None or _cmag(y) > cap:
-            return None
-        d = _from_mp(dz, P)
-        if d is None or _cmag(d) > cap:
+        """(f(z), f'(z)) as triples, or None on a NaN, an infinity or an overflow."""
+        y, d = jet(z)
+        if type(y) is not tuple or _cmag(y) > cap or type(d) is not tuple or _cmag(d) > cap:
             return None
         return y, d
 
-    zc = _from_mp(z0, P)
-    s = None if zc is None else sample(zc)
+    s = None if z0 is None else sample(z0)
     if s is None:
         return None, 0, False, True
-    yc, dc = s
+    zc, (yc, dc) = z0, s
     zp = yp = np_ = None
     for it in range(1, max_iter + 1):
         if not (dc[0] or dc[1]):
@@ -318,10 +489,11 @@ def _iterate_point(state, z0):
 def _render_row(j):
     state = _STATE
     ctx = state["ctx"]
+    P = state["P"]
     im = state["im"][j]
     row = []
     for re in state["re"]:
-        z, iters, conv, nan = _iterate_point(state, ctx.mpc(re, im))
+        z, iters, conv, nan = _iterate_point(state, _cadd(re, im, P))
         if nan:
             row.append((None, iters, False, True, None))
         else:
@@ -403,7 +575,7 @@ def line_scan(spec: BasinSpec, segment, samples: int):
     for k in range(samples):
         t = ctx.mpf(k) / (samples - 1) if samples > 1 else ctx.mpf(0)
         z0 = z_start + t * (z_end - z_start)
-        z, _, _, nan = _iterate_point(state, z0)
+        z, _, _, nan = _iterate_point(state, _from_mp(z0, state["P"]))
         if nan:
             assignments.append(-1)
             continue

@@ -224,8 +224,12 @@ def _run_order(args) -> int:
         status_code = 0 if trace.converged else 2
         print(f"status: {trace.status} ({len(trace) - 1} iterations)")
     report = diag.build_report(trace)
-    print(diag.report_to_text(report, digits=8), end="")
-    if args.out:
+    text = diag.report_to_text(report, digits=8)
+    print(text, end="")
+    if args.out and args.format == "text":
+        with opened(args.out, "w") as fh:
+            fh.write(text)
+    elif args.out:
         diag.write_report_csv(report, args.out)
     return status_code
 

@@ -13,16 +13,24 @@ Grammar (no implicit multiplication)::
 the tree and converted at evaluation precision, so ``0.083`` stays honest at
 1000 digits.  Trees are immutable; evaluation is reentrant.
 
-:func:`compile_fn` compiles one tree into a closure ``x -> value``; it is
-the reference evaluator.  :func:`compile_jet` compiles a tree and its
-symbolic derivative into one "jet" closure ``x -> (f(x), f'(x))`` that
-evaluates every subexpression the two share once per call: variable-free
-subtrees are folded to values at compile time, ``sin``/``cos`` of one
-argument come from a single cos/sin evaluation, ``exp(u)`` serves as its own
-derivative factor, and ``u^n`` reuses the ``u^(n-1)`` of n*u^(n-1).  Each
-component equals :func:`compile_fn` of its own tree, NaN where that gives
-NaN.  :func:`compile_pair` parses text into this jet; the solver and the
-basin renderer use it.
+:func:`build_tape` flattens a tree and its symbolic derivative into one
+:class:`Tape`: numbered slots, and steps named by op (``add sub mul div neg
+powint pow exp log sqrt cos_sin pick``) that compute them.  Every
+subexpression f and f' share gets one slot: variable-free subtrees are
+folded to values at compile time, ``sin``/``cos`` of one argument come from
+one ``cos_sin`` step, ``exp(u)`` serves as its own derivative factor, and
+``u^n`` reuses the ``u^(n-1)`` of n*u^(n-1).  Each output carries its cone,
+the slots it depends on, so that a division by zero makes NaN exactly the
+outputs whose cone it lies in.
+
+:func:`compile_tape` parses one-variable text into that tape.  A
+*lowering* maps each op name to a function for one kind of value, and
+:func:`lower` binds a tape to it.  :func:`mp_lowering` computes on mpmath
+values: :func:`compile_jet` and :func:`compile_pair` (text -> jet
+``x -> (f(x), f'(x))``, used by the solver) are the tape of f and f' under
+it, and :func:`compile_fn` is the tape of f alone.  The basin renderer
+lowers the same tape onto its fixed-precision integer triples
+(:mod:`iciroot.basins`).
 """
 
 from __future__ import annotations
@@ -375,92 +383,141 @@ def render(e) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one tape, lowered once per kind of value
 
-def compile_fn(e, var: str, p: Precision, complex_mode: bool = False):
-    """Compile a tree into a fast single-argument closure at precision ``p``.
+@dataclass(frozen=True)
+class Tape:
+    """A tree, and optionally its derivative, flattened into numbered slots.
 
-    Literals are converted once at the target precision.  In real mode a
-    domain violation (sqrt/log/power of a negative argument) or a division
-    by zero yields a NaN sentinel instead of raising; in complex mode the
-    principal branches are used and only division by zero maps to NaN.
+    Slot 0 is the variable.  ``consts[k]`` is slot k's value when it was
+    fixed at compile time (a literal, pi, or an op on such values; a
+    ``cos_sin`` value is a (cos, sin) pair), else None.  A step
+    ``(k, op, i, j, arg)`` computes slot k on each call as
+    ``lowering[op](arg)(vals[i], vals[j])``; a unary op ignores its second
+    operand, and ``arg`` is the step's static parameter (see
+    :func:`mp_lowering`).  ``outputs`` are f's slot and, when the tape holds
+    it, f''s.  A division by zero anywhere in an output's ``cone`` (the
+    computed slots it depends on) makes that whole output ``nan``, as in a
+    tree walk where the exception ends the evaluation: mpmath alone would
+    let a NaN vanish (an mpc NaN**0 is 1).  ``raised`` are the slots whose
+    compile-time evaluation divided by zero.
+    """
+
+    consts: tuple
+    steps: tuple
+    outputs: tuple
+    cones: tuple
+    raised: frozenset
+    nan: object
+
+
+def _literal(ctx, text):
+    # mpmath reads ".5" but not ".0"; the tree keeps the text as written
+    return ctx.mpf("0" + text if text.startswith(".") else text)
+
+
+_BINARY_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
+
+
+def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative: bool = True):
+    """Flatten ``e`` (and ``differentiate(e, var)`` when ``derivative``) into a :class:`Tape`.
+
+    Each distinct subexpression gets one slot, shared by f and f'.
+    Variable-free subtrees are folded to values here, by the mpmath lowering
+    at precision ``p``; ``sin`` and ``cos`` of one argument read one
+    ``cos_sin`` slot; ``exp(u)`` is one slot serving f and f'; and ``u^n``
+    (n >= 3) is ``powint``, u^(n-1) * u, reusing the u^(n-1) of n*u^(n-1).
+    A ``pow`` step whose exponent folds to an integer carries it as its arg.
     """
     ctx = p.ctx
+    mp = mp_lowering(ctx, complex_mode)
     nan = ctx.mpf("nan")
     nan_result = ctx.mpc(nan, nan) if complex_mode else nan
+    consts = [None]
+    steps = []
+    raised = set()
+    cones = [frozenset()]   # per slot: the computed slots it depends on, itself included
+    index = {}
+
+    def add(op, i, j=None, arg=None):
+        j = i if j is None else j
+        k = len(consts)
+        value = None
+        if consts[i] is None or consts[j] is None:
+            steps.append((k, op, i, j, arg))
+        else:
+            try:
+                value = mp[op](arg)(consts[i], consts[j])
+            except ZeroDivisionError:
+                value = nan_result
+                raised.add(k)
+        consts.append(value)
+        cones.append(cones[i] | cones[j] | {k})
+        return k
+
+    def constant(value):
+        consts.append(value)
+        cones.append(frozenset())
+        return len(consts) - 1
+
+    def int_exponent(c):
+        return int(ctx.re(c)) if c is not None and ctx.isint(c) else None
+
+    def slot(node):
+        k = index.get(node)
+        if k is None:
+            k = index[node] = build(node)
+        return k
 
     def build(node):
         if isinstance(node, Num):
-            c = ctx.mpf(node.text)
-            return lambda x: c
+            return constant(_literal(ctx, node.text))
         if isinstance(node, Const):
-            c = +ctx.pi
-            return lambda x: c
+            return constant(+ctx.pi)
         if isinstance(node, Var):
             if node.name != var:
                 raise UnknownIdentifierError(
                     f"unbound identifier {node.name!r} (expected variable {var!r})")
-            return lambda x: x
+            return 0
         if isinstance(node, Neg):
-            f = build(node.child)
-            return lambda x: -f(x)
+            return add("neg", slot(node.child))
         if isinstance(node, Bin):
-            lf, rf = build(node.left), build(node.right)
-            op = node.op
-            if op == "+":
-                return lambda x: lf(x) + rf(x)
-            if op == "-":
-                return lambda x: lf(x) - rf(x)
-            if op == "*":
-                return lambda x: lf(x) * rf(x)
-            if op == "/":
-                return lambda x: lf(x) / rf(x)
-            if complex_mode:
-                return lambda x: lf(x) ** rf(x)
-
-            def real_pow(x):
-                r = lf(x) ** rf(x)
-                return r if is_real_scalar(r) else nan
-            return real_pow
+            u = slot(node.left)
+            if node.op == "^" and _is_int_literal(node.right) and _int_of(node.right) >= 3:
+                n = _int_of(node.right)
+                lower = index.get(Bin("^", node.left, Num(str(n - 1))))
+                if lower is not None:       # f' is built first: it needs u^(n-1)
+                    return add("powint", lower, u, n)
+            v = slot(node.right)
+            return add(_BINARY_OPS[node.op], u, v,
+                       int_exponent(consts[v]) if node.op == "^" else None)
         if isinstance(node, Call):
-            f = build(node.arg)
-            fn = getattr(ctx, node.fn)
-            if complex_mode or node.fn in ("exp", "sin", "cos"):
-                return lambda x: fn(f(x))
-
-            def real_call(x):
-                r = fn(f(x))
-                return r if is_real_scalar(r) else nan
-            return real_call
+            if node.fn in ("sin", "cos"):
+                pair = index.get(("cos_sin", node.arg))
+                if pair is None:
+                    pair = index[("cos_sin", node.arg)] = add("cos_sin", slot(node.arg))
+                return add("pick", pair, arg=0 if node.fn == "cos" else 1)
+            return add(node.fn, slot(node.arg))
         raise TypeError(f"not an expression node: {node!r}")
 
-    body = build(e)
-
-    def evaluate_at(x):
-        try:
-            return body(x)
-        except ZeroDivisionError:
-            return nan_result
-    return evaluate_at
+    kd = slot(differentiate(e, var)) if derivative else None     # f' first: see powint
+    kf = slot(e)
+    outputs = (kf,) if kd is None else (kf, kd)
+    return Tape(tuple(consts), tuple(steps), outputs,
+                tuple(cones[k] for k in outputs), frozenset(raised), nan_result)
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+def mp_lowering(ctx, complex_mode: bool = False) -> dict:
+    """The mpmath lowering: each op name -> ``arg -> fn(a, b)`` on ``ctx``'s values.
 
-
-def compile_jet(e, var: str, p: Precision, complex_mode: bool = False):
-    """Compile ``e`` and its exact derivative into one closure ``x -> (f(x), f'(x))``.
-
-    One call sweeps once over the DAG that ``e`` and ``differentiate(e, var)``
-    form together, so each distinct subexpression is evaluated once (the
-    module docstring lists what is shared).  Each component keeps the
-    semantics of :func:`compile_fn` on its own tree, every fold of
-    ``differentiate`` included: it is NaN where that closure gives NaN, and
-    only there (``sqrt(x)`` at 0 gives f = 0 and f' = NaN).  Values are
-    bit-identical to that closure's except u^n for n >= 3, rounded twice.
+    "const" maps a compile-time value to the lowering's form (here itself).
+    The args: ``pick`` takes 0 for cos and 1 for sin of a ``cos_sin``
+    pair; ``powint`` takes n; ``pow`` takes its exponent when that folds to
+    an integer, else None, and ignores it here.  In real mode a domain
+    violation of ``pow``/``log``/``sqrt`` gives NaN; in complex mode the
+    principal branches are used.
     """
-    ctx = p.ctx
     nan = ctx.mpf("nan")
-    nan_result = ctx.mpc(nan, nan) if complex_mode else nan
 
     def real_only(r):
         return r if is_real_scalar(r) else nan
@@ -474,102 +531,91 @@ def compile_jet(e, var: str, p: Precision, complex_mode: bool = False):
             return lambda a, _: g(a)
         return lambda a, _: real_only(g(a))
 
-    # slot 0 is x; a slot holds a value fixed here, or None when a step
-    # (slot, fn, i, j) computes it per call as fn(vals[i], vals[j]) (a unary
-    # fn ignores its second argument)
-    template = [None]
-    steps = []
-    # compile_fn turns a ZeroDivisionError anywhere in its tree into a NaN
-    # result, even where a NaN would not propagate (an mpc NaN**0 is 1): a
-    # component is NaN when a slot in its cone raised
-    raised = set()          # slots whose evaluation here raised ZeroDivisionError
-    cones = [frozenset()]   # per slot: the computed slots it depends on, itself included
-    index = {}
+    def powint(n):
+        n_mp = ctx.mpf(n)
 
-    def add(fn, i, j=None):
-        j = i if j is None else j
-        k = len(template)
-        value = None
-        if template[i] is None or template[j] is None:
-            steps.append((k, fn, i, j))
-        else:
-            try:
-                value = fn(template[i], template[j])
-            except ZeroDivisionError:
-                value = nan_result
-                raised.add(k)
-        template.append(value)
-        cones.append(cones[i] | cones[j] | {k})
-        return k
+        # mpmath's integer powers of a non-finite complex value follow their
+        # own rules (NaN**3 == 0): keep ** there
+        def times_base(lower_pow, base):
+            return lower_pow * base if ctx.isfinite(base) else pow_(base, n_mp)
+        return times_base
 
-    def constant(value):
-        template.append(value)
-        cones.append(frozenset())
-        return len(template) - 1
+    def fixed(fn):
+        return lambda _: fn
 
-    def slot(node):
-        k = index.get(node)
-        if k is None:
-            k = index[node] = build(node)
-        return k
+    return {
+        "const": lambda v: v,
+        "add": fixed(operator.add),
+        "sub": fixed(operator.sub),
+        "mul": fixed(operator.mul),
+        "div": fixed(operator.truediv),
+        "neg": fixed(lambda a, _: -a),
+        "pow": fixed(pow_),
+        "powint": powint,
+        "exp": fixed(call("exp")),
+        "log": fixed(call("log")),
+        "sqrt": fixed(call("sqrt")),
+        "cos_sin": fixed(lambda a, _: ctx.cos_sin(a)),
+        "pick": lambda k: lambda t, _: t[k],
+    }
 
-    def build(node):
-        if isinstance(node, Num):
-            return constant(ctx.mpf(node.text))
-        if isinstance(node, Const):
-            return constant(+ctx.pi)
-        if isinstance(node, Var):
-            if node.name != var:
-                raise UnknownIdentifierError(
-                    f"unbound identifier {node.name!r} (expected variable {var!r})")
-            return 0
-        if isinstance(node, Neg):
-            return add(lambda a, _: -a, slot(node.child))
-        if isinstance(node, Bin):
-            u = slot(node.left)
-            if node.op == "^" and _is_int_literal(node.right) and _int_of(node.right) >= 3:
-                n = _int_of(node.right)
-                lower = index.get(Bin("^", node.left, Num(str(n - 1))))
-                if lower is not None:       # f' is built first: it needs u^(n-1)
-                    n_mp = ctx.mpf(n)
 
-                    # mpmath's integer powers of a non-finite complex value
-                    # follow their own rules (NaN**3 == 0): keep ** there
-                    def times_base(lower_pow, base):
-                        return lower_pow * base if ctx.isfinite(base) else pow_(base, n_mp)
-                    return add(times_base, lower, u)
-            return add(_ARITH.get(node.op, pow_), u, slot(node.right))
-        if isinstance(node, Call):
-            if node.fn in ("sin", "cos"):
-                pair = index.get(("cos_sin", node.arg))
-                if pair is None:
-                    pair = index[("cos_sin", node.arg)] = add(
-                        lambda a, _: ctx.cos_sin(a), slot(node.arg))
-                pick = 0 if node.fn == "cos" else 1
-                return add(lambda t, _: t[pick], pair)
-            return add(call(node.fn), slot(node.arg))
-        raise TypeError(f"not an expression node: {node!r}")
+def lower(tape: Tape, lowering: dict):
+    """Bind ``tape`` to one lowering; returns ``run(x)``.
 
-    kd = slot(differentiate(e, var))
-    kf = slot(e)
-    cone_f, cone_d = cones[kf], cones[kd]
-    static_raised = frozenset(raised)
+    ``run(x)`` is f(x), or the pair (f(x), f'(x)) when the tape holds f'.
+    Each output is NaN (``tape.nan``) where a division by zero in its cone
+    made it so, and only there.
+    """
+    const = lowering["const"]
+    template = [None if v is None else const(v) for v in tape.consts]
+    steps = [(k, lowering[op](arg), i, j) for k, op, i, j, arg in tape.steps]
+    outputs = tuple(zip(tape.outputs, tape.cones))
+    get = operator.itemgetter(*tape.outputs)
+    raised, nan = tape.raised, tape.nan
 
-    def jet(x):
+    def run(x):
         vals = template.copy()
         vals[0] = x
-        failed = static_raised
+        failed = raised
         for k, fn, i, j in steps:
             try:
                 vals[k] = fn(vals[i], vals[j])
             except ZeroDivisionError:
-                vals[k] = nan_result
+                vals[k] = nan
                 failed = failed | {k}
         if failed:
-            return (vals[kf] if failed.isdisjoint(cone_f) else nan_result,
-                    vals[kd] if failed.isdisjoint(cone_d) else nan_result)
-        return vals[kf], vals[kd]
-    return jet
+            for k, cone in outputs:
+                if not failed.isdisjoint(cone):
+                    vals[k] = nan
+        return get(vals)
+    return run
+
+
+def compile_fn(e, var: str, p: Precision, complex_mode: bool = False):
+    """Compile a tree into a closure ``x -> f(x)`` at precision ``p``: the f-cone of its tape.
+
+    Literals are converted once at the target precision.  In real mode a
+    domain violation (sqrt/log/power of a negative argument) or a division
+    by zero yields a NaN sentinel instead of raising; in complex mode the
+    principal branches are used and only division by zero maps to NaN.
+    """
+    tape = build_tape(e, var, p, complex_mode, derivative=False)
+    return lower(tape, mp_lowering(p.ctx, complex_mode))
+
+
+def compile_jet(e, var: str, p: Precision, complex_mode: bool = False):
+    """Compile ``e`` and its exact derivative into one closure ``x -> (f(x), f'(x))``.
+
+    One call runs the tape of both once, so each distinct subexpression is
+    evaluated once (:func:`build_tape` lists what is shared).  Each
+    component keeps the semantics of a node-by-node walk of its own tree,
+    every fold of ``differentiate`` included: it is NaN where that walk
+    gives NaN, and only there (``sqrt(x)`` at 0 gives f = 0 and f' = NaN).
+    Values are bit-identical to that walk's except u^n for n >= 3, rounded
+    twice.
+    """
+    return lower(build_tape(e, var, p, complex_mode), mp_lowering(p.ctx, complex_mode))
 
 
 def _sole_variable(e) -> str:
@@ -581,10 +627,15 @@ def _sole_variable(e) -> str:
     return names.pop() if names else "x"
 
 
-def compile_pair(text: str, p: Precision, complex_mode: bool):
-    """Parse one-variable function text into its jet ``x -> (f(x), f'(x))``."""
+def compile_tape(text: str, p: Precision, complex_mode: bool) -> Tape:
+    """Parse one-variable function text into the tape of f and f'."""
     tree = parse(text)
-    return compile_jet(tree, _sole_variable(tree), p, complex_mode)
+    return build_tape(tree, _sole_variable(tree), p, complex_mode)
+
+
+def compile_pair(text: str, p: Precision, complex_mode: bool):
+    """Parse one-variable function text into its mpmath jet ``x -> (f(x), f'(x))``."""
+    return lower(compile_tape(text, p, complex_mode), mp_lowering(p.ctx, complex_mode))
 
 
 def evaluate(e, x, p: Precision):

@@ -8,6 +8,8 @@ import math
 
 from mpmath.ctx_mp import MPContext
 
+from iciroot.expr import Bin, Call, Const, Neg, Num, UnknownIdentifierError, Var, free_variables
+
 
 def make_ctx(digits):
     ctx = MPContext()
@@ -92,3 +94,161 @@ def double_root_contraction_rate(digits):
     assert lo < r < hi
     assert abs(r - r_blend) <= ctx.mpf("1e-30"), "step forms disagree on the rate"
     return r
+
+
+# ---------------------------------------------------------------------------
+# expression trees, walked node by node
+
+def _literal(ctx, text):
+    return ctx.mpf("0" + text if text.startswith(".") else text)
+
+
+def reference_fn(e, var, ctx, complex_mode=False):
+    """Compile a tree into a closure ``x -> value`` that walks it node by node in ``ctx``.
+
+    The reference for every lowering of the package's tape: nothing is
+    folded or shared.  Literals are read at ctx's precision.  In real mode a
+    domain violation (sqrt/log/power of a negative argument) gives NaN; in
+    complex mode the principal branches are used.  A division by zero
+    anywhere makes the whole result NaN.
+    """
+    nan = ctx.mpf("nan")
+    nan_result = ctx.mpc(nan, nan) if complex_mode else nan
+
+    def real_only(r):
+        return r if complex_mode or hasattr(r, "_mpf_") else nan
+
+    def build(node):
+        if isinstance(node, Num):
+            c = _literal(ctx, node.text)
+            return lambda x: c
+        if isinstance(node, Const):
+            c = +ctx.pi
+            return lambda x: c
+        if isinstance(node, Var):
+            if node.name != var:
+                raise UnknownIdentifierError(f"unbound identifier {node.name!r}")
+            return lambda x: x
+        if isinstance(node, Neg):
+            f = build(node.child)
+            return lambda x: -f(x)
+        if isinstance(node, Bin):
+            lf, rf = build(node.left), build(node.right)
+            op = node.op
+            if op == "+":
+                return lambda x: lf(x) + rf(x)
+            if op == "-":
+                return lambda x: lf(x) - rf(x)
+            if op == "*":
+                return lambda x: lf(x) * rf(x)
+            if op == "/":
+                return lambda x: lf(x) / rf(x)
+            return lambda x: real_only(lf(x) ** rf(x))
+        if isinstance(node, Call):
+            f = build(node.arg)
+            fn = getattr(ctx, node.fn)
+            if node.fn in ("exp", "sin", "cos"):
+                return lambda x: fn(f(x))
+            return lambda x: real_only(fn(f(x)))
+        raise TypeError(f"not an expression node: {node!r}")
+
+    body = build(e)
+
+    def evaluate_at(x):
+        try:
+            return body(x)
+        except ZeroDivisionError:
+            return nan_result
+    return evaluate_at
+
+
+class _NotFirstOrder(Exception):
+    pass
+
+
+def rounding_error_scale(e, var, ctx, x, unit):
+    """First-order scale m of the rounding error of the tree ``e`` at the complex point ``x``.
+
+    An evaluation at precision P (``unit`` = 2**-P) that rounds each node's
+    value with a relative error of a few units, reads ``x`` exactly, and
+    computes integer powers by repeated multiplication is off by at most a
+    small multiple of 2**-P * m.  ``ctx`` (of much higher precision than P)
+    walks the tree; each node adds its own |value| and carries its
+    operands' m through its partial derivatives:
+
+        literal, pi        |c|
+        variable           0
+        -u                 m_u
+        u + v, u - v       m_u + m_v + |val|
+        u * v              m_u |v| + |u| m_v + |val|
+        u / v              (m_u + |val| m_v) / |v| + |val|
+        u ^ n, integer n   |n| |u^(n-1)| m_u + 2 |n| |val|
+        u ^ v              |val| (|v| m_u / |u| + |log u| m_v + 1)
+        exp(u)             |val| (m_u + 1)
+        sin(u), cos(u)     cosh(Im u) (m_u + 1)
+        sqrt(u)            m_u / (2 |val|) + |val|
+        log(u)             m_u / |u| + |val|
+
+    The rules are first order: they hold while no operand can be off by
+    more than about 2**-32 of itself (of 1, for an exp/sin/cos argument,
+    whose error is absolute).  Returns None beyond that, where the value is
+    not finite, or where a division by zero occurs: no bound then.
+    """
+    small = ctx.mpf(2) ** -32
+
+    def first_order(m, size=1):
+        if unit * m > small * size:
+            raise _NotFirstOrder
+
+    def walk(node):
+        if isinstance(node, Num):
+            c = ctx.mpc(_literal(ctx, node.text))
+            return c, abs(c)
+        if isinstance(node, Const):
+            return ctx.mpc(ctx.pi), +ctx.pi
+        if isinstance(node, Var):
+            return x, 0
+        if isinstance(node, Neg):
+            u, mu = walk(node.child)
+            return -u, mu
+        if isinstance(node, Call):
+            u, mu = walk(node.arg)
+            val = getattr(ctx, node.fn)(u)
+            if node.fn in ("exp", "sin", "cos"):
+                first_order(mu)
+                bound = abs(val) if node.fn == "exp" else ctx.cosh(u.imag)
+                return val, bound * (mu + 1)
+            first_order(mu, abs(u))
+            if node.fn == "sqrt":
+                return val, mu / (2 * abs(val)) + abs(val)
+            return val, mu / abs(u) + abs(val)
+        u, mu = walk(node.left)
+        v, mv = walk(node.right)
+        if node.op in "+-":
+            val = u + v if node.op == "+" else u - v
+            return val, mu + mv + abs(val)
+        if node.op == "*":
+            val = u * v
+            return val, mu * abs(v) + abs(u) * mv + abs(val)
+        if node.op == "/":
+            first_order(mv, abs(v))
+            val = u / v
+            return val, (mu + abs(val) * mv) / abs(v) + abs(val)
+        val = u ** v
+        if not free_variables(node.right) and ctx.isint(v):
+            n = int(v.real)
+            if n > 0:
+                prop = n * abs(u) ** (n - 1) * mu
+            else:
+                first_order(mu, abs(u))
+                prop = -n * abs(val) / abs(u) * mu if n else 0
+            return val, prop + 2 * abs(n) * abs(val)
+        first_order(mu, abs(u))
+        first_order(mv)
+        return val, abs(val) * (abs(v) * mu / abs(u) + abs(ctx.log(u)) * mv + 1)
+
+    try:
+        val, m = walk(e)
+    except (ZeroDivisionError, _NotFirstOrder):
+        return None
+    return m if ctx.isfinite(val) and ctx.isfinite(m) else None

@@ -95,15 +95,23 @@ def test_render_is_deterministic():
            [[str(z) for z in row] for row in b.final]
 
 
+def _kepler_spec(**kw):
+    # the A8 Kepler window: sin/cos slots, fixed-point and mpmath, and NaN pixels
+    return BasinSpec(**{**dict(ftext="z - 0.083*sin(z) - 1", re_range=(-30.5, -29.5),
+                               im_range=(-17.5, -16.5), max_iter=30, tol="1e-8"), **kw})
+
+
 def test_render_is_worker_count_independent():
-    one = render(_cube_spec(width=12, height=10, workers=1))
-    two = render(_cube_spec(width=12, height=10, workers=2))
-    assert one.phase == two.phase
-    assert one.iterations == two.iterations
-    assert one.converged == two.converged
-    assert one.nan_mask == two.nan_mask
-    assert [[str(z) for z in row] for row in one.final] == \
-           [[str(z) for z in row] for row in two.final]
+    for make_spec in (_cube_spec, _kepler_spec):
+        one = render(make_spec(width=12, height=10, workers=1))
+        two = render(make_spec(width=12, height=10, workers=2))
+        assert one.phase == two.phase
+        assert one.iterations == two.iterations
+        assert one.converged == two.converged
+        assert one.nan_mask == two.nan_mask
+        assert [[str(z) for z in row] for row in one.final] == \
+               [[str(z) for z in row] for row in two.final]
+    assert any(any(row) for row in one.nan_mask)      # the Kepler window has NaN pixels
 
 
 def _raster_1x1(phase_value, nan=False):

@@ -117,6 +117,21 @@ def test_order_runs_a_solve_and_reports(tmp_path, capsys):
     assert header.startswith("k,digits,ratio")
 
 
+def test_order_writes_the_report_in_the_requested_format(tmp_path, capsys):
+    args = ["order", "--f", "x^2-2", "--x0", "1", "--digits", "20"]
+    assert main([*args, "--out", str(tmp_path / "r.txt"), "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    text = (tmp_path / "r.txt").read_text()
+    assert text.startswith("fitted_constant:") and out.endswith(text)
+    assert main([*args, "--out", str(tmp_path / "r.csv"), "--format", "csv"]) == 0
+    assert (tmp_path / "r.csv").read_text().startswith("k,digits,ratio")
+
+
+def test_solve_reads_a_literal_with_a_bare_leading_dot(capsys):
+    assert main(["solve", "--f", "x-.0-1", "--x0", "3", "--digits", "20"]) == 0
+    assert "root: 1.0" in capsys.readouterr().out
+
+
 def test_order_preset_expands(capsys):
     # the 1000-digit preset itself is exercised in the acceptance suite;
     # here only the flag expansion is checked, with overriding flags

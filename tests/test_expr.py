@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,12 +6,12 @@ from hypothesis import given
 
 from iciroot import basins
 from iciroot.expr import (Bin, Call, ExprSyntaxError, Num, UnknownIdentifierError,
-                          Var, compile_fn, compile_jet, differentiate, evaluate,
-                          free_variables, parse, render)
+                          Var, build_tape, compile_fn, compile_jet, differentiate, evaluate,
+                          free_variables, lower, mp_lowering, parse, render)
 from iciroot.mpscalar import Precision, is_nan
 from iciroot.solve import SolveConfig, solve_expr
 
-from oracles import central_diff, make_ctx
+from oracles import central_diff, make_ctx, reference_fn, rounding_error_scale
 from test_properties import SETTINGS, trees_over
 
 
@@ -217,18 +218,35 @@ def test_literal_conversion_happens_at_evaluation_precision():
     assert abs(v - p.real(0.083)) > 0
 
 
-# ---------------------------------------------------------------------------
-# the (f, f') jet against compile_fn of the tree and of its derivative tree
+@pytest.mark.parametrize("text", [".0", ".00", ".0e1", "0.e1", "5.", ".5"])
+def test_literals_with_a_bare_dot_evaluate(text):
+    p = Precision(30)
+    tree = parse(f"x-{text}-1")
+    want = 2 - p.real(float(text))
+    assert evaluate(tree, p.real(3), p) == want
+    assert compile_jet(tree, "x", p)(p.real(3)) == (want, 1)
 
-# The jet repeats compile_fn's operations except that u^n (n >= 3) is
-# u^(n-1) * u, two roundings where u ** n makes one: allow 4 units of the
+
+# ---------------------------------------------------------------------------
+# each lowering of the (f, f') tape against a node-by-node walk of the tree
+# and of its derivative tree (tests/oracles.py)
+
+# The mpmath lowering repeats the walk's operations except that u^n (n >= 3)
+# is u^(n-1) * u, two roundings where u ** n makes one: allow 4 units of the
 # last bit of max(1, |reference|).  NaN must sit in exactly the same components.
 JET_ULPS = 4
+
+# The triple lowering rounds every op its own way, so it is held to the walk
+# at 80 digits instead: within TRIPLE_ULPS * 2**-P * m, m the first-order
+# rounding-error scale of oracles.rounding_error_scale (P = 145 bits at 34
+# digits).  A component is NaN or infinite (no triple) exactly where the
+# walk at the working precision gives a NaN or an infinity.
+TRIPLE_ULPS = 8
 
 # zeros, poles and branch cuts of the generated trees sit at these points.
 # They stay within |x| <= 1: from larger points the nested exp/cos of the
 # random trees reach arguments so large that mpmath's cos of them does not
-# finish within seconds, for compile_fn as for the jet.
+# finish within seconds, for the walk as for the tape.
 _REAL_POINTS = ("0", "1", "-1", "0.5", "-0.75")
 _COMPLEX_POINTS = ((0, 0), (1, 0), (-1, 0), (0, 1), (-0.6, 0.5), (0.25, -0.9))
 
@@ -239,17 +257,17 @@ def _points(p, complex_mode):
     return [p.real(t) for t in _REAL_POINTS]
 
 
-def assert_jet_matches_reference(tree, points, p, complex_mode, ulps=JET_ULPS):
+def _var(tree):
+    return (free_variables(tree) or {"x"}).pop()
+
+
+def assert_jet_matches_reference(tree, points, p, complex_mode, ulps=JET_ULPS, jet=None):
+    """The mpmath lowering (or ``jet``) against the walk at the same precision."""
     ctx = p.ctx
-    var = (free_variables(tree) or {"x"}).pop()
-    try:
-        ref_f = compile_fn(tree, var, p, complex_mode)
-        ref_d = compile_fn(differentiate(tree, var), var, p, complex_mode)
-    except ValueError as exc:      # a literal mpmath cannot read fails both alike
-        with pytest.raises(type(exc)):
-            compile_jet(tree, var, p, complex_mode)
-        return
-    jet = compile_jet(tree, var, p, complex_mode)
+    var = _var(tree)
+    ref_f = reference_fn(tree, var, ctx, complex_mode)
+    ref_d = reference_fn(differentiate(tree, var), var, ctx, complex_mode)
+    jet = jet or compile_jet(tree, var, p, complex_mode)
     bound = ulps * ctx.mpf(2) ** -ctx.prec
     for x in points:
         for got, want in zip(jet(x), (ref_f(x), ref_d(x))):
@@ -263,6 +281,40 @@ def assert_jet_matches_reference(tree, points, p, complex_mode, ulps=JET_ULPS):
                 assert abs(got - want) <= bound * max(1, abs(want)), where
 
 
+def triple_jet(tree, p):
+    """The tape of tree (complex mode) under the triple lowering."""
+    tape = build_tape(tree, _var(tree), p, complex_mode=True)
+    return lower(tape, basins._triple_lowering(p.ctx, p.ctx.prec))
+
+
+def assert_triples_match_reference(tree, points, p, jet=None):
+    """The triple lowering (or ``jet``) at each complex point against the walk."""
+    ctx, P = p.ctx, p.ctx.prec
+    var = _var(tree)
+    trees = (tree, differentiate(tree, var))
+    walks = [reference_fn(t, var, ctx, complex_mode=True) for t in trees]
+    jet = jet or triple_jet(tree, p)
+    ref = make_ctx(80)
+    unit = ref.mpf(2) ** -P
+    for point in points:
+        z = basins._from_mp(point, P)
+        x = basins._to_mpc(ctx, z)          # the value z stands for, exactly
+        for got, t, walk in zip(jet(z), trees, walks):
+            where = (render(tree), render(t), str(x), str(got))
+            missing = not ctx.isfinite(walk(x))
+            assert (type(got) is not tuple) == missing, where
+            if missing:
+                continue
+            x_ref = ref.make_mpc(x._mpc_)
+            value = reference_fn(t, var, ref, complex_mode=True)(x_ref)
+            assert ref.isfinite(value), where
+            scale = rounding_error_scale(t, var, ref, x_ref, unit)
+            if scale is None:       # beyond first order: the value has no bound
+                continue
+            err = abs(ref.make_mpc(basins._to_mpc(ctx, got)._mpc_) - value)
+            assert err <= TRIPLE_ULPS * unit * scale, where + (str(err / (unit * scale)),)
+
+
 @pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
 def test_jet_matches_reference_on_random_trees(complex_mode):
     p = Precision(40)
@@ -270,6 +322,8 @@ def test_jet_matches_reference_on_random_trees(complex_mode):
     for _ in range(80):
         tree = _random_tree(rng, rng.randint(1, 6))
         assert_jet_matches_reference(tree, _points(p, complex_mode), p, complex_mode)
+        if complex_mode:
+            assert_triples_match_reference(tree, _points(p, complex_mode), p)
 
 
 @SETTINGS
@@ -278,6 +332,7 @@ def test_jet_matches_reference_on_generated_trees(tree):
     p = Precision(30)
     for complex_mode in (False, True):
         assert_jet_matches_reference(tree, _points(p, complex_mode), p, complex_mode)
+    assert_triples_match_reference(tree, _points(p, True), p)
 
 
 @pytest.mark.parametrize("text, x, want_f_nan, want_d_nan", [
@@ -297,10 +352,11 @@ def test_jet_real_domain_nan_components(text, x, want_f_nan, want_d_nan):
 
 
 def test_jet_division_by_zero_makes_the_whole_complex_component_nan():
-    # as in compile_fn, where 1/0 raises; mpmath itself gives 1 for an mpc NaN^0
+    # as in the walk, where 1/0 raises; mpmath itself gives 1 for an mpc NaN^0
     p = Precision(30)
     tree = parse("(1/x)^(x-x)")
     assert_jet_matches_reference(tree, [p.cplx(0)], p, complex_mode=True)
+    assert_triples_match_reference(tree, [p.cplx(0)], p)
     f, _ = compile_jet(tree, "x", p, complex_mode=True)(p.cplx(0))
     assert is_nan(f)
 
@@ -311,16 +367,73 @@ def test_jet_power_of_an_infinite_complex_value_is_mpmaths_power():
     p = Precision(30)
     tree = parse("log(x)^3")
     assert_jet_matches_reference(tree, [p.cplx(0)], p, complex_mode=True)
+    assert_triples_match_reference(tree, [p.cplx(0)], p)
     f, _ = compile_jet(tree, "x", p, complex_mode=True)(p.cplx(0))
     assert f == p.cplx("-inf")
 
 
+def test_triple_lowering_falls_back_to_mpmath_per_slot():
+    # exp(log(x)) at 0 is exp(-inf) = 0: the infinite slot stays an mpmath
+    # value and exp of it is mpmath's; sqrt and x^0.5 have no triple form;
+    # exp and cos of arguments past the fixed-point range, and integer powers
+    # past 2**16, go to mpmath; a negative integer power stays on triples and
+    # divides by zero at 0
+    p = Precision(34)
+    for text in ("exp(log(x))", "sqrt(x) + x^0.5", "exp(x*3000)", "cos(x*3000)", "x^(-2)",
+                 "x^100000"):
+        assert_triples_match_reference(parse(text), _points(p, True), p)
+    f, _ = triple_jet(parse("exp(log(x))"), p)(basins._CZERO)
+    assert f == basins._CZERO
+
+
+_A8_WINDOWS = {
+    "kepler": basins.BasinSpec("z - 0.083*sin(z) - 1", re_range=(-30.5, -29.5),
+                               im_range=(-17.5, -16.5), width=12, height=12),
+    "cube": basins.BasinSpec("z^3-1", width=12, height=12),
+}
+
+
+def _a8_centers(spec):
+    res, ims = spec.grid()
+    return [spec.precision.ctx.mpc(re, im) for im in ims for re in res]
+
+
 def test_jet_matches_reference_at_every_a8_window_pixel_center():
-    kepler = basins.BasinSpec("z - 0.083*sin(z) - 1", re_range=(-30.5, -29.5),
-                              im_range=(-17.5, -16.5), width=12, height=12)
-    cube = basins.BasinSpec("z^3-1", width=12, height=12)
-    for spec, ulps in ((kepler, 0), (cube, JET_ULPS)):    # Kepler has no shared power
-        p = spec.precision
-        res, ims = spec.grid()
-        centers = [p.ctx.mpc(re, im) for im in ims for re in res]
-        assert_jet_matches_reference(parse(spec.ftext), centers, p, complex_mode=True, ulps=ulps)
+    for name, ulps in (("kepler", 0), ("cube", JET_ULPS)):    # Kepler has no shared power
+        spec = _A8_WINDOWS[name]
+        tree, p = parse(spec.ftext), spec.precision
+        assert_jet_matches_reference(tree, _a8_centers(spec), p, complex_mode=True, ulps=ulps)
+        assert_triples_match_reference(tree, _a8_centers(spec), p)
+
+
+def _swap_cos_sin(lowering):
+    cos_sin = lowering["cos_sin"]
+    return {**lowering, "cos_sin": lambda arg: (lambda fn: lambda a, b: fn(a, b)[::-1])(cos_sin(arg))}
+
+
+def _drop_cones(tape):
+    return dataclasses.replace(tape, cones=tuple(frozenset() for _ in tape.cones))
+
+
+@pytest.mark.parametrize("lowering", ["mpmath", "triples"])
+@pytest.mark.parametrize("mutation", ["swap_cos_sin", "drop_cones"])
+def test_a_mutated_lowering_fails_its_reference_check(lowering, mutation):
+    if mutation == "swap_cos_sin":
+        spec = _A8_WINDOWS["kepler"]
+        tree, p, points = parse(spec.ftext), spec.precision, _a8_centers(spec)
+    else:
+        tree, p = parse("(1/x)^(x-x)"), Precision(30)
+        points = [p.cplx(0)]
+    tape = build_tape(tree, _var(tree), p, complex_mode=True)
+    if lowering == "mpmath":
+        ops = mp_lowering(p.ctx, complex_mode=True)
+        check = lambda jet: assert_jet_matches_reference(tree, points, p, True, jet=jet)
+    else:
+        ops = basins._triple_lowering(p.ctx, p.ctx.prec)
+        check = lambda jet: assert_triples_match_reference(tree, points, p, jet=jet)
+    if mutation == "swap_cos_sin":
+        ops = _swap_cos_sin(ops)
+    else:
+        tape = _drop_cones(tape)
+    with pytest.raises(AssertionError):
+        check(lower(tape, ops))
