@@ -17,7 +17,7 @@ import sys
 from . import diagnostics as diag
 from .basins import BasinSpec, line_scan, render, write_image
 from .expr import ExprError
-from .mpscalar import (Precision, is_complex_literal, log10_abs, opened, parse_complex,
+from .mpscalar import (Precision, is_complex_literal, log10_abs_text, opened, parse_complex,
                        parse_real, to_decimal)
 from .solve import (METHODS, SolveConfig, read_trace_text, solve_expr,
                     write_trace_csv, write_trace_text)
@@ -187,11 +187,12 @@ def _solve_setup(args, method):
 
 
 def _print_trace(trace, digits):
+    """The trace table; log10|y| to 6 digits by ``log10_abs_text`` (the bracket rule)."""
     show = min(digits, 24)
     print(f"{'n':>4}  {'step':<16} {'x':<{show + 8}} {'log10|y|':>12}")
     for rec in trace.records:
         print(f"{rec.n:>4}  {rec.step_kind:<16} {to_decimal(rec.x, show):<{show + 8}} "
-              f"{to_decimal(log10_abs(rec.y), 6):>12}")
+              f"{log10_abs_text(rec.y, 6):>12}")
 
 
 def _run_solve(args) -> int:
@@ -241,7 +242,7 @@ def _run_compare(args) -> int:
     for method in ("newton", "ici", "secant"):
         cfg, x0 = _solve_setup(args, method)
         trace = solve_expr(args.f, x0, cfg)
-        achieved = to_decimal(-log10_abs(trace.final.y), 6)
+        achieved = log10_abs_text(trace.final.y, 6, negate=True)
         print(f"{method:<14} {trace.status:<12} {len(trace) - 1:>10} {len(trace):>8} {achieved:>12}")
         if trace.status in ("degenerate", "nan"):
             worst = 2

@@ -11,6 +11,13 @@ r_k = |y_k| / (|y_{k-1}|*|y_{k-2}|)^2 approach K / f1^3, and solving the
 log-recurrence gives asymptotic order 1 + sqrt(3) = 2.732...  The fitted
 model used throughout is y_k = C**((1+sqrt(3))**k) with C fixed from the
 final data point only.
+
+One logarithm per residual: L_k = ln|y_k| is taken once per record, at the
+working precision, and every log-based diagnostic is derived from it:
+digits -L_k/ln 10, order estimates L_{k+1}/L_k, the fitted constant
+C = exp(L_K * rho**-K) and its misfit |L_{K-1} - L_K/rho| / ln 10.  The
+ratios need no logarithm.  At 1000 digits one logarithm costs about as much
+as one solver record, so :func:`build_report` takes each only once.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .mpscalar import context_of, log10_abs, opened, to_decimal
+from .mpscalar import context_of, ln_abs, log10_abs_text, opened, to_decimal
 from .solve import IterationTrace
 
 
@@ -57,6 +64,32 @@ def ratio_sequence(trace: IterationTrace):
     return out
 
 
+def _log_abs(ctx, y):
+    """ln|y| at the working precision: -inf at zero; NaN and +inf pass through."""
+    return ctx.make_mpf(ln_abs(y, ctx.prec))
+
+
+def _fit_index(ys) -> int:
+    """Index K of the final residual, which fixes C in y_K = C**rho**K.
+
+    Raises:
+        FitUndefinedError: if the final residual is missing, zero, or not below 1.
+    """
+    if not ys:
+        raise FitUndefinedError("empty trace")
+    y_last = abs(ys[-1])
+    if y_last == 0:
+        raise FitUndefinedError("final residual is exactly zero")
+    if y_last >= 1:
+        raise FitUndefinedError("final residual is not below 1")
+    return len(ys) - 1
+
+
+def _fit_from_log(ctx, log_last, K):
+    """C = exp(L_K * rho**-K), the fit of y_K = C**rho**K from L_K = ln|y_K|."""
+    return ctx.exp(log_last * _rho(ctx) ** (-K))
+
+
 def fit_constant(trace: IterationTrace):
     """Constant C of the decay model y_k = C**rho**k, fit at the final point.
 
@@ -64,16 +97,9 @@ def fit_constant(trace: IterationTrace):
         FitUndefinedError: if the final residual is zero or not below 1.
     """
     ys = trace.residuals()
-    if not ys:
-        raise FitUndefinedError("empty trace")
+    K = _fit_index(ys)
     ctx = _ctx(trace)
-    y_last = abs(ys[-1])
-    if y_last == 0:
-        raise FitUndefinedError("final residual is exactly zero")
-    if y_last >= 1:
-        raise FitUndefinedError("final residual is not below 1")
-    K = len(ys) - 1
-    return y_last ** (_rho(ctx) ** (-K))
+    return _fit_from_log(ctx, _log_abs(ctx, ys[-1]), K)
 
 
 def predict_next(trace: IterationTrace):
@@ -85,6 +111,17 @@ def predict_next(trace: IterationTrace):
     return ratios[-1] * (abs(ys[-1]) * abs(ys[-2])) ** 2
 
 
+def _orders_from_logs(ys, logs):
+    """ln|y_{k+1}| / ln|y_k| over the pairs :func:`order_estimate` admits."""
+    out = []
+    for k in range(len(ys) - 1):
+        a, b = abs(ys[k]), abs(ys[k + 1])
+        if a == 0 or b == 0 or a >= 1 or b >= 1 or b >= a:
+            continue
+        out.append(logs[k + 1] / logs[k])
+    return out
+
+
 def order_estimate(trace: IterationTrace):
     """Successive-exponent order estimates rho_k = ln|y_{k+1}| / ln|y_k|.
 
@@ -93,13 +130,7 @@ def order_estimate(trace: IterationTrace):
     """
     ys = trace.residuals()
     ctx = _ctx(trace)
-    out = []
-    for k in range(len(ys) - 1):
-        a, b = abs(ys[k]), abs(ys[k + 1])
-        if a == 0 or b == 0 or a >= 1 or b >= 1 or b >= a:
-            continue
-        out.append(ctx.log(b) / ctx.log(a))
-    return out
+    return _orders_from_logs(ys, [_log_abs(ctx, y) for y in ys])
 
 
 def error_constant_oracle(f1, f2, f3, f4):
@@ -151,13 +182,20 @@ class ConvergenceReport:
 
 
 def build_report(trace: IterationTrace) -> ConvergenceReport:
-    """Compute every diagnostic that the trace supports; missing ones are None."""
+    """Compute every diagnostic that the trace supports; missing ones are None.
+
+    Takes one working-precision logarithm per record (see the module notes).
+    """
     ctx = _ctx(trace)
-    digits = [-log10_abs(r.y) for r in trace.records]
+    ys = trace.residuals()
+    logs = [_log_abs(ctx, y) for y in ys]
+    ln10 = +ctx.ln10
+    digits = [-L / ln10 for L in logs]
     ratios = ratio_sequence(trace)
-    orders = order_estimate(trace)
+    orders = _orders_from_logs(ys, logs)
     try:
-        c_fit = fit_constant(trace)
+        K = _fit_index(ys)
+        c_fit = _fit_from_log(ctx, logs[K], K)
     except FitUndefinedError:
         c_fit = None
     try:
@@ -165,11 +203,9 @@ def build_report(trace: IterationTrace) -> ConvergenceReport:
     except DiagnosticsError:
         predicted = None
     misfit = None
-    ys = trace.residuals()
     if c_fit is not None and len(ys) >= 2 and ys[-2] != 0:
-        k_prev = len(ys) - 2
-        model = (_rho(ctx) ** k_prev) * log10_abs(c_fit)
-        misfit = abs(log10_abs(ys[-2]) - model)
+        # log10 y_{K-1} against the model's rho**(K-1) * log10 C = L_K / (rho ln 10)
+        misfit = abs(logs[-2] - logs[-1] / _rho(ctx)) / ln10
     return ConvergenceReport(digits, ratios, orders, c_fit, predicted, misfit)
 
 
@@ -215,9 +251,14 @@ def write_report_csv(report: ConvergenceReport, path_or_file, digits: int = 12):
 
 
 def write_logplot_csv(trace: IterationTrace, path_or_file, digits: int = 12):
-    """Two-column (k, log10|y_k|) CSV, ready for external plotting."""
+    """Two-column (k, log10|y_k|) CSV, ready for external plotting.
+
+    log10|y_k| is printed by :func:`~iciroot.mpscalar.log10_abs_text`: taken
+    at ``digits`` plus guard bits, with the bracket rule keeping the text of
+    the full-precision value.
+    """
     with opened(path_or_file, "w") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "log10_abs_y"])
         for rec in trace.records:
-            w.writerow([rec.n, to_decimal(log10_abs(rec.y), digits)])
+            w.writerow([rec.n, log10_abs_text(rec.y, digits)])

@@ -38,6 +38,7 @@ from __future__ import annotations
 import operator
 import re as _re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .mpscalar import Precision, is_complex_scalar, is_real_scalar
 
@@ -249,7 +250,9 @@ _ONE = Num("1")
 
 
 def _is_zero(e):
-    return isinstance(e, Num) and _re.fullmatch(r"0+(\.0*)?", e.text) is not None
+    # by value: a literal is zero when every digit of its mantissa is, so
+    # ".0", "0e1" and "0.0e5" are zero as well as "0"
+    return isinstance(e, Num) and _re.fullmatch(r"[0.]+(?:[eE][+-]?\d+)?", e.text) is not None
 
 
 def _is_one(e):
@@ -431,13 +434,32 @@ def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative
     """
     ctx = p.ctx
     mp = mp_lowering(ctx, complex_mode)
-    nan = ctx.mpf("nan")
-    nan_result = ctx.mpc(nan, nan) if complex_mode else nan
+    nan_result = ctx.mpc(ctx.nan, ctx.nan) if complex_mode else ctx.nan
     consts = [None]
     steps = []
     raised = set()
     cones = [frozenset()]   # per slot: the computed slots it depends on, itself included
-    index = {}
+    # Equal subtrees share a slot.  A frozen node rehashes its whole subtree on
+    # every hash, so subtrees are keyed by a structural id instead: one id per
+    # distinct (kind, fields, ids of children), found once per node object.
+    ids = {}        # id(node) -> structural id
+    interned = {}   # key -> structural id
+    index = {}      # structural id, or ("cos_sin", structural id) -> slot
+
+    def sid(node):
+        s = ids.get(id(node))
+        if s is None:
+            kind = type(node)
+            if kind is Bin:
+                key = (Bin, node.op, sid(node.left), sid(node.right))
+            elif kind is Neg:
+                key = (Neg, sid(node.child))
+            elif kind is Call:
+                key = (Call, node.fn, sid(node.arg))
+            else:
+                key = node          # a leaf hashes in O(1)
+            s = ids[id(node)] = interned.setdefault(key, len(interned))
+        return s
 
     def add(op, i, j=None, arg=None):
         j = i if j is None else j
@@ -464,9 +486,10 @@ def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative
         return int(ctx.re(c)) if c is not None and ctx.isint(c) else None
 
     def slot(node):
-        k = index.get(node)
+        s = sid(node)
+        k = index.get(s)
         if k is None:
-            k = index[node] = build(node)
+            k = index[s] = build(node)
         return k
 
     def build(node):
@@ -485,7 +508,8 @@ def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative
             u = slot(node.left)
             if node.op == "^" and _is_int_literal(node.right) and _int_of(node.right) >= 3:
                 n = _int_of(node.right)
-                lower = index.get(Bin("^", node.left, Num(str(n - 1))))
+                lower = index.get(interned.get((Bin, "^", sid(node.left),
+                                                interned.get(Num(str(n - 1))))))
                 if lower is not None:       # f' is built first: it needs u^(n-1)
                     return add("powint", lower, u, n)
             v = slot(node.right)
@@ -493,9 +517,10 @@ def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative
                        int_exponent(consts[v]) if node.op == "^" else None)
         if isinstance(node, Call):
             if node.fn in ("sin", "cos"):
-                pair = index.get(("cos_sin", node.arg))
+                key = ("cos_sin", sid(node.arg))
+                pair = index.get(key)
                 if pair is None:
-                    pair = index[("cos_sin", node.arg)] = add("cos_sin", slot(node.arg))
+                    pair = index[key] = add("cos_sin", slot(node.arg))
                 return add("pick", pair, arg=0 if node.fn == "cos" else 1)
             return add(node.fn, slot(node.arg))
         raise TypeError(f"not an expression node: {node!r}")
@@ -507,8 +532,11 @@ def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative
                 tuple(cones[k] for k in outputs), frozenset(raised), nan_result)
 
 
+@lru_cache(maxsize=None)
 def mp_lowering(ctx, complex_mode: bool = False) -> dict:
     """The mpmath lowering: each op name -> ``arg -> fn(a, b)`` on ``ctx``'s values.
+
+    Built once per context and mode, and shared: callers only read it.
 
     "const" maps a compile-time value to the lowering's form (here itself).
     The args: ``pick`` takes 0 for cos and 1 for sin of a ``cos_sin``
@@ -517,7 +545,7 @@ def mp_lowering(ctx, complex_mode: bool = False) -> dict:
     violation of ``pow``/``log``/``sqrt`` gives NaN; in complex mode the
     principal branches are used.
     """
-    nan = ctx.mpf("nan")
+    nan = ctx.nan
 
     def real_only(r):
         return r if is_real_scalar(r) else nan

@@ -19,6 +19,8 @@ from functools import lru_cache
 
 import mpmath
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (fone, mpc_abs, mpf_abs, mpf_add, mpf_div, mpf_ln10, mpf_log, mpf_neg,
+                          mpf_shift, mpf_sub, round_ceiling, round_floor, round_nearest)
 
 LOG2_10 = math.log2(10.0)
 
@@ -135,12 +137,59 @@ def phase(z):
     return context_of(z).arg(z)
 
 
+def ln_abs(x, prec: int):
+    """ln|x| of a real or complex scalar, as a raw mpf rounded to ``prec`` bits.
+
+    The modulus of a complex value is taken at ``prec`` too, so the cost
+    follows ``prec``, not the precision ``x`` carries.  Zero gives -inf;
+    NaN and infinities pass through.  Every logarithm of a residual in this
+    package is taken here.
+    """
+    a = mpc_abs(x._mpc_, prec, round_nearest) if hasattr(x, "_mpc_") else mpf_abs(x._mpf_)
+    return mpf_log(a, prec, round_nearest)
+
+
 def log10_abs(x):
-    """log10 of |x|; returns a minus-infinity sentinel (not an error) at x = 0."""
+    """log10 of |x| at ``x``'s working precision; a minus-infinity sentinel (not an error) at 0.
+
+    ln|x| is taken 20 bits beyond the working precision and divided by the
+    cached ln 10 at that precision, then rounded once.
+    """
     ctx = context_of(x)
-    if x == 0:
-        return ctx.mpf("-inf")
-    return ctx.log(abs(x), 10)
+    wp = ctx.prec + 20
+    return ctx.make_mpf(mpf_div(ln_abs(x, wp), mpf_ln10(wp), ctx.prec, round_nearest))
+
+
+def log10_abs_text(x, digits: int, negate: bool = False) -> str:
+    """``to_decimal(log10_abs(x), digits)``, or of ``-log10_abs(x)`` when ``negate``.
+
+    The text comes from a logarithm taken at print precision: ``digits``
+    plus GUARD_BITS.  The bracket rule keeps it the text of the
+    full-precision value.  Both ends of the error bound of the short value
+    are printed.  mpmath prints a value by truncating it to a bit grid set
+    by its sign and binary exponent, so within one sign and exponent the
+    text is monotone in the value.  When both ends share them and print
+    alike, every value inside the bound prints so, the full-precision log10
+    included.  Otherwise (a rounding boundary inside the bound, zero, NaN,
+    an infinity) the full-precision log10 is printed.
+    """
+    wp = math.ceil(digits * LOG2_10) + GUARD_BITS
+    v = mpf_div(ln_abs(x, wp), mpf_ln10(wp), wp, round_nearest)
+    if negate:
+        v = mpf_neg(v)
+    if v[1]:
+        # Rounding |x| to wp bits moves ln|x| by up to 2**-wp, and mpmath's
+        # log is good to a few ulp: a few 2**-wp * (|v| + 1) in all.  The
+        # bound is 64 times that.
+        err = mpf_shift(mpf_add(mpf_abs(v), fone, 8, round_ceiling), 8 - wp)
+        lo, hi = mpf_sub(v, err, wp, round_floor), mpf_add(v, err, wp, round_ceiling)
+        if lo[0] == hi[0] and lo[2] + lo[3] == hi[2] + hi[3]:
+            ctx = context_of(x)
+            text = to_decimal(ctx.make_mpf(lo), digits)
+            if text == to_decimal(ctx.make_mpf(hi), digits):
+                return text
+    full = log10_abs(x)
+    return to_decimal(-full if negate else full, digits)
 
 
 def _digits_of(ctx) -> int:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 from .expr import compile_pair
 from .kernel import ici_step, ici_step_averaged, newton_step, secant_step
-from .mpscalar import (Precision, is_complex_literal, is_complex_scalar, is_finite, log10_abs,
-                       opened, parse_complex, parse_real, to_decimal)
+from .mpscalar import (Precision, is_complex_literal, is_complex_scalar, is_finite,
+                       log10_abs_text, opened, parse_complex, parse_real, to_decimal)
 
 METHODS = ("newton", "secant", "ici", "ici_averaged")
 
@@ -188,11 +188,17 @@ def _record_row(rec: IterationRecord, digits: int):
             to_decimal(rec.y, digits),
             to_decimal(rec.yp, digits),
             rec.step_kind,
-            to_decimal(log10_abs(rec.y), 12)]
+            log10_abs_text(rec.y, 12)]
 
 
 def write_trace_csv(trace: IterationTrace, path_or_file, digits: int | None = None):
-    """Write the trace as CSV with full-precision decimal columns."""
+    """Write the trace as CSV with full-precision decimal columns.
+
+    The ``log10_abs_y`` column has 12 digits, printed by
+    :func:`~iciroot.mpscalar.log10_abs_text`: from a logarithm at that
+    precision, with the bracket rule keeping the text of the full-precision
+    value.
+    """
     with opened(path_or_file, "w") as fh:
         w = csv.writer(fh)
         w.writerow(_CSV_HEADER)

@@ -252,3 +252,33 @@ def rounding_error_scale(e, var, ctx, x, unit):
     except (ZeroDivisionError, _NotFirstOrder):
         return None
     return m if ctx.isfinite(val) and ctx.isfinite(m) else None
+
+
+# ---------------------------------------------------------------------------
+# convergence diagnostics, from their definitions
+
+def reference_report(residuals, digits):
+    """Log-based diagnostics of a residual list, by their definitions in a raw context.
+
+    Runs at ``digits + 20`` digits on exact copies of the residuals and
+    takes every logarithm where its definition puts it, reusing none:
+    digits per step -log10|y_k|; order estimates ln|y_{k+1}| / ln|y_k| over
+    nonzero residuals below 1 that strictly decrease; the fitted constant
+    C = |y_K|**(rho**-K); and the misfit |log10|y_{K-1}| - rho**(K-1) *
+    log10 C|, with rho = 1 + sqrt(3).  C and the misfit are None where the
+    fit is undefined (final residual zero or not below 1, or y_{K-1} = 0).
+    Returns a dict with keys digits, orders, constant, misfit.
+    """
+    ctx = make_ctx(digits + 20)
+    ys = [abs(ctx.mpc(y) if hasattr(y, "_mpc_") else ctx.mpf(y)) for y in residuals]
+    rho = 1 + ctx.sqrt(3)
+    orders = [ctx.ln(b) / ctx.ln(a) for a, b in zip(ys, ys[1:])
+              if a != 0 and b != 0 and a < 1 and b < 1 and b < a]
+    K = len(ys) - 1
+    constant = misfit = None
+    if ys[K] != 0 and ys[K] < 1:
+        constant = ys[K] ** (rho ** -K)
+        if K >= 1 and ys[K - 1] != 0:
+            misfit = abs(ctx.log(ys[K - 1], 10) - rho ** (K - 1) * ctx.log(constant, 10))
+    return {"digits": [-ctx.log(y, 10) for y in ys], "orders": orders,
+            "constant": constant, "misfit": misfit}

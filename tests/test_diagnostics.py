@@ -2,13 +2,16 @@ import io
 
 import pytest
 
+from iciroot import diagnostics, mpscalar
 from iciroot.diagnostics import (FitUndefinedError, MultipleRootError, build_report,
                                  error_constant_oracle, fit_constant, order_estimate,
                                  predict_next, ratio_growth_flag, ratio_sequence,
                                  report_to_text, residual_ratio_limit, write_logplot_csv,
                                  write_report_csv)
 from iciroot.mpscalar import Precision
-from iciroot.solve import IterationRecord, IterationTrace, SolveConfig, solve_expr
+from iciroot.solve import (IterationRecord, IterationTrace, SolveConfig, solve_expr,
+                           write_trace_text)
+from oracles import make_ctx, reference_report
 
 P = Precision(60)
 
@@ -189,3 +192,107 @@ def test_report_writers_accept_pathlib_paths(tmp_path):
     write_logplot_csv(trace, tmp_path / "plot.csv")
     assert (tmp_path / "report.csv").read_bytes() == report_buf.getvalue().encode()
     assert (tmp_path / "plot.csv").read_bytes() == plot_buf.getvalue().encode()
+
+
+# ---------------------------------------------------------------------------
+# build_report against the definitions (tests/oracles.py), and its log budget
+
+_SOLVES = {"real": ("(x^2+x)*exp(-x)-1/3", lambda p: p.real("2.0")),
+           "complex": ("z^3-1", lambda p: p.cplx("-0.4", "0.7"))}
+
+
+@pytest.mark.parametrize("digits", [60, 1000])
+@pytest.mark.parametrize("kind", sorted(_SOLVES))
+def test_build_report_matches_the_definitions(kind, digits):
+    # Stated bounds, in ulp = 2**(1 - working bits): digits per step and
+    # order estimates 2 ulp relative; C 4*(1 + |ln C|) ulp relative (its log
+    # is L_K * rho**-K); the misfit, a difference of two logs of size up to
+    # |log10 y|, 4 ulp of |log10 y_{K-1}| + |log10 y_K| absolute.
+    p = Precision(digits)
+    ftext, x0 = _SOLVES[kind]
+    trace = solve_expr(ftext, x0(p), SolveConfig(precision=p))
+    assert trace.converged
+    report = build_report(trace)
+    ref = reference_report(trace.residuals(), digits)
+    ctx = make_ctx(digits + 20)
+    ulp = ctx.mpf(2) ** (1 - p.ctx.prec)
+
+    def rel(value, want):
+        return abs(ctx.mpf(value) - want) / abs(want)
+
+    assert len(report.digits_per_step) == len(ref["digits"]) == len(trace)
+    for got, want in zip(report.digits_per_step, ref["digits"]):
+        assert rel(got, want) <= 2 * ulp
+    assert len(report.order_estimates) == len(ref["orders"]) >= 4
+    for got, want in zip(report.order_estimates, ref["orders"]):
+        assert rel(got, want) <= 2 * ulp
+    c = ref["constant"]
+    assert rel(report.fitted_constant, c) <= 4 * (1 + abs(ctx.ln(c))) * ulp
+    scale = abs(ref["digits"][-2]) + abs(ref["digits"][-1])
+    assert abs(ctx.mpf(report.fit_misfit_log10) - ref["misfit"]) <= 4 * ulp * scale
+
+
+def _count_logs(monkeypatch, working_bits):
+    """Count the logarithms taken at ``working_bits`` or more, and all others."""
+    calls = {"working": 0, "short": 0}
+    real_ln_abs = mpscalar.ln_abs
+
+    def counting(x, prec):
+        calls["working" if prec >= working_bits else "short"] += 1
+        return real_ln_abs(x, prec)
+    monkeypatch.setattr(mpscalar, "ln_abs", counting)
+    monkeypatch.setattr(diagnostics, "ln_abs", counting)
+    return calls
+
+
+def test_log_budget_of_the_report_and_the_trace_writer(monkeypatch):
+    # the report takes one working-precision logarithm per record; the trace
+    # writer prints log10|y| at 12 digits from short ones only
+    p = Precision(1000)
+    trace = solve_expr("(x^2+x)*exp(-x)-1/3", p.real("2.0"), SolveConfig(precision=p))
+    assert trace.converged and len(trace) >= 8
+    calls = _count_logs(monkeypatch, p.ctx.prec)
+    build_report(trace)
+    assert calls["working"] <= len(trace)
+    calls.update(working=0, short=0)
+    write_trace_text(trace, {"digits": 1000}, io.StringIO())
+    assert calls == {"working": 0, "short": len(trace)}
+
+
+# report text of traces whose residuals are degenerate, pinned to the text
+# the report gave when every diagnostic took its own logarithms
+_DEGENERATE = [
+    (["0.5", "nan"],
+     "fitted_constant: nan\npredicted_next: -\nfit_misfit_log10: nan\n"
+     "order_estimates: nan\nk,digits,ratio\n0,0.30103,\n1,nan,\n"),
+    (["nan"],
+     "fitted_constant: nan\npredicted_next: -\nfit_misfit_log10: -\n"
+     "order_estimates: \nk,digits,ratio\n0,nan,\n"),
+    (["0.5", "inf"],
+     "fitted_constant: -\npredicted_next: -\nfit_misfit_log10: -\n"
+     "order_estimates: \nk,digits,ratio\n0,0.30103,\n1,-inf,\n"),
+    (["0.5", "0"],
+     "fitted_constant: -\npredicted_next: -\nfit_misfit_log10: -\n"
+     "order_estimates: \nk,digits,ratio\n0,0.30103,\n1,inf,\n"),
+    (["2", "1.5"],
+     "fitted_constant: -\npredicted_next: -\nfit_misfit_log10: -\n"
+     "order_estimates: \nk,digits,ratio\n0,-0.30103,\n1,-0.17609126,\n"),
+    (["0.5", "0.1", "0.01", "0", "1e-10"],
+     "fitted_constant: 0.66146684\npredicted_next: -\nfit_misfit_log10: -\n"
+     "order_estimates: 3.3219281 2.0\nk,digits,ratio\n0,0.30103,\n1,1.0,\n2,2.0,4.0\n"
+     "3,inf,0.0\n4,10.0,\n"),
+    ([("0.5", "0.5"), ("0.01", "-0.02"), ("1e-5", "1e-6"), ("1e-15", "-3e-15"),
+      ("2e-42", "1e-42")],
+     "fitted_constant: 0.17881621\npredicted_next: 1.1069643e-115\n"
+     "fit_misfit_log10: 0.74514657\norder_estimates: 10.965784 3.0280484 2.9012537 2.8724493\n"
+     "k,digits,ratio\n0,0.150515,\n1,1.650515,\n2,4.9978393,0.040199502\n"
+     "3,14.5,0.06261936\n4,41.650515,0.0022139287\n"),
+]
+
+
+@pytest.mark.parametrize("values, text", _DEGENERATE,
+                         ids=["nan-last", "nan-only", "inf-last", "zero-last", "above-one",
+                              "zero-inside", "complex"])
+def test_report_text_of_degenerate_traces(values, text):
+    ys = [P.cplx(*v) if isinstance(v, tuple) else P.real(v) for v in values]
+    assert report_to_text(build_report(_trace_from_residuals(ys))) == text

@@ -227,6 +227,16 @@ def test_literals_with_a_bare_dot_evaluate(text):
     assert compile_jet(tree, "x", p)(p.real(3)) == (want, 1)
 
 
+@pytest.mark.parametrize("text", ["0", "0.0", ".0", ".00", "0e1", ".0e1", "0.0e5"])
+def test_every_zero_literal_folds_as_zero(text):
+    # x^0 folds to 1, so f' is 0 even at x = 0, where 0 * x^-1 would be NaN
+    p = Precision(30)
+    tree = parse(f"x^{text}")
+    assert tree == Num("1")
+    assert parse(f"x*{text} + 2") == Num("2")
+    assert compile_jet(tree, "x", p)(p.real(0)) == (1, 0)
+
+
 # ---------------------------------------------------------------------------
 # each lowering of the (f, f') tape against a node-by-node walk of the tree
 # and of its derivative tree (tests/oracles.py)

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
+from iciroot import mpscalar
 from iciroot.mpscalar import (Precision, UndefinedPhaseError, is_finite, is_nan,
-                              log10_abs, parse_complex, parse_real, phase, to_decimal)
+                              log10_abs, log10_abs_text, parse_complex, parse_real, phase,
+                              to_decimal)
 
 
 def test_precision_rejects_fewer_than_ten_digits():
@@ -53,6 +56,89 @@ def test_log10_abs_of_zero_is_minus_infinity_sentinel():
     v = log10_abs(p.real(0))
     assert v == p.ctx.mpf("-inf")
     assert not is_nan(v)
+
+
+def _count_full_logs(monkeypatch):
+    """Count calls of the full-precision log10_abs, the bracket rule's fallback."""
+    calls = []
+    real = mpscalar.log10_abs
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+    monkeypatch.setattr(mpscalar, "log10_abs", counting)
+    return calls
+
+
+def _rounding_boundary(hp, near, digits):
+    """A value of ``hp`` within 2**-210 of where the ``digits``-digit text changes near ``near``.
+
+    Found by bisection on the printed text, so it is the printer's own
+    boundary, whatever rounding rule the printer follows.
+    """
+    a, b = hp.mpf(near) * (1 - hp.mpf("1e-9")), hp.mpf(near) * (1 + hp.mpf("1e-9"))
+    ta = to_decimal(a, digits)
+    assert to_decimal(b, digits) != ta
+    while abs(b - a) > hp.mpf(2) ** -210:
+        mid = (a + b) / 2
+        if to_decimal(mid, digits) == ta:
+            a = mid
+        else:
+            b = mid
+    return (a + b) / 2
+
+
+# log10|y| values near the halfway point between two texts at 6 or 12 digits
+_BOUNDARIES = [(6, "-12.34565"), (6, "0.0001234565"), (6, "-1234565"),
+               (12, "-123.4567890125"), (12, "-0.3010299956645"), (12, "7.0000000000005")]
+
+
+@pytest.mark.parametrize("digits, near", _BOUNDARIES)
+def test_log10_text_at_a_rounding_boundary_falls_back_to_full_precision(
+        monkeypatch, digits, near):
+    # log10|y| lies within 2**-200 of a rounding boundary, far inside the
+    # error bound of a log taken at print precision: only the full-precision
+    # value decides the text, so the bracket rule must fall back to it
+    p = Precision(100)
+    hp = MPContext()
+    hp.prec = p.ctx.prec + 100
+    boundary = _rounding_boundary(hp, near, digits)
+    calls = _count_full_logs(monkeypatch)
+    texts = set()
+    for side in (-1, 1):
+        log10_y = boundary + side * hp.mpf(2) ** -201
+        for y in (+p.real(hp.power(10, log10_y)),
+                  p.ctx.mpc(0, 1) * p.real(-hp.power(10, log10_y))):
+            full = log10_abs(y)
+            calls.clear()
+            assert log10_abs_text(y, digits) == to_decimal(full, digits)
+            assert log10_abs_text(y, digits, negate=True) == to_decimal(-full, digits)
+            assert len(calls) == 2
+            texts.add(to_decimal(full, digits))
+    assert len(texts) == 2      # the two sides of the boundary print differently
+
+
+def test_log10_text_equals_full_precision_text_on_ordinary_values(monkeypatch):
+    rng = random.Random(20261018)
+    p = Precision(1000)
+    calls = _count_full_logs(monkeypatch)
+    for _ in range(60):
+        mant = p.real(f"{rng.uniform(0.1, 10):.17f}")
+        y = mant * p.real(10) ** rng.randint(-1000, 6)
+        for v in (y, p.cplx(y, y * rng.uniform(-2, 2))):
+            want = p.ctx.log(abs(v), 10)
+            for digits in (6, 12):
+                assert log10_abs_text(v, digits) == to_decimal(want, digits)
+                assert log10_abs_text(v, digits, negate=True) == to_decimal(-want, digits)
+    assert calls == []
+
+
+@pytest.mark.parametrize("value, text, negated", [
+    ("0", "-inf", "inf"), ("nan", "nan", "nan"), ("inf", "inf", "-inf"), ("1", "0.0", "0.0")])
+def test_log10_text_of_special_values(value, text, negated):
+    p = Precision(40)
+    assert log10_abs_text(p.real(value), 12) == text
+    assert log10_abs_text(p.real(value), 6, negate=True) == negated
 
 
 def test_render_reparse_round_trip_within_one_ulp():
