@@ -13,7 +13,9 @@ form falls back to mpmath for its own value only.
 
 Pixels are independent; rows may be partitioned across worker processes.
 Per-pixel results are transported as raw mantissa/exponent tuples, so the
-assembled raster is bit-identical regardless of the worker count.
+assembled raster is bit-identical regardless of the worker count.  Renders
+and scans own their pixel iterators and read no module state, so threads
+may run them at once; only a pool process keeps its row renderer global.
 """
 
 from __future__ import annotations
@@ -392,55 +394,27 @@ def _triple_lowering(ctx, P):
 
 
 # ---------------------------------------------------------------------------
-# per-process iteration machinery
-
-_STATE: dict = {}
+# the pixel loop
 
 
-def _pixel_state(spec: BasinSpec) -> dict:
+def _pixel_iterator(spec: BasinSpec):
+    """The spec's pixel iteration, ``iterate(z0) -> (z, iters, converged, nan)``.
+
+    Newton seed step then blended steps.  z0 is a triple, or None for a seed
+    that is not finite.  Degeneracies and overflow produce
+    (None, iters, False, True) instead of raising; their pixels render as
+    NaN.  The blended step is the one of :func:`iciroot.kernel.ici_step`,
+    written with the weights u = y_prev/dy and v = y_cur/dy,
+    dy = y_prev - y_cur.
+    """
     p = spec.precision
     ctx = p.ctx
     P = ctx.prec
     jet = lower(compile_tape(spec.ftext, p, complex_mode=True), _triple_lowering(ctx, P))
-    tol = p.real(str(spec.tol))         # as text, the form the workers receive
-    tol_sign, tol_man, tol_exp, _ = tol._mpf_
-    re, im = spec.grid()
-    return {
-        "ctx": ctx,
-        "P": P,
-        "one": _cnorm(1, 0, 0, P),
-        "jet": jet,
-        "tol": tol,
-        "tol_man": -tol_man if tol_sign else tol_man,
-        "tol_exp": tol_exp,
-        "max_iter": spec.max_iter,
-        "cap_mag": int(spec.overflow_exp * LOG2_10) + 1,
-        "re": [_from_mp(v, P) for v in re],                   # real triples
-        "im": [(0, t[0], t[2]) for t in (_from_mp(v, P) for v in im)],
-    }
-
-
-def _init_worker(spec: BasinSpec):
-    _STATE.clear()
-    _STATE.update(_pixel_state(spec))
-
-
-def _iterate_point(state, z0):
-    """Newton seed step then blended steps; returns (z, iters, converged, nan).
-
-    z0 is a triple, or None for a seed that is not finite.  Degeneracies
-    and overflow produce (None, iters, False, True) instead of raising;
-    their pixels render as NaN.  The blended step is the one of
-    :func:`iciroot.kernel.ici_step`, written with the weights u = y_prev/dy
-    and v = y_cur/dy, dy = y_prev - y_cur.
-    """
-    ctx = state["ctx"]
-    P = state["P"]
-    jet = state["jet"]
-    tol_man, tol_exp = state["tol_man"], state["tol_exp"]
-    cap = state["cap_mag"]
-    max_iter = state["max_iter"]
-    one = state["one"]
+    _, tol_man, tol_exp, _ = p.real(str(spec.tol))._mpf_     # as text, like the workers
+    cap = int(spec.overflow_exp * LOG2_10) + 1
+    max_iter = spec.max_iter
+    one = _cnorm(1, 0, 0, P)
 
     def sample(z):
         """(f(z), f'(z)) as triples, or None on a NaN, an infinity or an overflow."""
@@ -449,56 +423,83 @@ def _iterate_point(state, z0):
             return None
         return y, d
 
-    s = None if z0 is None else sample(z0)
-    if s is None:
-        return None, 0, False, True
-    zc, (yc, dc) = z0, s
-    zp = yp = np_ = None
-    for it in range(1, max_iter + 1):
-        if not (dc[0] or dc[1]):
-            return None, it, False, True
-        nc = _cdiv(yc, dc, P)               # Newton update at the current point
-        if zp is None:
-            zn = _csub(zc, nc, P)
-        else:
-            dy = _csub(yp, yc, P)
-            if not (dy[0] or dy[1]):
-                return None, it, False, True
-            t = _cdiv(one, dy, P)
-            u = _cmul(yp, t, P)
-            v = _cmul(yc, t, P)
-            # v^2 (zp - Np) + u^2 (zc - Nc) - 2uv (zc + v (zc - zp))
-            uv2 = _cmul(u, v, P)
-            uv2 = (uv2[0], uv2[1], uv2[2] + 1)
-            secant = _cadd(zc, _cmul(v, _csub(zc, zp, P), P), P)
-            zn = _csub(_cadd(_cmul(_cmul(v, v, P), _csub(zp, np_, P), P),
-                             _cmul(_cmul(u, u, P), _csub(zc, nc, P), P), P),
-                       _cmul(uv2, secant, P), P)
-        if _cmag(zn) > cap:
-            return None, it, False, True
-        s = sample(zn)
+    def iterate(z0):
+        s = None if z0 is None else sample(z0)
         if s is None:
-            return None, it, False, True
-        zp, yp, np_ = zc, yc, nc            # Np: the previous point's update
-        zc, (yc, dc) = zn, s
-        if _abs_le(yc, tol_man, tol_exp):
-            return _to_mpc(ctx, zc), it, True, False
-    return _to_mpc(ctx, zc), max_iter, False, False
+            return None, 0, False, True
+        zc, (yc, dc) = z0, s
+        zp = yp = np_ = None
+        for it in range(1, max_iter + 1):
+            if not (dc[0] or dc[1]):
+                return None, it, False, True
+            nc = _cdiv(yc, dc, P)               # Newton update at the current point
+            if zp is None:
+                zn = _csub(zc, nc, P)
+            else:
+                dy = _csub(yp, yc, P)
+                if not (dy[0] or dy[1]):
+                    return None, it, False, True
+                t = _cdiv(one, dy, P)
+                u = _cmul(yp, t, P)
+                v = _cmul(yc, t, P)
+                # v^2 (zp - Np) + u^2 (zc - Nc) - 2uv (zc + v (zc - zp))
+                uv2 = _cmul(u, v, P)
+                uv2 = (uv2[0], uv2[1], uv2[2] + 1)
+                secant = _cadd(zc, _cmul(v, _csub(zc, zp, P), P), P)
+                zn = _csub(_cadd(_cmul(_cmul(v, v, P), _csub(zp, np_, P), P),
+                                 _cmul(_cmul(u, u, P), _csub(zc, nc, P), P), P),
+                           _cmul(uv2, secant, P), P)
+            if _cmag(zn) > cap:
+                return None, it, False, True
+            s = sample(zn)
+            if s is None:
+                return None, it, False, True
+            zp, yp, np_ = zc, yc, nc            # Np: the previous point's update
+            zc, (yc, dc) = zn, s
+            if _abs_le(yc, tol_man, tol_exp):
+                return _to_mpc(ctx, zc), it, True, False
+        return _to_mpc(ctx, zc), max_iter, False, False
+    return iterate
 
 
-def _render_row(j):
-    state = _STATE
-    ctx = state["ctx"]
-    P = state["P"]
-    im = state["im"][j]
-    row = []
-    for re in state["re"]:
-        z, iters, conv, nan = _iterate_point(state, _cadd(re, im, P))
-        if nan:
-            row.append((None, iters, False, True, None))
-        else:
-            row.append((z._mpc_, iters, conv, False, float(ctx.arg(z))))
-    return j, row
+def _row_renderer(spec: BasinSpec):
+    """``render_row(j)``: row j of the spec's grid as a list of transport tuples.
+
+    A pixel's tuple is (final ``_mpc_``, iterations, converged, NaN, phase),
+    with None for the limit and the phase of a NaN pixel.
+    """
+    iterate = _pixel_iterator(spec)
+    ctx = spec.precision.ctx
+    P = ctx.prec
+    re, im = spec.grid()
+    res = [_from_mp(v, P) for v in re]                       # real triples
+    ims = [(0, t[0], t[2]) for t in (_from_mp(v, P) for v in im)]
+
+    def render_row(j):
+        im = ims[j]
+        row = []
+        for re in res:
+            z, iters, conv, nan = iterate(_cadd(re, im, P))
+            if nan:
+                row.append((None, iters, False, True, None))
+            else:
+                row.append((z._mpc_, iters, conv, False, float(ctx.arg(z))))
+        return row
+    return render_row
+
+
+# A pool process's row renderer.  Spawn pickles the initializer and the row
+# function by name, so both live at module level and reach the renderer here.
+_worker_render_row = None
+
+
+def _init_worker(spec: BasinSpec):
+    global _worker_render_row
+    _worker_render_row = _row_renderer(spec)
+
+
+def _render_row_in_worker(j):
+    return _worker_render_row(j)
 
 
 def render(spec: BasinSpec) -> BasinRaster:
@@ -512,18 +513,15 @@ def render(spec: BasinSpec) -> BasinRaster:
     portable = replace(spec, tol=str(spec.tol),
                        re_range=tuple(str(v) for v in spec.re_range),
                        im_range=tuple(str(v) for v in spec.im_range))
-    _init_worker(portable)      # here too, so bad text raises before any pool starts
-    rows = [None] * spec.height
+    render_row = _row_renderer(portable)    # here, so bad text raises before any pool starts
     if spec.workers == 1 or spec.height == 1:
-        for j in range(spec.height):
-            rows[j] = _render_row(j)[1]
+        rows = list(map(render_row, range(spec.height)))
     else:
         with ProcessPoolExecutor(max_workers=spec.workers,
                                  initializer=_init_worker,
                                  initargs=(portable,)) as pool:
             chunk = max(1, spec.height // (spec.workers * 4))
-            for j, row in pool.map(_render_row, range(spec.height), chunksize=chunk):
-                rows[j] = row
+            rows = list(pool.map(_render_row_in_worker, range(spec.height), chunksize=chunk))
     ctx = spec.precision.ctx
     final, iters, conv, nan_mask, phase = [], [], [], [], []
     for row in rows:
@@ -565,17 +563,17 @@ def line_scan(spec: BasinSpec, segment, samples: int):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    state = _pixel_state(spec)
-    ctx = state["ctx"]
+    iterate = _pixel_iterator(spec)
     p = spec.precision
+    ctx = p.ctx
     z_start, z_end = p.scalar(segment[0]), p.scalar(segment[1])
-    radius = state["tol"] * 1000
+    radius = p.real(str(spec.tol)) * 1000
     reps = []
     assignments = []
     for k in range(samples):
         t = ctx.mpf(k) / (samples - 1) if samples > 1 else ctx.mpf(0)
         z0 = z_start + t * (z_end - z_start)
-        z, _, _, nan = _iterate_point(state, _from_mp(z0, state["P"]))
+        z, _, _, nan = iterate(_from_mp(z0, ctx.prec))
         if nan:
             assignments.append(-1)
             continue

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import diagnostics as diag
-from .basins import BasinSpec, line_scan, render, write_image
+from .basins import DEFAULT_BASIN_DIGITS, BasinSpec, line_scan, render, write_image
 from .expr import ExprError
 from .mpscalar import (Precision, is_complex_literal, log10_abs_text, opened, parse_complex,
                        parse_real, to_decimal)
@@ -74,13 +74,13 @@ def _build_parser():
     def add_solve_like(name, help, run, one_method=True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        add_common(p, digits=40, max_iter=100, tol=None)
+        add_common(p, digits=Precision.digits, max_iter=SolveConfig.max_iter, tol=None)
         p.add_argument("--x0", type=str, help="initial guess; an 'i'/'j' suffix selects "
                        "complex mode" + dash_note.format("x0"))
         p.add_argument("--complex", action="store_true", dest="complex_mode",
                        help="force complex mode even for a real x0")
         if one_method:      # compare runs every method and writes no file
-            p.add_argument("--method", choices=METHODS, default="ici")
+            p.add_argument("--method", choices=METHODS, default=SolveConfig.method)
             p.add_argument("--out", type=str, help="output file path")
             p.add_argument("--format", choices=("csv", "text"), default="csv",
                            help="--out file format")
@@ -95,16 +95,18 @@ def _build_parser():
     def add_grid(name, help, run):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        add_common(p, digits=34, max_iter=13, tol="1e-8")
+        add_common(p, digits=DEFAULT_BASIN_DIGITS, max_iter=BasinSpec.max_iter, tol=BasinSpec.tol)
         p.add_argument("--out", type=str, help="output file path")
-        p.add_argument("--re", nargs=2, type=float, default=[-2.0, 2.0],
+        p.add_argument("--re", nargs=2, type=float, default=list(BasinSpec.re_range),
                        help="real-axis range MIN MAX")
-        p.add_argument("--im", nargs=2, type=float, default=[-2.0, 2.0],
+        p.add_argument("--im", nargs=2, type=float, default=list(BasinSpec.im_range),
                        help="imaginary-axis range MIN MAX")
-        p.add_argument("--size", nargs="+", type=int, default=[200],
+        p.add_argument("--size", nargs="+", type=int, default=[BasinSpec.width],
                        help="pixels: WIDTH [HEIGHT]")
-        p.add_argument("--workers", type=int, default=1, help="row-parallel worker processes")
-        p.add_argument("--overflow-exp", type=int, dest="overflow_exp", default=308,
+        p.add_argument("--workers", type=int, default=BasinSpec.workers,
+                       help="row-parallel worker processes")
+        p.add_argument("--overflow-exp", type=int, dest="overflow_exp",
+                       default=BasinSpec.overflow_exp,
                        help="decimal exponent treated as overflow (NaN pixel)")
         return p
 

@@ -26,11 +26,10 @@ outputs whose cone it lies in.
 :func:`compile_tape` parses one-variable text into that tape.  A
 *lowering* maps each op name to a function for one kind of value, and
 :func:`lower` binds a tape to it.  :func:`mp_lowering` computes on mpmath
-values: :func:`compile_jet` and :func:`compile_pair` (text -> jet
-``x -> (f(x), f'(x))``, used by the solver) are the tape of f and f' under
-it, and :func:`compile_fn` is the tape of f alone.  The basin renderer
-lowers the same tape onto its fixed-precision integer triples
-(:mod:`iciroot.basins`).
+values: :func:`compile_pair` (text -> jet ``x -> (f(x), f'(x))``, used by
+the solver) is the tape of f and f' under it, and :func:`compile_fn` is the
+tape of f alone.  The basin renderer lowers the same tape onto its
+fixed-precision integer triples (:mod:`iciroot.basins`).
 """
 
 from __future__ import annotations
@@ -594,6 +593,13 @@ def lower(tape: Tape, lowering: dict):
     ``run(x)`` is f(x), or the pair (f(x), f'(x)) when the tape holds f'.
     Each output is NaN (``tape.nan``) where a division by zero in its cone
     made it so, and only there.
+
+    Under :func:`mp_lowering` one call runs the tape once, so each distinct
+    subexpression is evaluated once, and each output keeps the semantics of
+    a node-by-node walk of its own tree, every fold of ``differentiate``
+    included: it is NaN where that walk gives NaN, and only there
+    (``sqrt(x)`` at 0 gives f = 0 and f' = NaN).  Values are bit-identical
+    to that walk's except u^n for n >= 3, rounded twice.
     """
     const = lowering["const"]
     template = [None if v is None else const(v) for v in tape.consts]
@@ -630,20 +636,6 @@ def compile_fn(e, var: str, p: Precision, complex_mode: bool = False):
     """
     tape = build_tape(e, var, p, complex_mode, derivative=False)
     return lower(tape, mp_lowering(p.ctx, complex_mode))
-
-
-def compile_jet(e, var: str, p: Precision, complex_mode: bool = False):
-    """Compile ``e`` and its exact derivative into one closure ``x -> (f(x), f'(x))``.
-
-    One call runs the tape of both once, so each distinct subexpression is
-    evaluated once (:func:`build_tape` lists what is shared).  Each
-    component keeps the semantics of a node-by-node walk of its own tree,
-    every fold of ``differentiate`` included: it is NaN where that walk
-    gives NaN, and only there (``sqrt(x)`` at 0 gives f = 0 and f' = NaN).
-    Values are bit-identical to that walk's except u^n for n >= 3, rounded
-    twice.
-    """
-    return lower(build_tape(e, var, p, complex_mode), mp_lowering(p.ctx, complex_mode))
 
 
 def _sole_variable(e) -> str:

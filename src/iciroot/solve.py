@@ -220,7 +220,9 @@ def read_trace_text(path_or_file):
 
     Returns:
         (IterationTrace, meta dict).  Record values are reconstructed at the
-        precision named by the ``digits`` metadata entry.
+        precision named by the ``digits`` metadata entry.  A missing table
+        header or a table with no records (every trace has its seed) raises
+        ValueError.
     """
     with opened(path_or_file, "r") as fh:
         lines = fh.read().splitlines()
@@ -241,5 +243,7 @@ def read_trace_text(path_or_file):
         n, x_s, y_s, yp_s, kind = row[0], row[1], row[2], row[3], row[4]
         conv = parse_complex if is_complex_literal(x_s) else parse_real
         records.append(IterationRecord(int(n), conv(x_s, p), conv(y_s, p), conv(yp_s, p), kind))
+    if not records:
+        raise ValueError("trace table has no records")
     status = meta.pop("status", STATUS_MAX_ITER)
     return IterationTrace(records, status), meta

@@ -3,6 +3,8 @@ import math
 import multiprocessing
 import pickle
 import random
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -57,6 +59,16 @@ def test_pixel_exactly_at_a_root_converges_at_iteration_one():
     assert raster.iterations[0][0] == 1
     assert raster.phase[0][0] == 0.0
     assert not raster.nan_mask[0][0]
+
+
+def test_equal_consecutive_residuals_make_a_nan_pixel():
+    # z^2+3 from 1: the Newton step lands exactly on -1, where f is 4 again,
+    # so the blended step of iteration 2 would divide by y_prev - y_cur = 0
+    spec = _cube_spec(ftext="z^2+3", re_range=("0.9", "1.1"), im_range=("-0.1", "0.1"),
+                      width=1, height=1)
+    raster = render(spec)
+    assert raster.nan_mask[0][0] and raster.iterations[0][0] == 2
+    assert raster.final[0][0] is None and raster.phase[0][0] is None
 
 
 def test_render_cube_roots_structure():
@@ -114,6 +126,42 @@ def test_render_is_worker_count_independent():
     assert any(any(row) for row in one.nan_mask)      # the Kepler window has NaN pixels
 
 
+def _outcome(raster):
+    finals = [[None if z is None else z._mpc_ for z in row] for row in raster.final]
+    return raster.iterations, raster.converged, raster.nan_mask, raster.phase, finals
+
+
+def test_threads_rendering_different_specs_match_single_threaded_runs():
+    # each render and scan owns its pixel iterator, so threads working on
+    # different specs at once get what each gets alone
+    p = Precision(34)
+    segment = (p.cplx("-1.45", 0), p.cplx("-1.05", 0))
+    jobs = {"cube": lambda: _outcome(render(_cube_spec(width=12, height=12))),
+            "kepler": lambda: _outcome(render(_kepler_spec(width=10, height=10))),
+            "scan": lambda: line_scan(_cube_spec(), segment, 60)}
+    want = {name: job() for name, job in jobs.items()}
+    got = {}
+
+    def run(name):
+        try:
+            got[name] = jobs[name]()
+        except Exception as exc:    # a failed render is a wrong result too
+            got[name] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads often, so that any shared state shows
+    try:
+        threads = [threading.Thread(target=run, args=(name,)) for name in jobs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
 def _raster_1x1(phase_value, nan=False):
     spec = _cube_spec(width=1, height=1)
     return BasinRaster(1, 1,
@@ -166,6 +214,15 @@ def test_line_scan_single_sample():
     p = spec.precision
     out = line_scan(spec, (p.cplx(1, 0), p.cplx(1, 0)), 1)
     assert out == [0]
+
+
+def test_line_scan_nan_sample_gets_minus_one():
+    spec = _cube_spec()
+    p = spec.precision
+    out = line_scan(spec, (p.cplx(-1, 0), p.cplx(1, 0)), 3)     # the middle sample is z = 0
+    assert out[1] == -1 and out[0] >= 0 and out[2] >= 0       # f'(0) = 0
+    with pytest.raises(ValueError):
+        line_scan(spec, (p.cplx(-1, 0), p.cplx(1, 0)), 0)
 
 
 def test_line_scan_inside_immediate_basin_is_constant():

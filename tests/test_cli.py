@@ -106,6 +106,17 @@ def test_solve_writes_text_and_order_reads_it_back(tmp_path, capsys):
     assert "k,digits,ratio" in out
 
 
+def test_order_rejects_a_trace_table_with_no_records(tmp_path, capsys):
+    # every written trace holds at least its seed record
+    trace_file = tmp_path / "empty.txt"
+    trace_file.write_text("function: x^2-2\ndigits: 40\nstatus: nan\n"
+                          "n,x,y,yp,step_kind,log10_abs_y\n")
+    assert main(["order", "--trace", str(trace_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "no records" in captured.err
+    assert captured.out == ""
+
+
 def test_order_runs_a_solve_and_reports(tmp_path, capsys):
     report_file = tmp_path / "report.csv"
     code = main(["order", "--f", "x^2-2", "--x0", "1.5", "--digits", "120",

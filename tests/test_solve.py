@@ -156,6 +156,32 @@ def test_nan_at_seed():
     assert len(trace) == 1
 
 
+def test_division_by_zero_in_the_pair_gives_a_nan_record():
+    p = Precision(30)
+    trace = solve(lambda x: 1 / (x - 1), lambda x: -1 / (x - 1) ** 2, p.real(1),
+                  SolveConfig(precision=p))
+    assert trace.status == "nan"
+    assert len(trace) == 1
+    assert is_nan(trace.final.y) and is_nan(trace.final.yp)
+
+
+def test_non_finite_step_stops_with_status_nan():
+    p = Precision(30)
+    trace = solve(lambda x: 1, lambda x: 1, p.inf, SolveConfig(precision=p))
+    assert trace.status == "nan"
+    assert len(trace) == 1      # the Newton step from inf is inf and is not evaluated
+
+
+def test_dead_previous_derivative_falls_back_to_safeguard_newton():
+    # x^3-3x+3 from 0: Newton lands exactly on the critical point 1, so the
+    # next step is a secant step, and the one after it has a dead previous f'
+    p = Precision(30)
+    trace = solve_expr("x^3-3*x+3", p.real(0), SolveConfig(precision=p, max_iter=3))
+    assert [r.step_kind for r in trace.records] == \
+        ["seed", "newton", "secant", "safeguard_newton"]
+    assert trace.records[1].x == 1 and trace.records[1].yp == 0
+
+
 def test_dy_guard_falls_back_to_safeguard_newton():
     p = Precision(30)
     f, fp = (lambda x: x ** 3 - 2 * x - 5), (lambda x: 3 * x ** 2 - 2)
