@@ -1,7 +1,7 @@
 """Command-line front end: solve, order, basin, scan, compare.
 
 Exit codes: 0 on success (solve/order: converged), 2 on non-convergence or
-a degenerate/NaN outcome, 1 on usage or parse errors.  Numeric output is a
+a degenerate/NaN outcome, 1 on usage, parse or file errors.  Numeric output is a
 pure function of the flags.  ``--preset`` expands to a documented flag set;
 explicit flags override preset values, and ``--config FILE`` (a JSON object
 keyed by long flag names) sits between the two.
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         return args.run(args)
-    except (CliUsageError, ExprError, ValueError) as exc:
+    except (CliUsageError, ExprError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,12 +12,15 @@ log-recurrence gives asymptotic order 1 + sqrt(3) = 2.732...  The fitted
 model used throughout is y_k = C**((1+sqrt(3))**k) with C fixed from the
 final data point only.
 
-One logarithm per residual: L_k = ln|y_k| is taken once per record, at the
-working precision, and every log-based diagnostic is derived from it:
-digits -L_k/ln 10, order estimates L_{k+1}/L_k, the fitted constant
-C = exp(L_K * rho**-K) and its misfit |L_{K-1} - L_K/rho| / ln 10.  The
-ratios need no logarithm.  At 1000 digits one logarithm costs about as much
-as one solver record, so :func:`build_report` takes each only once.
+One modulus and one logarithm per residual: |y_k| is taken once per record,
+at the working precision, and so is L_k = ln|y_k|, from that modulus.  Every
+diagnostic is derived from these two lists: the ratios, the order-estimate
+admission, the fit index and the prediction from |y_k|; digits -L_k/ln 10,
+order estimates L_{k+1}/L_k, the fitted constant C = exp(L_K * rho**-K) and
+its misfit |L_{K-1} - L_K/rho| / ln 10 from L_k.  At 1000 digits one
+logarithm costs about as much as one solver record, and a complex modulus
+is a square root at the working precision, so :func:`build_report` takes
+each only once.
 """
 
 from __future__ import annotations
@@ -49,40 +52,54 @@ def _rho(ctx):
     return 1 + ctx.sqrt(ctx.mpf(3))
 
 
+def _moduli(trace: IterationTrace):
+    """|y_k| for every record, each taken once at the working precision."""
+    return [abs(y) for y in trace.residuals()]
+
+
+def _ratios(mods):
+    """r_k = |y_k| / (|y_{k-1}|*|y_{k-2}|)^2 from the moduli; see :func:`ratio_sequence`."""
+    out = []
+    for k in range(2, len(mods)):
+        if mods[k - 1] == 0 or mods[k - 2] == 0:
+            break
+        out.append(mods[k] / (mods[k - 1] * mods[k - 2]) ** 2)
+    return out
+
+
 def ratio_sequence(trace: IterationTrace):
     """Residual ratios r_k = |y_k| / (|y_{k-1}|*|y_{k-2}|)^2 for k >= 2.
 
     The sequence is truncated at the first k whose denominator residuals
     include a zero.  Traces with fewer than three records give [].
     """
-    ys = trace.residuals()
-    out = []
-    for k in range(2, len(ys)):
-        if ys[k - 1] == 0 or ys[k - 2] == 0:
-            break
-        out.append(abs(ys[k]) / (abs(ys[k - 1]) * abs(ys[k - 2])) ** 2)
-    return out
+    return _ratios(_moduli(trace))
 
 
-def _log_abs(ctx, y):
-    """ln|y| at the working precision: -inf at zero; NaN and +inf pass through."""
-    return ctx.make_mpf(ln_abs(y, ctx.prec))
+def _log_abs(ctx, a):
+    """ln|y| at the working precision, from its modulus a = |y|.
+
+    -inf at zero; NaN and +inf pass through.  ``abs`` rounds the same complex
+    modulus as ``ln_abs`` does, at the same precision, so this is ln|y| to
+    the bit.
+    """
+    return ctx.make_mpf(ln_abs(a, ctx.prec))
 
 
-def _fit_index(ys) -> int:
+def _fit_index(mods) -> int:
     """Index K of the final residual, which fixes C in y_K = C**rho**K.
 
     Raises:
         FitUndefinedError: if the final residual is missing, zero, or not below 1.
     """
-    if not ys:
+    if not mods:
         raise FitUndefinedError("empty trace")
-    y_last = abs(ys[-1])
+    y_last = mods[-1]
     if y_last == 0:
         raise FitUndefinedError("final residual is exactly zero")
     if y_last >= 1:
         raise FitUndefinedError("final residual is not below 1")
-    return len(ys) - 1
+    return len(mods) - 1
 
 
 def _fit_from_log(ctx, log_last, K):
@@ -96,26 +113,30 @@ def fit_constant(trace: IterationTrace):
     Raises:
         FitUndefinedError: if the final residual is zero or not below 1.
     """
-    ys = trace.residuals()
-    K = _fit_index(ys)
+    mods = _moduli(trace)
+    K = _fit_index(mods)
     ctx = _ctx(trace)
-    return _fit_from_log(ctx, _log_abs(ctx, ys[-1]), K)
+    return _fit_from_log(ctx, _log_abs(ctx, mods[-1]), K)
+
+
+def _predict(mods, ratios):
+    """r_last * (|y_K|*|y_{K-1}|)^2; see :func:`predict_next`."""
+    if not ratios or len(ratios) < len(mods) - 2:
+        raise DiagnosticsError("need at least three consecutive nonzero residuals")
+    return ratios[-1] * (mods[-1] * mods[-2]) ** 2
 
 
 def predict_next(trace: IterationTrace):
     """Predicted |y_{K+1}| = r_last * (|y_K|*|y_{K-1}|)^2 from the last ratio."""
-    ratios = ratio_sequence(trace)
-    ys = trace.residuals()
-    if not ratios or len(ratios) < len(ys) - 2:
-        raise DiagnosticsError("need at least three consecutive nonzero residuals")
-    return ratios[-1] * (abs(ys[-1]) * abs(ys[-2])) ** 2
+    mods = _moduli(trace)
+    return _predict(mods, _ratios(mods))
 
 
-def _orders_from_logs(ys, logs):
+def _orders_from_logs(mods, logs):
     """ln|y_{k+1}| / ln|y_k| over the pairs :func:`order_estimate` admits."""
     out = []
-    for k in range(len(ys) - 1):
-        a, b = abs(ys[k]), abs(ys[k + 1])
+    for k in range(len(mods) - 1):
+        a, b = mods[k], mods[k + 1]
         if a == 0 or b == 0 or a >= 1 or b >= 1 or b >= a:
             continue
         out.append(logs[k + 1] / logs[k])
@@ -128,9 +149,9 @@ def order_estimate(trace: IterationTrace):
     Only indices where both residuals are nonzero, below 1 and strictly
     decreasing contribute; other k are skipped.
     """
-    ys = trace.residuals()
+    mods = _moduli(trace)
     ctx = _ctx(trace)
-    return _orders_from_logs(ys, [_log_abs(ctx, y) for y in ys])
+    return _orders_from_logs(mods, [_log_abs(ctx, a) for a in mods])
 
 
 def error_constant_oracle(f1, f2, f3, f4):
@@ -184,26 +205,27 @@ class ConvergenceReport:
 def build_report(trace: IterationTrace) -> ConvergenceReport:
     """Compute every diagnostic that the trace supports; missing ones are None.
 
-    Takes one working-precision logarithm per record (see the module notes).
+    Takes one modulus and one working-precision logarithm per record (see
+    the module notes).
     """
     ctx = _ctx(trace)
-    ys = trace.residuals()
-    logs = [_log_abs(ctx, y) for y in ys]
+    mods = _moduli(trace)
+    logs = [_log_abs(ctx, a) for a in mods]
     ln10 = +ctx.ln10
     digits = [-L / ln10 for L in logs]
-    ratios = ratio_sequence(trace)
-    orders = _orders_from_logs(ys, logs)
+    ratios = _ratios(mods)
+    orders = _orders_from_logs(mods, logs)
     try:
-        K = _fit_index(ys)
+        K = _fit_index(mods)
         c_fit = _fit_from_log(ctx, logs[K], K)
     except FitUndefinedError:
         c_fit = None
     try:
-        predicted = predict_next(trace)
+        predicted = _predict(mods, ratios)
     except DiagnosticsError:
         predicted = None
     misfit = None
-    if c_fit is not None and len(ys) >= 2 and ys[-2] != 0:
+    if c_fit is not None and len(mods) >= 2 and mods[-2] != 0:
         # log10 y_{K-1} against the model's rho**(K-1) * log10 C = L_K / (rho ln 10)
         misfit = abs(logs[-2] - logs[-1] / _rho(ctx)) / ln10
     return ConvergenceReport(digits, ratios, orders, c_fit, predicted, misfit)

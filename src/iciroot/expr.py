@@ -39,6 +39,8 @@ import re as _re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from mpmath.libmp import mpc_mul, mpc_pos, mpc_reciprocal, mpc_square, round_down
+
 from .mpscalar import Precision, is_complex_scalar, is_real_scalar
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log")
@@ -540,9 +542,21 @@ def mp_lowering(ctx, complex_mode: bool = False) -> dict:
     "const" maps a compile-time value to the lowering's form (here itself).
     The args: ``pick`` takes 0 for cos and 1 for sin of a ``cos_sin``
     pair; ``powint`` takes n; ``pow`` takes its exponent when that folds to
-    an integer, else None, and ignores it here.  In real mode a domain
-    violation of ``pow``/``log``/``sqrt`` gives NaN; in complex mode the
-    principal branches are used.
+    an integer, else None.  In real mode a domain violation of
+    ``pow``/``log``/``sqrt`` gives NaN; in complex mode the principal
+    branches are used.
+
+    ``pow`` by a folded integer n with |n| >= 3 of a finite complex value
+    is binary powering on mpmath's raw tuples at ``prec + 2*bitlen(|n|) +
+    10`` bits, rounded once to ``prec``; for n < 0, u^|n| is cut to
+    ``prec + 4`` bits and inverted once at ``prec``, as mpmath does.
+    mpmath's own ``**`` takes such a power through log and exp once |n|
+    times the operand's bits reach 10,000: at 1000 digits, about 70 times
+    as long.  Below that cutoff ``**`` is exact before its one rounding,
+    and binary powering rounds to the same bits unless u^n lies within
+    about 2**-(prec + bitlen(|n|) + 10) of a rounding boundary.  Real
+    values, non-finite bases (mpmath's rules: NaN**3 == 0), |n| <= 2 and
+    exponents that are not integers keep ``**``.
     """
     nan = ctx.nan
 
@@ -551,6 +565,28 @@ def mp_lowering(ctx, complex_mode: bool = False) -> dict:
 
     def pow_(a, b):
         return a ** b if complex_mode else real_only(a ** b)
+
+    def pow_step(n):
+        if not complex_mode or n is None or abs(n) < 3:
+            return pow_
+        guard = 2 * abs(n).bit_length() + 10
+
+        def int_pow(a, b):
+            if not (hasattr(a, "_mpc_") and ctx.isfinite(a)):
+                return pow_(a, b)
+            prec, rnd = ctx._prec_rounding
+            wp = prec + guard
+            z, k, r = a._mpc_, abs(n), None
+            while k:
+                if k & 1:
+                    r = z if r is None else mpc_mul(r, z, wp, rnd)
+                k >>= 1
+                if k:
+                    z = mpc_square(z, wp, rnd)
+            if n < 0:
+                return ctx.make_mpc(mpc_reciprocal(mpc_pos(r, prec + 4, round_down), prec, rnd))
+            return ctx.make_mpc(mpc_pos(r, prec, rnd))
+        return int_pow
 
     def call(fn):
         g = getattr(ctx, fn)
@@ -577,7 +613,7 @@ def mp_lowering(ctx, complex_mode: bool = False) -> dict:
         "mul": fixed(operator.mul),
         "div": fixed(operator.truediv),
         "neg": fixed(lambda a, _: -a),
-        "pow": fixed(pow_),
+        "pow": pow_step,
         "powint": powint,
         "exp": fixed(call("exp")),
         "log": fixed(call("log")),
@@ -599,7 +635,11 @@ def lower(tape: Tape, lowering: dict):
     a node-by-node walk of its own tree, every fold of ``differentiate``
     included: it is NaN where that walk gives NaN, and only there
     (``sqrt(x)`` at 0 gives f = 0 and f' = NaN).  Values are bit-identical
-    to that walk's except u^n for n >= 3, rounded twice.
+    to that walk's except two kinds of integer power.  u^n for n >= 3 is
+    u^(n-1) * u, rounded twice.  A complex u^n with |n| >= 3 taken by the
+    ``pow`` step is binary powering, rounded once (see :func:`mp_lowering`);
+    below mpmath's exact-power cutoff it has the walk's bits in practice;
+    above it the two may differ in the last bits.
     """
     const = lowering["const"]
     template = [None if v is None else const(v) for v in tape.consts]

@@ -15,6 +15,11 @@ Degenerate situations the step formulas cannot handle are safeguarded:
 * vanishing previous derivative: plain Newton from the current point;
 * NaN or infinity anywhere: the solve stops with status ``nan`` and a
   partial trace.
+
+One modulus per value: |y| and |y'| are taken once per record, when it is
+evaluated, and the tolerance test, the derivative floors and the
+residual-gap guard all read them; a two-point step adds one more,
+|y - y_prev|.  A complex modulus is a square root at the working precision.
 """
 
 from __future__ import annotations
@@ -119,6 +124,7 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
     cfg = cfg if cfg is not None else SolveConfig()
     x = cfg.precision.scalar(x0)
     records = []
+    mods = []      # (|y|, |y'|) of each finite record, taken once
 
     def evaluate(xv, kind):
         """Record one fresh (f, fp) pair; return the status it stops on, or None."""
@@ -129,11 +135,13 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
         records.append(IterationRecord(len(records), xv, y, yp, kind))
         if not (is_finite(y) and is_finite(yp)):
             return STATUS_NAN
-        return STATUS_CONVERGED if abs(y) <= cfg.tol else None
+        mods.append((abs(y), abs(yp)))
+        return STATUS_CONVERGED if mods[-1][0] <= cfg.tol else None
 
-    def df_floor(cur_y):
-        scale = abs(cur_y)
-        return cfg.dfmin * (scale if scale > 1 else 1)
+    def dead_derivative(k):
+        """|y'_k| at or below dfmin times the local scale max(|y_k|, 1)."""
+        ay, ayp = mods[k]
+        return ayp <= cfg.dfmin * (ay if ay > 1 else 1)
 
     stop = evaluate(x, "seed")
     for _ in range(cfg.max_iter):
@@ -141,21 +149,19 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
             break
         cur = records[-1]
         if len(records) == 1 or cfg.method == "newton":
-            if abs(cur.yp) <= df_floor(cur.y):
+            if dead_derivative(-1):
                 return IterationTrace(records, STATUS_DEGENERATE)
             x_next, kind = newton_step(cur), "newton"
         else:
             prev = records[-2]
             gap = abs(cur.y - prev.y)
-            if gap <= cfg.dy_guard * max(abs(cur.y), abs(prev.y)):
-                if abs(cur.yp) <= df_floor(cur.y):
+            if gap <= cfg.dy_guard * max(mods[-1][0], mods[-2][0]):
+                if dead_derivative(-1):
                     return IterationTrace(records, STATUS_DEGENERATE)
                 x_next, kind = newton_step(cur), "safeguard_newton"
-            elif cfg.method == "secant":
+            elif cfg.method == "secant" or dead_derivative(-1):
                 x_next, kind = secant_step(prev, cur), "secant"
-            elif abs(cur.yp) <= df_floor(cur.y):
-                x_next, kind = secant_step(prev, cur), "secant"
-            elif abs(prev.yp) <= df_floor(prev.y):
+            elif dead_derivative(-2):
                 x_next, kind = newton_step(cur), "safeguard_newton"
             else:
                 step = ici_step if cfg.method == "ici" else ici_step_averaged
@@ -221,8 +227,8 @@ def read_trace_text(path_or_file):
     Returns:
         (IterationTrace, meta dict).  Record values are reconstructed at the
         precision named by the ``digits`` metadata entry.  A missing table
-        header or a table with no records (every trace has its seed) raises
-        ValueError.
+        header, a row with fewer than five fields or a table with no records
+        (every trace has its seed) raises ValueError.
     """
     with opened(path_or_file, "r") as fh:
         lines = fh.read().splitlines()
@@ -240,7 +246,9 @@ def read_trace_text(path_or_file):
     for row in csv.reader(lines[k + 1:]):
         if not row:
             continue
-        n, x_s, y_s, yp_s, kind = row[0], row[1], row[2], row[3], row[4]
+        if len(row) < 5:
+            raise ValueError(f"trace table row has {len(row)} fields, needs 5: {','.join(row)}")
+        n, x_s, y_s, yp_s, kind = row[:5]
         conv = parse_complex if is_complex_literal(x_s) else parse_real
         records.append(IterationRecord(int(n), conv(x_s, p), conv(y_s, p), conv(yp_s, p), kind))
     if not records:

@@ -117,6 +117,40 @@ def test_order_rejects_a_trace_table_with_no_records(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_order_rejects_a_trace_row_with_too_few_fields(tmp_path, capsys):
+    trace_file = tmp_path / "short.txt"
+    trace_file.write_text("function: x^2-2\ndigits: 40\nstatus: max_iter\n"
+                          "n,x,y,yp,step_kind,log10_abs_y\n0,1.5,0.25\n")
+    assert main(["order", "--trace", str(trace_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "0,1.5,0.25" in captured.err
+    assert captured.out == ""
+
+
+def test_order_of_a_missing_trace_file_is_an_error(tmp_path, capsys):
+    assert main(["order", "--trace", str(tmp_path / "missing.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "missing.txt" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--f", "x^2-2", "--x0", "1.5", "--digits", "20", "--out", "{bad}"],
+    ["solve", "--f", "x^2-2", "--x0", "1.5", "--digits", "20", "--format", "text",
+     "--out", "{bad}"],
+    ["order", "--f", "x^2-2", "--x0", "1.5", "--digits", "20", "--out", "{bad}"],
+    ["basin", "--f", "z^3-1", "--size", "1", "--out", "{bad}"],
+    ["basin", "--f", "z^3-1", "--size", "1", "--out", "{ok}", "--csv", "{bad}"],
+    ["scan", "--f", "z^3-1", "--from=-1+0i", "--to=1+0i", "--samples", "2", "--out", "{bad}"],
+], ids=["solve-csv", "solve-text", "order", "basin", "basin-csv", "scan"])
+def test_an_unwritable_output_path_is_an_error(tmp_path, capsys, args):
+    # the results are printed first; the failed write then exits 1 without a traceback
+    paths = {"bad": str(tmp_path / "no" / "such" / "dir" / "x.out"), "ok": str(tmp_path / "b.ppm")}
+    assert main([a.format(**paths) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x.out" in err
+
+
 def test_order_runs_a_solve_and_reports(tmp_path, capsys):
     report_file = tmp_path / "report.csv"
     code = main(["order", "--f", "x^2-2", "--x0", "1.5", "--digits", "120",

@@ -1,6 +1,7 @@
 import io
 
 import pytest
+from mpmath import ctx_mp_python
 
 from iciroot import diagnostics, mpscalar
 from iciroot.diagnostics import (FitUndefinedError, MultipleRootError, build_report,
@@ -12,6 +13,7 @@ from iciroot.mpscalar import Precision
 from iciroot.solve import (IterationRecord, IterationTrace, SolveConfig, solve_expr,
                            write_trace_text)
 from oracles import make_ctx, reference_report
+from test_solve import _count_calls
 
 P = Precision(60)
 
@@ -257,6 +259,19 @@ def test_log_budget_of_the_report_and_the_trace_writer(monkeypatch):
     calls.update(working=0, short=0)
     write_trace_text(trace, {"digits": 1000}, io.StringIO())
     assert calls == {"working": 0, "short": len(trace)}
+
+
+def test_modulus_budget_of_the_report(monkeypatch):
+    # one complex modulus per residual, shared by the logs, ratios, order
+    # admission, fit index and prediction; counted where abs() and ln_abs take it
+    p = Precision(100)
+    trace = solve_expr("z^3-1", p.cplx("-0.4", "0.7"), SolveConfig(precision=p))
+    assert trace.converged and len(trace) >= 6
+    by_abs = _count_calls(monkeypatch, ctx_mp_python, ["mpc_abs"])
+    by_ln_abs = _count_calls(monkeypatch, mpscalar, ["mpc_abs"])
+    report = build_report(trace)
+    assert by_abs["mpc_abs"] + by_ln_abs["mpc_abs"] <= len(trace)
+    assert report.predicted_next is not None and len(report.order_estimates) >= 3
 
 
 # report text of traces whose residuals are degenerate, pinned to the text

@@ -388,6 +388,51 @@ def test_jet_power_of_an_infinite_complex_value_is_mpmaths_power():
     assert f == p.cplx("-inf")
 
 
+# the pow step by a folded integer n, 3 <= |n| <= 20: binary powering for a
+# finite complex base, mpmath's ** for everything else
+_INT_EXPONENTS = [n for k in range(3, 21) for n in (k, -k)]
+
+
+def _power_or_raise(fn, a, b):
+    """fn(a, b) as raw tuples, or ZeroDivisionError's class where it divides by zero."""
+    try:
+        r = fn(a, b)
+    except ZeroDivisionError as exc:
+        return type(exc)
+    return r._mpc_ if hasattr(r, "_mpc_") else r._mpf_
+
+
+@pytest.mark.parametrize("digits", [34, 1000])
+def test_complex_integer_powers_match_the_reference(digits):
+    # at 1000 digits the walk's ** goes through log and exp; the jet does not
+    p = Precision(digits)
+    for n in _INT_EXPONENTS:
+        assert_jet_matches_reference(parse(f"z^{n}"), _points(p, True), p, complex_mode=True)
+
+
+def test_complex_integer_power_step_has_the_bits_of_mpmaths_power_at_40_digits():
+    # below mpmath's exact-power cutoff ** rounds the exact power once
+    p = Precision(40)
+    ops = mp_lowering(p.ctx, complex_mode=True)
+    for n in _INT_EXPONENTS:
+        b = p.ctx.mpf(n)
+        for z in _points(p, True):
+            assert (_power_or_raise(ops["pow"](n), z, b)
+                    == _power_or_raise(lambda u, v: u ** v, z, b)), (n, z)
+
+
+def test_real_integer_powers_are_mpmaths_power():
+    # real mode, and real (compile-time) values in complex mode, keep **
+    p = Precision(1000)
+    for complex_mode in (False, True):
+        ops = mp_lowering(p.ctx, complex_mode)
+        for n in _INT_EXPONENTS:
+            b = p.ctx.mpf(n)
+            for x in _points(p, False) + [p.real("-1.3"), p.real("0.37")]:
+                assert (_power_or_raise(ops["pow"](n), x, b)
+                        == _power_or_raise(lambda u, v: u ** v, x, b)), (complex_mode, n, x)
+
+
 def test_triple_lowering_falls_back_to_mpmath_per_slot():
     # exp(log(x)) at 0 is exp(-inf) = 0: the infinite slot stays an mpmath
     # value and exp of it is mpmath's; sqrt and x^0.5 have no triple form;

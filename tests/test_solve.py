@@ -1,6 +1,8 @@
 import io
 
 import pytest
+from mpmath import ctx_mp_python
+from mpmath.libmp import libmpc
 
 from iciroot.diagnostics import ratio_growth_flag
 from iciroot.mpscalar import Precision, is_nan, to_decimal
@@ -294,3 +296,48 @@ def test_trace_writers_and_reader_accept_pathlib_paths(tmp_path):
     assert meta2["function"] == "x^3-2*x-5"
     assert ([to_decimal(r.x, 40) for r in back.records]
             == [to_decimal(r.x, 40) for r in trace.records])
+
+
+def test_read_trace_text_rejects_a_row_with_too_few_fields():
+    text = ("digits: 40\nn,x,y,yp,step_kind,log10_abs_y\n"
+            "0,1.5,0.25,3.0,seed,-0.60206\n1,1.41,0.0025\n")
+    with pytest.raises(ValueError, match="1,1.41,0.0025"):
+        read_trace_text(io.StringIO(text))
+
+
+# arithmetic budgets of a 1000-digit complex solve, counted at mpmath's
+# complex kernels: the (f, f') pair takes no logarithm or exponential, and
+# the loop takes one modulus per value and one per residual gap
+
+def _count_calls(monkeypatch, module, names):
+    """Count the calls that reach each of ``module``'s functions ``names``."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counting
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def _zpow_solve():
+    p = Precision(1000)
+    trace = solve_expr("z^4 - 0.5", p.cplx("0.7", "0.3"), SolveConfig(precision=p))
+    assert trace.converged and len(trace) >= 6
+    return trace
+
+
+def test_complex_integer_power_solve_takes_no_log_or_exp(monkeypatch):
+    calls = _count_calls(monkeypatch, libmpc, ["mpc_log", "mpc_exp"])
+    _zpow_solve()
+    assert calls == {"mpc_log": 0, "mpc_exp": 0}
+
+
+def test_solver_takes_one_modulus_per_value_and_per_residual_gap(monkeypatch):
+    calls = _count_calls(monkeypatch, ctx_mp_python, ["mpc_abs"])
+    trace = _zpow_solve()
+    # |y| and |y'| of the seed; |y|, |y'| and |y - y_prev| of each later record
+    assert calls["mpc_abs"] <= 2 + 3 * (len(trace) - 1)
