@@ -533,14 +533,15 @@ def render(spec: BasinSpec) -> BasinRaster:
     return BasinRaster(spec.width, spec.height, final, iters, conv, nan_mask, phase, spec)
 
 
-def write_image(raster: BasinRaster, path):
-    """Write a binary PPM (P6, maxval 255): hue from phase, NaN pixels white.
+def write_image(raster: BasinRaster, path_or_file):
+    """Write a binary PPM (P6, maxval 255) to a path or an open binary file.
 
-    hue = (phase + pi) / (2*pi) through an HSV->RGB map with S = V = 1;
-    row 0 of the file is the top of the imaginary range.
+    Hue from phase, NaN pixels white: hue = (phase + pi) / (2*pi) through an
+    HSV->RGB map with S = V = 1; row 0 of the file is the top of the
+    imaginary range.
     """
     two_pi = 2 * math.pi
-    with open(path, "wb") as fh:
+    with opened(path_or_file, "wb") as fh:
         fh.write(f"P6\n{raster.width} {raster.height}\n255\n".encode("ascii"))
         buf = bytearray()
         for j in range(raster.height):

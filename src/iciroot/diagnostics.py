@@ -18,9 +18,10 @@ diagnostic is derived from these two lists: the ratios, the order-estimate
 admission, the fit index and the prediction from |y_k|; digits -L_k/ln 10,
 order estimates L_{k+1}/L_k, the fitted constant C = exp(L_K * rho**-K) and
 its misfit |L_{K-1} - L_K/rho| / ln 10 from L_k.  At 1000 digits one
-logarithm costs about as much as one solver record, and a complex modulus
-is a square root at the working precision, so :func:`build_report` takes
-each only once.
+logarithm costs about 0.25 ms by the fixed-point kernel of
+:func:`~iciroot.mpscalar.ln_abs` (1.1-1.9 ms by mpmath's AGM), about a
+third of one solver record, and a complex modulus is a square root at the
+working precision, so :func:`build_report` takes each only once.
 """
 
 from __future__ import annotations

@@ -200,6 +200,16 @@ def test_ppm_distinct_phases_get_distinct_colors(tmp_path):
     assert px1 != b"\xff\xff\xff" and px2 != b"\xff\xff\xff"
 
 
+def test_ppm_to_an_open_binary_file_equals_the_file_written_by_path(tmp_path):
+    raster = render(_cube_spec(width=6, height=5))
+    path = tmp_path / "cube.ppm"
+    write_image(raster, path)
+    buf = io.BytesIO()
+    write_image(raster, buf)
+    assert buf.getvalue() == path.read_bytes()
+    assert not buf.closed       # an open file is the caller's to close
+
+
 def test_kepler_region_produces_nan_pixels():
     spec = BasinSpec(ftext="z - 0.083*sin(z) - 1",
                      re_range=(-30.5, -29.5), im_range=(-17.5, -16.5),

@@ -2,6 +2,7 @@ import io
 
 import pytest
 from mpmath import ctx_mp_python
+from mpmath.libmp import mpf_abs, mpf_log, round_nearest
 
 from iciroot import diagnostics, mpscalar
 from iciroot.diagnostics import (FitUndefinedError, MultipleRootError, build_report,
@@ -272,6 +273,30 @@ def test_modulus_budget_of_the_report(monkeypatch):
     report = build_report(trace)
     assert by_abs["mpc_abs"] + by_ln_abs["mpc_abs"] <= len(trace)
     assert report.predicted_next is not None and len(report.order_estimates) >= 3
+
+
+def _report_values(report):
+    """Every number of a report as raw mpf tuples (complex ones as pairs)."""
+    def raw(v):
+        return None if v is None else getattr(v, "_mpf_", None) or v._mpc_
+    return ([raw(v) for v in report.digits_per_step], [raw(v) for v in report.ratios],
+            [raw(v) for v in report.order_estimates], raw(report.fitted_constant),
+            raw(report.predicted_next), raw(report.fit_misfit_log10))
+
+
+@pytest.mark.parametrize("kind", sorted(_SOLVES))
+def test_report_bits_equal_those_from_mpf_log(monkeypatch, kind):
+    # the fixed-point logarithm of the residuals gives the report mpmath's
+    # logarithm gives, to the bit
+    p = Precision(1000)
+    ftext, x0 = _SOLVES[kind]
+    trace = solve_expr(ftext, x0(p), SolveConfig(precision=p))
+    calls = _count_calls(monkeypatch, mpscalar, ["_ln_fixed_point"])
+    report = build_report(trace)
+    assert calls["_ln_fixed_point"] >= len(trace) - 2
+    monkeypatch.setattr(diagnostics, "ln_abs",
+                        lambda x, prec: mpf_log(mpf_abs(x._mpf_), prec, round_nearest))
+    assert _report_values(report) == _report_values(build_report(trace))
 
 
 # report text of traces whose residuals are degenerate, pinned to the text

@@ -1,12 +1,21 @@
+import os
 import random
+import subprocess
+import sys
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_man_exp, mpc_abs, mpf_abs, mpf_log, round_nearest
 
 from iciroot import mpscalar
 from iciroot.mpscalar import (Precision, UndefinedPhaseError, is_finite, is_nan,
                               log10_abs, log10_abs_text, parse_complex, parse_real, phase,
                               to_decimal)
+from test_solve import _count_calls
 
 
 def test_precision_rejects_fewer_than_ten_digits():
@@ -221,3 +230,132 @@ def test_parse_complex_rejects_garbage():
         parse_complex("", p)
     with pytest.raises(ValueError):
         parse_complex("1+2k", p)
+
+
+# to_decimal: correct rounding, checked against the decimal module, which
+# holds man * 2**exp exactly
+
+def _exact_decimal(raw):
+    sign, man, exp, _ = raw
+    text = str(man << exp) if exp >= 0 else f"{man * 5 ** -exp}E{exp}"
+    return Decimal(("-" if sign else "") + text)
+
+
+def _correctly_rounded(raw, digits):
+    with localcontext() as dec:
+        dec.prec, dec.rounding = digits, ROUND_HALF_UP     # ties away from zero
+        return +_exact_decimal(raw)
+
+
+@pytest.mark.parametrize("value, digits, text", [
+    ("-12.34565000000077", 6, "-12.3457"),      # mpmath's text is -12.3456
+    ("0.0001234565000000001", 6, "0.000123457"),
+    ("2.5", 1, "3.0"), ("-2.5", 1, "-3.0"), ("0.125", 2, "0.13"), ("0.5", 1, "0.5"),
+    ("9.99999951", 7, "10.0"), ("-1.2345e-20", 4, "-1.235e-20")])
+def test_to_decimal_rounds_correctly_at_half_way_points(value, digits, text):
+    x = Precision(40).real(value)
+    assert to_decimal(x, digits) == text
+    assert Decimal(text) == _correctly_rounded(x._mpf_, digits)
+
+
+@st.composite
+def _values_and_digits(draw):
+    """A raw mpf and a digit count; a third of the draws are exact ties, a third next to one."""
+    kind = draw(st.sampled_from(["random", "tie", "near tie"]))
+    if kind == "random":
+        man, exp = draw(st.integers(1, 2 ** 240)), draw(st.integers(-6000, 6000))
+        digits = draw(st.integers(1, 80))
+    else:
+        # odd / 2**t has t decimal places, the last a 5: a tie one digit short
+        odd, t = 2 * draw(st.integers(0, 10 ** 15)) + 1, draw(st.integers(1, 60))
+        digits = max(len(str(odd * 5 ** t)) - 1, 1)
+        bits = draw(st.integers(0, 120))
+        man, exp = odd << bits, -t - bits
+        if kind == "near tie":
+            man += draw(st.sampled_from([-1, 1]))
+    return from_man_exp(-man if draw(st.booleans()) else man, exp), digits
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values_and_digits())
+def test_to_decimal_is_the_correctly_rounded_decimal(case):
+    raw, digits = case
+    x = Precision(40).ctx.make_mpf(raw)
+    text = to_decimal(x, digits)
+    assert Decimal(text) == _correctly_rounded(raw, digits)
+    theirs = mpmath.nstr(x, digits, min_fixed=-6, max_fixed=6)
+    if Decimal(theirs) == _correctly_rounded(raw, digits):
+        assert text == theirs       # same layout wherever mpmath rounds right
+
+
+# ln_abs: the fixed-point kernel in its band, mpf_log outside it
+
+def _ulps_from_log(got, a, prec):
+    """|got - ln a| in ulp of a prec-bit result, against mpf_log taken 64 bits higher."""
+    ref = mpf_log(a, prec + 64, round_nearest)
+    hp = MPContext()
+    hp.prec = prec + 128
+    ulp = hp.ldexp(1, ref[2] + ref[3] - prec)
+    return abs(hp.make_mpf(got) - hp.make_mpf(ref)) / ulp
+
+
+_MP = MPContext()      # make_mpf and make_mpc keep a raw value's bits
+
+
+def _random_raw(rng, prec, mag):
+    man = rng.getrandbits(prec) | (1 << (prec - 1)) | 1
+    return from_man_exp(man, mag - prec)
+
+
+@pytest.mark.parametrize("prec", [
+    Precision(1000).ctx.prec, Precision(1624).ctx.prec, Precision(4000).ctx.prec,
+    mpscalar._LN_MIN_PREC + 1, mpscalar._LN_MAX_PREC])
+def test_ln_abs_kernel_is_within_one_ulp(monkeypatch, prec):
+    rng = random.Random(prec)
+    calls = _count_calls(monkeypatch, mpscalar, ["_ln_fixed_point"])
+    n = 40 if prec < 8000 else 6
+    mags = [rng.randint(-10_000, 10_000) for _ in range(n - 6)] + [-10_000, -1, 2, 10_000, -3322, 40]
+    for mag in mags:
+        a = _random_raw(rng, prec + rng.randint(-64, 64), mag)
+        got = mpscalar.ln_abs(_MP.make_mpf(a), prec)
+        assert _ulps_from_log(got, a, prec) <= 1
+        # a complex value takes the log of its modulus
+        z = (a, _random_raw(rng, prec, mag - rng.randint(0, 3)))
+        got = mpscalar.ln_abs(_MP.make_mpc(z), prec)
+        assert _ulps_from_log(got, mpc_abs(z, prec, round_nearest), prec) <= 1
+    # every real value is in the kernel's range; |z| may have crossed into 1/2 <= |z| < 2
+    assert len(mags) < calls["_ln_fixed_point"] <= 2 * len(mags)
+
+
+def _fallback_values(rng, prec):
+    return ([_random_raw(rng, prec, 0), _random_raw(rng, prec, 1),   # [1/2, 1) and [1, 2)
+             from_man_exp(1, 1000), from_man_exp(1, -3001), from_man_exp(1, 0),   # powers of two
+             _random_raw(rng, prec, 10_001), _random_raw(rng, prec, -10_001),
+             _random_raw(rng, prec, 123_456)]
+            + [mpmath.mpf(v)._mpf_ for v in ("0", "nan", "+inf", "-inf")])
+
+
+def _fail_if_called(*args):
+    raise AssertionError("the fixed-point kernel ran outside its band")
+
+
+def test_ln_abs_falls_back_to_mpf_log_outside_the_kernel(monkeypatch):
+    rng = random.Random(7)
+    monkeypatch.setattr(mpscalar, "_ln_fixed_point", _fail_if_called)
+    for prec in (Precision(1000).ctx.prec, mpscalar._LN_MIN_PREC + 1):
+        for a in _fallback_values(rng, prec):
+            want = mpf_log(mpf_abs(a), prec, round_nearest)
+            assert mpscalar.ln_abs(_MP.make_mpf(a), prec) == want
+    # precisions outside the band, on values the kernel would take inside it
+    for prec in (60, mpscalar._LN_MIN_PREC, mpscalar._LN_MAX_PREC + 1):
+        for mag in (-3000, -1, 2, 9000):
+            a = _random_raw(rng, prec, mag)
+            assert mpscalar.ln_abs(_MP.make_mpf(a), prec) == mpf_log(a, prec, round_nearest)
+
+
+def test_ln_table_is_built_on_first_use_not_at_import():
+    code = ("import iciroot, iciroot.cli\n"
+            "from iciroot import mpscalar\n"
+            "assert mpscalar._ln_table.cache_info().currsize == 0\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
