@@ -16,15 +16,18 @@ import re as _re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import rshift
 
 import mpmath
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (MPZ_ONE, fone, from_man_exp, mpc_abs, mpf_abs, mpf_add, mpf_div,
                           mpf_ln10, mpf_log, mpf_neg, mpf_shift, mpf_sub, round_ceiling,
-                          round_floor, round_nearest, to_digits_exp)
+                          round_floor, round_nearest)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed
 
 LOG2_10 = math.log2(10.0)
+LOG10_2 = math.log10(2.0)
 
 # Extra binary precision beyond the requested decimal digits, so that long
 # iteration chains still honor the decimal-digit accuracy contract.
@@ -144,38 +147,39 @@ def phase(z):
 
 # The fixed-point band of ln_abs: see its docstring for the measurements.
 _LN_MIN_PREC = LOG_TAYLOR_PREC      # above it mpmath takes ln by AGM
-_LN_MAX_PREC = 20_000               # bits; about 6000 digits
-_LN_MAX_MAG = 10_000                # |binary exponent| the error bound covers
+_LN_MAX_PREC = 20_000               # bits, about 6000 digits: the first-report crossover
 _LN_STEPS = 64                      # K: factors (1 + 2**-k), k = 1..K
 _LN_GUARD = 40                      # guard bits of the fixed-point sum
 
 
-def _acoth_fixed(n: int, wp: int) -> int:
-    """acoth(n) = atanh(1/n) as a fixed-point integer with ``wp`` fraction bits.
-
-    The series sum 1/((2j+1) n**(2j+1)) on integers; each term is the floor
-    of its exact value, so the sum is low by less than 1 unit per term.
-    """
-    n2 = n * n
-    t = (MPZ_ONE << wp) // n
-    s = t
-    j = 3
-    while t:
-        t //= n2
-        s += t // j
-        j += 2
-    return s
-
-
 @lru_cache(maxsize=None)
 def _ln_table(wp: int) -> tuple:
-    """ln(1 + 2**-k) = 2 acoth(2**(k+1) + 1) for k = 1..K, fixed point at ``wp`` bits.
+    """ln(1 + 2**-k) for k = 1..K, fixed point at ``wp`` bits; built on first use at each ``wp``.
 
-    Built on first use at each ``wp``; 20 extra bits make every entry good
-    to 1 unit.
+    ln(1 + x) = atanh(x) - sum over i >= 1 of atanh(x**(2**i)) / 2**i, and
+    atanh(2**-m) = sum over odd j of 2**(-m j) / j, whose terms are one
+    list of reciprocals 2**(w - j) // j shifted right by (m - 1) j bits:
+    a shift and an add a term, where a series in 1/(2**(k+1) + 1) needs
+    two divisions: 6 against 10 ms at 1000 digits, 0.17 against 0.32 s at
+    6000.  Each term is low by less than 1 unit of 2**-w; with the dropped
+    tails and shifts an entry is off by less than w / k + log2(w) + 7
+    units, so w = wp + 24 keeps it within 2 units of 2**-wp for w < 2**22.
     """
-    return tuple(2 * _acoth_fixed((1 << (k + 1)) + 1, wp + 20) >> 20
-                 for k in range(1, _LN_STEPS + 1))
+    w = wp + 24
+    recips = [(MPZ_ONE << (w - j)) // j for j in range(1, w + 1, 2)]
+
+    @lru_cache(maxsize=None)
+    def atanh_pow2(m):
+        return sum(map(rshift, recips, range(m - 1, w, 2 * m - 2) if m > 1 else repeat(0)))
+
+    table = []
+    for k in range(1, _LN_STEPS + 1):
+        entry, m, i = atanh_pow2(k), 2 * k, 1
+        while m < w:
+            entry -= atanh_pow2(m) >> i
+            m, i = 2 * m, i + 1
+        table.append(entry >> 24)
+    return tuple(table)
 
 
 def _ln_fixed_point(man: int, bc: int, mag: int, prec: int):
@@ -207,7 +211,9 @@ def _ln_fixed_point(man: int, bc: int, mag: int, prec: int):
         v = (v * u4) >> wp
         j += 4
     atanh_u = even + ((odd * u2) >> wp)
-    m = (mag * ln2_fixed(wp + 16) >> 16) - (total >> (table_wp - wp)) - 2 * atanh_u
+    # ln 2 to as many extra bits as mag has, so mag * ln 2 is good to 2 units
+    extra = abs(mag).bit_length() + 2
+    m = (mag * ln2_fixed(wp + extra) >> extra) - (total >> (table_wp - wp)) - 2 * atanh_u
     return from_man_exp(m, -wp, prec, round_nearest)
 
 
@@ -226,35 +232,39 @@ def ln_abs(x, prec: int):
     each a shift and an add; finish ln of the remainder, within 2**-K of
     1, by the atanh series; subtract the chosen ln(1 + 2**-k) from a table
     built once per 256 bits of precision (:func:`_ln_table`) and add
-    e * ln 2.  The sum
-    is kept with 40 guard bits.  Its error is below 2**9 units of
-    2**-(prec + 40): at most 2.4 units per factor from truncated shifts
-    (the factors multiply to less than 2.4), 1 per table entry, a few
-    dozen in the series and 2 in e * ln 2 for |e| <= 10,000.  Since |ln|x|| > 1/2
-    there, that is below 2**-31 ulp before the one rounding, so the result
-    is within 1 ulp of ln|x|, and equals the correctly rounded value unless
-    ln|x| lies within 2**-31 ulp of a rounding midpoint.
+    e * ln 2.  The sum is kept with 40 guard bits.  Its error is below
+    2**9 units of 2**-(prec + 40): at most 2.4 units per factor from
+    truncated shifts (the factors multiply to less than 2.4), 2 per table
+    entry, a few dozen in the series and 2 in e * ln 2, whose ln 2 carries
+    as many extra bits as e has.  Since |ln|x|| > 1/2 there, that is below
+    2**-31 ulp before the one rounding, so the result is within 1 ulp of
+    ln|x|, and equals the correctly rounded value unless ln|x| lies within
+    2**-31 ulp of a rounding midpoint.
 
     mpmath's ``mpf_log`` stays outside the band and for zero, NaN,
-    infinities, powers of two, 1/2 <= |x| < 2 (where cancellation near
-    |x| = 1 needs mpmath's extra bits) and |e| > 10,000.
+    infinities, powers of two and 1/2 <= |x| < 2 (where cancellation near
+    |x| = 1 needs mpmath's extra bits).
 
     Measured on a 2-CPU host with Python 3.11 and mpmath 1.3.0 (pure-Python
     backend), one log against ``mpf_log``: 0.12 against 0.81 ms at 750
     digits, 0.25 against 1.1-1.9 ms at 1000, 4.4 against 19 ms at 4000,
     11 against 33 ms at 6000; at 12,000 digits the two cost the same, and
-    at 16,000 the kernel loses.  The table costs 9 ms at 1000 digits and
-    0.3 s at 6000, so the band ends where about a dozen logs repay it.
-    K = 32 costs 0.38 ms a log at 1000 digits, K = 128 0.22 ms with a
-    table 30% dearer.  On 60 random values each at 750, 1000 and 1624
-    digits and 10 at 4000 the kernel returned ``mpf_log``'s bits every
-    time.
+    at 16,000 the kernel loses.  The first log at a precision also builds
+    the table, 6 ms at 1000 digits and 0.17 s at 6000, so the upper edge
+    is set by the first order report of a process, table included.  On
+    9- to 12-record traces of a cubic and of an exp problem, from 1000 to
+    6000 digits, it was faster than with ``mpf_log`` alone in 127 of 132
+    alternated fresh-interpreter pairs (median time 0.55-0.89 of the
+    other); with the band widened, it was slower in 12 of 24 pairs at 7000
+    to 10,000 digits (1.45 times on the cubic at 10,000).  K = 32 costs
+    0.38 ms a log at 1000 digits, K = 128 0.22 ms with a table up to 20%
+    dearer.  On 60 random values each at 750, 1000 and 1624 digits and 10
+    at 4000 the kernel returned ``mpf_log``'s bits every time.
     """
     a = mpc_abs(x._mpc_, prec, round_nearest) if hasattr(x, "_mpc_") else mpf_abs(x._mpf_)
     _, man, exp, bc = a
     mag = exp + bc
-    if (_LN_MIN_PREC < prec <= _LN_MAX_PREC and man > 1 and mag not in (0, 1)
-            and abs(mag) <= _LN_MAX_MAG):
+    if _LN_MIN_PREC < prec <= _LN_MAX_PREC and man > 1 and mag not in (0, 1):
         return _ln_fixed_point(man, bc, mag, prec)
     return mpf_log(a, prec, round_nearest)
 
@@ -331,25 +341,13 @@ def to_decimal(x, digits: int | None = None) -> str:
 def _mpf_text(s, dps: int) -> str:
     """mpmath's ``to_str(s, dps, min_fixed=-6, max_fixed=6)``, correctly rounded.
 
-    mpmath takes dps + 3 digits' worth of bits, truncated, and rounds their
-    decimal digits half up.  Those digits are within 5 units of the last
-    one of the value, so the rounding they give is the value's except when
-    the dropped digits lie within 10 units of a half-way point.  Only then
-    is the value rounded from its exact binary form, with integers.
+    The digits come from the exact binary value, with integers; the layout
+    is mpmath's.
     """
-    if not s[1]:
+    sign, man, exp, bc = s
+    if not man:
         return "0.0"
-    sign, digits, exponent = to_digits_exp(s, dps + 3)
-    head, tail = digits[:dps], digits[dps:-1]
-    if len(tail) < 2 or tail.rstrip("9") == "4" or tail.rstrip("0") == "5":
-        head, exponent = _round_exact(s[1], s[2], dps, exponent)
-    elif digits[dps] >= "5":
-        stem = head.rstrip("9")
-        if stem:
-            head = stem[:-1] + str(int(stem[-1]) + 1) + "0" * (dps - len(stem))
-        else:
-            head = "1" + "0" * (dps - 1)
-            exponent += 1
+    head, exponent = _round_exact(man, exp, dps, math.floor((exp + bc - 1) * LOG10_2))
     if -6 < exponent < 6:
         if exponent < 0:
             head = "0" * -exponent + head
@@ -363,33 +361,33 @@ def _mpf_text(s, dps: int) -> str:
     text = (head[:split] + "." + head[split:]).rstrip("0")
     if text.endswith("."):
         text += "0"
-    return sign + text if exponent == 0 else f"{sign}{text}e{exponent:+d}"
+    text = "-" + text if sign else text
+    return text if exponent == 0 else f"{text}e{exponent:+d}"
 
 
-def _round_exact(man: int, exp: int, dps: int, guess: int):
+def _round_exact(man: int, exp: int, dps: int, e10: int):
     """man * 2**exp rounded to ``dps`` significant digits, ties away from zero.
 
     Returns the digit string and the decimal exponent of its first digit;
-    ``guess`` is that exponent to within one.
+    ``e10`` is a first guess at that exponent.
     """
-    num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    e10 = guess
     while True:
+        # q = man * 2**exp * 10**shift rounded half up, with 10**shift = 5**shift * 2**shift
         shift = dps - 1 - e10
-        top, bottom = (num * 10 ** shift, den) if shift >= 0 else (num, den * 10 ** -shift)
-        q, r = divmod(top, bottom)
+        num, den = (man * 5 ** shift, 1) if shift >= 0 else (man, 5 ** -shift)
+        b = exp + shift
+        if b >= 0:
+            q = ((num << (b + 1)) + den) // (2 * den)
+        elif den == 1:
+            q = ((num >> (-b - 1)) + 1) >> 1
+        else:
+            q = (2 * num + (den << -b)) // (den << (1 - b))
         if q < 10 ** (dps - 1):
             e10 -= 1
         elif q >= 10 ** dps:
             e10 += 1
         else:
-            break
-    if 2 * r >= bottom:
-        q += 1
-        if q == 10 ** dps:
-            q //= 10
-            e10 += 1
-    return str(q), e10
+            return str(q), e10
 
 
 def parse_real(text: str, p: Precision):

@@ -251,7 +251,8 @@ def _correctly_rounded(raw, digits):
     ("-12.34565000000077", 6, "-12.3457"),      # mpmath's text is -12.3456
     ("0.0001234565000000001", 6, "0.000123457"),
     ("2.5", 1, "3.0"), ("-2.5", 1, "-3.0"), ("0.125", 2, "0.13"), ("0.5", 1, "0.5"),
-    ("9.99999951", 7, "10.0"), ("-1.2345e-20", 4, "-1.235e-20")])
+    ("9.99999951", 7, "10.0"), ("-1.2345e-20", 4, "-1.235e-20"),
+    ("125", 2, "130.0"), ("-2.5e7", 1, "-3.0e+7")])      # ties past the last integer digit
 def test_to_decimal_rounds_correctly_at_half_way_points(value, digits, text):
     x = Precision(40).real(value)
     assert to_decimal(x, digits) == text
@@ -314,7 +315,8 @@ def test_ln_abs_kernel_is_within_one_ulp(monkeypatch, prec):
     rng = random.Random(prec)
     calls = _count_calls(monkeypatch, mpscalar, ["_ln_fixed_point"])
     n = 40 if prec < 8000 else 6
-    mags = [rng.randint(-10_000, 10_000) for _ in range(n - 6)] + [-10_000, -1, 2, 10_000, -3322, 40]
+    mags = ([rng.randint(-10_000, 10_000) for _ in range(n - 9)]
+            + [-10_000, -1, 2, 10_000, -3322, 40, 10_001, -123_456, -2 ** 40])
     for mag in mags:
         a = _random_raw(rng, prec + rng.randint(-64, 64), mag)
         got = mpscalar.ln_abs(_MP.make_mpf(a), prec)
@@ -327,11 +329,16 @@ def test_ln_abs_kernel_is_within_one_ulp(monkeypatch, prec):
     assert len(mags) < calls["_ln_fixed_point"] <= 2 * len(mags)
 
 
+@pytest.mark.parametrize("wp", [2816, 3584, 6912])
+def test_ln_table_entries_are_within_two_units(wp):
+    for k, entry in enumerate(mpscalar._ln_table(wp), 1):
+        exact = mpf_log(from_man_exp((1 << k) + 1, -k), wp + 64, round_nearest)
+        assert abs((entry << 64) - mpmath.libmp.to_fixed(exact, wp + 64)) < 2 << 64
+
+
 def _fallback_values(rng, prec):
     return ([_random_raw(rng, prec, 0), _random_raw(rng, prec, 1),   # [1/2, 1) and [1, 2)
-             from_man_exp(1, 1000), from_man_exp(1, -3001), from_man_exp(1, 0),   # powers of two
-             _random_raw(rng, prec, 10_001), _random_raw(rng, prec, -10_001),
-             _random_raw(rng, prec, 123_456)]
+             from_man_exp(1, 1000), from_man_exp(1, -3001), from_man_exp(1, 0)]  # powers of two
             + [mpmath.mpf(v)._mpf_ for v in ("0", "nan", "+inf", "-inf")])
 
 
