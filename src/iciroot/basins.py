@@ -122,10 +122,10 @@ class BasinRaster:
 # (P = the spec's binary working precision); zero is (0, 0, 0).  One shared
 # exponent turns each complex operation into a few integer multiplications
 # and shifts, several times cheaper than going through mpmath's per-component
-# rounding, at a normwise error of about 2**-P per operation.  f and f' come
-# from the expression's tape lowered onto triples (below); every value the
-# step sees is finite, so the NaN and overflow checks reduce to reading the
-# exponent.
+# rounding, at a normwise error of about 2**-P per operation.  Each operation
+# normalizes its own result in one pass.  f and f' come from the expression's
+# tape lowered onto triples (below); every value the step sees is finite, so
+# the NaN and overflow checks reduce to reading the exponent.
 
 _CZERO = (0, 0, 0)
 
@@ -148,23 +148,57 @@ def _cadd(a, b, P):
     if not (br or bi):
         return a
     d = ae - be
-    if d > P + 1:       # b lies below the last kept bit of a
-        return a
-    if d < -P - 1:
-        return b
     if d >= 0:
-        return _cnorm((ar << d) + br, (ai << d) + bi, be, P)
-    return _cnorm(ar + (br << -d), ai + (bi << -d), ae, P)
+        if d > P + 1:   # b lies below the last kept bit of a
+            return a
+        re, im, e = (ar << d) + br, (ai << d) + bi, be
+    else:
+        if d < -P - 1:
+            return b
+        re, im, e = ar + (br << -d), ai + (bi << -d), ae
+    s = (abs(re) | abs(im)).bit_length() - P      # normalized in place, as _cnorm does
+    if s > 0:
+        return re >> s, im >> s, e + s
+    if re or im:
+        return re << -s, im << -s, e + s
+    return _CZERO
 
 
 def _csub(a, b, P):
-    return _cadd(a, (-b[0], -b[1], b[2]), P)
+    ar, ai, ae = a
+    br, bi, be = b
+    if not (br or bi):
+        return a
+    if not (ar or ai):
+        return -br, -bi, be
+    d = ae - be
+    if d >= 0:
+        if d > P + 1:
+            return a
+        re, im, e = (ar << d) - br, (ai << d) - bi, be
+    else:
+        if d < -P - 1:
+            return -br, -bi, be
+        re, im, e = ar - (br << -d), ai - (bi << -d), ae
+    s = (abs(re) | abs(im)).bit_length() - P
+    if s > 0:
+        return re >> s, im >> s, e + s
+    if re or im:
+        return re << -s, im << -s, e + s
+    return _CZERO
 
 
 def _cmul(a, b, P):
     ar, ai, ae = a
     br, bi, be = b
-    return _cnorm(ar * br - ai * bi, ar * bi + ai * br, ae + be, P)
+    re = ar * br - ai * bi
+    im = ar * bi + ai * br
+    s = (abs(re) | abs(im)).bit_length() - P
+    if s > 0:
+        return re >> s, im >> s, ae + be + s
+    if re or im:
+        return re << -s, im << -s, ae + be + s
+    return _CZERO
 
 
 def _cdiv(a, b, P):
@@ -173,8 +207,14 @@ def _cdiv(a, b, P):
     br, bi, be = b
     den = br * br + bi * bi
     k = P + 2
-    return _cnorm(((ar * br + ai * bi) << k) // den,
-                  ((ai * br - ar * bi) << k) // den, ae - be - k, P)
+    re = ((ar * br + ai * bi) << k) // den
+    im = ((ai * br - ar * bi) << k) // den
+    s = (abs(re) | abs(im)).bit_length() - P
+    if s > 0:
+        return re >> s, im >> s, ae - be - k + s
+    if re or im:
+        return re << -s, im << -s, ae - be - k + s
+    return _CZERO
 
 
 def _cmag(a):
@@ -183,6 +223,15 @@ def _cmag(a):
     if not (ar or ai):
         return -math.inf
     return ae + (abs(ar) | abs(ai)).bit_length() + (1 if ar and ai else 0)
+
+
+def _past_cap(a, cap, P):
+    """``_cmag(a) > cap`` for a normalized triple, from its exponent alone unless near cap.
+
+    A nonzero normalized triple has ``_cmag`` ae + P or ae + P + 1, so only
+    an exponent of at least cap - P needs the components.
+    """
+    return a[2] > cap - P - 1 and _cmag(a) > cap
 
 
 def _from_mp(v, P):
@@ -397,15 +446,36 @@ def _triple_lowering(ctx, P):
 # the pixel loop
 
 
+def _ici_triple(zp, yp, np_, zc, yc, nc, P):
+    """The blended step of :func:`iciroot.kernel.ici_step` on triples; None when yp == yc.
+
+    np_ and nc are the Newton updates y/y' at zp and zc.  The weighted
+    average of the two Newton steps and the secant step is taken in update
+    form, with u = yp/dy, v = yc/dy, dy = yp - yc and u - v = 1 applied
+    exactly: zn = zc - (u^2 Nc + v^2 (Np + (1 + 2u)(zc - zp))).  The update
+    rounds at its own scale; only the last subtraction rounds at that of zc.
+    """
+    dy = _csub(yp, yc, P)
+    if not (dy[0] or dy[1]):
+        return None
+    one = (1 << P - 1, 0, 1 - P)
+    t = _cdiv(one, dy, P)
+    u = _cmul(yp, t, P)
+    v = _cmul(yc, t, P)
+    w = _cadd(one, (u[0], u[1], u[2] + 1), P)           # 1 + 2u
+    prev = _cadd(np_, _cmul(w, _csub(zc, zp, P), P), P)
+    update = _cadd(_cmul(_cmul(u, u, P), nc, P), _cmul(_cmul(v, v, P), prev, P), P)
+    return _csub(zc, update, P)
+
+
 def _pixel_iterator(spec: BasinSpec):
     """The spec's pixel iteration, ``iterate(z0) -> (z, iters, converged, nan)``.
 
-    Newton seed step then blended steps.  z0 is a triple, or None for a seed
-    that is not finite.  Degeneracies and overflow produce
-    (None, iters, False, True) instead of raising; their pixels render as
-    NaN.  The blended step is the one of :func:`iciroot.kernel.ici_step`,
-    written with the weights u = y_prev/dy and v = y_cur/dy,
-    dy = y_prev - y_cur.
+    Newton seed step then blended steps (:func:`_ici_triple`).  z0 is a
+    triple, or None for a seed that is not finite.  Degeneracies and
+    overflow produce (None, iters, False, True) instead of raising; their
+    pixels render as NaN.  A pixel that stops at ``max_iter`` reports its
+    last iterate, whose low bits depend on how the step rounds.
     """
     p = spec.precision
     ctx = p.ctx
@@ -414,12 +484,12 @@ def _pixel_iterator(spec: BasinSpec):
     _, tol_man, tol_exp, _ = p.real(str(spec.tol))._mpf_     # as text, like the workers
     cap = int(spec.overflow_exp * LOG2_10) + 1
     max_iter = spec.max_iter
-    one = _cnorm(1, 0, 0, P)
 
     def sample(z):
         """(f(z), f'(z)) as triples, or None on a NaN, an infinity or an overflow."""
         y, d = jet(z)
-        if type(y) is not tuple or _cmag(y) > cap or type(d) is not tuple or _cmag(d) > cap:
+        if (type(y) is not tuple or _past_cap(y, cap, P)
+                or type(d) is not tuple or _past_cap(d, cap, P)):
             return None
         return y, d
 
@@ -436,20 +506,10 @@ def _pixel_iterator(spec: BasinSpec):
             if zp is None:
                 zn = _csub(zc, nc, P)
             else:
-                dy = _csub(yp, yc, P)
-                if not (dy[0] or dy[1]):
+                zn = _ici_triple(zp, yp, np_, zc, yc, nc, P)
+                if zn is None:
                     return None, it, False, True
-                t = _cdiv(one, dy, P)
-                u = _cmul(yp, t, P)
-                v = _cmul(yc, t, P)
-                # v^2 (zp - Np) + u^2 (zc - Nc) - 2uv (zc + v (zc - zp))
-                uv2 = _cmul(u, v, P)
-                uv2 = (uv2[0], uv2[1], uv2[2] + 1)
-                secant = _cadd(zc, _cmul(v, _csub(zc, zp, P), P), P)
-                zn = _csub(_cadd(_cmul(_cmul(v, v, P), _csub(zp, np_, P), P),
-                                 _cmul(_cmul(u, u, P), _csub(zc, nc, P), P), P),
-                           _cmul(uv2, secant, P), P)
-            if _cmag(zn) > cap:
+            if _past_cap(zn, cap, P):
                 return None, it, False, True
             s = sample(zn)
             if s is None:

@@ -12,6 +12,7 @@ import pytest
 from iciroot import basins
 from iciroot.basins import BasinRaster, BasinSpec, line_scan, render, write_image
 from iciroot.expr import parse
+from iciroot.kernel import PointSample, ici_step
 from iciroot.mpscalar import Precision, phase
 from iciroot.solve import SolveConfig, solve_expr
 
@@ -360,3 +361,140 @@ def test_fixed_precision_complex_arithmetic_against_mpmath():
     assert basins._abs_le(basins._from_mp(tol, P), man, exp)
     assert basins._abs_le(basins._from_mp(p.cplx(0, tol), P), man, exp)
     assert not basins._abs_le(basins._from_mp(tol * (1 + p.eps), P), man, exp)
+
+
+def test_triple_ops_give_the_bits_of_their_cnorm_form():
+    # each op normalizes in its own body; the result must be _cnorm of the exact
+    # integer result, zero included, as when each op ended in a _cnorm call
+    P = Precision(34).ctx.prec
+    rng = random.Random(5)
+
+    def rand():
+        re, im = rng.getrandbits(P) - (1 << P - 1), rng.getrandbits(P) - (1 << P - 1)
+        return basins._cnorm(*rng.choice(((re, im), (re, 0), (0, im))), rng.randint(-60, 60), P)
+
+    def aligned(a, b, sign):
+        (ar, ai, ae), (br, bi, be) = a, b
+        m = min(ae, be)
+        return basins._cnorm((ar << ae - m) + sign * (br << be - m),
+                             (ai << ae - m) + sign * (bi << be - m), m, P)
+
+    for _ in range(500):
+        a, b = rand(), rand()
+        near = (b[0] + rng.randint(-2, 2), b[1] + rng.randint(-2, 2), b[2])  # cancels in b - near
+        for x, y in ((a, b), (b, near), (a, basins._CZERO), (basins._CZERO, a), (a, a)):
+            (xr, xi, xe), (yr, yi, ye) = x, y
+            if abs(xe - ye) <= P + 1 or not (xr or xi) or not (yr or yi):
+                assert basins._cadd(x, y, P) == aligned(x, y, 1)
+                assert basins._csub(x, y, P) == aligned(x, y, -1)
+            assert basins._cmul(x, y, P) == basins._cnorm(xr * yr - xi * yi, xr * yi + xi * yr,
+                                                          xe + ye, P)
+            if yr or yi:
+                k = P + 2
+                den = yr * yr + yi * yi
+                assert basins._cdiv(x, y, P) == basins._cnorm(
+                    ((xr * yr + xi * yi) << k) // den, ((xi * yr - xr * yi) << k) // den,
+                    xe - ye - k, P)
+    assert basins._csub(a, a, P) == basins._CZERO
+
+
+def test_blended_step_on_triples_against_the_kernel():
+    p = Precision(34)
+    ref = Precision(120).ctx
+    P = p.ctx.prec
+    rng = random.Random(11)
+
+    def value(t):
+        return ref.mpc(ref.ldexp(t[0], t[2]), ref.ldexp(t[1], t[2]))
+
+    def triple(v):
+        return basins._from_mp(p.ctx.mpc(v.real, v.imag), P)
+
+    def unit(real, lo=0.0, hi=1.0):
+        while True:
+            c = ref.mpc(rng.uniform(-1, 1), 0 if real else rng.uniform(-1, 1))
+            if lo <= abs(c) <= hi:
+                return c
+
+    def scale():
+        return ref.ldexp(1, rng.randint(-100, 100))
+
+    def step(samples):
+        (zp, yp, np_), (zc, yc, nc) = samples
+        zn = basins._ici_triple(zp, yp, np_, zc, yc, nc, P)
+        zp, yp, np_, zc, yc, nc = map(value, (zp, yp, np_, zc, yc, nc))
+        want = ici_step(PointSample(zp, yp, yp / np_), PointSample(zc, yc, yc / nc))
+        return value(zn), want, (zp, yp, np_, zc, yc, nc)
+
+    for k in range(400):
+        real = k % 2 == 0
+        # unrelated samples: the update form rounds each of its terms, so its error
+        # is a few units of 2**-P of the sum of their moduli
+        got, want, (zp, yp, np_, zc, yc, nc) = step(
+            [[triple(unit(real) * scale()) for _ in range(3)] for _ in range(2)])
+        u, v = yp / (yp - yc), yc / (yp - yc)
+        terms = (abs(zc) + abs(u) ** 2 * abs(nc)
+                 + abs(v) ** 2 * (abs(np_) + (1 + 2 * abs(u)) * abs(zc - zp)))
+        assert abs(got - want) <= ref.ldexp(terms, 5 - P)
+        # samples of an inverse cubic x(y) = r + R t (a1 + a2 t + a3 t^2), t = y / Y,
+        # with |y_cur| < |y_prev| / 2: the step is exact in exact arithmetic and
+        # lands within a few units of 2**-P of |zn| on triples
+        R, Y = scale(), scale()
+        r = R * unit(real, 0.5, 1)
+        a1, a2, a3 = unit(real, 0.5, 1), unit(real), unit(real)
+        tp = unit(real, 0.05, 0.5)
+        samples = [[triple(r + R * t * (a1 + t * (a2 + t * a3))), triple(t * Y),
+                    triple(R * t * (a1 + t * (2 * a2 + t * 3 * a3)))]     # y / f'(x) = y x'(y)
+                   for t in (tp, tp * unit(real, 0.01, 0.5))]
+        got, want, _ = step(samples)
+        assert abs(got - want) <= ref.ldexp(abs(want), 3 - P)
+        assert abs(want - r) <= ref.ldexp(abs(r), 5 - P)
+    one = basins._cnorm(1, 0, 0, P)
+    assert basins._ici_triple(one, one, one, one, one, one, P) is None    # equal residuals
+
+
+def test_exponent_first_cap_test_decides_as_cmag_at_its_edge():
+    P = Precision(34).ctx.prec
+    top = (1 << P) - 1
+    for cap in (7, 1024):
+        for e in (cap - P - 2, cap - P - 1, cap - P):
+            for a in ((top, 0, e), (0, -top, e), (1 << P - 1, 0, e), (top, 1, e),
+                      (-top, top, e), (1, 1 << P - 1, e)):
+                assert basins._past_cap(a, cap, P) == (basins._cmag(a) > cap)
+        assert not basins._past_cap(basins._CZERO, cap, P)
+    assert basins._past_cap((top, 1, 7 - P), 7, P) and not basins._past_cap((top, 0, 7 - P), 7, P)
+
+
+def test_low_overflow_cap_matches_the_cmag_test_over_grids(monkeypatch):
+    # overflow_exp 2 puts the cap at |a| > 2**7: the Newton step from near 0 of
+    # z^3-1 passes it, and so does f' = 3000 z^2 where |f| is still small
+    cap = 7
+    cases = ((_cube_spec(re_range=(-0.1, 0.1), im_range=(-0.1, 0.1), width=4, height=4,
+                         overflow_exp=2), lambda z: (z ** 3 - 1, 3 * z ** 2)),
+             (_cube_spec(ftext="1000*z^3-1", re_range=(-0.5, 0.5), im_range=(-0.5, 0.5),
+                         width=20, height=20, overflow_exp=2),
+              lambda z: (1000 * z ** 3 - 1, 3000 * z ** 2)))
+    fired = []
+    for spec, fd in cases:
+        raster = render(spec)
+        step = fprime = 0
+        res, ims = spec.grid()
+        for j, im in enumerate(ims):
+            for i, re in enumerate(res):
+                z = spec.precision.ctx.mpc(re, im)
+                y, d = fd(z)
+                if abs(y) > 2 ** (cap - 2):
+                    continue
+                if abs(d) > 2 ** (cap + 1):                 # f' fires on the seed
+                    fprime += 1
+                    assert raster.nan_mask[j][i] and raster.iterations[j][i] == 0
+                elif abs(d) < 2 ** (cap - 2) and abs(z - y / d) > 2 ** (cap + 1):
+                    step += 1                               # the Newton step fires
+                    assert raster.nan_mask[j][i] and raster.iterations[j][i] == 1
+        fired.append((step, fprime))
+        with monkeypatch.context() as m:
+            m.setattr(basins, "_past_cap", lambda a, cap, P: basins._cmag(a) > cap)
+            want = render(spec)
+        assert raster.nan_mask == want.nan_mask and raster.iterations == want.iterations
+        assert raster.converged == want.converged and raster.phase == want.phase
+    assert fired[0][0] > 0 and fired[1][1] > 0
