@@ -24,28 +24,34 @@ import colorsys
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from mpmath.libmp import from_man_exp
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase, ln2_fixed
 
 from .expr import compile_tape, lower, mp_lowering
-from .mpscalar import LOG2_10, Precision, opened
+from .mpscalar import LOG2_10, Precision, opened, parse_real
 
 DEFAULT_BASIN_DIGITS = 34
 
 
 @dataclass
 class BasinSpec:
-    """Grid, iteration budget and precision for one basin render."""
+    """Grid, iteration budget and precision for one basin render.
+
+    ``tol`` and the range ends (str, int, float or mpf) are kept as their
+    decimal text ``str(v)``, read at the spec's precision where used, so a
+    spec pickles to worker processes.  They must be finite, the ranges
+    ordered and ``tol`` positive at that precision.
+    """
 
     ftext: str
-    re_range: tuple = (-2.0, 2.0)
-    im_range: tuple = (-2.0, 2.0)
+    re_range: tuple = ("-2.0", "2.0")
+    im_range: tuple = ("-2.0", "2.0")
     width: int = 200
     height: int = 200
     max_iter: int = 13
-    tol: object = "1e-8"
+    tol: str = "1e-8"
     precision: Precision = field(default_factory=lambda: Precision(DEFAULT_BASIN_DIGITS))
     overflow_exp: int = 308
     workers: int = 1
@@ -55,23 +61,27 @@ class BasinSpec:
             raise ValueError("width and height must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not (float(self.re_range[0]) < float(self.re_range[1])
-                and float(self.im_range[0]) < float(self.im_range[1])):
-            raise ValueError("re_range and im_range must be non-degenerate intervals")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        self.tol = str(self.tol)
+        self.re_range = tuple(map(str, self.re_range))
+        self.im_range = tuple(map(str, self.im_range))
+        p = self.precision
+        tol, re0, re1, im0, im1 = (parse_real(v, p) for v in (self.tol, *self.re_range,
+                                                               *self.im_range))
+        if not 0 < tol < p.inf:
+            raise ValueError("tol must be positive and finite")
+        if not (0 < re1 - re0 < p.inf and 0 < im1 - im0 < p.inf):
+            raise ValueError("re_range and im_range must be finite, non-degenerate intervals")
 
     def grid(self):
         """Pixel centers as (re of each column, im of each row).
 
-        Row j = 0 sits at the top of im_range.  Range endpoints go through
-        their decimal string form, so a spec carrying floats, strings or mpf
-        values gives the same grid.
+        Row j = 0 sits at the top of im_range.
         """
         p = self.precision
         half = p.ctx.mpf("0.5")
-        re0, re1 = (p.real(str(v)) for v in self.re_range)
-        im0, im1 = (p.real(str(v)) for v in self.im_range)
+        re0, re1, im0, im1 = (parse_real(v, p) for v in (*self.re_range, *self.im_range))
         dre = (re1 - re0) / self.width
         dim = (im1 - im0) / self.height
         return ([re0 + (i + half) * dre for i in range(self.width)],
@@ -481,7 +491,7 @@ def _pixel_iterator(spec: BasinSpec):
     ctx = p.ctx
     P = ctx.prec
     jet = lower(compile_tape(spec.ftext, p, complex_mode=True), _triple_lowering(ctx, P))
-    _, tol_man, tol_exp, _ = p.real(str(spec.tol))._mpf_     # as text, like the workers
+    _, tol_man, tol_exp, _ = parse_real(spec.tol, p)._mpf_
     cap = int(spec.overflow_exp * LOG2_10) + 1
     max_iter = spec.max_iter
 
@@ -568,18 +578,13 @@ def render(spec: BasinSpec) -> BasinRaster:
     The result is a pure function of the spec: identical specs give
     bit-identical rasters, whatever ``spec.workers`` is.
     """
-    # an mpf is bound to its context and does not pickle, and the spawn and
-    # forkserver start methods pickle initargs: send tol and ranges as text
-    portable = replace(spec, tol=str(spec.tol),
-                       re_range=tuple(str(v) for v in spec.re_range),
-                       im_range=tuple(str(v) for v in spec.im_range))
-    render_row = _row_renderer(portable)    # here, so bad text raises before any pool starts
+    render_row = _row_renderer(spec)    # here, so a bad expression raises before any pool starts
     if spec.workers == 1 or spec.height == 1:
         rows = list(map(render_row, range(spec.height)))
     else:
         with ProcessPoolExecutor(max_workers=spec.workers,
                                  initializer=_init_worker,
-                                 initargs=(portable,)) as pool:
+                                 initargs=(spec,)) as pool:
             chunk = max(1, spec.height // (spec.workers * 4))
             rows = list(pool.map(_render_row_in_worker, range(spec.height), chunksize=chunk))
     ctx = spec.precision.ctx
@@ -628,7 +633,7 @@ def line_scan(spec: BasinSpec, segment, samples: int):
     p = spec.precision
     ctx = p.ctx
     z_start, z_end = p.scalar(segment[0]), p.scalar(segment[1])
-    radius = p.real(str(spec.tol)) * 1000
+    radius = parse_real(spec.tol, p) * 1000
     reps = []
     assignments = []
     for k in range(samples):

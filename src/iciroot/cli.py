@@ -19,8 +19,8 @@ from .basins import DEFAULT_BASIN_DIGITS, BasinSpec, line_scan, render, write_im
 from .expr import ExprError
 from .mpscalar import (Precision, is_complex_literal, log10_abs_text, opened, parse_complex,
                        parse_real, to_decimal)
-from .solve import (METHODS, SolveConfig, read_trace_text, solve_expr,
-                    write_trace_csv, write_trace_text)
+from .solve import (METHODS, STATUS_DEGENERATE, STATUS_NAN, SolveConfig, read_trace_text,
+                    solve_expr, write_trace_csv, write_trace_text)
 
 PRESETS = {
     "newton-classic": {
@@ -34,13 +34,13 @@ PRESETS = {
     },
     "cube-roots": {
         "commands": ("basin", "scan"),
-        "values": {"f": "z^3-1", "re": [-2.0, 2.0], "im": [-2.0, 2.0],
+        "values": {"f": "z^3-1", "re": ["-2.0", "2.0"], "im": ["-2.0", "2.0"],
                    "size": [1600, 1600], "max_iter": 13, "tol": "1e-8"},
     },
     "kepler-basin": {
         "commands": ("basin", "scan"),
-        "values": {"f": "z - 0.083*sin(z) - 1", "re": [-30.5, -29.5],
-                   "im": [-17.5, -16.5], "size": [1600, 1600],
+        "values": {"f": "z - 0.083*sin(z) - 1", "re": ["-30.5", "-29.5"],
+                   "im": ["-17.5", "-16.5"], "size": [1600, 1600],
                    "max_iter": 30, "tol": "1e-8"},
     },
 }
@@ -97,9 +97,9 @@ def _build_parser():
         p.set_defaults(run=run)
         add_common(p, digits=DEFAULT_BASIN_DIGITS, max_iter=BasinSpec.max_iter, tol=BasinSpec.tol)
         p.add_argument("--out", type=str, help="output file path")
-        p.add_argument("--re", nargs=2, type=float, default=list(BasinSpec.re_range),
+        p.add_argument("--re", nargs=2, type=str, default=list(BasinSpec.re_range),
                        help="real-axis range MIN MAX")
-        p.add_argument("--im", nargs=2, type=float, default=list(BasinSpec.im_range),
+        p.add_argument("--im", nargs=2, type=str, default=list(BasinSpec.im_range),
                        help="imaginary-axis range MIN MAX")
         p.add_argument("--size", nargs="+", type=int, default=[BasinSpec.width],
                        help="pixels: WIDTH [HEIGHT]")
@@ -246,7 +246,7 @@ def _run_compare(args) -> int:
         trace = solve_expr(args.f, x0, cfg)
         achieved = log10_abs_text(trace.final.y, 6, negate=True)
         print(f"{method:<14} {trace.status:<12} {len(trace) - 1:>10} {len(trace):>8} {achieved:>12}")
-        if trace.status in ("degenerate", "nan"):
+        if trace.status in (STATUS_DEGENERATE, STATUS_NAN):
             worst = 2
     return worst
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import operator
 import re as _re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from mpmath.libmp import mpc_mul, mpc_pos, mpc_reciprocal, mpc_square, round_down
 
@@ -61,6 +61,17 @@ class ExprSyntaxError(ExprError):
 
 class UnknownIdentifierError(ExprError):
     pass
+
+
+def _within_stack(fn):
+    """``fn`` with a tree too deep for the interpreter's stack reported as ExprSyntaxError."""
+    @wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise ExprSyntaxError("expression is nested too deeply") from None
+    return guarded
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +239,7 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {val!r}" if val else "unexpected end of input", off)
 
 
+@_within_stack
 def parse(text: str):
     """Parse function text into an expression tree."""
     if not text or not text.strip():
@@ -687,6 +699,7 @@ def _sole_variable(e) -> str:
     return names.pop() if names else "x"
 
 
+@_within_stack
 def compile_tape(text: str, p: Precision, complex_mode: bool) -> Tape:
     """Parse one-variable function text into the tape of f and f'."""
     tree = parse(text)
@@ -698,6 +711,7 @@ def compile_pair(text: str, p: Precision, complex_mode: bool):
     return lower(compile_tape(text, p, complex_mode), mp_lowering(p.ctx, complex_mode))
 
 
+@_within_stack
 def evaluate(e, x, p: Precision):
     """Evaluate ``e`` at the point ``x`` (real or complex) at precision ``p``."""
     f = compile_fn(e, _sole_variable(e), p, is_complex_scalar(x))

@@ -21,13 +21,14 @@ from operator import rshift
 
 import mpmath
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (MPZ_ONE, fone, from_man_exp, mpc_abs, mpf_abs, mpf_add, mpf_div,
-                          mpf_ln10, mpf_log, mpf_neg, mpf_shift, mpf_sub, round_ceiling,
-                          round_floor, round_nearest)
-from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed
+from mpmath.libmp import (MPZ_ONE, fone, from_int, from_man_exp, mpc_abs, mpf_abs, mpf_add,
+                          mpf_div, mpf_ln10, mpf_log, mpf_mul, mpf_neg, mpf_pow_int, mpf_shift,
+                          mpf_sub, round_ceiling, round_floor, round_nearest)
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln10_fixed, ln2_fixed
 
 LOG2_10 = math.log2(10.0)
-LOG10_2 = math.log10(2.0)
+_LOG10_2_FIX = (ln2_fixed(128) << 64) // ln10_fixed(128)     # floor(log10(2) * 2**64)
+_TEN = from_int(10)
 
 # Extra binary precision beyond the requested decimal digits, so that long
 # iteration chains still honor the decimal-digit accuracy contract.
@@ -341,13 +342,14 @@ def to_decimal(x, digits: int | None = None) -> str:
 def _mpf_text(s, dps: int) -> str:
     """mpmath's ``to_str(s, dps, min_fixed=-6, max_fixed=6)``, correctly rounded.
 
-    The digits come from the exact binary value, with integers; the layout
-    is mpmath's.
+    The digits come from the binary value (:func:`_round_decimal`); the
+    layout is mpmath's.
     """
     sign, man, exp, bc = s
     if not man:
         return "0.0"
-    head, exponent = _round_exact(man, exp, dps, math.floor((exp + bc - 1) * LOG10_2))
+    # the guess is within one of floor((exp + bc - 1) * log10(2)) while |exp| < 2**60
+    head, exponent = _round_decimal(man, exp, dps, ((exp + bc - 1) * _LOG10_2_FIX) >> 64)
     if -6 < exponent < 6:
         if exponent < 0:
             head = "0" * -exponent + head
@@ -365,29 +367,68 @@ def _mpf_text(s, dps: int) -> str:
     return text if exponent == 0 else f"{text}e{exponent:+d}"
 
 
-def _round_exact(man: int, exp: int, dps: int, e10: int):
-    """man * 2**exp rounded to ``dps`` significant digits, ties away from zero.
+# Past this many decimal places beyond the mantissa's bits and twice the
+# digit count, a scaling by 10**shift costs less bracketed than exact.
+_EXACT_SHIFT = 4096
+
+
+def _round_decimal(man: int, exp: int, dps: int, e10: int):
+    """man * 2**exp (man > 0) rounded to ``dps`` significant digits, ties away from zero.
 
     Returns the digit string and the decimal exponent of its first digit;
-    ``e10`` is a first guess at that exponent.
+    ``e10`` is a first guess at that exponent, within two of it.  The digits
+    are those of the value times 10**shift, shift = dps - 1 - e10, rounded
+    half up.  Integers (:func:`_scaled_exact`) need 5**|shift|, seconds at
+    1e1000000; past |shift| > bc + 2 dps + _EXACT_SHIFT (bc: man's bits)
+    they come from an enclosure (:func:`_scaled_bracketed`), as no tie
+    exists there.  For shift < 0 a tie needs 5**-shift to divide man.  For
+    shift > 0 and an odd man, as mpmath keeps it, a tie needs exp + shift
+    = -1, so the scaled value would be man * 5**shift / 2, yet it is below
+    10**(dps + 2).
     """
+    bc = man.bit_length()
     while True:
-        # q = man * 2**exp * 10**shift rounded half up, with 10**shift = 5**shift * 2**shift
         shift = dps - 1 - e10
-        num, den = (man * 5 ** shift, 1) if shift >= 0 else (man, 5 ** -shift)
-        b = exp + shift
-        if b >= 0:
-            q = ((num << (b + 1)) + den) // (2 * den)
-        elif den == 1:
-            q = ((num >> (-b - 1)) + 1) >> 1
+        if abs(shift) > bc + 2 * dps + _EXACT_SHIFT:
+            q = _scaled_bracketed(man, exp, shift, dps)
         else:
-            q = (2 * num + (den << -b)) // (den << (1 - b))
+            q = _scaled_exact(man, exp, shift)
         if q < 10 ** (dps - 1):
             e10 -= 1
         elif q >= 10 ** dps:
             e10 += 1
         else:
             return str(q), e10
+
+
+def _scaled_exact(man: int, exp: int, shift: int) -> int:
+    """man * 2**exp * 10**shift rounded half up, in integers: 10**shift = 5**shift * 2**shift."""
+    num, den = (man * 5 ** shift, 1) if shift >= 0 else (man, 5 ** -shift)
+    b = exp + shift
+    if b >= 0:
+        return ((num << (b + 1)) + den) // (2 * den)
+    if den == 1:
+        return ((num >> (-b - 1)) + 1) >> 1
+    return (2 * num + (den << -b)) // (den << (1 - b))
+
+
+def _scaled_bracketed(man: int, exp: int, shift: int, dps: int) -> int:
+    """:func:`_scaled_exact` of a value that is no tie, from an enclosure.
+
+    The product with 10**shift is taken rounded down and rounded up, with
+    directed rounding throughout (``mpf_pow_int`` keeps it so), at ``dps``
+    digits plus 32 bits.  When both ends round to one integer, that is the
+    answer; else the precision doubles.  A value that is no tie lies a
+    positive distance from the nearest half-integer, so the loop ends.
+    """
+    x = from_man_exp(man, exp)
+    wp = math.ceil(dps * LOG2_10) + 32
+    while True:
+        lo, hi = (_scaled_exact(*mpf_mul(x, mpf_pow_int(_TEN, shift, wp, rnd), wp, rnd)[1:3], 0)
+                  for rnd in (round_floor, round_ceiling))
+        if lo == hi:
+            return lo
+        wp *= 2
 
 
 def parse_real(text: str, p: Precision):

@@ -7,10 +7,11 @@ derivative evaluation; previous evaluations are always reused.
 
 Degenerate situations the step formulas cannot handle are safeguarded:
 
-* (nearly) equal residuals: if already within tolerance the solve stops as
+* (nearly) equal residuals, a gap at most ``guard`` = 10**(-digits+5) times
+  the larger |y|: if already within tolerance the solve stops as
   converged, otherwise a plain Newton step from the current point is taken
   and recorded as ``safeguard_newton``;
-* vanishing current derivative (below ``dfmin`` * local scale): the blended
+* vanishing current derivative (at most ``guard`` * max(|y|, 1)): the blended
   methods fall back to a plain secant step, which needs no derivative;
 * vanishing previous derivative: plain Newton from the current point;
 * NaN or infinity anywhere: the solve stops with status ``nan`` and a
@@ -42,20 +43,16 @@ STATUS_NAN = "nan"
 
 @dataclass
 class SolveConfig:
-    """Solver parameters; unset tolerances get precision-scaled defaults.
+    """Solver parameters; an unset tolerance gets a precision-scaled default.
 
     tol defaults to 10**(-digits+10), leaving guard digits so the residual
-    evaluation itself is trustworthy.  dy_guard (relative residual-gap
-    threshold) and dfmin (derivative threshold, relative to the local
-    residual scale) both default to 10**(-digits+5).
+    evaluation itself is trustworthy.
     """
 
     precision: Precision = field(default_factory=Precision)
     tol: object = None
     max_iter: int = 100
     method: str = "ici"
-    dy_guard: object = None
-    dfmin: object = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -65,13 +62,8 @@ class SolveConfig:
         ctx = self.precision.ctx
         d = self.precision.digits
         self.tol = ctx.mpf(10) ** (-d + 10) if self.tol is None else self.precision.real(self.tol)
-        guard_default = ctx.mpf(10) ** (-d + 5)
-        self.dy_guard = guard_default if self.dy_guard is None else self.precision.real(self.dy_guard)
-        self.dfmin = guard_default if self.dfmin is None else self.precision.real(self.dfmin)
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.dy_guard < 0 or self.dfmin < 0:
-            raise ValueError("dy_guard and dfmin must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -125,6 +117,7 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
     x = cfg.precision.scalar(x0)
     records = []
     mods = []      # (|y|, |y'|) of each finite record, taken once
+    guard = cfg.precision.ctx.mpf(10) ** (-cfg.precision.digits + 5)
 
     def evaluate(xv, kind):
         """Record one fresh (f, fp) pair; return the status it stops on, or None."""
@@ -139,9 +132,9 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
         return STATUS_CONVERGED if mods[-1][0] <= cfg.tol else None
 
     def dead_derivative(k):
-        """|y'_k| at or below dfmin times the local scale max(|y_k|, 1)."""
+        """|y'_k| at or below guard times the local scale max(|y_k|, 1)."""
         ay, ayp = mods[k]
-        return ayp <= cfg.dfmin * (ay if ay > 1 else 1)
+        return ayp <= guard * (ay if ay > 1 else 1)
 
     stop = evaluate(x, "seed")
     for _ in range(cfg.max_iter):
@@ -155,7 +148,7 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
         else:
             prev = records[-2]
             gap = abs(cur.y - prev.y)
-            if gap <= cfg.dy_guard * max(mods[-1][0], mods[-2][0]):
+            if gap <= guard * max(mods[-1][0], mods[-2][0]):
                 if dead_derivative(-1):
                     return IterationTrace(records, STATUS_DEGENERATE)
                 x_next, kind = newton_step(cur), "safeguard_newton"

@@ -38,6 +38,27 @@ def test_spec_validation():
         _cube_spec(re_range=(1.0, 1.0))
     with pytest.raises(ValueError):
         _cube_spec(workers=0)
+    for tol in (0, "-1", float("inf"), "nan", "abc"):
+        with pytest.raises(ValueError):
+            _cube_spec(tol=tol)
+    for window in ((0, "inf"), ("-inf", 0), (float("nan"), 1.0), ("2", "1"), ("1", "x")):
+        with pytest.raises(ValueError):
+            _cube_spec(re_range=window)
+        with pytest.raises(ValueError):
+            _cube_spec(im_range=window)
+
+
+def test_a_window_narrower_than_a_double_is_read_at_the_spec_precision():
+    # 1e-20 wide at 1: both ends are the same double, yet 34 digits tell them
+    # apart, and the grid's four column centres are distinct
+    lo, hi = "1.00000000000000000001", "1.00000000000000000002"
+    assert float(lo) == float(hi)
+    spec = _cube_spec(re_range=(lo, hi), width=4, height=1)
+    res, _ = spec.grid()
+    assert len(set(res)) == 4 and res == sorted(res)
+    p = spec.precision
+    assert p.real(lo) < res[0] and res[-1] < p.real(hi)
+    assert render(spec).converged == [[True] * 4]
 
 
 def test_pixel_center_convention():
@@ -305,15 +326,15 @@ def test_pixel_iteration_matches_the_solver_over_a_grid():
 
 
 def test_render_of_mpf_valued_spec_under_spawn(monkeypatch):
-    # spawn pickles the pool's initargs; fork, the Linux default, would hide a spec
-    # whose mpf values cannot be pickled
+    # spawn pickles the pool's initargs, which fork, the Linux default, does
+    # not; a spec keeps its numbers as text, so one given mpf values pickles
     p = Precision(34)
-    text = _cube_spec(width=5, height=4, re_range=("-1.5", "0.5"), im_range=("-0.75", "1.25"))
-    mp_spec = _cube_spec(width=5, height=4, re_range=(p.real("-1.5"), p.real("0.5")),
-                         im_range=(p.real("-0.75"), p.real("1.25")), tol=p.real("1e-8"),
-                         workers=2)
-    with pytest.raises(pickle.PicklingError):
-        pickle.dumps(mp_spec)
+    window = {"re_range": ("-1.5", "0.5"), "im_range": ("-0.75", "1.25"), "tol": "1e-8"}
+    kinds = {"str": window,
+             "float": {k: tuple(map(float, v)) if type(v) is tuple else float(v)
+                       for k, v in window.items()},
+             "mpf": {k: tuple(map(p.real, v)) if type(v) is tuple else p.real(v)
+                     for k, v in window.items()}}
     initargs = []
 
     class SpawnPool(ProcessPoolExecutor):
@@ -322,13 +343,17 @@ def test_render_of_mpf_valued_spec_under_spawn(monkeypatch):
             super().__init__(mp_context=multiprocessing.get_context("spawn"), **kw)
 
     monkeypatch.setattr(basins, "ProcessPoolExecutor", SpawnPool)
-    got = render(mp_spec)
-    assert len(initargs) == 1 and pickle.loads(pickle.dumps(initargs[0])) == initargs[0]
-    want = render(text)
-    assert got.iterations == want.iterations and got.phase == want.phase
-    assert got.nan_mask == want.nan_mask and got.converged == want.converged
-    assert [[str(z) for z in row] for row in got.final] == \
-           [[str(z) for z in row] for row in want.final]
+    want = render(_cube_spec(width=5, height=4, **window))
+    for kind, values in kinds.items():
+        for workers in (1, 2):
+            spec = _cube_spec(width=5, height=4, workers=workers, **values)
+            assert (spec.tol, spec.re_range, spec.im_range) == \
+                (str(values["tol"]), tuple(map(str, values["re_range"])),
+                 tuple(map(str, values["im_range"]))), kind
+            got = render(spec)
+            assert _outcome(got) == _outcome(want), (kind, workers)
+    assert len(initargs) == 3 and all(args[0].workers == 2 for args in initargs)
+    assert all(pickle.loads(pickle.dumps(args)) == args for args in initargs)
 
 
 def test_fixed_precision_complex_arithmetic_against_mpmath():

@@ -1,10 +1,12 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
+from iciroot import basins, cli
 from iciroot.cli import main
 
 
@@ -49,6 +51,68 @@ def test_more_than_two_size_values_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert "--size" in capsys.readouterr().err
     assert not (tmp_path / "b.ppm").exists()
+
+
+@pytest.mark.parametrize("ftext", ["(" * 200 + "x" + ")" * 200 + "-1", "+".join(["x"] * 500) + "-1"],
+                         ids=["200-deep", "500-terms"])
+@pytest.mark.parametrize("command", [["solve", "--x0", "1"], ["basin", "--size", "1"]],
+                         ids=["solve", "basin"])
+def test_an_expression_too_deep_for_the_stack_exits_one(tmp_path, capsys, ftext, command):
+    out_file = tmp_path / "out"
+    assert main([*command, "--f", ftext, "--out", str(out_file)]) == 1
+    assert capsys.readouterr().err == "error: expression is nested too deeply\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", ["basin", "scan"])
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "0"], "tol must be positive"), (["--tol=-1"], "tol must be positive"),
+    (["--re", "0", "inf"], "finite, non-degenerate"), (["--im", "1", "1"], "non-degenerate"),
+    (["--re", "1", "one"], "invalid real literal 'one'")],
+    ids=["tol-0", "tol-negative", "re-inf", "im-empty", "re-text"])
+def test_a_bad_tolerance_or_window_exits_one(tmp_path, capsys, command, flags, message):
+    out_file = tmp_path / "out"
+    argv = [command, "--f", "z^3-1", "--size", "4", "--out", str(out_file), *flags]
+    if command == "scan":
+        argv += ["--from", "0.9+0i", "--to", "1.1+0i"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out_file.exists()
+
+
+def test_a_deep_zoom_window_on_the_re_flag_reaches_the_spec(tmp_path, capsys, monkeypatch):
+    # the two ends are one double apart from nothing: read as text at 34 digits
+    # they give four distinct column centres
+    specs = []
+    monkeypatch.setattr(cli, "render", lambda spec: specs.append(spec) or basins.render(spec))
+    assert main(["basin", "--f", "z^3-1", "--re", "1.00000000000000000001",
+                 "1.00000000000000000002", "--size", "4", "1",
+                 "--out", str(tmp_path / "b.ppm")]) == 0
+    assert capsys.readouterr().out.endswith("converged 4/4, nan 0\n")
+    assert specs[0].re_range == ("1.00000000000000000001", "1.00000000000000000002")
+    res, _ = specs[0].grid()
+    assert len(set(res)) == 4
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["solve", "--f", "exp(x)-1", "--x0=-40", "--max-iter", "4", "--out", "t.csv"],
+     ",6.545829279730056713091794744333112161171e+102226522508642260,"),
+    (["order", "--f", "exp(x)-1", "--x0=-40", "--max-iter", "4"],
+     "predicted_next: 4.4526347e+102226522508642257\n"),
+    (["solve", "--f", "x^2-2", "--x0", "1e400000000"], "root: 1.0e+400000000\n")],
+    ids=["solve-csv", "order", "huge-x0"])
+def test_values_with_huge_decimal_exponents_print_quickly(tmp_path, monkeypatch, capsys,
+                                                           argv, text):
+    # the residuals of the exp problem reach e**(2.35e17)
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 10
+    shown = capsys.readouterr().out
+    if "--out" in argv:
+        shown += (tmp_path / "t.csv").read_text()
+    assert text in shown
 
 
 def test_solve_linear_converges_with_exit_zero(capsys):
@@ -197,6 +261,12 @@ def test_compare_table(capsys):
     assert methods == ["newton", "ici", "secant"]
     for l in lines[1:4]:
         assert "converged" in l
+
+
+def test_compare_exits_two_on_a_degenerate_problem(capsys):
+    assert main(["compare", "--f", "x*0+1", "--x0", "1"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[1] for l in lines[1:4]] == ["degenerate"] * 3
 
 
 def test_compare_tie_on_linear_function(capsys):

@@ -47,10 +47,23 @@ def test_syntax_error_carries_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse("x + * 3")
     assert err.value.offset == 4
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+        parse("x$1")
+    assert err.value.offset == 1
     with pytest.raises(ExprSyntaxError):
         parse("")
     with pytest.raises(ExprSyntaxError):
         parse("(x + 1")
+
+
+def test_a_tree_too_deep_for_the_stack_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse("(" * 2000 + "x" + ")" * 2000)
+    tree = Var("x")
+    for _ in range(2000):
+        tree = Bin("+", tree, Num("1"))
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        evaluate(tree, Precision(20).real(1), Precision(20))
 
 
 def test_unknown_function_is_reported_with_offset():

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -287,6 +288,47 @@ def test_to_decimal_is_the_correctly_rounded_decimal(case):
     theirs = mpmath.nstr(x, digits, min_fixed=-6, max_fixed=6)
     if Decimal(theirs) == _correctly_rounded(raw, digits):
         assert text == theirs       # same layout wherever mpmath rounds right
+
+
+def test_to_decimal_far_from_one_agrees_with_the_exact_path(monkeypatch):
+    # past a few thousand decimal places the digits come from an enclosure;
+    # up to decimal exponents of about 1e5 the integer path still finishes
+    rng = random.Random(12)
+    cases = []
+    for _ in range(40):
+        digits = rng.choice([1, 2, 6, 12, 34, 100, 1000])
+        prec = rng.choice([53, 145, 3354])
+        e10 = rng.choice([-1, 1]) * rng.randint(8000, 100_000)
+        man = rng.getrandbits(prec) | (1 << (prec - 1)) | 1
+        cases.append((from_man_exp(man, math.floor(e10 * mpscalar.LOG2_10) - prec), digits))
+        # next to a half-way point, so that the enclosure at print precision
+        # straddles it and the precision has to grow
+        q = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        ctx = MPContext()
+        ctx.prec = 4 * math.ceil(digits * mpscalar.LOG2_10) + 200
+        cases.append((ctx.mpf(f"{(2 * q + 1) * 5}e{e10 - digits}")._mpf_, digits))
+    calls = []
+    bracketed = mpscalar._scaled_bracketed
+    monkeypatch.setattr(mpscalar, "_scaled_bracketed", lambda *a: calls.append(a) or bracketed(*a))
+    fast = [to_decimal(_MP.make_mpf(raw), digits) for raw, digits in cases]
+    assert len(calls) >= len(cases)
+    monkeypatch.setattr(mpscalar, "_EXACT_SHIFT", math.inf)
+    assert [to_decimal(_MP.make_mpf(raw), digits) for raw, digits in cases] == fast
+
+
+def test_to_decimal_of_a_long_tie_far_from_one_is_exact():
+    # man * 2**-5501 times 10**5500 is a tie 4000 digits long, 5500 places from one
+    man = (2 * 10 ** 3999 // 5 ** 5500 + 1) | 1
+    raw = from_man_exp(man, -5501)
+    assert Decimal(to_decimal(_MP.make_mpf(raw), 4000)) == _correctly_rounded(raw, 4000)
+
+
+@pytest.mark.parametrize("value, text", [
+    ("1.5e1000000", "1.5e+1000000"), ("-2.5e-3000000", "-2.5e-3000000"),
+    ("1e400000000", "1.0e+400000000"), ("9.9999995e-123456789", "1.0e-123456788")])
+def test_to_decimal_at_huge_exponents_is_quick(value, text):
+    x = Precision(12).real(value)
+    assert to_decimal(x, 6) == text
 
 
 # ln_abs: the fixed-point kernel in its band, mpf_log outside it

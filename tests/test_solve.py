@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import pytest
@@ -186,12 +187,18 @@ def test_dead_previous_derivative_falls_back_to_safeguard_newton():
 
 def test_dy_guard_falls_back_to_safeguard_newton():
     p = Precision(30)
-    f, fp = (lambda x: x ** 3 - 2 * x - 5), (lambda x: 3 * x ** 2 - 2)
-    cfg = SolveConfig(precision=p, dy_guard=2.0)  # every gap counts as degenerate
-    trace = solve(f, fp, p.real(2), cfg)
-    kinds = {r.step_kind for r in trace.records[2:]}
-    assert kinds == {"safeguard_newton"}
+    # x^2+3 from 1: Newton lands on -1, where f is 4 again, and each plain
+    # Newton step from there lands on the other point
+    trace = solve_expr("x^2+3", p.real(1), SolveConfig(precision=p, max_iter=6))
+    assert [r.step_kind for r in trace.records[2:]] == ["safeguard_newton"] * 5
+    assert trace.status == "max_iter"
+    # x^3-x+1 from 0: Newton lands on 1, where f is 1 again; after the
+    # safeguard step the blended steps converge to the real root
+    trace = solve_expr("x^3-x+1", p.real(0), SolveConfig(precision=p))
+    assert [r.step_kind for r in trace.records[:4]] == ["seed", "newton", "safeguard_newton", "ici"]
+    assert trace.records[1].x == 1 and trace.records[1].y == trace.records[0].y
     assert trace.converged
+    assert str(trace.final.x).startswith("-1.32471795724474602596")
 
 
 def test_dfmin_falls_back_to_secant():
@@ -213,12 +220,32 @@ def test_dfmin_falls_back_to_secant():
     assert trace.converged
 
 
+def test_the_guards_sit_at_ten_to_the_five_minus_digits():
+    # at 30 digits: a residual gap of at most 1e-25 times the larger |y|, and
+    # a derivative of at most 1e-25 times max(|y|, 1), count as degenerate
+    p = Precision(30)
+    for c, kind in (("0.999", "safeguard_newton"), ("1.001", "ici")):
+        small = p.real(c) * p.real("1e-25")
+        trace = solve(lambda x: 1 + small * x, lambda x: x * 0 + 1, p.real(0),
+                      SolveConfig(precision=p, max_iter=2))
+        assert [r.step_kind for r in trace.records] == ["seed", "newton", kind]
+    for c, kind in (("0.999", "secant"), ("1.001", "ici")):
+        small = p.real(c) * p.real("1e-25")
+        trace = solve(lambda x: x * x - 2, lambda x: 2 * x if x == p.real("1.5") else small,
+                      p.real("1.5"), SolveConfig(precision=p, max_iter=2))
+        assert [r.step_kind for r in trace.records] == ["seed", "newton", kind]
+
+
 def test_dead_derivative_at_seed_is_degenerate():
     p = Precision(30)
-    f, fp = (lambda x: x ** 3 - 2 * x - 5), (lambda x: 3 * x ** 2 - 2)
-    trace = solve(f, fp, p.real(2), SolveConfig(precision=p, dfmin="1e30"))
+    trace = solve_expr("x^2+1", p.real(0), SolveConfig(precision=p))    # f'(0) = 0
     assert len(trace) == 1
     assert trace.status == "degenerate"
+    # x^3-2x^2+x-1 from 0: Newton lands on 1, where f is -1 again and f'(1) = 0,
+    # so neither a blended nor a safeguard Newton step exists
+    trace = solve_expr("x^3-2*x^2+x-1", p.real(0), SolveConfig(precision=p))
+    assert [r.step_kind for r in trace.records] == ["seed", "newton"]
+    assert trace.records[1].yp == 0 and trace.status == "degenerate"
 
 
 def test_degenerate_status_on_flat_function():
@@ -237,7 +264,7 @@ def test_config_validation():
         SolveConfig(precision=p, tol=0)
     cfg = SolveConfig(precision=p)
     assert cfg.tol == p.ctx.mpf(10) ** (-20)
-    assert cfg.dy_guard == p.ctx.mpf(10) ** (-25)
+    assert [f.name for f in dataclasses.fields(cfg)] == ["precision", "tol", "max_iter", "method"]
 
 
 def test_trace_csv_has_full_precision_columns():
@@ -303,6 +330,11 @@ def test_read_trace_text_rejects_a_row_with_too_few_fields():
             "0,1.5,0.25,3.0,seed,-0.60206\n1,1.41,0.0025\n")
     with pytest.raises(ValueError, match="1,1.41,0.0025"):
         read_trace_text(io.StringIO(text))
+
+
+def test_read_trace_text_rejects_text_with_no_table_header():
+    with pytest.raises(ValueError, match="missing trace table header"):
+        read_trace_text(io.StringIO("digits: 40\nstatus: converged\n0,1.5,0.25,3.0,seed\n"))
 
 
 # arithmetic budgets of a 1000-digit complex solve, counted at mpmath's
