@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 from . import diagnostics as diag
@@ -55,6 +56,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+# argparse reads an argument that starts with '-' as a flag unless it
+# matches this pattern; its own takes only plain decimals (-2, -0.5), this
+# one also an exponent form (-1e-20, -2.5E3)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser():
     """The ``iciroot`` parser and its subcommand parsers by name."""
     parser = _Parser(prog="iciroot", description=__doc__)
@@ -95,6 +102,7 @@ def _build_parser():
     def add_grid(name, help, run):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
+        p._negative_number_matcher = _NEGATIVE_NUMBER       # --re -1e-20 1e-20
         add_common(p, digits=DEFAULT_BASIN_DIGITS, max_iter=BasinSpec.max_iter, tol=BasinSpec.tol)
         p.add_argument("--out", type=str, help="output file path")
         p.add_argument("--re", nargs=2, type=str, default=list(BasinSpec.re_range),

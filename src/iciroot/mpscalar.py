@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import re as _re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,9 +22,10 @@ from operator import rshift
 
 import mpmath
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (MPZ_ONE, fone, from_int, from_man_exp, mpc_abs, mpf_abs, mpf_add,
-                          mpf_div, mpf_ln10, mpf_log, mpf_mul, mpf_neg, mpf_pow_int, mpf_shift,
-                          mpf_sub, round_ceiling, round_floor, round_nearest)
+from mpmath.libmp import (MPZ_ONE, fone, from_int, from_man_exp, from_rational, mpc_abs,
+                          mpf_abs, mpf_add, mpf_div, mpf_ln10, mpf_log, mpf_mul, mpf_neg,
+                          mpf_pow_int, mpf_shift, mpf_sub, round_ceiling, round_floor,
+                          round_nearest)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln10_fixed, ln2_fixed
 
 LOG2_10 = math.log2(10.0)
@@ -398,7 +400,7 @@ def _round_decimal(man: int, exp: int, dps: int, e10: int):
         elif q >= 10 ** dps:
             e10 += 1
         else:
-            return str(q), e10
+            return _int_text(q, dps), e10
 
 
 def _scaled_exact(man: int, exp: int, shift: int) -> int:
@@ -431,10 +433,68 @@ def _scaled_bracketed(man: int, exp: int, shift: int, dps: int) -> int:
         wp *= 2
 
 
+# Python converts between int and decimal text only up to this many digits
+# (4300 unless the process sets another limit; 0: no limit).  Longer digit
+# strings go in parts, and the limit is left as it is.
+_int_digit_limit = sys.get_int_max_str_digits
+
+
+def _int_text(q: int, n: int) -> str:
+    """The decimal digits of 0 <= q < 10**n, zero-padded to n."""
+    limit = _int_digit_limit()
+    if not limit or n <= limit:
+        return str(q).zfill(n)
+    half = n // 2
+    hi, lo = divmod(q, 10 ** half)
+    return _int_text(hi, n - half) + _int_text(lo, half)
+
+
+def _int_of_digits(digits: str) -> int:
+    """int(digits) of a string of ASCII digits of any length."""
+    limit = _int_digit_limit()
+    if not limit or len(digits) <= limit:
+        return int(digits)
+    half = len(digits) // 2
+    return _int_of_digits(digits[:-half]) * 10 ** half + _int_of_digits(digits[-half:])
+
+
+_LONG_LITERAL = _re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:e([+-]?[0-9]+))?", _re.ASCII)
+
+
+def _from_long_str(text: str, prec: int, rnd):
+    """mpmath's ``from_str(text, prec, rnd)`` for a plain decimal literal of any length.
+
+    The mantissa digits are read by :func:`_int_of_digits`; the rounding
+    is ``from_str``'s, step for step, so the bits are the same wherever
+    ``from_str`` can read the text.
+    """
+    m = _LONG_LITERAL.fullmatch(text.lower())
+    if m is None or not (m[2] or m[3]):
+        raise ValueError(f"not a decimal literal: {text[:40]!r}...")
+    sign, whole, frac, e = m.groups()
+    frac = (frac or "").rstrip("0")
+    exp = (int(e) if e else 0) - len(frac)
+    man = _int_of_digits(whole + frac)
+    man = -man if sign == "-" else man
+    if abs(exp) > 400:
+        return mpf_mul(from_int(man, prec + 10), mpf_pow_int(_TEN, exp, prec + 10), prec, rnd)
+    if exp >= 0:
+        return from_int(man * 10 ** exp, prec, rnd)
+    return from_rational(man, 10 ** -exp, prec, rnd)
+
+
 def parse_real(text: str, p: Precision):
-    """Parse a decimal real literal at precision ``p``."""
+    """Parse a decimal real literal at precision ``p``.
+
+    A literal longer than Python's int-from-text limit (a trace value past
+    4300 digits) is read by :func:`_from_long_str`, to the same bits.
+    """
+    s = text.strip()
     try:
-        return p.ctx.mpf(text.strip())
+        limit = _int_digit_limit()
+        if limit and len(s) > limit:
+            return p.ctx.mpf(_from_long_str(s, *p.ctx._prec_rounding))
+        return p.ctx.mpf(s)
     except Exception as exc:
         raise ValueError(f"invalid real literal {text!r}") from exc
 

@@ -21,6 +21,12 @@ One modulus per value: |y| and |y'| are taken once per record, when it is
 evaluated, and the tolerance test, the derivative floors and the
 residual-gap guard all read them; a two-point step adds one more,
 |y - y_prev|.  A complex modulus is a square root at the working precision.
+
+One y/y' division per record: the Newton update of a record is divided
+once, beside its moduli, when a step first reads it.  The Newton steps
+take x - (y/y'), with the bits of :func:`~iciroot.kernel.newton_step`,
+and the blended step reads both records' updates through
+:func:`~iciroot.kernel.ici_blend`, which adds one division of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import csv
 from dataclasses import dataclass, field
 
 from .expr import compile_pair
-from .kernel import ici_step, ici_step_averaged, newton_step, secant_step
+from .kernel import ici_blend, ici_step_averaged, secant_step
 from .mpscalar import (Precision, is_complex_literal, is_complex_scalar, is_finite,
                        log10_abs_text, opened, parse_complex, parse_real, to_decimal)
 
@@ -116,7 +122,7 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
     cfg = cfg if cfg is not None else SolveConfig()
     x = cfg.precision.scalar(x0)
     records = []
-    mods = []      # (|y|, |y'|) of each finite record, taken once
+    mods = []      # [|y|, |y'|, y/y' or None] of each finite record, each taken once
     guard = cfg.precision.ctx.mpf(10) ** (-cfg.precision.digits + 5)
 
     def evaluate(xv, kind):
@@ -128,12 +134,19 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
         records.append(IterationRecord(len(records), xv, y, yp, kind))
         if not (is_finite(y) and is_finite(yp)):
             return STATUS_NAN
-        mods.append((abs(y), abs(yp)))
+        mods.append([abs(y), abs(yp), None])
         return STATUS_CONVERGED if mods[-1][0] <= cfg.tol else None
+
+    def update(k):
+        """The Newton update y_k/y'_k, divided on first use."""
+        m = mods[k]
+        if m[2] is None:
+            m[2] = records[k].y / records[k].yp
+        return m[2]
 
     def dead_derivative(k):
         """|y'_k| at or below guard times the local scale max(|y_k|, 1)."""
-        ay, ayp = mods[k]
+        ay, ayp, _ = mods[k]
         return ayp <= guard * (ay if ay > 1 else 1)
 
     stop = evaluate(x, "seed")
@@ -144,21 +157,23 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
         if len(records) == 1 or cfg.method == "newton":
             if dead_derivative(-1):
                 return IterationTrace(records, STATUS_DEGENERATE)
-            x_next, kind = newton_step(cur), "newton"
+            x_next, kind = cur.x - update(-1), "newton"
         else:
             prev = records[-2]
             gap = abs(cur.y - prev.y)
             if gap <= guard * max(mods[-1][0], mods[-2][0]):
                 if dead_derivative(-1):
                     return IterationTrace(records, STATUS_DEGENERATE)
-                x_next, kind = newton_step(cur), "safeguard_newton"
+                x_next, kind = cur.x - update(-1), "safeguard_newton"
             elif cfg.method == "secant" or dead_derivative(-1):
                 x_next, kind = secant_step(prev, cur), "secant"
             elif dead_derivative(-2):
-                x_next, kind = newton_step(cur), "safeguard_newton"
+                x_next, kind = cur.x - update(-1), "safeguard_newton"
+            elif cfg.method == "ici":
+                x_next = ici_blend(prev.x, prev.y, update(-2), cur.x, cur.y, update(-1))
+                kind = "ici"
             else:
-                step = ici_step if cfg.method == "ici" else ici_step_averaged
-                x_next, kind = step(prev, cur), cfg.method
+                x_next, kind = ici_step_averaged(prev, cur), "ici_averaged"
         if not is_finite(x_next):
             return IterationTrace(records, STATUS_NAN)
         stop = evaluate(x_next, kind)

@@ -306,6 +306,26 @@ def test_basin_one_pixel_is_valid_ppm(tmp_path, capsys):
     assert len(data) == 11 + 3
 
 
+@pytest.mark.parametrize("command, entry", [("basin", "render"), ("scan", "line_scan")])
+def test_window_ends_in_negative_exponent_form_are_values(tmp_path, capsys, monkeypatch,
+                                                          command, entry):
+    specs = []
+    real = getattr(cli, entry)
+    monkeypatch.setattr(cli, entry, lambda spec, *args: specs.append(spec) or real(spec, *args))
+    argv = [command, "--f", "z^3-1", "--re", "-1E-3", "1e-3", "--im", "-1e-20", "1e-20",
+            "--size", "4", "--out", str(tmp_path / "out")]
+    if command == "scan":
+        argv += ["--from", "0.9+0i", "--to", "1.1+0i", "--samples", "3"]
+    assert main(argv) == 0
+    assert specs[0].re_range == ("-1E-3", "1e-3") and specs[0].im_range == ("-1e-20", "1e-20")
+
+
+def test_solve_above_4300_digits_prints_its_root(capsys):
+    assert main(["solve", "--f", "x^2-2", "--x0", "1", "--digits", "5000"]) == 0
+    root = capsys.readouterr().out.split("root: ")[1].strip()
+    assert len(root) == 5001 and root.startswith("1.41421356237309504880168872")
+
+
 def test_basin_preset_with_overrides(tmp_path, capsys):
     out_file = tmp_path / "cube.ppm"
     code = main(["basin", "--preset", "cube-roots", "--size", "8",

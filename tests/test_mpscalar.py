@@ -162,6 +162,33 @@ def test_render_reparse_round_trip_within_one_ulp():
             assert abs(back - x) <= abs(x) * p.eps
 
 
+def _long_literal(rng):
+    """A decimal literal of 700 to 1500 digits, with exponents for both branches of from_str."""
+    digits = str(rng.randrange(10 ** 699, 10 ** rng.randint(700, 1500)))
+    point = rng.randint(0, len(digits))
+    zeros = "0" * rng.randint(0, 3)
+    body = rng.choice(["", "-", "+"]) + digits[:point] + "." + digits[point:] + zeros
+    exp = rng.choice([rng.randint(-2000, -401), rng.randint(-400, 400), rng.randint(401, 2000)])
+    return f"{body}e{exp + len(digits) - point}"
+
+
+@pytest.mark.parametrize("digits", [50, 1000, 4000])
+def test_long_literals_are_read_and_written_in_parts_to_the_same_bits(monkeypatch, digits):
+    # with the int <-> str digit limit lowered to 640 (the least Python
+    # allows), texts Python still converts whole take the part-wise paths
+    p = Precision(digits)
+    rng = random.Random(digits)
+    texts = [_long_literal(rng) for _ in range(40)]
+    values = [p.ctx.mpf(t) for t in texts]
+    printed = [to_decimal(v) for v in values]
+    monkeypatch.setattr(mpscalar, "_int_digit_limit", lambda: 640)
+    for text, value, shown in zip(texts, values, printed):
+        assert parse_real(text, p)._mpf_ == value._mpf_
+        assert to_decimal(value) == shown
+    with pytest.raises(ValueError, match="invalid real literal"):
+        parse_real("1" * 700 + "x", p)
+
+
 def test_recompute_at_higher_precision_agrees_through_lower_digits():
     lo, hi = Precision(30), Precision(90)
 

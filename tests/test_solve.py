@@ -6,7 +6,8 @@ from mpmath import ctx_mp_python
 from mpmath.libmp import libmpc
 
 from iciroot.diagnostics import ratio_growth_flag
-from iciroot.mpscalar import Precision, is_nan, to_decimal
+from iciroot.kernel import PointSample, ici_step, newton_step, secant_step
+from iciroot.mpscalar import Precision, is_nan, parse_complex, parse_real, to_decimal
 from iciroot.solve import (IterationTrace, SolveConfig, read_trace_text, solve,
                            solve_expr, write_trace_csv, write_trace_text)
 
@@ -308,6 +309,21 @@ def test_complex_trace_text_round_trip():
     assert abs(back.final.x - trace.final.x) <= abs(trace.final.x) * 10 * p.eps
 
 
+def test_a_5000_digit_trace_text_rewrites_byte_identically():
+    # past Python's 4300-digit limit on int <-> str, in both directions
+    p = Precision(5000)
+    trace = solve_expr("x^2-2", p.real(1), SolveConfig(precision=p))
+    assert trace.converged
+    meta = {"function": "x^2-2", "x0": "1", "digits": 5000}
+    first, second = io.StringIO(), io.StringIO()
+    write_trace_text(trace, meta, first)
+    back, meta2 = read_trace_text(io.StringIO(first.getvalue()))
+    write_trace_text(back, meta2, second)
+    assert second.getvalue() == first.getvalue()
+    assert len(to_decimal(back.final.x)) == 5001
+    assert abs(back.final.x - trace.final.x) <= p.eps
+
+
 def test_trace_writers_and_reader_accept_pathlib_paths(tmp_path):
     p = Precision(40)
     trace = solve_expr("x^3-2*x-5", p.real(1), SolveConfig(precision=p))
@@ -339,7 +355,8 @@ def test_read_trace_text_rejects_text_with_no_table_header():
 
 # arithmetic budgets of a 1000-digit complex solve, counted at mpmath's
 # complex kernels: the (f, f') pair takes no logarithm or exponential, and
-# the loop takes one modulus per value and one per residual gap
+# the loop takes one modulus per value and per residual gap, and one
+# division per record and per blended step
 
 def _count_calls(monkeypatch, module, names):
     """Count the calls that reach each of ``module``'s functions ``names``."""
@@ -373,3 +390,44 @@ def test_solver_takes_one_modulus_per_value_and_per_residual_gap(monkeypatch):
     trace = _zpow_solve()
     # |y| and |y'| of the seed; |y|, |y'| and |y - y_prev| of each later record
     assert calls["mpc_abs"] <= 2 + 3 * (len(trace) - 1)
+
+
+def test_solver_takes_two_complex_divisions_per_record(monkeypatch):
+    calls = _count_calls(monkeypatch, ctx_mp_python, ["mpc_div", "mpc_mpf_div"])
+    trace = _zpow_solve()
+    # each record's Newton update y/y' once, and u = y_prev/(y_prev - y) of a blended step
+    assert calls["mpc_div"] + calls["mpc_mpf_div"] <= 2 * (len(trace) - 1)
+
+
+def _sample(rec):
+    return PointSample(rec.x, rec.y, rec.yp)
+
+
+_BLENDED = {"newton", "ici"}
+
+
+@pytest.mark.parametrize("ftext, x0, digits, max_iter, kinds", [
+    ("x^3-2*x-5", "1", 40, 100, _BLENDED),
+    ("(x^2+x)*exp(-x)-1/3", "2.0", 1000, 100, _BLENDED),
+    ("z^4 - 0.5", "0.7+0.3i", 1000, 100, _BLENDED),
+    ("x^3-x+1", "0", 30, 100, _BLENDED | {"safeguard_newton"}),
+    ("x^3-3*x+3", "0", 30, 3, {"newton", "secant", "safeguard_newton"})],
+    ids=["cubic", "exp", "zpow", "safeguard-ici", "secant-safeguard"])
+def test_every_iterate_replays_from_the_public_kernel(ftext, x0, digits, max_iter, kinds):
+    # the solver reuses each record's Newton update; the public steps divide
+    # afresh, and must give the same bits
+    p = Precision(digits)
+    start = parse_complex(x0, p) if x0.endswith("i") else parse_real(x0, p)
+    trace = solve_expr(ftext, start, SolveConfig(precision=p, max_iter=max_iter))
+    recs = trace.records
+    for k in range(1, len(recs)):
+        kind = recs[k].step_kind
+        if kind == "ici":
+            want = ici_step(_sample(recs[k - 2]), _sample(recs[k - 1]))
+        elif kind == "secant":
+            want = secant_step(_sample(recs[k - 2]), _sample(recs[k - 1]))
+        else:
+            assert kind in ("newton", "safeguard_newton")
+            want = newton_step(_sample(recs[k - 1]))
+        assert recs[k].x == want, (k, kind)
+    assert {r.step_kind for r in recs[1:]} == kinds
