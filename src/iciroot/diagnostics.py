@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .mpscalar import context_of, ln_abs, log10_abs_text, opened, to_decimal
+from .mpscalar import context_of, exp_real, ln_abs, log10_abs_text, opened, to_decimal
 from .solve import IterationTrace
 
 
@@ -104,8 +104,8 @@ def _fit_index(mods) -> int:
 
 
 def _fit_from_log(ctx, log_last, K):
-    """C = exp(L_K * rho**-K), the fit of y_K = C**rho**K from L_K = ln|y_K|."""
-    return ctx.exp(log_last * _rho(ctx) ** (-K))
+    """C = exp(L_K * rho**-K), the fit of y_K = C**rho**K from L_K = ln|y_K|, by ``exp_real``."""
+    return ctx.make_mpf(exp_real(log_last * _rho(ctx) ** (-K), ctx.prec))
 
 
 def fit_constant(trace: IterationTrace):

@@ -38,10 +38,11 @@ import operator
 import re as _re
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from types import MappingProxyType
 
 from mpmath.libmp import mpc_mul, mpc_pos, mpc_reciprocal, mpc_square, round_down
 
-from .mpscalar import Precision, is_complex_scalar, is_real_scalar
+from .mpscalar import Precision, cos_sin_real, exp_real, is_complex_scalar, is_real_scalar
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log")
 CONSTANTS = ("pi",)
@@ -546,10 +547,11 @@ def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative
 
 
 @lru_cache(maxsize=None)
-def mp_lowering(ctx, complex_mode: bool = False) -> dict:
+def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
     """The mpmath lowering: each op name -> ``arg -> fn(a, b)`` on ``ctx``'s values.
 
-    Built once per context and mode, and shared: callers only read it.
+    Built once per context and mode and shared, so it is read-only: an
+    edit would reroute every later lowering at that context.
 
     "const" maps a compile-time value to the lowering's form (here itself).
     The args: ``pick`` takes 0 for cos and 1 for sin of a ``cos_sin``
@@ -569,6 +571,12 @@ def mp_lowering(ctx, complex_mode: bool = False) -> dict:
     about 2**-(prec + bitlen(|n|) + 10) of a rounding boundary.  Real
     values, non-finite bases (mpmath's rules: NaN**3 == 0), |n| <= 2 and
     exponents that are not integers keep ``**``.
+
+    In real mode ``exp`` and ``cos_sin`` of a real value are
+    :func:`~iciroot.mpscalar.exp_real` and
+    :func:`~iciroot.mpscalar.cos_sin_real`, fixed-point kernels from about
+    750 to 6000 digits and mpmath's functions elsewhere, rounded to the
+    context's precision.
     """
     nan = ctx.nan
 
@@ -602,9 +610,20 @@ def mp_lowering(ctx, complex_mode: bool = False) -> dict:
 
     def call(fn):
         g = getattr(ctx, fn)
-        if complex_mode or fn == "exp":
+        if complex_mode:
             return lambda a, _: g(a)
         return lambda a, _: real_only(g(a))
+
+    def real_exp(a, _):
+        if hasattr(a, "_mpf_"):
+            return ctx.make_mpf(exp_real(a, ctx.prec))
+        return ctx.exp(a)
+
+    def real_cos_sin(a, _):
+        if hasattr(a, "_mpf_"):
+            c, s = cos_sin_real(a, ctx.prec)
+            return ctx.make_mpf(c), ctx.make_mpf(s)
+        return ctx.cos_sin(a)
 
     def powint(n):
         n_mp = ctx.mpf(n)
@@ -618,7 +637,7 @@ def mp_lowering(ctx, complex_mode: bool = False) -> dict:
     def fixed(fn):
         return lambda _: fn
 
-    return {
+    return MappingProxyType({
         "const": lambda v: v,
         "add": fixed(operator.add),
         "sub": fixed(operator.sub),
@@ -627,12 +646,12 @@ def mp_lowering(ctx, complex_mode: bool = False) -> dict:
         "neg": fixed(lambda a, _: -a),
         "pow": pow_step,
         "powint": powint,
-        "exp": fixed(call("exp")),
+        "exp": fixed(call("exp") if complex_mode else real_exp),
         "log": fixed(call("log")),
         "sqrt": fixed(call("sqrt")),
-        "cos_sin": fixed(lambda a, _: ctx.cos_sin(a)),
+        "cos_sin": fixed(call("cos_sin") if complex_mode else real_cos_sin),
         "pick": lambda k: lambda t, _: t[k],
-    }
+    })
 
 
 def lower(tape: Tape, lowering: dict):

@@ -1,12 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from iciroot import basins, cli
+from iciroot import basins, cli, mpscalar
 from iciroot.cli import main
 
 
@@ -458,3 +461,28 @@ def test_config_values_go_through_the_flag_types(tmp_path, capsys):
     cfg.write_text(json.dumps({"f": "x", "x0": "5", "digits": [20]}))
     assert main(["solve", "--config", str(cfg)]) == 1
     assert "--config: digits:" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "iciroot", "--help"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: iciroot")
+
+
+@pytest.mark.parametrize("ftext, x0, iterations, root", [
+    ("sin(x)", "3", 7, "3.14159265358979323846264338327950288419716939937510"),
+    ("exp(x)-2", "1e-400", 9, "0.693147180559945309417232121458176568075500134360255")])
+def test_transcendental_solves_at_1000_digits_keep_their_traces(tmp_path, capsys, monkeypatch,
+                                                               ftext, x0, iterations, root):
+    def solve(name):
+        out = tmp_path / name
+        assert main(["solve", "--f", ftext, "--x0", x0, "--digits", "1000",
+                     "--out", str(out), "--format", "text"]) == 0
+        return capsys.readouterr().out, out.read_text()
+    printed, trace = solve("kernels.txt")
+    assert f"status: converged ({iterations} iterations)" in printed
+    assert f"root: {root}" in printed
+    # with mpmath's exp and cos/sin throughout, the same text to the last digit
+    monkeypatch.setattr(mpscalar, "_in_band", lambda prec, man, mag: False)
+    assert solve("mpmath.txt") == (printed, trace)

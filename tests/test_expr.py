@@ -434,6 +434,29 @@ def test_complex_integer_power_step_has_the_bits_of_mpmaths_power_at_40_digits()
                     == _power_or_raise(lambda u, v: u ** v, z, b)), (n, z)
 
 
+def test_mp_lowering_is_read_only():
+    # it is cached per context: an edit would reroute every later lowering there
+    for complex_mode in (False, True):
+        ops = mp_lowering(Precision(1000).ctx, complex_mode)
+        with pytest.raises(TypeError):
+            ops["exp"] = ops["log"]
+        assert mp_lowering(Precision(1000).ctx, complex_mode) is ops
+
+
+@pytest.mark.parametrize("ftext, x0, digits", [
+    ("(x^2+x)*exp(-x)-1/3", "2.0", 1000),        # the exp example of A2 and A3
+    ("(x^2+x)*exp(-x)-1/3", "2.0", 1624),        # and of A4
+    ("x - 0.083*sin(x) - 1", "1", 1000),
+    ("cos(x) - x", "1", 1000)])
+def test_fixed_point_exp_and_cos_sin_give_the_walks_bits(ftext, x0, digits):
+    # on every iterate of the solve and the usual points, (f, f') of the real
+    # jet, whose exp and cos/sin are mpscalar's kernels, equal the walk's
+    p = Precision(digits)
+    trace = solve_expr(ftext, p.real(x0), SolveConfig(precision=p, max_iter=9))
+    points = [r.x for r in trace.records] + _points(p, False) + [p.real("-40.25"), p.real("1e-30")]
+    assert_jet_matches_reference(parse(ftext), points, p, complex_mode=False, ulps=0)
+
+
 def test_real_integer_powers_are_mpmaths_power():
     # real mode, and real (compile-time) values in complex mode, keep **
     p = Precision(1000)

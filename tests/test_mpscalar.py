@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp, mpc_abs, mpf_abs, mpf_log, round_nearest
+from mpmath.libmp import (fnan, fninf, finf, from_int, from_man_exp, fzero, mpc_abs, mpf_abs,
+                          mpf_cos_sin, mpf_exp, mpf_ln2, mpf_log, mpf_mul, mpf_pi, mpf_shift,
+                          round_ceiling, round_floor, round_nearest)
 
 from iciroot import mpscalar
 from iciroot.mpscalar import (Precision, UndefinedPhaseError, is_finite, is_nan,
@@ -362,7 +364,11 @@ def test_to_decimal_at_huge_exponents_is_quick(value, text):
 
 def _ulps_from_log(got, a, prec):
     """|got - ln a| in ulp of a prec-bit result, against mpf_log taken 64 bits higher."""
-    ref = mpf_log(a, prec + 64, round_nearest)
+    return _ulps(got, mpf_log(a, prec + 64, round_nearest), prec)
+
+
+def _ulps(got, ref, prec):
+    """|got - ref| in ulp of a prec-bit result; ``ref`` is taken at least 64 bits higher."""
     hp = MPContext()
     hp.prec = prec + 128
     ulp = hp.ldexp(1, ref[2] + ref[3] - prec)
@@ -394,8 +400,23 @@ def test_ln_abs_kernel_is_within_one_ulp(monkeypatch, prec):
         z = (a, _random_raw(rng, prec, mag - rng.randint(0, 3)))
         got = mpscalar.ln_abs(_MP.make_mpc(z), prec)
         assert _ulps_from_log(got, mpc_abs(z, prec, round_nearest), prec) <= 1
-    # every real value is in the kernel's range; |z| may have crossed into 1/2 <= |z| < 2
-    assert len(mags) < calls["_ln_fixed_point"] <= 2 * len(mags)
+    # every value, real or complex, is in the kernel's range
+    assert calls["_ln_fixed_point"] == 2 * len(mags)
+
+
+def test_ln_abs_kernel_keeps_relative_accuracy_next_to_one(monkeypatch):
+    prec = Precision(1000).ctx.prec
+    rng = random.Random(11)
+    calls = _count_calls(monkeypatch, mpscalar, ["_ln_fixed_point"])
+    gaps = (1, 2, 10, 63, 64, 65, 66, 200, 1329, prec - 2, prec + 10)
+    for k in gaps:
+        for sign in (1, -1):
+            # |x| = 1 + sign * 2**-k * (1 + r), r in [0, 1): ln|x| has about k leading zeros
+            a = from_man_exp((1 << (k + prec)) + sign * ((1 << prec) + rng.getrandbits(prec)),
+                             -(k + prec))
+            got = mpscalar.ln_abs(_MP.make_mpf(a), prec)
+            assert _ulps(got, mpf_log(a, prec + 64 + k, round_nearest), prec) <= 1, (k, sign)
+    assert calls["_ln_fixed_point"] == 2 * len(gaps)
 
 
 @pytest.mark.parametrize("wp", [2816, 3584, 6912])
@@ -406,8 +427,7 @@ def test_ln_table_entries_are_within_two_units(wp):
 
 
 def _fallback_values(rng, prec):
-    return ([_random_raw(rng, prec, 0), _random_raw(rng, prec, 1),   # [1/2, 1) and [1, 2)
-             from_man_exp(1, 1000), from_man_exp(1, -3001), from_man_exp(1, 0)]  # powers of two
+    return ([from_man_exp(1, 1000), from_man_exp(1, -3001), from_man_exp(1, 0)]  # powers of two
             + [mpmath.mpf(v)._mpf_ for v in ("0", "nan", "+inf", "-inf")])
 
 
@@ -430,8 +450,93 @@ def test_ln_abs_falls_back_to_mpf_log_outside_the_kernel(monkeypatch):
 
 
 def test_ln_table_is_built_on_first_use_not_at_import():
+    # nor at compile: the solve-1000 families' jets build the ln and atan
+    # tables on their first evaluation
     code = ("import iciroot, iciroot.cli\n"
-            "from iciroot import mpscalar\n"
-            "assert mpscalar._ln_table.cache_info().currsize == 0\n")
+            "from iciroot import Precision, expr, mpscalar\n"
+            "tables = (mpscalar._ln_table, mpscalar._atan_table)\n"
+            "p = Precision(1000)\n"
+            "jets = [expr.compile_pair(f, p, False)\n"
+            "        for f in ('(x^2+x)*exp(-x)-1/3', 'x - 0.083*sin(x) - 1')]\n"
+            "assert [t.cache_info().currsize for t in tables] == [0, 0]\n"
+            "for jet in jets:\n"
+            "    jet(p.real('2.5'))\n"
+            "assert [t.cache_info().currsize for t in tables] == [1, 1]\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+# exp_real and cos_sin_real: fixed-point kernels in ln_abs's band, mpmath outside it
+
+_KERNEL_PRECS = [Precision(d).ctx.prec for d in (750, 1000, 1624, 4000, 6000)]
+
+
+def _check_exp_and_cos_sin(a, prec, same):
+    """Both kernels within 1 ulp of mpmath taken 64 bits higher; counts mpmath's bits in ``same``."""
+    x = _MP.make_mpf(a)
+    e = mpscalar.exp_real(x, prec)
+    c, s = mpscalar.cos_sin_real(x, prec)
+    ref_c, ref_s = mpf_cos_sin(a, prec + 64, round_nearest)
+    assert _ulps(e, mpf_exp(a, prec + 64, round_nearest), prec) <= 1, a
+    assert _ulps(c, ref_c, prec) <= 1 and _ulps(s, ref_s, prec) <= 1, a
+    same["exp"] += e == mpf_exp(a, prec, round_nearest)
+    same["cos_sin"] += (c, s) == mpf_cos_sin(a, prec, round_nearest)
+
+
+def _kernel_calls(monkeypatch):
+    return _count_calls(monkeypatch, mpscalar, ["_exp_fixed_point", "_cos_sin_fixed_point"])
+
+
+@pytest.mark.parametrize("prec", _KERNEL_PRECS)
+def test_exp_and_cos_sin_kernels_are_within_one_ulp(monkeypatch, prec):
+    rng = random.Random(prec)
+    calls = _kernel_calls(monkeypatch)
+    n = 24 if prec < 8000 else 6
+    same = {"exp": 0, "cos_sin": 0}
+    for i in range(n):
+        mag = rng.randint(-8, 8) if i % 2 else rng.randint(-prec + 1, 64)
+        sign, man, exp, bc = _random_raw(rng, prec + rng.randint(-64, 64), mag)
+        _check_exp_and_cos_sin((rng.getrandbits(1), man, exp, bc), prec, same)
+    assert calls == {"_exp_fixed_point": n, "_cos_sin_fixed_point": n}
+    # mpmath's own bits, but for a value that lies next to a rounding midpoint
+    assert same["exp"] >= n - 1 and same["cos_sin"] >= n - 1, same
+
+
+def _near_multiples(constant, prec):
+    """n * constant rounded down and up to prec bits, for a few n of either sign and size."""
+    return [mpf_mul(from_int(n), constant, prec, rnd)
+            for n in (1, -1, 2, 3, -4, 5, 1000, -2 ** 40 - 1) for rnd in (round_floor, round_ceiling)]
+
+
+def test_exp_and_cos_sin_kernels_at_the_edges(monkeypatch):
+    prec = Precision(1000).ctx.prec
+    rng = random.Random(5)
+    calls = _kernel_calls(monkeypatch)
+    edges = ([_random_raw(rng, prec, mag) for mag in (-64, -65, -1000, -prec + 1, 64)]
+             + _near_multiples(mpf_ln2(2 * prec), prec)
+             + _near_multiples(mpf_shift(mpf_pi(2 * prec), -1), prec))
+    edges += [(1, man, exp, bc) for _, man, exp, bc in edges[:5]]
+    same = {"exp": 0, "cos_sin": 0}
+    for a in edges:
+        _check_exp_and_cos_sin(a, prec, same)
+    assert calls == {"_exp_fixed_point": len(edges), "_cos_sin_fixed_point": len(edges)}
+
+
+def test_exp_and_cos_sin_fall_back_to_mpmath_outside_the_kernel(monkeypatch):
+    rng = random.Random(9)
+    monkeypatch.setattr(mpscalar, "_exp_fixed_point", _fail_if_called)
+    monkeypatch.setattr(mpscalar, "_cos_sin_fixed_point", _fail_if_called)
+
+    def assert_mpmaths(a, prec):
+        x = _MP.make_mpf(a)
+        assert mpscalar.exp_real(x, prec) == mpf_exp(a, prec, round_nearest)
+        assert mpscalar.cos_sin_real(x, prec) == mpf_cos_sin(a, prec, round_nearest)
+    for prec in (Precision(1000).ctx.prec, mpscalar._LN_MIN_PREC + 1):
+        # zero, NaN and the infinities, 2**64 <= |x| and |x| < 2**-prec
+        for a in (fzero, fnan, finf, fninf, _random_raw(rng, prec, 65), _random_raw(rng, prec, 900),
+                  _random_raw(rng, prec, -prec), (1, 1, -prec - 5, 1)):
+            assert_mpmaths(a, prec)
+    # precisions outside the band, on values the kernels would take inside it
+    for prec in (60, mpscalar._LN_MIN_PREC, mpscalar._LN_MAX_PREC + 1):
+        for mag in (-30, 0, 2):
+            assert_mpmaths(_random_raw(rng, prec, mag), prec)
