@@ -258,10 +258,6 @@ def _from_mp(v, P):
         rm = -rm
     if is_:
         im_ = -im_
-    if not im_:
-        return _cnorm(rm, 0, rx, P)
-    if not rm:
-        return _cnorm(0, im_, ix, P)
     return _cadd(_cnorm(rm, 0, rx, P), _cnorm(0, im_, ix, P), P)
 
 

@@ -188,12 +188,14 @@ def _require(args, *names):
             raise CliUsageError(f"missing required flag --{flag}")
 
 
-def _solve_setup(args, method):
+def _solve_flags(args, method):
+    """(trace, config) of the solve that --f, --x0 and the shared solve flags ask for."""
+    _require(args, "f", "x0")
     p = Precision(args.digits)
     cfg = SolveConfig(precision=p, tol=args.tol, method=method, max_iter=args.max_iter)
     complex_mode = args.complex_mode or is_complex_literal(args.x0)
     x0 = parse_complex(args.x0, p) if complex_mode else parse_real(args.x0, p)
-    return cfg, x0
+    return solve_expr(args.f, x0, cfg), cfg
 
 
 def _print_trace(trace, digits):
@@ -206,9 +208,7 @@ def _print_trace(trace, digits):
 
 
 def _run_solve(args) -> int:
-    _require(args, "f", "x0")
-    cfg, x0 = _solve_setup(args, args.method)
-    trace = solve_expr(args.f, x0, cfg)
+    trace, cfg = _solve_flags(args, args.method)
     _print_trace(trace, args.digits)
     print(f"status: {trace.status} ({len(trace) - 1} iterations)")
     print(f"root: {to_decimal(trace.final.x, args.digits)}")
@@ -229,9 +229,7 @@ def _run_order(args) -> int:
         trace, meta = read_trace_text(args.trace)
         status_code = 0
     else:
-        _require(args, "f", "x0")
-        cfg, x0 = _solve_setup(args, args.method)
-        trace = solve_expr(args.f, x0, cfg)
+        trace, _ = _solve_flags(args, args.method)
         status_code = 0 if trace.converged else 2
         print(f"status: {trace.status} ({len(trace) - 1} iterations)")
     report = diag.build_report(trace)
@@ -246,12 +244,11 @@ def _run_order(args) -> int:
 
 
 def _run_compare(args) -> int:
-    _require(args, "f", "x0")
+    _require(args, "f", "x0")      # before the header, as well as in each solve
     print(f"{'method':<14} {'status':<12} {'iterations':>10} {'f_evals':>8} {'digits':>12}")
     worst = 0
     for method in ("newton", "ici", "secant"):
-        cfg, x0 = _solve_setup(args, method)
-        trace = solve_expr(args.f, x0, cfg)
+        trace, _ = _solve_flags(args, method)
         achieved = log10_abs_text(trace.final.y, 6, negate=True)
         print(f"{method:<14} {trace.status:<12} {len(trace) - 1:>10} {len(trace):>8} {achieved:>12}")
         if trace.status in (STATUS_DEGENERATE, STATUS_NAN):

@@ -42,7 +42,7 @@ from types import MappingProxyType
 
 from mpmath.libmp import mpc_mul, mpc_pos, mpc_reciprocal, mpc_square, round_down
 
-from .mpscalar import Precision, cos_sin_real, exp_real, is_complex_scalar, is_real_scalar
+from .mpscalar import Precision, cos_sin_real, exp_real, is_complex_scalar, is_real_scalar, ln_abs
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log")
 CONSTANTS = ("pi",)
@@ -572,11 +572,12 @@ def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
     values, non-finite bases (mpmath's rules: NaN**3 == 0), |n| <= 2 and
     exponents that are not integers keep ``**``.
 
-    In real mode ``exp`` and ``cos_sin`` of a real value are
-    :func:`~iciroot.mpscalar.exp_real` and
-    :func:`~iciroot.mpscalar.cos_sin_real`, fixed-point kernels from about
-    750 to 6000 digits and mpmath's functions elsewhere, rounded to the
-    context's precision.
+    A real-mode jet takes real values only (a real x, the literals and
+    ``real_only``'s results are all mpfs).  Its ``exp``, ``log`` (NaN
+    below zero) and ``cos_sin`` are :func:`~iciroot.mpscalar.exp_real`,
+    :func:`~iciroot.mpscalar.ln_abs` and :func:`~iciroot.mpscalar.cos_sin_real`:
+    fixed-point kernels from about 750 to 6000 digits, mpmath's functions
+    elsewhere, rounded to the context's precision.
     """
     nan = ctx.nan
 
@@ -615,15 +616,14 @@ def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
         return lambda a, _: real_only(g(a))
 
     def real_exp(a, _):
-        if hasattr(a, "_mpf_"):
-            return ctx.make_mpf(exp_real(a, ctx.prec))
-        return ctx.exp(a)
+        return ctx.make_mpf(exp_real(a, ctx.prec))
+
+    def real_log(a, _):
+        return nan if a._mpf_[0] else ctx.make_mpf(ln_abs(a, ctx.prec))
 
     def real_cos_sin(a, _):
-        if hasattr(a, "_mpf_"):
-            c, s = cos_sin_real(a, ctx.prec)
-            return ctx.make_mpf(c), ctx.make_mpf(s)
-        return ctx.cos_sin(a)
+        c, s = cos_sin_real(a, ctx.prec)
+        return ctx.make_mpf(c), ctx.make_mpf(s)
 
     def powint(n):
         n_mp = ctx.mpf(n)
@@ -647,7 +647,7 @@ def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
         "pow": pow_step,
         "powint": powint,
         "exp": fixed(call("exp") if complex_mode else real_exp),
-        "log": fixed(call("log")),
+        "log": fixed(call("log") if complex_mode else real_log),
         "sqrt": fixed(call("sqrt")),
         "cos_sin": fixed(call("cos_sin") if complex_mode else real_cos_sin),
         "pick": lambda k: lambda t, _: t[k],

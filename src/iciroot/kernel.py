@@ -59,10 +59,7 @@ def hermite_inverse_eval(pa: PointSample, pb: PointSample, s):
     s is the normalized height (y - pa.y) / (pb.y - pa.y); the inverse data
     are the abscissae with slopes 1/pa.yp, 1/pb.yp at s = 0, 1.
     """
-    if pa.y == pb.y:
-        raise EqualResidualsError("equal residuals: inverse interpolant undefined")
-    if pa.yp == 0 or pb.yp == 0:
-        raise ZeroDerivativeError("zero derivative: inverse slope undefined")
+    _check_blend(pa, pb)
     delta = pb.y - pa.y
     oms = 1 - s
     return (((1 + 2 * s) * pa.x + s * delta / pa.yp) * oms * oms
@@ -84,20 +81,11 @@ def secant_step(p_prev: PointSample, p_cur: PointSample):
 
 
 def _check_blend(p_prev: PointSample, p_cur: PointSample):
+    # for the inverse interpolant, and so for every blended step
     if p_prev.y == p_cur.y:
-        raise EqualResidualsError("equal residuals: blended step undefined")
+        raise EqualResidualsError("equal residuals: inverse interpolant undefined")
     if p_prev.yp == 0 or p_cur.yp == 0:
-        raise ZeroDerivativeError("zero derivative in blended step")
-
-
-def _weights(p_prev: PointSample, p_cur: PointSample):
-    # the weights of ici_step_averaged
-    # u - v = 1, so v*v + u*u - 2*u*v = 1 exactly in exact arithmetic.
-    dy = p_prev.y - p_cur.y
-    t = 1 / dy
-    u = p_prev.y * t
-    v = p_cur.y * t
-    return v * v, u * u, -2 * u * v
+        raise ZeroDerivativeError("zero derivative: inverse slope undefined")
 
 
 def ici_blend(zp, yp, np_, zc, yc, nc):
@@ -136,19 +124,14 @@ def ici_step(p_prev: PointSample, p_cur: PointSample):
 
 
 def ici_step_blind(p_prev: PointSample, p_cur: PointSample):
-    """Direct substitution of height zero into the inverse cubic interpolant.
+    """The inverse cubic interpolant at height zero (:func:`hermite_inverse_eval`).
 
     Mathematically equal to :func:`ici_step` but written without the
     stabilizing small-update grouping; kept for cross-checks and stability
     experiments.
     """
     _check_blend(p_prev, p_cur)
-    a, fa, dfa = p_prev.x, p_prev.y, p_prev.yp
-    b, dfb = p_cur.x, p_cur.yp
-    delta = p_cur.y - p_prev.y
-    q = fa / delta
-    return (((1 - 2 * q) * a - fa / dfa) * (1 + q) * (1 + q)
-            + q * q * ((3 + 2 * q) * b - (delta / dfb) * (1 + q)))
+    return hermite_inverse_eval(p_prev, p_cur, p_prev.y / (p_prev.y - p_cur.y))
 
 
 def ici_step_averaged(p_prev: PointSample, p_cur: PointSample):
@@ -159,7 +142,11 @@ def ici_step_averaged(p_prev: PointSample, p_cur: PointSample):
     separately before combining.  Mathematically equal to :func:`ici_step`.
     """
     _check_blend(p_prev, p_cur)
-    w_prev, w_cur, w_sec = _weights(p_prev, p_cur)
+    # u - v = 1, so v*v + u*u - 2*u*v = 1 exactly in exact arithmetic
+    t = 1 / (p_prev.y - p_cur.y)
+    u = p_prev.y * t
+    v = p_cur.y * t
+    w_prev, w_cur, w_sec = v * v, u * u, -2 * u * v
     base = w_prev * p_prev.x + w_cur * p_cur.x + w_sec * p_cur.x
     update = (w_prev * (-p_prev.y / p_prev.yp)
               + w_cur * (-p_cur.y / p_cur.yp)

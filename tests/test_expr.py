@@ -371,6 +371,12 @@ def test_jet_matches_reference_on_generated_trees(tree):
     ("sqrt(x)", "0", False, True),      # f = 0; f' = 1/(2*sqrt(0)) divides by zero
     ("log(x)", "0", False, True),       # f = -inf; f' = 1/0
     ("x + 1/0", "2", True, False),      # 1/0 folds at compile time; f' = 1 does not read it
+    # real log's edges, each against the walk: NaN below zero and at NaN,
+    # -inf at 0 (above), +inf at +inf
+    ("log(x)", "-1", True, False),
+    ("log(x)", "-inf", True, False),    # f' = 1/x = 0
+    ("log(x)", "nan", True, True),
+    ("log(x)", "inf", False, False),
 ])
 def test_jet_real_domain_nan_components(text, x, want_f_nan, want_d_nan):
     p = Precision(30)
@@ -447,10 +453,14 @@ def test_mp_lowering_is_read_only():
     ("(x^2+x)*exp(-x)-1/3", "2.0", 1000),        # the exp example of A2 and A3
     ("(x^2+x)*exp(-x)-1/3", "2.0", 1624),        # and of A4
     ("x - 0.083*sin(x) - 1", "1", 1000),
-    ("cos(x) - x", "1", 1000)])
+    ("cos(x) - x", "1", 1000),
+    ("log(x)-1", "2.5", 1000),
+    ("log(x)-1", "2.5", 1624),
+    ("x*log(x)-2", "2", 1000),
+    ("x*log(x)-2", "2", 1624)])
 def test_fixed_point_exp_and_cos_sin_give_the_walks_bits(ftext, x0, digits):
     # on every iterate of the solve and the usual points, (f, f') of the real
-    # jet, whose exp and cos/sin are mpscalar's kernels, equal the walk's
+    # jet, whose exp, cos/sin and log are mpscalar's kernels, equal the walk's
     p = Precision(digits)
     trace = solve_expr(ftext, p.real(x0), SolveConfig(precision=p, max_iter=9))
     points = [r.x for r in trace.records] + _points(p, False) + [p.real("-40.25"), p.real("1e-30")]

@@ -165,6 +165,7 @@ def test_ici_step_matches_inverse_interpolant_at_height_zero():
                          p.real(f"{rng.uniform(0.3, 4):.6f}"))
         s0 = (0 - pa.y) / (pb.y - pa.y)
         via_interp = hermite_inverse_eval(pa, pb, s0)
+        assert ici_step_blind(pa, pb) == via_interp     # one formula, not two
         via_step = ici_step(pa, pb)
         scale = max(abs(via_step), p.real(1), abs(pa.x), abs(pb.x))
         assert abs(via_interp - via_step) <= 20 * scale * p.ctx.eps
