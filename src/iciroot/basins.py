@@ -30,7 +30,7 @@ from mpmath.libmp import from_man_exp
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase, ln2_fixed
 
 from .expr import compile_tape, lower, mp_lowering
-from .mpscalar import LOG2_10, Precision, opened, parse_real
+from .mpscalar import LOG2_10, Precision, opened, parse_real, read_tol, to_decimal
 
 DEFAULT_BASIN_DIGITS = 34
 
@@ -67,10 +67,8 @@ class BasinSpec:
         self.re_range = tuple(map(str, self.re_range))
         self.im_range = tuple(map(str, self.im_range))
         p = self.precision
-        tol, re0, re1, im0, im1 = (parse_real(v, p) for v in (self.tol, *self.re_range,
-                                                               *self.im_range))
-        if not 0 < tol < p.inf:
-            raise ValueError("tol must be positive and finite")
+        read_tol(self.tol, p)
+        re0, re1, im0, im1 = (parse_real(v, p) for v in (*self.re_range, *self.im_range))
         if not (0 < re1 - re0 < p.inf and 0 < im1 - im0 < p.inf):
             raise ValueError("re_range and im_range must be finite, non-degenerate intervals")
 
@@ -80,7 +78,7 @@ class BasinSpec:
         Row j = 0 sits at the top of im_range.
         """
         p = self.precision
-        half = p.ctx.mpf("0.5")
+        half = p.ctx.mpf(0.5)
         re0, re1, im0, im1 = (parse_real(v, p) for v in (*self.re_range, *self.im_range))
         dre = (re1 - re0) / self.width
         dim = (im1 - im0) / self.height
@@ -112,14 +110,16 @@ class BasinRaster:
         return conv, nan
 
     def to_csv(self, path_or_file):
-        res, ims = self.spec.grid()
+        """One row per pixel; the centre's coordinates as decimal text at the spec's digits."""
+        digits = self.spec.precision.digits
+        res, ims = ([to_decimal(v, digits) for v in axis] for axis in self.spec.grid())
         with opened(path_or_file, "w") as fh:
             w = csv.writer(fh)
             w.writerow(["i", "j", "re_z0", "im_z0", "converged", "iterations", "phase"])
             for j, im in enumerate(ims):
                 for i, re in enumerate(res):
                     ph = self.phase[j][i]
-                    w.writerow([i, j, repr(float(re)), repr(float(im)),
+                    w.writerow([i, j, re, im,
                                 int(self.converged[j][i]), self.iterations[j][i],
                                 "" if ph is None else repr(ph)])
 
@@ -175,27 +175,7 @@ def _cadd(a, b, P):
 
 
 def _csub(a, b, P):
-    ar, ai, ae = a
-    br, bi, be = b
-    if not (br or bi):
-        return a
-    if not (ar or ai):
-        return -br, -bi, be
-    d = ae - be
-    if d >= 0:
-        if d > P + 1:
-            return a
-        re, im, e = (ar << d) - br, (ai << d) - bi, be
-    else:
-        if d < -P - 1:
-            return -br, -bi, be
-        re, im, e = ar - (br << -d), ai - (bi << -d), ae
-    s = (abs(re) | abs(im)).bit_length() - P
-    if s > 0:
-        return re >> s, im >> s, e + s
-    if re or im:
-        return re << -s, im << -s, e + s
-    return _CZERO
+    return _cadd(a, (-b[0], -b[1], b[2]), P)
 
 
 def _cmul(a, b, P):
@@ -578,7 +558,8 @@ def render(spec: BasinSpec) -> BasinRaster:
     if spec.workers == 1 or spec.height == 1:
         rows = list(map(render_row, range(spec.height)))
     else:
-        with ProcessPoolExecutor(max_workers=spec.workers,
+        # fork starts every worker up front: no more of them than there are rows
+        with ProcessPoolExecutor(max_workers=min(spec.workers, spec.height),
                                  initializer=_init_worker,
                                  initargs=(spec,)) as pool:
             chunk = max(1, spec.height // (spec.workers * 4))

@@ -18,8 +18,7 @@ import sys
 from . import diagnostics as diag
 from .basins import DEFAULT_BASIN_DIGITS, BasinSpec, line_scan, render, write_image
 from .expr import ExprError
-from .mpscalar import (Precision, is_complex_literal, log10_abs_text, opened, parse_complex,
-                       parse_real, to_decimal)
+from .mpscalar import Precision, log10_abs_text, opened, parse_complex, parse_scalar, to_decimal
 from .solve import (METHODS, STATUS_DEGENERATE, STATUS_NAN, SolveConfig, read_trace_text,
                     solve_expr, write_trace_csv, write_trace_text)
 
@@ -193,9 +192,7 @@ def _solve_flags(args, method):
     _require(args, "f", "x0")
     p = Precision(args.digits)
     cfg = SolveConfig(precision=p, tol=args.tol, method=method, max_iter=args.max_iter)
-    complex_mode = args.complex_mode or is_complex_literal(args.x0)
-    x0 = parse_complex(args.x0, p) if complex_mode else parse_real(args.x0, p)
-    return solve_expr(args.f, x0, cfg), cfg
+    return solve_expr(args.f, parse_scalar(args.x0, p, args.complex_mode), cfg), cfg
 
 
 def _print_trace(trace, digits):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .mpscalar import context_of, exp_real, ln_abs, log10_abs_text, opened, to_decimal
+from .mpscalar import context_of, exp_real, ln_abs, opened, to_decimal
 from .solve import IterationTrace
 
 
@@ -271,17 +271,3 @@ def write_report_csv(report: ConvergenceReport, path_or_file, digits: int = 12):
                         _fmt_optional(tail, digits)]
                        if k == 0 else ["", "", "", ""])
             w.writerow([k, to_decimal(d, digits), _ratio_cell(report, k, digits)] + summary)
-
-
-def write_logplot_csv(trace: IterationTrace, path_or_file, digits: int = 12):
-    """Two-column (k, log10|y_k|) CSV, ready for external plotting.
-
-    log10|y_k| is printed by :func:`~iciroot.mpscalar.log10_abs_text`: taken
-    at ``digits`` plus guard bits, with the bracket rule keeping the text of
-    the full-precision value.
-    """
-    with opened(path_or_file, "w") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "log10_abs_y"])
-        for rec in trace.records:
-            w.writerow([rec.n, log10_abs_text(rec.y, digits)])

@@ -42,7 +42,8 @@ from types import MappingProxyType
 
 from mpmath.libmp import mpc_mul, mpc_pos, mpc_reciprocal, mpc_square, round_down
 
-from .mpscalar import Precision, cos_sin_real, exp_real, is_complex_scalar, is_real_scalar, ln_abs
+from .mpscalar import (Precision, cos_sin_real, exp_real, is_complex_scalar, is_real_scalar, ln_abs,
+                       parse_real)
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log")
 CONSTANTS = ("pi",)
@@ -252,7 +253,9 @@ def parse(text: str):
 # smart constructors: constant folding plus the 0/1 identities, nothing deeper
 
 def _is_int_literal(e) -> bool:
-    return isinstance(e, Num) and _re.fullmatch(r"\d+", e.text) is not None
+    # up to 2000 digits, so a folded product stays within Python's 4300-digit
+    # int <-> text limit; longer integers stay literals, read by parse_real
+    return isinstance(e, Num) and _re.fullmatch(r"\d{1,2000}", e.text) is not None
 
 
 def _int_of(e) -> int:
@@ -428,11 +431,6 @@ class Tape:
     nan: object
 
 
-def _literal(ctx, text):
-    # mpmath reads ".5" but not ".0"; the tree keeps the text as written
-    return ctx.mpf("0" + text if text.startswith(".") else text)
-
-
 _BINARY_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 
 
@@ -508,7 +506,7 @@ def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative
 
     def build(node):
         if isinstance(node, Num):
-            return constant(_literal(ctx, node.text))
+            return constant(parse_real(node.text, p))
         if isinstance(node, Const):
             return constant(+ctx.pi)
         if isinstance(node, Var):

@@ -71,13 +71,15 @@ class Precision:
     def real(self, value):
         """Convert ``value`` (str, int, float or mpf) to a real at this precision.
 
-        Strings are parsed as decimal literals, so ``real("0.1")`` is honest
+        Strings are read by :func:`parse_real`, so ``real("0.1")`` is honest
         to the full digit count rather than inheriting a double's error.
         """
         if hasattr(value, "_mpf_"):
             return self.ctx.make_mpf(value._mpf_)
         if hasattr(value, "_mpc_"):
             raise TypeError("complex value given where a real scalar is required")
+        if isinstance(value, str):
+            return parse_real(value, self)
         return self.ctx.mpf(value)
 
     def cplx(self, re_part, im_part=0):
@@ -689,6 +691,7 @@ def _int_of_digits(digits: str) -> int:
     return _int_of_digits(digits[:-half]) * 10 ** half + _int_of_digits(digits[-half:])
 
 
+_LEADING_DOT = _re.compile(r"^([+-]?)\.(?=[0-9])")
 _LONG_LITERAL = _re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:e([+-]?[0-9]+))?", _re.ASCII)
 
 
@@ -715,12 +718,14 @@ def _from_long_str(text: str, prec: int, rnd):
 
 
 def parse_real(text: str, p: Precision):
-    """Parse a decimal real literal at precision ``p``.
+    """Parse a decimal real literal at precision ``p``: the one reader of decimal text.
 
-    A literal longer than Python's int-from-text limit (a trace value past
-    4300 digits) is read by :func:`_from_long_str`, to the same bits.
+    A bare leading dot reads as ``0.`` (``.0``, ``-.5``, ``.0e5``), which
+    mpmath's reader refuses for some texts.  A literal longer than Python's
+    int-from-text limit (a trace value past 4300 digits) is read by
+    :func:`_from_long_str`, to the same bits.
     """
-    s = text.strip()
+    s = _LEADING_DOT.sub(r"\g<1>0.", text.strip(), count=1)
     try:
         limit = _int_digit_limit()
         if limit and len(s) > limit:
@@ -730,12 +735,30 @@ def parse_real(text: str, p: Precision):
         raise ValueError(f"invalid real literal {text!r}") from exc
 
 
+def read_tol(value, p: Precision):
+    """A tolerance (str, int, float or mpf) as a real at precision ``p``.
+
+    Raises:
+        ValueError: unless 0 < tol < inf.
+    """
+    tol = p.real(value)
+    if not 0 < tol < p.inf:
+        raise ValueError("tol must be positive and finite")
+    return tol
+
+
 _IMAG_SUFFIX = _re.compile(r"[ij]\s*$")
 
 
-def is_complex_literal(text: str) -> bool:
-    """Whether ``text`` ends in the imaginary unit suffix ``i`` or ``j`` (so ``inf`` is real)."""
-    return _IMAG_SUFFIX.search(text) is not None
+def parse_scalar(text: str, p: Precision, complex_mode: bool = False):
+    """Parse a real literal at precision ``p``, or a complex one by :func:`parse_complex`.
+
+    Complex when ``complex_mode`` or when ``text`` ends in the imaginary unit
+    suffix ``i`` or ``j`` (so ``inf`` is real).
+    """
+    if complex_mode or _IMAG_SUFFIX.search(text):
+        return parse_complex(text, p)
+    return parse_real(text, p)
 
 
 def parse_complex(text: str, p: Precision):
@@ -743,7 +766,7 @@ def parse_complex(text: str, p: Precision):
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
-    if not is_complex_literal(s):
+    if not _IMAG_SUFFIX.search(s):
         return p.cplx(parse_real(s, p))
     body = s[:-1]
     # split at the last top-level +/- that is not an exponent sign

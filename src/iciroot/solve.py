@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 from .expr import compile_pair
 from .kernel import ici_blend, ici_step_averaged, secant_step
-from .mpscalar import (Precision, is_complex_literal, is_complex_scalar, is_finite,
-                       log10_abs_text, opened, parse_complex, parse_real, to_decimal)
+from .mpscalar import (Precision, is_complex_scalar, is_finite, log10_abs_text, opened,
+                       parse_complex, parse_real, parse_scalar, read_tol, to_decimal)
 
 METHODS = ("newton", "secant", "ici", "ici_averaged")
 
@@ -65,11 +65,8 @@ class SolveConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        ctx = self.precision.ctx
-        d = self.precision.digits
-        self.tol = ctx.mpf(10) ** (-d + 10) if self.tol is None else self.precision.real(self.tol)
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        p = self.precision
+        self.tol = p.ctx.mpf(10) ** (-p.digits + 10) if self.tol is None else read_tol(self.tol, p)
 
 
 @dataclass(frozen=True)
@@ -257,8 +254,9 @@ def read_trace_text(path_or_file):
         if len(row) < 5:
             raise ValueError(f"trace table row has {len(row)} fields, needs 5: {','.join(row)}")
         n, x_s, y_s, yp_s, kind = row[:5]
-        conv = parse_complex if is_complex_literal(x_s) else parse_real
-        records.append(IterationRecord(int(n), conv(x_s, p), conv(y_s, p), conv(yp_s, p), kind))
+        x = parse_scalar(x_s, p)
+        conv = parse_complex if is_complex_scalar(x) else parse_real
+        records.append(IterationRecord(int(n), x, conv(y_s, p), conv(yp_s, p), kind))
     if not records:
         raise ValueError("trace table has no records")
     status = meta.pop("status", STATUS_MAX_ITER)

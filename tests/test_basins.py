@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import multiprocessing
@@ -13,7 +14,7 @@ from iciroot import basins
 from iciroot.basins import BasinRaster, BasinSpec, line_scan, render, write_image
 from iciroot.expr import parse
 from iciroot.kernel import PointSample, ici_step
-from iciroot.mpscalar import Precision, phase
+from iciroot.mpscalar import Precision, parse_real, phase
 from iciroot.solve import SolveConfig, solve_expr
 
 
@@ -280,6 +281,52 @@ def test_raster_csv_dump():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "i,j,re_z0,im_z0,converged,iterations,phase"
     assert len(lines) == 1 + 6
+
+
+def test_raster_csv_writes_a_deep_zoom_window_at_the_spec_precision():
+    # README's deep zoom: its columns are one double (1.0) and rows two
+    # doubles apart; the CSV keeps the spec's 34 digits
+    spec = _cube_spec(re_range=("1.00000000000000000001", "1.00000000000000000002"),
+                      im_range=("-1e-20", "1e-20"), width=4, height=4)
+    buf = io.StringIO()
+    render(spec).to_csv(buf)
+    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    p = spec.precision
+    res, ims = spec.grid()
+    for column, axis, values in (("re_z0", "i", res), ("im_z0", "j", ims)):
+        texts = {int(r[axis]): r[column] for r in rows}
+        assert len(set(texts.values())) == 4
+        for k, v in enumerate(values):
+            assert abs(parse_real(texts[k], p) - v) <= abs(v) * p.eps
+
+
+def test_render_starts_no_more_workers_than_rows(monkeypatch):
+    # fork starts every worker of a pool up front, so 8 workers for 4 rows
+    # would be 4 idle processes; a serial stand-in records the pool size
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(basins, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(basins, "_worker_render_row", None)
+    want = _outcome(render(_cube_spec(width=3, height=4)))
+    for workers, height, size in ((8, 4, 4), (3, 4, 3), (2, 5, 2)):
+        got = render(_cube_spec(width=3, height=height, workers=workers))
+        assert sizes.pop() == size
+        if height == 4:
+            assert _outcome(got) == want
 
 
 def test_raster_csv_accepts_a_pathlib_path(tmp_path):

@@ -244,6 +244,36 @@ def test_solve_reads_a_literal_with_a_bare_leading_dot(capsys):
     assert "root: 1.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("x0", [".0", "-.5", ".0e5"])
+def test_solve_reads_an_x0_with_a_bare_leading_dot(capsys, x0):
+    assert main(["solve", "--f", "x-1", f"--x0={x0}", "--digits", "20"]) == 0
+    assert "root: 1.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ftext", ["x-{lit}", "x-2*{int}"], ids=["decimal", "integer"])
+def test_a_literal_past_4300_digits_in_the_function_solves(capsys, ftext):
+    # Python refuses int <-> text past 4300 digits; the literal is read in parts
+    digits = "".join(str(k * k % 10) for k in range(4400))
+    lit, integer = "1." + digits[1:], "7" * 4400
+    assert main(["solve", "--f", ftext.format(lit=lit, int=integer), "--x0", "1",
+                 "--digits", "4500", "--max-iter", "3"]) == 0
+    p = mpscalar.Precision(4500)
+    want = p.real(lit) if "lit" in ftext else 2 * p.real(integer)
+    root = capsys.readouterr().out.splitlines()[-1].removeprefix("root: ")
+    assert abs(p.real(root) - want) <= abs(want) * p.eps
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("inf", "tol must be positive and finite"), ("nan", "tol must be positive and finite"),
+    ("0", "tol must be positive and finite"), ("-1", "tol must be positive and finite"),
+    ("abc", "invalid real literal 'abc'")])
+def test_a_bad_solve_tolerance_exits_one(capsys, tol, message):
+    # x = 1 is no root of x-2: an infinite tolerance must not call it one
+    assert main(["solve", "--f", "x-2", "--x0", "1", f"--tol={tol}"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n" and "converged" not in out
+
+
 def test_order_preset_expands(capsys):
     # the 1000-digit preset itself is exercised in the acceptance suite;
     # here only the flag expansion is checked, with overriding flags
@@ -401,6 +431,39 @@ def test_readme_scan_example_runs(capsys):
     out = capsys.readouterr().out
     changes = int(re.search(r"assignment changes: (\d+)", out).group(1))
     assert changes > 2
+
+
+def _readme_commands():
+    """(argv, documented exit code) of each ``iciroot`` line in README's sh blocks.
+
+    A line continued with ``\\`` is joined; the code is 0 unless the line, or
+    the comment lines right above it, say "exits N".
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        comment = ""
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("#"):
+                comment += line
+                continue
+            if line.startswith("iciroot "):
+                code = re.search(r"exits (\d)", comment + line)
+                commands.append((shlex.split(line, comments=True)[1:], int(code[1]) if code else 0))
+            comment = ""
+    return commands
+
+
+@pytest.mark.parametrize("argv, code", _readme_commands(), ids=lambda v: shlex.join(v)
+                         if isinstance(v, list) else f"exit{v}")
+def test_readme_command_lines_run_as_documented(tmp_path, monkeypatch, capsys, argv, code):
+    # outputs land in tmp_path; basin and scan lines get --size 4 last, which
+    # wins over the line's own --size and over a preset
+    monkeypatch.chdir(tmp_path)
+    if argv[0] in ("basin", "scan"):
+        argv = [*argv, "--size", "4"]
+    assert main(argv) == code
+    assert capsys.readouterr().err == ""
 
 
 def test_x0_inf_stays_real(capsys):

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -8,11 +9,10 @@ from iciroot import diagnostics, mpscalar
 from iciroot.diagnostics import (FitUndefinedError, MultipleRootError, build_report,
                                  error_constant_oracle, fit_constant, order_estimate,
                                  predict_next, ratio_growth_flag, ratio_sequence,
-                                 report_to_text, residual_ratio_limit, write_logplot_csv,
-                                 write_report_csv)
-from iciroot.mpscalar import Precision
+                                 report_to_text, residual_ratio_limit, write_report_csv)
+from iciroot.mpscalar import Precision, log10_abs_text
 from iciroot.solve import (IterationRecord, IterationTrace, SolveConfig, solve_expr,
-                           write_trace_text)
+                           write_trace_csv, write_trace_text)
 from oracles import make_ctx, reference_report
 from test_solve import _count_calls
 
@@ -177,24 +177,21 @@ def test_report_serialization_smoke():
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("k,digits,ratio,")
     assert len(lines) == len(trace) + 1
-    buf2 = io.StringIO()
-    write_logplot_csv(trace, buf2)
-    plot_lines = buf2.getvalue().splitlines()
-    assert plot_lines[0] == "k,log10_abs_y"
-    assert len(plot_lines) == len(trace) + 1
+    trace_buf = io.StringIO()
+    write_trace_csv(trace, trace_buf)
+    rows = list(csv.DictReader(io.StringIO(trace_buf.getvalue())))
+    assert [(r["n"], r["log10_abs_y"]) for r in rows] == [
+        (str(rec.n), log10_abs_text(rec.y, 12)) for rec in trace.records]
 
 
 def test_report_writers_accept_pathlib_paths(tmp_path):
     p = Precision(60)
     trace = solve_expr("x^2-2", p.real("1.5"), SolveConfig(precision=p, max_iter=8))
     report = build_report(trace)
-    report_buf, plot_buf = io.StringIO(), io.StringIO()
+    report_buf = io.StringIO()
     write_report_csv(report, report_buf)
-    write_logplot_csv(trace, plot_buf)
     write_report_csv(report, tmp_path / "report.csv")
-    write_logplot_csv(trace, tmp_path / "plot.csv")
     assert (tmp_path / "report.csv").read_bytes() == report_buf.getvalue().encode()
-    assert (tmp_path / "plot.csv").read_bytes() == plot_buf.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (fnan, fninf, finf, from_int, from_man_exp, fzero, mpc_abs, mpf_abs,
@@ -15,6 +15,7 @@ from mpmath.libmp import (fnan, fninf, finf, from_int, from_man_exp, fzero, mpc_
                           round_ceiling, round_floor, round_nearest)
 
 from iciroot import mpscalar
+from iciroot.expr import evaluate, parse
 from iciroot.mpscalar import (Precision, UndefinedPhaseError, is_finite, is_nan,
                               log10_abs, log10_abs_text, parse_complex, parse_real, phase,
                               to_decimal)
@@ -189,6 +190,34 @@ def test_long_literals_are_read_and_written_in_parts_to_the_same_bits(monkeypatc
         assert to_decimal(value) == shown
     with pytest.raises(ValueError, match="invalid real literal"):
         parse_real("1" * 700 + "x", p)
+
+
+_DIGIT_RUN = st.text("0123456789", max_size=25)
+
+
+@st.composite
+def _decimal_literals(draw):
+    """Signed decimal literals with bare leading or trailing dots and exponents; some past 4300 digits."""
+    whole = draw(_DIGIT_RUN) + "7" * draw(st.sampled_from([0, 0, 0, 4400]))
+    point = draw(st.sampled_from(["", "."]))
+    frac = draw(_DIGIT_RUN) if point else ""
+    assume(whole or frac)
+    exp = draw(st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from("eE"),
+                                                    st.sampled_from(["", "+", "-"]),
+                                                    st.integers(0, 999))))
+    return draw(st.sampled_from(["", "-", "+"])) + whole + point + frac + exp
+
+
+@settings(max_examples=200, deadline=None)
+@given(_decimal_literals(), st.sampled_from([10, 34, 1000]))
+def test_every_reader_of_decimal_text_gives_the_same_bits(text, digits):
+    p = Precision(digits)
+    want = parse_real(text, p)._mpf_
+    assert p.real(text)._mpf_ == want
+    assert evaluate(parse(text), p.real(0), p)._mpf_ == want
+    sign, body = ("", text) if text[0] not in "+-" else (text[0], text[1:])
+    if len(body) <= 4300:
+        assert p.ctx.mpf(sign + "0" + body)._mpf_ == want      # mpmath's own reader
 
 
 def test_recompute_at_higher_precision_agrees_through_lower_digits():

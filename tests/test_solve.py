@@ -261,8 +261,12 @@ def test_config_validation():
         SolveConfig(precision=p, method="halley")
     with pytest.raises(ValueError):
         SolveConfig(precision=p, max_iter=0)
-    with pytest.raises(ValueError):
-        SolveConfig(precision=p, tol=0)
+    for tol in (0, "-1e-5", float("inf"), "nan"):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SolveConfig(precision=p, tol=tol)
+    with pytest.raises(ValueError, match="invalid real literal"):
+        SolveConfig(precision=p, tol=".1.")
+    assert SolveConfig(precision=p, tol=".5e-10").tol == p.real("5e-11")
     cfg = SolveConfig(precision=p)
     assert cfg.tol == p.ctx.mpf(10) ** (-20)
     assert [f.name for f in dataclasses.fields(cfg)] == ["precision", "tol", "max_iter", "method"]
