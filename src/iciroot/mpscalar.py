@@ -683,7 +683,7 @@ def _int_text(q: int, n: int) -> str:
 
 
 def _int_of_digits(digits: str) -> int:
-    """int(digits) of a string of ASCII digits of any length."""
+    """int(digits) of a string of decimal digits of any length."""
     limit = _int_digit_limit()
     if not limit or len(digits) <= limit:
         return int(digits)
@@ -691,24 +691,21 @@ def _int_of_digits(digits: str) -> int:
     return _int_of_digits(digits[:-half]) * 10 ** half + _int_of_digits(digits[-half:])
 
 
-_LEADING_DOT = _re.compile(r"^([+-]?)\.(?=[0-9])")
-_LONG_LITERAL = _re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:e([+-]?[0-9]+))?", _re.ASCII)
+_DECIMAL = _re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:e([+-]?\d+))?")
+_SPECIAL_WORDS = ("inf", "+inf", "-inf", "nan")
 
 
-def _from_long_str(text: str, prec: int, rnd):
-    """mpmath's ``from_str(text, prec, rnd)`` for a plain decimal literal of any length.
+def _from_decimal(m, prec: int, rnd):
+    """mpmath's ``from_str`` of the literal matched by ``_DECIMAL``, for any length.
 
     The mantissa digits are read by :func:`_int_of_digits`; the rounding
     is ``from_str``'s, step for step, so the bits are the same wherever
     ``from_str`` can read the text.
     """
-    m = _LONG_LITERAL.fullmatch(text.lower())
-    if m is None or not (m[2] or m[3]):
-        raise ValueError(f"not a decimal literal: {text[:40]!r}...")
     sign, whole, frac, e = m.groups()
     frac = (frac or "").rstrip("0")
     exp = (int(e) if e else 0) - len(frac)
-    man = _int_of_digits(whole + frac)
+    man = _int_of_digits(whole + frac or "0")
     man = -man if sign == "-" else man
     if abs(exp) > 400:
         return mpf_mul(from_int(man, prec + 10), mpf_pow_int(_TEN, exp, prec + 10), prec, rnd)
@@ -720,19 +717,24 @@ def _from_long_str(text: str, prec: int, rnd):
 def parse_real(text: str, p: Precision):
     """Parse a decimal real literal at precision ``p``: the one reader of decimal text.
 
-    A bare leading dot reads as ``0.`` (``.0``, ``-.5``, ``.0e5``), which
-    mpmath's reader refuses for some texts.  A literal longer than Python's
-    int-from-text limit (a trace value past 4300 digits) is read by
-    :func:`_from_long_str`, to the same bits.
+    One grammar at every length: an optional sign, decimal digits with at
+    most one point (a bare leading or trailing dot, ``.5`` or ``5.``, but
+    not a lone ``.``), then an optional exponent ``e`` or ``E`` with an
+    optional sign; or one of the words ``inf``, ``+inf``, ``-inf``, ``nan``.
+    A digit is ``\\d``, as in the expression tokenizer, so any Unicode
+    decimal digit counts.  Case and surrounding whitespace are ignored.
+    Other forms that mpmath's reader or ``float`` would take (``1_0``,
+    ``1/3``, ``infinity``) raise.  Past Python's int-from-text limit (a
+    trace value past 4300 digits) the digits are read in parts, to the same
+    bits.
     """
-    s = _LEADING_DOT.sub(r"\g<1>0.", text.strip(), count=1)
-    try:
-        limit = _int_digit_limit()
-        if limit and len(s) > limit:
-            return p.ctx.mpf(_from_long_str(s, *p.ctx._prec_rounding))
+    s = text.strip().lower()
+    if s in _SPECIAL_WORDS:
         return p.ctx.mpf(s)
-    except Exception as exc:
-        raise ValueError(f"invalid real literal {text!r}") from exc
+    m = _DECIMAL.fullmatch(s)
+    if m is None or not (m[2] or m[3]):
+        raise ValueError(f"invalid real literal {text!r}")
+    return p.ctx.make_mpf(_from_decimal(m, *p.ctx._prec_rounding))
 
 
 def read_tol(value, p: Precision):

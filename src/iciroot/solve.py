@@ -17,21 +17,26 @@ Degenerate situations the step formulas cannot handle are safeguarded:
 * NaN or infinity anywhere: the solve stops with status ``nan`` and a
   partial trace.
 
-One modulus per value: |y| and |y'| are taken once per record, when it is
-evaluated, and the tolerance test, the derivative floors and the
-residual-gap guard all read them; a two-point step adds one more,
-|y - y_prev|.  A complex modulus is a square root at the working precision.
+No modulus on the common path: the tolerance test, the derivative floors
+and the residual-gap guard compare |.| against a threshold, and each reads
+the binary exponents of the values first (:func:`_log2_bounds`), which
+bound a magnitude within two binades.  Only when the bounds of the two sides
+overlap does the decision fall back to the exact comparison at the working
+precision (a complex modulus is a square root there), so every decision is
+the one the exact comparison makes.
 
 One y/y' division per record: the Newton update of a record is divided
-once, beside its moduli, when a step first reads it.  The Newton steps
-take x - (y/y'), with the bits of :func:`~iciroot.kernel.newton_step`,
-and the blended step reads both records' updates through
-:func:`~iciroot.kernel.ici_blend`, which adds one division of its own.
+once, beside its magnitude bounds, when a step first reads it.  The
+Newton steps take x - (y/y'), with the bits of
+:func:`~iciroot.kernel.newton_step`, and the blended step reads both
+records' updates through :func:`~iciroot.kernel.ici_blend`, which adds one
+division of its own.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 from .expr import compile_pair
@@ -114,13 +119,56 @@ def solve(f, fp, x0, cfg: SolveConfig | None = None) -> IterationTrace:
     return _solve(lambda x: (f(x), fp(x)), x0, cfg)
 
 
+_ANY = (-math.inf, math.inf)
+
+
+def _log2_bounds(v):
+    """(lo, hi) with 2**lo <= |v| <= 2**hi, from the exponents of an mpf or mpc.
+
+    A zero gives (-inf, -inf); a complex value has one binade of slack at
+    the top, as |a + bi| < 2 * max(|a|, |b|).  Anything else (an infinity, a
+    NaN, an int from a caller's function) gives (-inf, inf), which only the
+    exact comparison decides.  Powers of two stay bounds of |v| and of
+    products of such magnitudes rounded at any precision.
+    """
+    parts = getattr(v, "_mpc_", None)
+    slack = 1
+    if parts is None:
+        raw = getattr(v, "_mpf_", None)
+        if raw is None:
+            return _ANY
+        parts, slack = (raw,), 0
+    top = -math.inf
+    for _, man, exp, bc in parts:
+        if man:
+            top = max(top, exp + bc)
+        elif bc:
+            return _ANY
+    return top - 1, top + slack
+
+
+def _le(a, b, exact):
+    """Whether a magnitude within bounds ``a`` is at most one within bounds ``b``.
+
+    The bounds decide when they do not overlap; otherwise ``exact()``, the
+    comparison at the working precision, does.
+    """
+    if a[1] <= b[0]:
+        return True
+    if a[0] > b[1]:
+        return False
+    return exact()
+
+
 def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
     """:func:`solve` on a closure ``pair(x) -> (f(x), f'(x))``."""
     cfg = cfg if cfg is not None else SolveConfig()
     x = cfg.precision.scalar(x0)
     records = []
-    mods = []      # [|y|, |y'|, y/y' or None] of each finite record, each taken once
+    mods = []      # [bounds of |y|, of |y'|, y/y' or None] of each finite record
+    tol_b = _log2_bounds(cfg.tol)
     guard = cfg.precision.ctx.mpf(10) ** (-cfg.precision.digits + 5)
+    g_lo, g_hi = _log2_bounds(guard)
 
     def evaluate(xv, kind):
         """Record one fresh (f, fp) pair; return the status it stops on, or None."""
@@ -131,8 +179,8 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
         records.append(IterationRecord(len(records), xv, y, yp, kind))
         if not (is_finite(y) and is_finite(yp)):
             return STATUS_NAN
-        mods.append([abs(y), abs(yp), None])
-        return STATUS_CONVERGED if mods[-1][0] <= cfg.tol else None
+        mods.append([_log2_bounds(y), _log2_bounds(yp), None])
+        return STATUS_CONVERGED if _le(mods[-1][0], tol_b, lambda: abs(y) <= cfg.tol) else None
 
     def update(k):
         """The Newton update y_k/y'_k, divided on first use."""
@@ -143,8 +191,17 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
 
     def dead_derivative(k):
         """|y'_k| at or below guard times the local scale max(|y_k|, 1)."""
-        ay, ayp, _ = mods[k]
-        return ayp <= guard * (ay if ay > 1 else 1)
+        (y_lo, y_hi), yp_b, _ = mods[k]
+        rec = records[k]
+        return _le(yp_b, (g_lo + max(y_lo, 0), g_hi + max(y_hi, 0)),
+                   lambda: abs(rec.yp) <= guard * max(abs(rec.y), 1))
+
+    def residuals_meet(cur, prev):
+        """|y - y_prev| at or below guard times max(|y|, |y_prev|)."""
+        gap = cur.y - prev.y
+        (c_lo, c_hi), (p_lo, p_hi) = mods[-1][0], mods[-2][0]
+        return _le(_log2_bounds(gap), (g_lo + max(c_lo, p_lo), g_hi + max(c_hi, p_hi)),
+                   lambda: abs(gap) <= guard * max(abs(cur.y), abs(prev.y)))
 
     stop = evaluate(x, "seed")
     for _ in range(cfg.max_iter):
@@ -157,8 +214,7 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
             x_next, kind = cur.x - update(-1), "newton"
         else:
             prev = records[-2]
-            gap = abs(cur.y - prev.y)
-            if gap <= guard * max(mods[-1][0], mods[-2][0]):
+            if residuals_meet(cur, prev):
                 if dead_derivative(-1):
                     return IterationTrace(records, STATUS_DEGENERATE)
                 x_next, kind = cur.x - update(-1), "safeguard_newton"

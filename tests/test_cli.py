@@ -266,12 +266,20 @@ def test_a_literal_past_4300_digits_in_the_function_solves(capsys, ftext):
 @pytest.mark.parametrize("tol, message", [
     ("inf", "tol must be positive and finite"), ("nan", "tol must be positive and finite"),
     ("0", "tol must be positive and finite"), ("-1", "tol must be positive and finite"),
-    ("abc", "invalid real literal 'abc'")])
+    ("abc", "invalid real literal 'abc'"), ("1/3", "invalid real literal '1/3'")])
 def test_a_bad_solve_tolerance_exits_one(capsys, tol, message):
     # x = 1 is no root of x-2: an infinite tolerance must not call it one
     assert main(["solve", "--f", "x-2", "--x0", "1", f"--tol={tol}"]) == 1
     out, err = capsys.readouterr()
     assert err == f"error: {message}\n" and "converged" not in out
+
+
+@pytest.mark.parametrize("x0", ["1_0", "1/3"])
+def test_an_x0_outside_the_decimal_grammar_exits_one(capsys, x0):
+    # mpmath's reader takes both; the one decimal grammar, as in --f, does not
+    assert main(["solve", "--f", "x-1", "--x0", x0]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: invalid real literal {x0!r}\n" and out == ""
 
 
 def test_order_preset_expands(capsys):

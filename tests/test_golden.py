@@ -1,0 +1,84 @@
+"""Golden outputs: sha256 digests (first 16 hex digits) of trace and report texts.
+
+A change that means to keep every output byte-identical must leave these
+digests as they are.  The set is one 1000-digit problem of each solve-1000
+family (polynomial, the paper's exp example, Kepler, complex z^4 - w) and the
+A1 cubic at 40 digits, each under all four methods.  Each case hashes the
+trace text (metadata and table, at the solve's digits) and the convergence
+report's text at 60 digits.
+
+To print the digests of the code in the working tree:
+``PYTHONPATH=src:tests python -c "import test_golden; test_golden.print_digests()"``.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from iciroot.diagnostics import build_report, report_to_text
+from iciroot.mpscalar import Precision, parse_scalar
+from iciroot.solve import METHODS, SolveConfig, solve_expr, write_trace_text
+
+PROBLEMS = {
+    "poly": ("x^5 - 0.8021*x^4 + 4.0000*x^3 - 3.2084*x^2 + 3.0000*x - 2.4063", "0.6921", 1000),
+    "exp": ("(x^2+x)*exp(-x)-0.2164", "2.04", 1000),
+    "kepler": ("x - 0.061*sin(x) - 0.67", "0.67", 1000),
+    "zpow": ("z^4 + 0.648", "0.624+0.681i", 1000),
+    "a1": ("x^3-2*x-5", "1", 40),
+}
+
+REPORT_DIGITS = 60
+
+
+def _texts(name, method):
+    """(trace text, report text) of one golden solve."""
+    ftext, x0, digits = PROBLEMS[name]
+    p = Precision(digits)
+    trace = solve_expr(ftext, parse_scalar(x0, p), SolveConfig(precision=p, method=method))
+    buf = io.StringIO()
+    write_trace_text(trace, {"function": ftext, "x0": x0, "digits": digits, "method": method}, buf)
+    return buf.getvalue(), report_to_text(build_report(trace), REPORT_DIGITS)
+
+
+def _digests(name, method):
+    return tuple(hashlib.sha256(t.encode()).hexdigest()[:16] for t in _texts(name, method))
+
+
+GOLDEN = {
+    ('poly', 'newton'): ('f9ddb9f906c9b073', '40197d6a74480a60'),
+    ('poly', 'secant'): ('1a5f8407a590efa2', '50d3ba0802823df2'),
+    ('poly', 'ici'): ('d90193dc906b2f37', '65ba5abb99fa81b7'),
+    ('poly', 'ici_averaged'): ('5d94b00a3516f25f', '65ba5abb99fa81b7'),
+    ('exp', 'newton'): ('eb43513587e57e7f', '2149790acc95f00d'),
+    ('exp', 'secant'): ('185f388aea86ca1a', '64f9dbe9795d2e5e'),
+    ('exp', 'ici'): ('c4467a223617d4ac', 'ba0f9abb864e6f54'),
+    ('exp', 'ici_averaged'): ('ce4694804784acf7', '5197259ad36ea93d'),
+    ('kepler', 'newton'): ('150d4630d0a8acae', 'ecea4063dea1e148'),
+    ('kepler', 'secant'): ('cc8e06c2c9acfcb8', 'd6fb55a7cb51c673'),
+    ('kepler', 'ici'): ('164b2730d3cdb034', '6e2b69abd586eec9'),
+    ('kepler', 'ici_averaged'): ('e437d50dd8f23b8f', '6e2b69abd586eec9'),
+    ('zpow', 'newton'): ('82f97a9475203132', 'ea6d6dfbe408077e'),
+    ('zpow', 'secant'): ('50dc19768e1d2fdd', '51c3a3d314ab765b'),
+    ('zpow', 'ici'): ('dc84646892aae31e', 'ff949cdbb559bf36'),
+    ('zpow', 'ici_averaged'): ('41f575aba2d8efc6', 'ff949cdbb559bf36'),
+    ('a1', 'newton'): ('7f104895e3704e93', '20be6791185b6e8c'),
+    ('a1', 'secant'): ('42c5633ccf221a77', '4c9b27f0aab857ad'),
+    ('a1', 'ici'): ('40ca6daa7c4b0f3a', '206507fdb5a879b9'),
+    ('a1', 'ici_averaged'): ('dabcdf43e9f6f7ef', 'b9b6182395425bfe'),
+}
+
+
+@pytest.mark.parametrize("name, method", sorted(GOLDEN))
+def test_trace_and_report_texts_match_their_golden_digests(name, method):
+    assert _digests(name, method) == GOLDEN[name, method]
+
+
+def test_the_golden_set_covers_every_problem_and_method():
+    assert set(GOLDEN) == {(n, m) for n in PROBLEMS for m in METHODS}
+
+
+def print_digests():
+    for name in PROBLEMS:
+        for method in METHODS:
+            print(f"    ({name!r}, {method!r}): {_digests(name, method)!r},")

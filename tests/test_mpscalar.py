@@ -220,6 +220,24 @@ def test_every_reader_of_decimal_text_gives_the_same_bits(text, digits):
         assert p.ctx.mpf(sign + "0" + body)._mpf_ == want      # mpmath's own reader
 
 
+@pytest.mark.parametrize("lead", ["", "7" * 4400], ids=["short", "past-4300"])
+def test_parse_real_takes_one_grammar_at_every_length(lead):
+    # mpmath's reader (and float) take underscores, fractions and more; the
+    # one decimal grammar takes none of them, short or long
+    p = Precision(30)
+    for text in ("1_0", "1/3", "1e", "1..2", "1e5.0", "1 0", "1l", "1j", "1e+-3"):
+        with pytest.raises(ValueError, match="invalid real literal"):
+            parse_real(lead + text, p)
+    for text in ("", ".", ".e5", "e5", "+", "--1", "0x10", "infinity", "+nan", "inf1"):
+        with pytest.raises(ValueError, match="invalid real literal"):
+            parse_real(text, p)
+    assert parse_real(lead + "5.", p) == parse_real(lead + "5e0", p) == parse_real(lead + "5", p)
+    for text, want in ((" INF ", p.inf), ("-Inf", -p.inf), ("+inf", p.inf), ("1E3", 1000),
+                       ("-.5", p.real("-0.5")), ("\u0661\u0662", 12)):
+        assert parse_real(text, p) == want
+    assert is_nan(parse_real("NaN", p))
+
+
 def test_recompute_at_higher_precision_agrees_through_lower_digits():
     lo, hi = Precision(30), Precision(90)
 

@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import ctx_mp_python
-from mpmath.libmp import libmpc
+from mpmath.libmp import libmpc, libmpf
 
 from iciroot.diagnostics import ratio_growth_flag
 from iciroot.kernel import PointSample, ici_step, newton_step, secant_step
@@ -237,6 +240,131 @@ def test_the_guards_sit_at_ten_to_the_five_minus_digits():
         assert [r.step_kind for r in trace.records] == ["seed", "newton", kind]
 
 
+# The tolerance test and the guards decide from exponents unless a value is
+# within a few binades of its threshold; there the exact comparison decides.
+# Each case sits at a threshold or one ulp from it, and must decide as the
+# comparison at the working precision does.
+
+def _ulps(v, k):
+    """v moved by k units in the last place of the working precision."""
+    ctx = v.context
+    _, _, exp, bc = v._mpf_
+    return v + k * ctx.ldexp(1, exp + bc - ctx.prec)
+
+
+def _near(v):
+    return [_ulps(v, k) for k in (-1, 0, 1)]
+
+
+def _guard(p):
+    return p.ctx.mpf(10) ** (-p.digits + 5)
+
+
+def test_tolerance_test_at_tol_and_one_ulp_either_side():
+    p = Precision(30)
+    cfg = SolveConfig(precision=p, tol="1e-20", max_iter=1)
+    one = p.real(1)
+    cases = [s * v for v in _near(cfg.tol) for s in (1, -1)]
+    cases += [p.cplx(v, 0) for v in _near(cfg.tol)] + [p.cplx(0, v) for v in _near(cfg.tol)]
+    rot = p.cplx("0.6", "0.8")
+    cases += [p.ctx.mpc(_ulps(y.real, k), y.imag) for y in [cfg.tol * rot] for k in range(-3, 4)]
+    outcomes = set()
+    for y in cases:
+        trace = solve(lambda x: y, lambda x: one, p.real(0), cfg)
+        want = abs(y) <= cfg.tol
+        assert trace.converged == want, y
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_dead_derivative_floor_at_and_one_ulp_either_side():
+    # a Newton step from a record whose |y'| is at guard * max(|y|, 1)
+    p = Precision(30)
+    cfg = SolveConfig(precision=p, method="newton", max_iter=1)
+    outcomes = set()
+    for y in (p.real(3), p.real("-0.25"), p.real("1e-10"), p.real(1), p.cplx("0.6", "-2.4")):
+        ay = abs(y)
+        floor = _guard(p) * (ay if ay > 1 else 1)
+        for yp in _near(floor) + [p.cplx(0, v) for v in _near(floor)]:
+            trace = solve(lambda x: y, lambda x: yp, p.real(0), cfg)
+            want = abs(yp) <= _guard(p) * (ay if ay > 1 else 1)
+            assert (trace.status == "degenerate") == want, (y, yp)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_residual_gap_guard_at_guard_times_the_larger_residual():
+    # two records with y_prev and y = y_prev - gap; the gaps straddle
+    # guard * max(|y|, |y_prev|) by single units of the residuals' last place
+    p = Precision(30)
+    cfg = SolveConfig(precision=p, max_iter=2)
+    outcomes = set()
+    for y_prev in (p.real(1), p.real(-3), p.cplx("0.6", "0.8")):
+        unit = p.ctx.ldexp(1, int(p.ctx.floor(p.ctx.log(abs(y_prev), 2))) - p.ctx.prec)
+        steps = int(_guard(p) * abs(y_prev) / unit)
+        for k in range(steps - 2, steps + 3):
+            y = y_prev - y_prev / abs(y_prev) * (k * unit) if k else y_prev
+            ys = iter([y_prev, y, y])
+            trace = solve(lambda x: next(ys), lambda x: x * 0 + 1, p.real(0), cfg)
+            want = abs(y - y_prev) <= _guard(p) * max(abs(y), abs(y_prev))
+            kind = trace.records[2].step_kind
+            assert kind == ("safeguard_newton" if want else "ici"), (y_prev, k)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("f, fp, max_iter", [
+    (lambda x: 0, lambda x: 1, 5),          # converged at the seed
+    (lambda x: 1, lambda x: 0, 5),          # dead derivative at the seed
+    (lambda x: 3, lambda x: 1, 3),          # equal residuals: safeguard Newton steps
+    (lambda x: 3 - x, lambda x: -1, 5)],    # an mpf y with an int y'
+    ids=["zero", "dead", "equal", "int-derivative"])
+def test_callables_that_return_ints_decide_as_their_mpf_twins(f, fp, max_iter):
+    p = Precision(30)
+    cfg = SolveConfig(precision=p, max_iter=max_iter)
+    got = solve(f, fp, p.real(0), cfg)
+    want = solve(lambda x: p.real(f(x)), lambda x: p.real(fp(x)), p.real(0), cfg)
+    assert got.status == want.status
+    assert [(r.x, r.step_kind) for r in got.records] == [(r.x, r.step_kind) for r in want.records]
+
+
+@st.composite
+def _magnitude_pairs(draw):
+    """(a, b) with b > 0 and |a| within 0-3 ulp of b or many binades from it; a real or complex."""
+    p = Precision(draw(st.sampled_from([10, 30, 1000])))
+    ctx = p.ctx
+    b = ctx.ldexp(ctx.mpf(draw(st.integers(1, 2 ** 64))), draw(st.integers(-4000, 4000)))
+    if draw(st.booleans()):
+        a = _ulps(b, draw(st.integers(-3, 3)))
+    else:
+        a = ctx.ldexp(b, draw(st.integers(-300, 300)))
+    a = a * draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        turn = ctx.expjpi(ctx.mpf(draw(st.integers(0, 2 ** 20))) / 2 ** 19)
+        a = ctx.mpc(_ulps(a * turn.real, draw(st.integers(-3, 3))) if turn.real else 0,
+                    a * turn.imag)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_magnitude_pairs(), st.integers(-60, 60))
+def test_exponent_bounds_decide_as_the_working_precision_comparison(pair, shift):
+    a, b = pair
+    solve_module = importlib.import_module("iciroot.solve")
+    bounds, le = solve_module._log2_bounds, solve_module._le
+    # |a| <= b, and |a| <= c * b with the product rounded, as the guards take it
+    c = b.context.ldexp(b.context.mpf(3), shift) / 7
+    for rhs, rhs_bounds in ((b, bounds(b)),
+                            (c * b, tuple(x + y for x, y in zip(bounds(c), bounds(b))))):
+        want = abs(a) <= rhs
+        decided = le(bounds(a), rhs_bounds, lambda: None)
+        assert decided in (None, want)
+        assert le(bounds(a), rhs_bounds, lambda: want) == want
+        a_lo, a_hi = bounds(a)
+        if a_lo - 2 >= rhs_bounds[1] or a_hi + 2 <= rhs_bounds[0]:
+            assert decided is not None
+
+
 def test_dead_derivative_at_seed_is_degenerate():
     p = Precision(30)
     trace = solve_expr("x^2+1", p.real(0), SolveConfig(precision=p))    # f'(0) = 0
@@ -359,8 +487,9 @@ def test_read_trace_text_rejects_text_with_no_table_header():
 
 # arithmetic budgets of a 1000-digit complex solve, counted at mpmath's
 # complex kernels: the (f, f') pair takes no logarithm or exponential, and
-# the loop takes one modulus per value and per residual gap, and one
-# division per record and per blended step
+# the loop takes one division per record and per blended step and no square
+# root at the working precision (the tolerance test and the guards read
+# exponents; the modulus bound below is the older, looser budget)
 
 def _count_calls(monkeypatch, module, names):
     """Count the calls that reach each of ``module``'s functions ``names``."""
@@ -401,6 +530,36 @@ def test_solver_takes_two_complex_divisions_per_record(monkeypatch):
     trace = _zpow_solve()
     # each record's Newton update y/y' once, and u = y_prev/(y_prev - y) of a blended step
     assert calls["mpc_div"] + calls["mpc_mpf_div"] <= 2 * (len(trace) - 1)
+
+
+def test_solver_takes_no_working_precision_square_root(monkeypatch):
+    # a complex modulus is a square root at the working precision; only the
+    # exact fallback of a decision too close to call may take one
+    solve_module = importlib.import_module("iciroot.solve")
+    work = Precision(1000).ctx.prec
+    state = {"sqrt": 0, "exact": 0, "in_exact": False}
+    real_sqrt, real_le = libmpf.mpf_sqrt, solve_module._le
+
+    def sqrt(s, prec, *args):
+        if prec >= work and not state["in_exact"]:
+            state["sqrt"] += 1
+        return real_sqrt(s, prec, *args)
+
+    def le(a, b, exact):
+        def fallback():
+            state["exact"] += 1
+            state["in_exact"] = True
+            try:
+                return exact()
+            finally:
+                state["in_exact"] = False
+        return real_le(a, b, fallback)
+
+    monkeypatch.setattr(libmpf, "mpf_sqrt", sqrt)
+    monkeypatch.setattr(solve_module, "_le", le)
+    _zpow_solve()
+    assert state["sqrt"] == 0
+    assert state["exact"] == 0      # no decision of this solve is close to its threshold
 
 
 def _sample(rec):
