@@ -622,15 +622,16 @@ def _round_decimal(man: int, exp: int, dps: int, e10: int):
     10**(dps + 2).
     """
     bc = man.bit_length()
+    low = 10 ** (dps - 1)
     while True:
         shift = dps - 1 - e10
         if abs(shift) > bc + 2 * dps + _EXACT_SHIFT:
             q = _scaled_bracketed(man, exp, shift, dps)
         else:
             q = _scaled_exact(man, exp, shift)
-        if q < 10 ** (dps - 1):
+        if q < low:
             e10 -= 1
-        elif q >= 10 ** dps:
+        elif q >= 10 * low:
             e10 += 1
         else:
             return _int_text(q, dps), e10
@@ -749,7 +750,28 @@ def read_tol(value, p: Precision):
     return tol
 
 
-_IMAG_SUFFIX = _re.compile(r"[ij]\s*$")
+def _imaginary(text: str) -> bool:
+    """Whether ``text`` ends in the imaginary unit ``i`` or ``j``, trailing whitespace aside."""
+    return text.rstrip().endswith(("i", "j"))
+
+
+def _sign_split(body: str) -> int:
+    """Index of the last ``+`` or ``-`` past the start of ``body`` not after ``e``/``E``; else -1.
+
+    Each sign's last position comes from ``str.rfind``; one preceded by an
+    exponent letter gives way to the next of its kind to the left.
+    """
+    plus, minus = body.rfind("+"), body.rfind("-")
+    while True:
+        k = max(plus, minus)
+        if k <= 0:
+            return -1
+        if body[k - 1] not in "eE":
+            return k
+        if k == plus:
+            plus = body.rfind("+", 0, k)
+        else:
+            minus = body.rfind("-", 0, k)
 
 
 def parse_scalar(text: str, p: Precision, complex_mode: bool = False):
@@ -758,25 +780,27 @@ def parse_scalar(text: str, p: Precision, complex_mode: bool = False):
     Complex when ``complex_mode`` or when ``text`` ends in the imaginary unit
     suffix ``i`` or ``j`` (so ``inf`` is real).
     """
-    if complex_mode or _IMAG_SUFFIX.search(text):
+    if complex_mode or _imaginary(text):
         return parse_complex(text, p)
     return parse_real(text, p)
 
 
 def parse_complex(text: str, p: Precision):
-    """Parse ``a``, ``bi``, or ``a±bi`` (``j`` accepted for ``i``) at precision ``p``."""
+    """Parse ``a``, ``bi``, or ``a±bi`` (``j`` accepted for ``i``) at precision ``p``.
+
+    Spaces are dropped.  Text without the unit suffix is a real part.  With
+    it, the split between the parts is the last ``+`` or ``-`` past the first
+    character that is no exponent sign (:func:`_sign_split`, which finds it
+    by ``str.rfind`` rather than a scan of each character); without one the
+    whole is the imaginary part, and a bare sign or none stands for 1.
+    """
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
-    if not _IMAG_SUFFIX.search(s):
+    if not _imaginary(s):
         return p.cplx(parse_real(s, p))
     body = s[:-1]
-    # split at the last top-level +/- that is not an exponent sign
-    split = -1
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "eE":
-            split = k
-            break
+    split = _sign_split(body)
     if split == -1:
         re_part, im_part = "0", body
     else:

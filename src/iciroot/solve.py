@@ -147,6 +147,17 @@ def _log2_bounds(v):
     return top - 1, top + slack
 
 
+def _guard_bounds(digits: int):
+    """:func:`_log2_bounds` of the guard 10**(-digits+5), digits > 5, without building it.
+
+    With L the bit length of 10**m, m = digits - 5, 2**-L < 10**-m < 2**(1-L),
+    and a rounding at the working precision reaches neither end: each lies
+    a relative 2**-(L-m) or more from 10**-m, far past the last bit.
+    """
+    top = 1 - (10 ** (digits - 5)).bit_length()
+    return top - 1, top
+
+
 def _le(a, b, exact):
     """Whether a magnitude within bounds ``a`` is at most one within bounds ``b``.
 
@@ -167,8 +178,11 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
     records = []
     mods = []      # [bounds of |y|, of |y'|, y/y' or None] of each finite record
     tol_b = _log2_bounds(cfg.tol)
-    guard = cfg.precision.ctx.mpf(10) ** (-cfg.precision.digits + 5)
-    g_lo, g_hi = _log2_bounds(guard)
+    g_lo, g_hi = _guard_bounds(cfg.precision.digits)
+
+    def guard():
+        """10**(-digits+5) at the working precision, for the exact comparisons only."""
+        return cfg.precision.ctx.mpf(10) ** (-cfg.precision.digits + 5)
 
     def evaluate(xv, kind):
         """Record one fresh (f, fp) pair; return the status it stops on, or None."""
@@ -194,14 +208,14 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
         (y_lo, y_hi), yp_b, _ = mods[k]
         rec = records[k]
         return _le(yp_b, (g_lo + max(y_lo, 0), g_hi + max(y_hi, 0)),
-                   lambda: abs(rec.yp) <= guard * max(abs(rec.y), 1))
+                   lambda: abs(rec.yp) <= guard() * max(abs(rec.y), 1))
 
     def residuals_meet(cur, prev):
         """|y - y_prev| at or below guard times max(|y|, |y_prev|)."""
         gap = cur.y - prev.y
         (c_lo, c_hi), (p_lo, p_hi) = mods[-1][0], mods[-2][0]
         return _le(_log2_bounds(gap), (g_lo + max(c_lo, p_lo), g_hi + max(c_hi, p_hi)),
-                   lambda: abs(gap) <= guard * max(abs(cur.y), abs(prev.y)))
+                   lambda: abs(gap) <= guard() * max(abs(cur.y), abs(prev.y)))
 
     stop = evaluate(x, "seed")
     for _ in range(cfg.max_iter):
@@ -268,9 +282,16 @@ def write_trace_csv(trace: IterationTrace, path_or_file, digits: int | None = No
     """
     with opened(path_or_file, "w") as fh:
         w = csv.writer(fh)
-        w.writerow(_CSV_HEADER)
-        for rec in trace.records:
-            w.writerow(_record_row(rec, digits))
+        for row in [_CSV_HEADER, *(_record_row(rec, digits) for rec in trace.records)]:
+            line = ",".join(row)
+            # csv.writer checks each character of each field for one that needs
+            # quoting, thousands a row at 1000 digits.  A row with no ',', '"', CR
+            # or LF in a field is its plain join, byte for byte, and every row the
+            # solver makes is one; any other (a hand-built step_kind) takes csv.writer.
+            if line.count(",") == len(row) - 1 and not any(c in line for c in '"\r\n'):
+                fh.write(line + "\r\n")
+            else:
+                w.writerow(row)
 
 
 def write_trace_text(trace: IterationTrace, meta: dict, path_or_file):

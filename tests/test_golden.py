@@ -5,7 +5,10 @@ digests as they are.  The set is one 1000-digit problem of each solve-1000
 family (polynomial, the paper's exp example, Kepler, complex z^4 - w) and the
 A1 cubic at 40 digits, each under all four methods.  Each case hashes the
 trace text (metadata and table, at the solve's digits) and the convergence
-report's text at 60 digits.
+report's text at 60 digits, and a third digest hashes the bits that
+:func:`~iciroot.solve.read_trace_text` gives back from that trace text: the
+raw ``_mpf_`` / ``_mpc_`` tuples of every record, so the reader is pinned
+like the writer.
 
 To print the digests of the code in the working tree:
 ``PYTHONPATH=src:tests python -c "import test_golden; test_golden.print_digests()"``.
@@ -18,7 +21,7 @@ import pytest
 
 from iciroot.diagnostics import build_report, report_to_text
 from iciroot.mpscalar import Precision, parse_scalar
-from iciroot.solve import METHODS, SolveConfig, solve_expr, write_trace_text
+from iciroot.solve import METHODS, SolveConfig, read_trace_text, solve_expr, write_trace_text
 
 PROBLEMS = {
     "poly": ("x^5 - 0.8021*x^4 + 4.0000*x^3 - 3.2084*x^2 + 3.0000*x - 2.4063", "0.6921", 1000),
@@ -31,14 +34,22 @@ PROBLEMS = {
 REPORT_DIGITS = 60
 
 
+def _raw(v):
+    """The sign, mantissa, exponent and bit count of each part of an mpf or mpc."""
+    parts = v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_,)
+    return tuple((sign, int(man), exp, bc) for sign, man, exp, bc in parts)
+
+
 def _texts(name, method):
-    """(trace text, report text) of one golden solve."""
+    """(trace text, report text, read-back bits text) of one golden solve."""
     ftext, x0, digits = PROBLEMS[name]
     p = Precision(digits)
     trace = solve_expr(ftext, parse_scalar(x0, p), SolveConfig(precision=p, method=method))
     buf = io.StringIO()
     write_trace_text(trace, {"function": ftext, "x0": x0, "digits": digits, "method": method}, buf)
-    return buf.getvalue(), report_to_text(build_report(trace), REPORT_DIGITS)
+    back, _ = read_trace_text(io.StringIO(buf.getvalue()))
+    bits = repr([(r.n, _raw(r.x), _raw(r.y), _raw(r.yp), r.step_kind) for r in back.records])
+    return buf.getvalue(), report_to_text(build_report(trace), REPORT_DIGITS), bits
 
 
 def _digests(name, method):
@@ -46,26 +57,26 @@ def _digests(name, method):
 
 
 GOLDEN = {
-    ('poly', 'newton'): ('f9ddb9f906c9b073', '40197d6a74480a60'),
-    ('poly', 'secant'): ('1a5f8407a590efa2', '50d3ba0802823df2'),
-    ('poly', 'ici'): ('d90193dc906b2f37', '65ba5abb99fa81b7'),
-    ('poly', 'ici_averaged'): ('5d94b00a3516f25f', '65ba5abb99fa81b7'),
-    ('exp', 'newton'): ('eb43513587e57e7f', '2149790acc95f00d'),
-    ('exp', 'secant'): ('185f388aea86ca1a', '64f9dbe9795d2e5e'),
-    ('exp', 'ici'): ('c4467a223617d4ac', 'ba0f9abb864e6f54'),
-    ('exp', 'ici_averaged'): ('ce4694804784acf7', '5197259ad36ea93d'),
-    ('kepler', 'newton'): ('150d4630d0a8acae', 'ecea4063dea1e148'),
-    ('kepler', 'secant'): ('cc8e06c2c9acfcb8', 'd6fb55a7cb51c673'),
-    ('kepler', 'ici'): ('164b2730d3cdb034', '6e2b69abd586eec9'),
-    ('kepler', 'ici_averaged'): ('e437d50dd8f23b8f', '6e2b69abd586eec9'),
-    ('zpow', 'newton'): ('82f97a9475203132', 'ea6d6dfbe408077e'),
-    ('zpow', 'secant'): ('50dc19768e1d2fdd', '51c3a3d314ab765b'),
-    ('zpow', 'ici'): ('dc84646892aae31e', 'ff949cdbb559bf36'),
-    ('zpow', 'ici_averaged'): ('41f575aba2d8efc6', 'ff949cdbb559bf36'),
-    ('a1', 'newton'): ('7f104895e3704e93', '20be6791185b6e8c'),
-    ('a1', 'secant'): ('42c5633ccf221a77', '4c9b27f0aab857ad'),
-    ('a1', 'ici'): ('40ca6daa7c4b0f3a', '206507fdb5a879b9'),
-    ('a1', 'ici_averaged'): ('dabcdf43e9f6f7ef', 'b9b6182395425bfe'),
+    ('poly', 'newton'): ('f9ddb9f906c9b073', '40197d6a74480a60', 'b5eb33d9aa2300b3'),
+    ('poly', 'secant'): ('1a5f8407a590efa2', '50d3ba0802823df2', 'a7911854061d8e78'),
+    ('poly', 'ici'): ('d90193dc906b2f37', '65ba5abb99fa81b7', '3fb2e8ed92a729c7'),
+    ('poly', 'ici_averaged'): ('5d94b00a3516f25f', '65ba5abb99fa81b7', 'd3245fc22b0f011f'),
+    ('exp', 'newton'): ('eb43513587e57e7f', '2149790acc95f00d', '7f5eb05d77493efa'),
+    ('exp', 'secant'): ('185f388aea86ca1a', '64f9dbe9795d2e5e', '288b553f9e4b4910'),
+    ('exp', 'ici'): ('c4467a223617d4ac', 'ba0f9abb864e6f54', 'bbe50c267b0d5d66'),
+    ('exp', 'ici_averaged'): ('ce4694804784acf7', '5197259ad36ea93d', '2907dc7c6fbd0a05'),
+    ('kepler', 'newton'): ('150d4630d0a8acae', 'ecea4063dea1e148', 'a6488866b2063930'),
+    ('kepler', 'secant'): ('cc8e06c2c9acfcb8', 'd6fb55a7cb51c673', '457e40d71ba0d4dc'),
+    ('kepler', 'ici'): ('164b2730d3cdb034', '6e2b69abd586eec9', '2b8f5bbfbe221973'),
+    ('kepler', 'ici_averaged'): ('e437d50dd8f23b8f', '6e2b69abd586eec9', '1a282b10f2d4d4c1'),
+    ('zpow', 'newton'): ('82f97a9475203132', 'ea6d6dfbe408077e', 'f6ebe508a92ecbde'),
+    ('zpow', 'secant'): ('50dc19768e1d2fdd', '51c3a3d314ab765b', '4e4d34964f82da17'),
+    ('zpow', 'ici'): ('dc84646892aae31e', 'ff949cdbb559bf36', '1ecdcc042fa8cbb1'),
+    ('zpow', 'ici_averaged'): ('41f575aba2d8efc6', 'ff949cdbb559bf36', 'bdfc9a17351cae0d'),
+    ('a1', 'newton'): ('7f104895e3704e93', '20be6791185b6e8c', '3797cb5d3ed4b072'),
+    ('a1', 'secant'): ('42c5633ccf221a77', '4c9b27f0aab857ad', 'd81853ac1b5213fe'),
+    ('a1', 'ici'): ('40ca6daa7c4b0f3a', '206507fdb5a879b9', 'cfca548eb472e21b'),
+    ('a1', 'ici_averaged'): ('dabcdf43e9f6f7ef', 'b9b6182395425bfe', 'ed0e38c068c48f14'),
 }
 
 

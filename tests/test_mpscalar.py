@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from decimal import ROUND_HALF_UP, Decimal, localcontext
@@ -307,6 +308,75 @@ def test_parse_complex_rejects_garbage():
         parse_complex("", p)
     with pytest.raises(ValueError):
         parse_complex("1+2k", p)
+
+
+# The text scans that parse_scalar and parse_complex made before str.rfind
+# and str.endswith took them over, kept as references.
+
+_REF_IMAG_SUFFIX = re.compile(r"[ij]\s*$")
+
+
+def _ref_sign_split(body):
+    """The split index by a backward scan of each character."""
+    for k in range(len(body) - 1, 0, -1):
+        if body[k] in "+-" and body[k - 1] not in "eE":
+            return k
+    return -1
+
+
+def _ref_parse_complex(text, p):
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ValueError("empty complex literal")
+    if not _REF_IMAG_SUFFIX.search(s):
+        return p.cplx(parse_real(s, p))
+    body = s[:-1]
+    split = _ref_sign_split(body)
+    re_part, im_part = ("0", body) if split == -1 else (body[:split], body[split:])
+    im_part = {"": "1", "+": "1", "-": "-1"}.get(im_part, im_part)
+    return p.cplx(parse_real(re_part, p), parse_real(im_part, p))
+
+
+def _ref_parse_scalar(text, p):
+    return _ref_parse_complex(text, p) if _REF_IMAG_SUFFIX.search(text) else parse_real(text, p)
+
+
+def _outcome(read, text, p):
+    """The raw parts of what ``read`` returns, or the type and text of its error."""
+    try:
+        v = read(text, p)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return v._mpc_ if hasattr(v, "_mpc_") else v._mpf_
+
+
+_SCAN_TEXT = st.builds(
+    lambda body, newline: body + newline,
+    st.one_of(st.text(alphabet="0123456789.eE+-ij \t", max_size=30),
+              st.lists(st.sampled_from(["1", "07", "2.5", ".", "e", "E", "e-3", "E+12", "+", "-",
+                                        "i", "j", " ", "\t"]), max_size=10).map("".join)),
+    st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SCAN_TEXT)
+def test_text_scans_agree_with_their_per_character_references(text):
+    p = Precision(30)
+    assert mpscalar._sign_split(text) == _ref_sign_split(text)
+    assert mpscalar._imaginary(text) == bool(_REF_IMAG_SUFFIX.search(text))
+    assert _outcome(parse_complex, text, p) == _outcome(_ref_parse_complex, text, p)
+    assert _outcome(mpscalar.parse_scalar, text, p) == _outcome(_ref_parse_scalar, text, p)
+
+
+def test_text_scans_agree_on_1000_digit_values():
+    p = Precision(1000)
+    z = p.cplx(p.ctx.pi * 10 ** 20, -p.ctx.e / 10 ** 30)
+    for w in (z, z.conjugate(), -z, p.cplx(0, -1), p.cplx(p.ctx.pi / 10 ** 7, 0)):
+        text = to_decimal(w)
+        assert mpscalar._sign_split(text[:-1]) == _ref_sign_split(text[:-1]) > 0
+        assert _outcome(parse_complex, text, p) == _outcome(_ref_parse_complex, text, p)
+    run = "1e+2e-" * 50_000
+    assert mpscalar._sign_split(run) == _ref_sign_split(run) == -1
 
 
 # to_decimal: correct rounding, checked against the decimal module, which

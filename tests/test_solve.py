@@ -1,17 +1,21 @@
+import csv
 import dataclasses
 import importlib
 import io
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import ctx_mp_python
+from mpmath.ctx_mp import MPContext
 from mpmath.libmp import libmpc, libmpf
 
 from iciroot.diagnostics import ratio_growth_flag
 from iciroot.kernel import PointSample, ici_step, newton_step, secant_step
-from iciroot.mpscalar import Precision, is_nan, parse_complex, parse_real, to_decimal
-from iciroot.solve import (IterationTrace, SolveConfig, read_trace_text, solve,
+from iciroot.mpscalar import (GUARD_BITS, LOG2_10, Precision, is_nan, parse_complex, parse_real,
+                              to_decimal)
+from iciroot.solve import (IterationRecord, IterationTrace, SolveConfig, read_trace_text, solve,
                            solve_expr, write_trace_csv, write_trace_text)
 
 from oracles import bisect_root, digits_of_accuracy
@@ -293,6 +297,45 @@ def test_dead_derivative_floor_at_and_one_ulp_either_side():
     assert outcomes == {True, False}
 
 
+def test_guard_bounds_are_those_of_the_guard_at_the_working_precision():
+    solve_module = importlib.import_module("iciroot.solve")
+    ctx = MPContext()
+    for digits in range(6, 5001):
+        ctx.prec = math.ceil(digits * LOG2_10) + GUARD_BITS      # as Precision(digits) sets it
+        guard = ctx.mpf(10) ** (-digits + 5)
+        assert solve_module._guard_bounds(digits) == solve_module._log2_bounds(guard), digits
+
+
+def test_exact_fallbacks_compare_against_the_guard_at_1000_digits(monkeypatch):
+    # both guards one ulp either side of their thresholds, where only the
+    # exact comparison decides; it must decide as one against _guard(p)
+    solve_module = importlib.import_module("iciroot.solve")
+    real_le, fallbacks = solve_module._le, []
+    monkeypatch.setattr(solve_module, "_le",
+                        lambda a, b, exact: real_le(a, b, lambda: fallbacks.append(1) or exact()))
+    p = Precision(1000)
+    guard, one = _guard(p), p.real(1)
+    outcomes = set()
+    for y in (p.real(3), p.real("-0.25"), p.cplx("0.6", "-2.4")):
+        scale = max(abs(y), one)
+        for yp in _near(guard * scale):
+            trace = solve(lambda x: y, lambda x: yp, p.real(0),
+                          SolveConfig(precision=p, method="newton", max_iter=1))
+            want = abs(yp) <= guard * scale
+            assert (trace.status == "degenerate") == want
+            outcomes.add(want)
+    for y_prev in (p.real(1), p.real(-3)):
+        for y in _near(y_prev * (1 - guard)):
+            ys = iter([y_prev, y, y])
+            trace = solve(lambda x: next(ys), lambda x: one, p.real(0),
+                          SolveConfig(precision=p, max_iter=2))
+            want = abs(y - y_prev) <= guard * max(abs(y), abs(y_prev))
+            assert trace.records[2].step_kind == ("safeguard_newton" if want else "ici")
+            outcomes.add(want)
+    assert outcomes == {True, False}
+    assert fallbacks
+
+
 def test_residual_gap_guard_at_guard_times_the_larger_residual():
     # two records with y_prev and y = y_prev - gap; the gaps straddle
     # guard * max(|y|, |y_prev|) by single units of the residuals' last place
@@ -454,6 +497,43 @@ def test_a_5000_digit_trace_text_rewrites_byte_identically():
     assert second.getvalue() == first.getvalue()
     assert len(to_decimal(back.final.x)) == 5001
     assert abs(back.final.x - trace.final.x) <= p.eps
+
+
+def _csv_writer_text(trace, digits):
+    """The trace table as csv.writer writes the rows of write_trace_csv."""
+    solve_module = importlib.import_module("iciroot.solve")
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(solve_module._CSV_HEADER)
+    for rec in trace.records:
+        w.writerow(solve_module._record_row(rec, digits))
+    return buf.getvalue()
+
+
+def test_trace_csv_is_what_csv_writer_writes():
+    p, q = Precision(40), Precision(34)
+    real = solve_expr("x^3-2*x-5", p.real(1), SolveConfig(precision=p))
+    cplx = solve_expr("z^3-1", q.cplx("0.5", "0.5"), SolveConfig(precision=q, tol="1e-20"))
+    odd = IterationTrace([IterationRecord(0, p.real(2), p.nan, p.inf, "seed"),
+                          IterationRecord(1, p.real("-1.5e-300"), -p.inf, p.real(0), 'a,"b"'),
+                          IterationRecord(2, p.real(3), p.real("1e500"), p.nan, "newton")],
+                         "nan")
+    odd_cplx = IterationTrace([IterationRecord(0, q.cplx(1, -2), q.cplx(q.inf, -q.inf), q.nan,
+                                               'say "seed"'),
+                               IterationRecord(1, q.cplx("-0.5", "1e-9"), q.cplx(0, q.inf),
+                                               q.cplx(-q.inf, 3), "x\r\ny")], "nan")
+    for trace, digits in ((real, 40), (cplx, 34), (odd, 40), (odd_cplx, 34)):
+        buf = io.StringIO()
+        write_trace_csv(trace, buf, digits=digits)
+        assert buf.getvalue() == _csv_writer_text(trace, digits)
+    # a row with a comma and a quote in step_kind is quoted, and reads back
+    text = io.StringIO()
+    write_trace_text(odd, {"digits": 40}, text)
+    assert '"a,""b"""' in text.getvalue()
+    back, _ = read_trace_text(io.StringIO(text.getvalue()))
+    assert [r.step_kind for r in back.records] == ["seed", 'a,"b"', "newton"]
+    assert ([[to_decimal(v, 40) for v in (r.x, r.y, r.yp)] for r in back.records]
+            == [[to_decimal(v, 40) for v in (r.x, r.y, r.yp)] for r in odd.records])
 
 
 def test_trace_writers_and_reader_accept_pathlib_paths(tmp_path):
