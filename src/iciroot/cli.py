@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import re
 import sys
 
 from . import diagnostics as diag
@@ -54,18 +53,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliUsageError(message)
 
-
-# argparse reads an argument that starts with '-' as a flag unless it
-# matches this pattern; its own takes only plain decimals (-2, -0.5), this
-# one also an exponent form (-1e-20, -2.5E3)
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    def _parse_optional(self, arg_string):
+        # every flag but -h starts with '--', so any other argument led by a
+        # single '-' is a value (-1e-3, -0.5+0.5i, -inf, -x^3+2*x+5); the
+        # readers of numbers and expressions alone decide whether it is one
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _build_parser():
     """The ``iciroot`` parser and its subcommand parsers by name."""
     parser = _Parser(prog="iciroot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    dash_note = "; write --{0}=VALUE when VALUE starts with '-' and is not a plain number"
 
     def add_common(p, digits, max_iter, tol):
         p.add_argument("--f", type=str, help="function text, e.g. 'x^3-2*x-5'")
@@ -81,8 +81,8 @@ def _build_parser():
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         add_common(p, digits=Precision.digits, max_iter=SolveConfig.max_iter, tol=None)
-        p.add_argument("--x0", type=str, help="initial guess; an 'i'/'j' suffix selects "
-                       "complex mode" + dash_note.format("x0"))
+        p.add_argument("--x0", type=str,
+                       help="initial guess; an 'i'/'j' suffix selects complex mode")
         p.add_argument("--complex", action="store_true", dest="complex_mode",
                        help="force complex mode even for a real x0")
         if one_method:      # compare runs every method and writes no file
@@ -101,7 +101,6 @@ def _build_parser():
     def add_grid(name, help, run):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        p._negative_number_matcher = _NEGATIVE_NUMBER       # --re -1e-20 1e-20
         add_common(p, digits=DEFAULT_BASIN_DIGITS, max_iter=BasinSpec.max_iter, tol=BasinSpec.tol)
         p.add_argument("--out", type=str, help="output file path")
         p.add_argument("--re", nargs=2, type=str, default=list(BasinSpec.re_range),
@@ -121,9 +120,8 @@ def _build_parser():
     p_basin.add_argument("--csv", type=str, help="also dump per-pixel outcomes as CSV")
     p_scan = add_grid("scan", "root assignments along a complex segment", _run_scan)
     p_scan.add_argument("--from", dest="seg_from", type=str,
-                        help="segment start, e.g. '-1.45+0i'" + dash_note.format("from"))
-    p_scan.add_argument("--to", dest="seg_to", type=str,
-                        help="segment end" + dash_note.format("to"))
+                        help="segment start, e.g. '-1.45+0i'")
+    p_scan.add_argument("--to", dest="seg_to", type=str, help="segment end")
     p_scan.add_argument("--samples", type=int, default=400)
     return parser, sub.choices
 

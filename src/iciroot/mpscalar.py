@@ -29,7 +29,6 @@ from mpmath.libmp import (MPZ_ONE, fone, from_int, from_man_exp, from_rational, 
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln10_fixed, ln2_fixed, mod_pi2, pi_fixed
 
 LOG2_10 = math.log2(10.0)
-_LOG10_2_FIX = (ln2_fixed(128) << 64) // ln10_fixed(128)     # floor(log10(2) * 2**64)
 _TEN = from_int(10)
 
 # Extra binary precision beyond the requested decimal digits, so that long
@@ -528,7 +527,7 @@ def log10_abs_text(x, digits: int, negate: bool = False) -> str:
     rounding boundary inside the bound, zero, NaN, an infinity) the
     full-precision log10 is printed.
     """
-    wp = math.ceil(digits * LOG2_10) + GUARD_BITS
+    wp = _context(digits).prec
     v = mpf_div(ln_abs(x, wp), mpf_ln10(wp), wp, round_nearest)
     if negate:
         v = mpf_neg(v)
@@ -559,11 +558,8 @@ def to_decimal(x, digits: int | None = None) -> str:
     ``re+imi`` / ``re-imi``.
     """
     if hasattr(x, "_mpc_"):
-        ctx = context_of(x)
-        re_s = to_decimal(x.real, digits)
-        im = x.imag
-        sign = "-" if (not ctx.isnan(im) and im < 0) else "+"
-        return f"{re_s}{sign}{to_decimal(abs(im), digits)}i"
+        im = to_decimal(x.imag, digits)
+        return f"{to_decimal(x.real, digits)}{'' if im.startswith('-') else '+'}{im}i"
     ctx = context_of(x)
     if digits is None:
         digits = _digits_of(ctx)
@@ -583,8 +579,11 @@ def _mpf_text(s, dps: int) -> str:
     sign, man, exp, bc = s
     if not man:
         return "0.0"
-    # the guess is within one of floor((exp + bc - 1) * log10(2)) while |exp| < 2**60
-    head, exponent = _round_decimal(man, exp, dps, ((exp + bc - 1) * _LOG10_2_FIX) >> 64)
+    # log10(2) to 64 bits more than n has: the guess is within one of floor(n * log10(2))
+    n = exp + bc - 1
+    wp = n.bit_length() + 64
+    e10 = (n * (ln2_fixed(wp) << wp) // ln10_fixed(wp)) >> wp
+    head, exponent = _round_decimal(man, exp, dps, e10)
     if -6 < exponent < 6:
         if exponent < 0:
             head = "0" * -exponent + head
@@ -658,7 +657,7 @@ def _scaled_bracketed(man: int, exp: int, shift: int, dps: int) -> int:
     positive distance from the nearest half-integer, so the loop ends.
     """
     x = from_man_exp(man, exp)
-    wp = math.ceil(dps * LOG2_10) + 32
+    wp = _context(dps).prec
     while True:
         lo, hi = (_scaled_exact(*mpf_mul(x, mpf_pow_int(_TEN, shift, wp, rnd), wp, rnd)[1:3], 0)
                   for rnd in (round_floor, round_ceiling))
@@ -803,8 +802,8 @@ def parse_complex(text: str, p: Precision):
     split = _sign_split(body)
     if split == -1:
         re_part, im_part = "0", body
-    else:
-        re_part, im_part = body[:split], body[split:]
+    else:       # a '+' at the split is the operator, as in Python's complex()
+        re_part, im_part = body[:split], body[split:].removeprefix("+")
     if im_part in ("", "+"):
         im_part = "1"
     elif im_part == "-":

@@ -103,11 +103,14 @@ def test_a_deep_zoom_window_on_the_re_flag_reaches_the_spec(tmp_path, capsys, mo
      ",6.545829279730056713091794744333112161171e+102226522508642260,"),
     (["order", "--f", "exp(x)-1", "--x0=-40", "--max-iter", "4"],
      "predicted_next: 4.4526347e+102226522508642257\n"),
-    (["solve", "--f", "x^2-2", "--x0", "1e400000000"], "root: 1.0e+400000000\n")],
-    ids=["solve-csv", "order", "huge-x0"])
+    (["solve", "--f", "x^2-2", "--x0", "1e400000000"], "root: 1.0e+400000000\n"),
+    (["solve", "--f", "exp(exp(z))", "--x0", "800+1i", "--digits", "20", "--max-iter", "2",
+      "--out", "t.csv"], ",-5.4329920305528525769e+63974463851724924204638664")],
+    ids=["solve-csv", "order", "huge-x0", "binary-exponent-past-2**60"])
 def test_values_with_huge_decimal_exponents_print_quickly(tmp_path, monkeypatch, capsys,
                                                            argv, text):
-    # the residuals of the exp problem reach e**(2.35e17)
+    # the residuals of the exp problem reach e**(2.35e17), those of exp(exp(z))
+    # at 800+i about 2**(2**1154)
     monkeypatch.chdir(tmp_path)
     start = time.perf_counter()
     assert main(argv) == 2
@@ -116,6 +119,59 @@ def test_values_with_huge_decimal_exponents_print_quickly(tmp_path, monkeypatch,
     if "--out" in argv:
         shown += (tmp_path / "t.csv").read_text()
     assert text in shown
+
+
+def test_order_reads_back_a_trace_with_a_complex_nan(tmp_path, capsys):
+    trace_file = tmp_path / "t.txt"
+    assert main(["solve", "--f", "log(z-1)*(z-1)", "--x0", "1+0i", "--digits", "20",
+                 "--format", "text", "--out", str(trace_file)]) == 2
+    assert ",nan+nani," in trace_file.read_text()
+    capsys.readouterr()
+    assert main(["order", "--trace", str(trace_file)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "fitted_constant: nan" in captured.out
+
+
+# each value is led by a single '-'; the flag is checked on each subcommand that has it
+_DASH_LED_VALUES = [(["--x0", "-1e-3"], {"x0": "-1e-3"}),
+                    (["--x0", "-0.5+0.5i"], {"x0": "-0.5+0.5i"}),
+                    (["--x0", "-inf"], {"x0": "-inf"}),
+                    (["--f", "-x^3+2*x+5"], {"f": "-x^3+2*x+5"}),
+                    (["--re", "-1e-3", "1e-3"], {"re": ["-1e-3", "1e-3"]}),
+                    (["--from", "-1.45+0i", "--to", "-1.05+0i"],
+                     {"seg_from": "-1.45+0i", "seg_to": "-1.05+0i"})]
+
+
+@pytest.mark.parametrize("command", ["solve", "order", "compare", "basin", "scan"])
+def test_values_led_by_a_dash_are_values_on_every_subcommand(command):
+    _, commands = cli._build_parser()
+    flags = {opt for action in commands[command]._actions for opt in action.option_strings}
+    checked = 0
+    for argv, expected in _DASH_LED_VALUES:
+        if argv[0] in flags:
+            args = cli._parse_args([command, *argv])
+            assert {dest: getattr(args, dest) for dest in expected} == expected
+            checked += 1
+    assert checked == {"solve": 4, "order": 4, "compare": 4, "basin": 2, "scan": 3}[command]
+
+
+@pytest.mark.parametrize("argv, code, root", [
+    (["--f", "x^3-2*x-5", "--x0", "-1e-3"], 0, "root: 2.0945514815423265914823865405793"),
+    (["--f", "z^3-1", "--x0", "-0.5+0.5i"], 0, "root: -0.5+0.866025403784438646763723170752936"),
+    (["--f", "x^3-2*x-5", "--x0", "-inf"], 2, "root: -inf"),
+    (["--f", "-x^3+2*x+5", "--x0", "2"], 0, "root: 2.0945514815423265914823865405793")],
+    ids=["exponent", "complex", "inf", "function"])
+def test_solve_reads_values_led_by_a_dash(capsys, argv, code, root):
+    assert main(["solve", *argv, "--digits", "40"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == "" and root in captured.out
+
+
+def test_solve_dash_h_still_prints_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: iciroot solve")
 
 
 def test_solve_linear_converges_with_exit_zero(capsys):
@@ -274,9 +330,10 @@ def test_a_bad_solve_tolerance_exits_one(capsys, tol, message):
     assert err == f"error: {message}\n" and "converged" not in out
 
 
-@pytest.mark.parametrize("x0", ["1_0", "1/3"])
+@pytest.mark.parametrize("x0", ["1_0", "1/3", "-x"])
 def test_an_x0_outside_the_decimal_grammar_exits_one(capsys, x0):
-    # mpmath's reader takes both; the one decimal grammar, as in --f, does not
+    # mpmath's reader takes the first two; the one decimal grammar, as in --f,
+    # does not; '-x' reaches it as a value, not as a flag
     assert main(["solve", "--f", "x-1", "--x0", x0]) == 1
     out, err = capsys.readouterr()
     assert err == f"error: invalid real literal {x0!r}\n" and out == ""

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import mpmath
@@ -311,7 +312,8 @@ def test_parse_complex_rejects_garbage():
 
 
 # The text scans that parse_scalar and parse_complex made before str.rfind
-# and str.endswith took them over, kept as references.
+# and str.endswith took them over, kept as references (with the later rule
+# that a '+' at the split is the operator, not the imaginary part's sign).
 
 _REF_IMAG_SUFFIX = re.compile(r"[ij]\s*$")
 
@@ -332,7 +334,7 @@ def _ref_parse_complex(text, p):
         return p.cplx(parse_real(s, p))
     body = s[:-1]
     split = _ref_sign_split(body)
-    re_part, im_part = ("0", body) if split == -1 else (body[:split], body[split:])
+    re_part, im_part = ("0", body) if split == -1 else (body[:split], body[split:].removeprefix("+"))
     im_part = {"": "1", "+": "1", "-": "-1"}.get(im_part, im_part)
     return p.cplx(parse_real(re_part, p), parse_real(im_part, p))
 
@@ -475,6 +477,59 @@ def test_to_decimal_of_a_long_tie_far_from_one_is_exact():
 def test_to_decimal_at_huge_exponents_is_quick(value, text):
     x = Precision(12).real(value)
     assert to_decimal(x, 6) == text
+
+
+@pytest.mark.parametrize("exp", [2 ** 200, -2 ** 200, 2 ** 80, -2 ** 80, 2 ** 70, -2 ** 61],
+                         ids=["2**200", "-2**200", "2**80", "-2**80", "2**70", "-2**61"])
+def test_to_decimal_at_any_binary_exponent_has_mpmath_digits_and_reads_back(exp):
+    x = _MP.make_mpf(from_man_exp(3, exp))
+    start = time.perf_counter()
+    text = to_decimal(x, 20)
+    assert time.perf_counter() - start < 2
+    assert text == mpmath.libmp.to_str(x._mpf_, 20)
+    assert to_decimal(parse_real(text, Precision(20)), 20) == text
+
+
+_SPECIAL_PARTS = {"zero": fzero, "inf": finf, "-inf": fninf, "nan": fnan}
+
+
+@st.composite
+def _printed_values(draw):
+    """A real or complex value and a print digit count.
+
+    Each part has a mantissa of 10 to 1000 digits and a binary exponent up
+    to +-2**70, or is zero, +-inf or NaN.
+    """
+    def part():
+        kind = draw(st.sampled_from(["finite"] * 3 + list(_SPECIAL_PARTS)))
+        if kind != "finite":
+            return _SPECIAL_PARTS[kind]
+        bits = draw(st.integers(34, 3322))
+        man = draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+        exp = draw(st.one_of(st.integers(-2 ** 70, 2 ** 70), st.integers(-4000, 4000)))
+        return from_man_exp(-man if draw(st.booleans()) else man, exp - bits)
+
+    digits = draw(st.integers(10, 1000))
+    if draw(st.booleans()):
+        return _MP.make_mpc((part(), part())), digits, True
+    return _MP.make_mpf(part()), digits, False
+
+
+@settings(max_examples=200, deadline=None)
+@given(_printed_values())
+def test_every_printed_value_reads_back_to_its_text(case):
+    value, digits, is_complex = case
+    text = to_decimal(value, digits)
+    back = mpscalar.parse_scalar(text, Precision(digits), is_complex)
+    assert to_decimal(back, digits) == text
+
+
+def test_a_complex_nan_reads_back():
+    p = Precision(20)
+    z = parse_complex("nan+nani", p)
+    assert is_nan(z.real) and is_nan(z.imag)
+    assert to_decimal(z) == "nan+nani"
+    assert to_decimal(parse_complex("-inf-infi", p)) == "-inf-infi"
 
 
 # ln_abs: the fixed-point kernel in its band, mpf_log outside it

@@ -484,6 +484,20 @@ def test_complex_trace_text_round_trip():
     assert abs(back.final.x - trace.final.x) <= abs(trace.final.x) * 10 * p.eps
 
 
+def test_a_complex_nan_trace_reads_back_and_rewrites_byte_identically():
+    # the residual at the seed is nan+nani
+    p = Precision(20)
+    trace = solve_expr("log(z-1)*(z-1)", p.cplx(1, 0), SolveConfig(precision=p))
+    assert trace.status == "nan" and to_decimal(trace.final.y) == "nan+nani"
+    meta = {"function": "log(z-1)*(z-1)", "x0": "1+0i", "digits": 20}
+    first, second = io.StringIO(), io.StringIO()
+    write_trace_text(trace, meta, first)
+    back, meta2 = read_trace_text(io.StringIO(first.getvalue()))
+    write_trace_text(back, meta2, second)
+    assert second.getvalue() == first.getvalue()
+    assert is_nan(back.final.y.real) and is_nan(back.final.y.imag)
+
+
 def test_a_5000_digit_trace_text_rewrites_byte_identically():
     # past Python's 4300-digit limit on int <-> str, in both directions
     p = Precision(5000)
