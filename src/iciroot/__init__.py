@@ -8,8 +8,7 @@ derivative evaluation per step and converges with order 1 + sqrt(3).
 
 from .basins import BasinRaster, BasinSpec, line_scan, render, write_image
 from .diagnostics import (ConvergenceReport, build_report, error_constant_oracle,
-                          fit_constant, order_estimate, predict_next, ratio_growth_flag,
-                          ratio_sequence, residual_ratio_limit)
+                          ratio_growth_flag, residual_ratio_limit)
 from .expr import ExprError, ExprSyntaxError, UnknownIdentifierError, differentiate, evaluate, parse, render as render_expr
 from .kernel import (DegenerateIntervalError, EqualResidualsError, PointSample,
                      ZeroDerivativeError, hermite_forward_eval, hermite_inverse_eval,
@@ -23,8 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasinRaster", "BasinSpec", "line_scan", "render", "write_image",
-    "ConvergenceReport", "build_report", "error_constant_oracle", "fit_constant",
-    "order_estimate", "predict_next", "ratio_growth_flag", "ratio_sequence",
+    "ConvergenceReport", "build_report", "error_constant_oracle", "ratio_growth_flag",
     "residual_ratio_limit",
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError", "differentiate",
     "evaluate", "parse", "render_expr",

@@ -221,12 +221,10 @@ def _run_solve(args) -> int:
 
 def _run_order(args) -> int:
     if args.trace:
-        trace, meta = read_trace_text(args.trace)
-        status_code = 0
+        trace, _ = read_trace_text(args.trace)
     else:
         trace, _ = _solve_flags(args, args.method)
-        status_code = 0 if trace.converged else 2
-        print(f"status: {trace.status} ({len(trace) - 1} iterations)")
+    print(f"status: {trace.status} ({len(trace) - 1} iterations)")
     report = diag.build_report(trace)
     text = diag.report_to_text(report, digits=8)
     print(text, end="")
@@ -235,7 +233,7 @@ def _run_order(args) -> int:
             fh.write(text)
     elif args.out:
         diag.write_report_csv(report, args.out)
-    return status_code
+    return 0 if trace.converged else 2
 
 
 def _run_compare(args) -> int:

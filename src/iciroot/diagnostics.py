@@ -12,8 +12,9 @@ log-recurrence gives asymptotic order 1 + sqrt(3) = 2.732...  The fitted
 model used throughout is y_k = C**((1+sqrt(3))**k) with C fixed from the
 final data point only.
 
-One modulus and one logarithm per residual: |y_k| is taken once per record,
-at the working precision, and so is L_k = ln|y_k|, from that modulus.  Every
+:func:`build_report`, the one way to a :class:`ConvergenceReport`, takes one
+modulus and one logarithm per residual: |y_k| once per record, at the
+working precision, and L_k = ln|y_k| from that modulus.  Every
 diagnostic is derived from these two lists: the ratios, the order-estimate
 admission, the fit index and the prediction from |y_k|; digits -L_k/ln 10,
 order estimates L_{k+1}/L_k, the fitted constant C = exp(L_K * rho**-K) and
@@ -33,126 +34,23 @@ from .mpscalar import context_of, exp_real, ln_abs, opened, to_decimal
 from .solve import IterationTrace
 
 
-class DiagnosticsError(ValueError):
-    pass
-
-
-class FitUndefinedError(DiagnosticsError):
-    """Final residual missing, zero, or >= 1: the decay model cannot be fit."""
-
-
-class MultipleRootError(DiagnosticsError):
+class MultipleRootError(ValueError):
     """First derivative vanishes at the root."""
 
 
-def _ctx(trace: IterationTrace):
-    return context_of(trace.records[0].y)
-
-
-def _rho(ctx):
-    return 1 + ctx.sqrt(ctx.mpf(3))
-
-
-def _moduli(trace: IterationTrace):
-    """|y_k| for every record, each taken once at the working precision."""
-    return [abs(y) for y in trace.residuals()]
+def _ratio_denominator(mods, k):
+    """(|y_{k-1}|*|y_{k-2}|)^2: r_k is |y_k| over it; at k = K+1, r_K times it predicts |y_{K+1}|."""
+    return (mods[k - 1] * mods[k - 2]) ** 2
 
 
 def _ratios(mods):
-    """r_k = |y_k| / (|y_{k-1}|*|y_{k-2}|)^2 from the moduli; see :func:`ratio_sequence`."""
+    """Ratios r_k for k >= 2 from the moduli, stopping at a zero in a denominator."""
     out = []
     for k in range(2, len(mods)):
         if mods[k - 1] == 0 or mods[k - 2] == 0:
             break
-        out.append(mods[k] / (mods[k - 1] * mods[k - 2]) ** 2)
+        out.append(mods[k] / _ratio_denominator(mods, k))
     return out
-
-
-def ratio_sequence(trace: IterationTrace):
-    """Residual ratios r_k = |y_k| / (|y_{k-1}|*|y_{k-2}|)^2 for k >= 2.
-
-    The sequence is truncated at the first k whose denominator residuals
-    include a zero.  Traces with fewer than three records give [].
-    """
-    return _ratios(_moduli(trace))
-
-
-def _log_abs(ctx, a):
-    """ln|y| at the working precision, from its modulus a = |y|.
-
-    -inf at zero; NaN and +inf pass through.  ``abs`` rounds the same complex
-    modulus as ``ln_abs`` does, at the same precision, so this is ln|y| to
-    the bit.
-    """
-    return ctx.make_mpf(ln_abs(a, ctx.prec))
-
-
-def _fit_index(mods) -> int:
-    """Index K of the final residual, which fixes C in y_K = C**rho**K.
-
-    Raises:
-        FitUndefinedError: if the final residual is missing, zero, or not below 1.
-    """
-    if not mods:
-        raise FitUndefinedError("empty trace")
-    y_last = mods[-1]
-    if y_last == 0:
-        raise FitUndefinedError("final residual is exactly zero")
-    if y_last >= 1:
-        raise FitUndefinedError("final residual is not below 1")
-    return len(mods) - 1
-
-
-def _fit_from_log(ctx, log_last, K):
-    """C = exp(L_K * rho**-K), the fit of y_K = C**rho**K from L_K = ln|y_K|, by ``exp_real``."""
-    return ctx.make_mpf(exp_real(log_last * _rho(ctx) ** (-K), ctx.prec))
-
-
-def fit_constant(trace: IterationTrace):
-    """Constant C of the decay model y_k = C**rho**k, fit at the final point.
-
-    Raises:
-        FitUndefinedError: if the final residual is zero or not below 1.
-    """
-    mods = _moduli(trace)
-    K = _fit_index(mods)
-    ctx = _ctx(trace)
-    return _fit_from_log(ctx, _log_abs(ctx, mods[-1]), K)
-
-
-def _predict(mods, ratios):
-    """r_last * (|y_K|*|y_{K-1}|)^2; see :func:`predict_next`."""
-    if not ratios or len(ratios) < len(mods) - 2:
-        raise DiagnosticsError("need at least three consecutive nonzero residuals")
-    return ratios[-1] * (mods[-1] * mods[-2]) ** 2
-
-
-def predict_next(trace: IterationTrace):
-    """Predicted |y_{K+1}| = r_last * (|y_K|*|y_{K-1}|)^2 from the last ratio."""
-    mods = _moduli(trace)
-    return _predict(mods, _ratios(mods))
-
-
-def _orders_from_logs(mods, logs):
-    """ln|y_{k+1}| / ln|y_k| over the pairs :func:`order_estimate` admits."""
-    out = []
-    for k in range(len(mods) - 1):
-        a, b = mods[k], mods[k + 1]
-        if a == 0 or b == 0 or a >= 1 or b >= 1 or b >= a:
-            continue
-        out.append(logs[k + 1] / logs[k])
-    return out
-
-
-def order_estimate(trace: IterationTrace):
-    """Successive-exponent order estimates rho_k = ln|y_{k+1}| / ln|y_k|.
-
-    Only indices where both residuals are nonzero, below 1 and strictly
-    decreasing contribute; other k are skipped.
-    """
-    mods = _moduli(trace)
-    ctx = _ctx(trace)
-    return _orders_from_logs(mods, [_log_abs(ctx, a) for a in mods])
 
 
 def error_constant_oracle(f1, f2, f3, f4):
@@ -180,9 +78,10 @@ def ratio_growth_flag(trace: IterationTrace, window: int = 4) -> bool:
     The residual recorded at a converged stop sits at the evaluation noise
     floor, so its ratio is dropped before looking at the tail.  A simple
     root settles to a constant ratio (quotients -> 1); a multiple root keeps
-    multiplying the ratio by a large steady factor.
+    multiplying the ratio by a large steady factor.  Takes the moduli only,
+    no logarithms, since ``iciroot solve`` asks on every run.
     """
-    ratios = ratio_sequence(trace)
+    ratios = _ratios([abs(y) for y in trace.residuals()])
     if trace.converged:
         ratios = ratios[:-1]
     if len(ratios) < window:
@@ -195,40 +94,62 @@ def ratio_growth_flag(trace: IterationTrace, window: int = 4) -> bool:
 
 @dataclass
 class ConvergenceReport:
+    """Every diagnostic of one trace y_0 .. y_K; L_k = ln|y_k| and rho = 1 + sqrt(3).
+
+    The three lists are never None, and empty when no k qualifies.
+
+    Attributes:
+        digits_per_step: -L_k / ln 10 for every k; inf at a zero residual.
+        ratios: r_k = |y_k| / (|y_{k-1}|*|y_{k-2}|)^2 for k = 2, 3, ... up to
+            the first k whose denominator holds a zero residual.
+        order_estimates: L_{k+1} / L_k at each k where neither residual is
+            zero or at least 1 and |y_{k+1}| is not at least |y_k|; a NaN
+            residual fails none of these tests.
+        fitted_constant: C = exp(L_K * rho**-K), fitting y_K = C**rho**K;
+            None when y_K is zero or at least 1.
+        predicted_next: r_K * (|y_K|*|y_{K-1}|)^2, the model's |y_{K+1}|;
+            None unless every ratio r_2 .. r_K exists.
+        fit_misfit_log10: |L_{K-1} - L_K / rho| / ln 10, the decades between
+            y_{K-1} and the fit; None when fitted_constant is None, when
+            K = 0 or when y_{K-1} = 0.
+    """
+
     digits_per_step: list
     ratios: list
     order_estimates: list
-    fitted_constant: object       # None when the fit is undefined
-    predicted_next: object        # None when fewer than 3 nonzero residuals
-    fit_misfit_log10: object      # |log10 y_{K-1} - model|; None if unavailable
+    fitted_constant: object
+    predicted_next: object
+    fit_misfit_log10: object
 
 
 def build_report(trace: IterationTrace) -> ConvergenceReport:
     """Compute every diagnostic that the trace supports; missing ones are None.
 
-    Takes one modulus and one working-precision logarithm per record (see
-    the module notes).
+    The one way to a report: one modulus and one working-precision logarithm
+    per record (see the module notes).
     """
-    ctx = _ctx(trace)
-    mods = _moduli(trace)
-    logs = [_log_abs(ctx, a) for a in mods]
+    ctx = context_of(trace.records[0].y)
+    rho = 1 + ctx.sqrt(ctx.mpf(3))
+    mods = [abs(y) for y in trace.residuals()]
+    logs = [ctx.make_mpf(ln_abs(a, ctx.prec)) for a in mods]
     ln10 = +ctx.ln10
     digits = [-L / ln10 for L in logs]
     ratios = _ratios(mods)
-    orders = _orders_from_logs(mods, logs)
-    try:
-        K = _fit_index(mods)
-        c_fit = _fit_from_log(ctx, logs[K], K)
-    except FitUndefinedError:
-        c_fit = None
-    try:
-        predicted = _predict(mods, ratios)
-    except DiagnosticsError:
-        predicted = None
-    misfit = None
-    if c_fit is not None and len(mods) >= 2 and mods[-2] != 0:
+    orders = []
+    for k in range(len(mods) - 1):
+        a, b = mods[k], mods[k + 1]
+        if a == 0 or b == 0 or a >= 1 or b >= 1 or b >= a:
+            continue
+        orders.append(logs[k + 1] / logs[k])
+    K = len(mods) - 1
+    c_fit = predicted = misfit = None
+    if not (mods[K] == 0 or mods[K] >= 1):
+        c_fit = ctx.make_mpf(exp_real(logs[K] * rho ** (-K), ctx.prec))
+    if ratios and len(ratios) >= K - 1:
+        predicted = ratios[-1] * _ratio_denominator(mods, K + 1)
+    if c_fit is not None and K >= 1 and mods[K - 1] != 0:
         # log10 y_{K-1} against the model's rho**(K-1) * log10 C = L_K / (rho ln 10)
-        misfit = abs(logs[-2] - logs[-1] / _rho(ctx)) / ln10
+        misfit = abs(logs[K - 1] - logs[K] / rho) / ln10
     return ConvergenceReport(digits, ratios, orders, c_fit, predicted, misfit)
 
 

@@ -800,11 +800,12 @@ def parse_complex(text: str, p: Precision):
         return p.cplx(parse_real(s, p))
     body = s[:-1]
     split = _sign_split(body)
-    if split == -1:
-        re_part, im_part = "0", body
-    else:       # a '+' at the split is the operator, as in Python's complex()
-        re_part, im_part = body[:split], body[split:].removeprefix("+")
-    if im_part in ("", "+"):
+    re_part, im_part = ("0", body) if split == -1 else (body[:split], body[split:])
+    # a leading '+' is the operator at a split, as in Python's complex(), and
+    # a no-op sign without one; dropped either way, '+nani' reads as 'nani'
+    # (parse_real refuses a signed nan)
+    im_part = im_part.removeprefix("+")
+    if im_part == "":
         im_part = "1"
     elif im_part == "-":
         im_part = "-1"

@@ -13,8 +13,7 @@ import time
 import pytest
 
 from iciroot.basins import BasinSpec, line_scan, render
-from iciroot.diagnostics import (error_constant_oracle, fit_constant, order_estimate,
-                                 ratio_sequence, residual_ratio_limit)
+from iciroot.diagnostics import build_report, error_constant_oracle, residual_ratio_limit
 from iciroot.expr import differentiate, evaluate, parse
 from iciroot.kernel import (PointSample, hermite_forward_eval, ici_step,
                             ici_step_averaged, ici_step_blind, newton_step, secant_step)
@@ -79,7 +78,8 @@ def test_a2_exp_example_residual_magnitudes(exp_traces_1000):
 def test_a3_ratio_sequence_and_fitted_constant(exp_traces_1000):
     ici, _, _ = exp_traces_1000
     stated = [1.5952, 17.048, 4.5955, 4.9061, 4.9080, 4.9081, 4.9080]
-    ratios = ratio_sequence(ici)
+    report = build_report(ici)
+    ratios = report.ratios
     assert len(ratios) == 7
     deviations = []
     ok = True
@@ -88,7 +88,7 @@ def test_a3_ratio_sequence_and_fitted_constant(exp_traces_1000):
         dev = abs(float(got) - want)
         deviations.append(dev / unit4)
         ok = ok and dev <= unit4
-    c = float(fit_constant(ici))
+    c = float(report.fitted_constant)
     ok_c = abs(c - 0.6437) <= 1e-4
     assert _check("A3", ok and ok_c,
                   f"ratios within {max(deviations):.2f} units of the 4th significant "
@@ -132,7 +132,7 @@ def test_a5_multiple_root():
     trace = solve_expr("(x-2)^2", p.real("0.5"), SolveConfig(precision=p))
     iterations = len(trace) - 1
     err = abs(trace.final.x - 2)
-    ratios = ratio_sequence(trace)
+    ratios = build_report(trace).ratios
     tail = [float(r) for r in ratios[-4:]]
     increasing = len(tail) == 4 and all(tail[i] < tail[i + 1] for i in range(3))
     r = float(double_root_contraction_rate(40))
@@ -155,8 +155,8 @@ def test_a5_multiple_root():
 
 def test_a6_order_law(exp_traces_1000):
     ici, newton, _ = exp_traces_1000
-    rho_ici = float(order_estimate(ici)[-1])
-    rho_newton = float(order_estimate(newton)[-1])
+    rho_ici = float(build_report(ici).order_estimates[-1])
+    rho_newton = float(build_report(newton).order_estimates[-1])
     ok = 2.68 <= rho_ici <= 2.78 and 1.95 <= rho_newton <= 2.05
     assert _check("A6", ok,
                   f"order tail ici {rho_ici:.4f} (in [2.68, 2.78]), "
@@ -311,7 +311,7 @@ def test_a8_basins(exp_traces_1000):
 
 def test_a9_error_constant_resolution(exp_traces_1000):
     ici, _, _ = exp_traces_1000
-    observed = float(ratio_sequence(ici)[-1])
+    observed = float(build_report(ici).ratios[-1])
 
     def oracle_f(x):
         ctx = x.context

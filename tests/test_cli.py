@@ -127,9 +127,10 @@ def test_order_reads_back_a_trace_with_a_complex_nan(tmp_path, capsys):
                  "--format", "text", "--out", str(trace_file)]) == 2
     assert ",nan+nani," in trace_file.read_text()
     capsys.readouterr()
-    assert main(["order", "--trace", str(trace_file)]) == 0
+    assert main(["order", "--trace", str(trace_file)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "" and "fitted_constant: nan" in captured.out
+    assert captured.out.startswith("status: nan (0 iterations)\n")
 
 
 # each value is led by a single '-'; the flag is checked on each subcommand that has it
@@ -224,7 +225,8 @@ def test_solve_writes_text_and_order_reads_it_back(tmp_path, capsys):
     capsys.readouterr()
     code = main(["order", "--trace", str(out_file)])
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == 2
+    assert out.startswith("status: max_iter (4 iterations)\n")
     assert "fitted_constant:" in out
     assert "k,digits,ratio" in out
 
@@ -596,6 +598,12 @@ def test_python_dash_m_runs_the_cli():
                           text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: iciroot")
+
+
+def test_every_exported_name_resolves_once():
+    import iciroot
+    assert len(iciroot.__all__) == len(set(iciroot.__all__))
+    assert [name for name in iciroot.__all__ if not hasattr(iciroot, name)] == []
 
 
 @pytest.mark.parametrize("ftext, x0, iterations, root", [

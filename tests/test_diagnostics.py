@@ -6,10 +6,9 @@ from mpmath import ctx_mp_python
 from mpmath.libmp import mpf_abs, mpf_log, round_nearest
 
 from iciroot import diagnostics, mpscalar
-from iciroot.diagnostics import (FitUndefinedError, MultipleRootError, build_report,
-                                 error_constant_oracle, fit_constant, order_estimate,
-                                 predict_next, ratio_growth_flag, ratio_sequence,
-                                 report_to_text, residual_ratio_limit, write_report_csv)
+from iciroot.diagnostics import (MultipleRootError, build_report, error_constant_oracle,
+                                 ratio_growth_flag, report_to_text, residual_ratio_limit,
+                                 write_report_csv)
 from iciroot.mpscalar import Precision, log10_abs_text
 from iciroot.solve import (IterationRecord, IterationTrace, SolveConfig, solve_expr,
                            write_trace_csv, write_trace_text)
@@ -34,21 +33,21 @@ def _law_trace(c_text, steps):
 
 def test_ratio_sequence_of_exact_law_is_constant():
     trace = _law_trace("0.6437", 8)
-    ratios = ratio_sequence(trace)
+    ratios = build_report(trace).ratios
     assert len(ratios) == 7
     spread = max(ratios) - min(ratios)
     assert spread <= max(ratios) * P.real("1e-45")
 
 
 def test_ratio_sequence_requires_three_records():
-    assert ratio_sequence(_trace_from_residuals([P.real("0.5")])) == []
-    assert ratio_sequence(_trace_from_residuals([P.real("0.5"), P.real("0.1")])) == []
+    assert build_report(_trace_from_residuals([P.real("0.5")])).ratios == []
+    assert build_report(_trace_from_residuals([P.real("0.5"), P.real("0.1")])).ratios == []
 
 
 def test_ratio_sequence_truncates_at_zero_denominator():
     ys = [P.real("0.5"), P.real("0.1"), P.real("0.01"), P.real(0), P.real("1e-10"),
           P.real("1e-30")]
-    ratios = ratio_sequence(_trace_from_residuals(ys))
+    ratios = build_report(_trace_from_residuals(ys)).ratios
     # k = 4 and 5 both need the zero y_3 in the denominator
     assert len(ratios) == 2
 
@@ -56,7 +55,7 @@ def test_ratio_sequence_truncates_at_zero_denominator():
 def test_fit_constant_inverts_the_law():
     for c_text in ("0.6437", "0.9", "0.123"):
         trace = _law_trace(c_text, 7)
-        c = fit_constant(trace)
+        c = build_report(trace).fitted_constant
         assert abs(c - P.real(c_text)) <= P.real(c_text) * P.real("1e-50")
 
 
@@ -64,21 +63,14 @@ def test_fit_constant_single_point_identity():
     rho = 1 + P.ctx.sqrt(P.real(3))
     y1 = P.real("0.6437") ** rho
     trace = _trace_from_residuals([P.real("0.9"), y1])
-    assert abs(fit_constant(trace) - P.real("0.6437")) <= P.real("1e-55")
-
-
-def test_fit_constant_undefined_cases():
-    with pytest.raises(FitUndefinedError):
-        fit_constant(_trace_from_residuals([P.real(2), P.real("1.5")]))
-    with pytest.raises(FitUndefinedError):
-        fit_constant(_trace_from_residuals([P.real("0.5"), P.real(0)]))
+    assert abs(build_report(trace).fitted_constant - P.real("0.6437")) <= P.real("1e-55")
 
 
 def test_predict_next_reproduces_exact_law():
     rho = 1 + P.ctx.sqrt(P.real(3))
     ys = [P.real(10) ** (-(rho ** k)) for k in range(9)]
     trace = _trace_from_residuals(ys)
-    predicted = predict_next(trace)
+    predicted = build_report(trace).predicted_next
     actual_next = P.real(10) ** (-(rho ** 9))
     assert abs(predicted - actual_next) <= actual_next * P.real("1e-40")
 
@@ -87,19 +79,19 @@ def test_order_estimate_on_synthetic_orders():
     for rho_val in ("2", "3"):
         rho = P.real(rho_val)
         ys = [P.real(10) ** (-2 * rho ** k) for k in range(7)]
-        est = order_estimate(_trace_from_residuals(ys))
+        est = build_report(_trace_from_residuals(ys)).order_estimates
         assert len(est) == 6
         for e in est:
             assert abs(e - rho) <= P.real("1e-40")
     rho = 1 + P.ctx.sqrt(P.real(3))
     ys = [P.real(10) ** (-2 * rho ** k) for k in range(7)]
-    est = order_estimate(_trace_from_residuals(ys))
+    est = build_report(_trace_from_residuals(ys)).order_estimates
     assert abs(est[-1] - rho) <= P.real("1e-40")
 
 
 def test_order_estimate_skips_nonmonotone_and_large_residuals():
     ys = [P.real(3), P.real("0.5"), P.real("0.6"), P.real("0.01"), P.real("1e-6")]
-    est = order_estimate(_trace_from_residuals(ys))
+    est = build_report(_trace_from_residuals(ys)).order_estimates
     # only (0.6 -> 0.01) and (0.01 -> 1e-6) qualify
     assert len(est) == 2
 
@@ -122,7 +114,7 @@ def test_residual_ratio_limit_matches_observed_tail_for_sqrt2():
     p = Precision(220)
     trace = solve_expr("x^2-2", p.real("1.5"), SolveConfig(precision=p, max_iter=5))
     assert trace.status == "max_iter"
-    ratios = ratio_sequence(trace)
+    ratios = build_report(trace).ratios
     f1 = 2 * p.ctx.sqrt(p.real(2))
     limit = residual_ratio_limit(f1, p.real(2), p.real(0), p.real(0))
     # exact value 5/512
@@ -324,12 +316,15 @@ _DEGENERATE = [
      "fit_misfit_log10: 0.74514657\norder_estimates: 10.965784 3.0280484 2.9012537 2.8724493\n"
      "k,digits,ratio\n0,0.150515,\n1,1.650515,\n2,4.9978393,0.040199502\n"
      "3,14.5,0.06261936\n4,41.650515,0.0022139287\n"),
+    (["nan", "5"],
+     "fitted_constant: -\npredicted_next: -\nfit_misfit_log10: -\n"
+     "order_estimates: \nk,digits,ratio\n0,nan,\n1,-0.69897,\n"),
 ]
 
 
 @pytest.mark.parametrize("values, text", _DEGENERATE,
                          ids=["nan-last", "nan-only", "inf-last", "zero-last", "above-one",
-                              "zero-inside", "complex"])
+                              "zero-inside", "complex", "nan-then-above-one"])
 def test_report_text_of_degenerate_traces(values, text):
     ys = [P.cplx(*v) if isinstance(v, tuple) else P.real(v) for v in values]
     assert report_to_text(build_report(_trace_from_residuals(ys))) == text

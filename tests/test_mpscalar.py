@@ -295,6 +295,7 @@ def test_complex_rendering():
     ("-i", ("0", "-1")),
     ("i", ("0", "1")),
     ("3e-2+1e-3i", ("0.03", "0.001")),
+    ("+2i", ("0", "2")),
 ])
 def test_parse_complex_forms(text, re_im):
     p = Precision(30)
@@ -309,11 +310,13 @@ def test_parse_complex_rejects_garbage():
         parse_complex("", p)
     with pytest.raises(ValueError):
         parse_complex("1+2k", p)
+    with pytest.raises(ValueError):      # the grammar's NaN has no sign
+        parse_complex("-nani", p)
 
 
 # The text scans that parse_scalar and parse_complex made before str.rfind
 # and str.endswith took them over, kept as references (with the later rule
-# that a '+' at the split is the operator, not the imaginary part's sign).
+# that a leading '+' of the imaginary part, at a split or not, is dropped).
 
 _REF_IMAG_SUFFIX = re.compile(r"[ij]\s*$")
 
@@ -334,8 +337,9 @@ def _ref_parse_complex(text, p):
         return p.cplx(parse_real(s, p))
     body = s[:-1]
     split = _ref_sign_split(body)
-    re_part, im_part = ("0", body) if split == -1 else (body[:split], body[split:].removeprefix("+"))
-    im_part = {"": "1", "+": "1", "-": "-1"}.get(im_part, im_part)
+    re_part, im_part = ("0", body) if split == -1 else (body[:split], body[split:])
+    im_part = im_part.removeprefix("+")
+    im_part = {"": "1", "-": "-1"}.get(im_part, im_part)
     return p.cplx(parse_real(re_part, p), parse_real(im_part, p))
 
 
@@ -530,6 +534,9 @@ def test_a_complex_nan_reads_back():
     assert is_nan(z.real) and is_nan(z.imag)
     assert to_decimal(z) == "nan+nani"
     assert to_decimal(parse_complex("-inf-infi", p)) == "-inf-infi"
+    # a lone '+' before the imaginary part is dropped, as before "2i" and "infi"
+    for text in ("nani", "+nani", "1+nani"):
+        assert is_nan(parse_complex(text, p).imag)
 
 
 # ln_abs: the fixed-point kernel in its band, mpf_log outside it
