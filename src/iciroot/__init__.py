@@ -10,11 +10,9 @@ from .basins import BasinRaster, BasinSpec, line_scan, render, write_image
 from .diagnostics import (ConvergenceReport, build_report, error_constant_oracle,
                           ratio_growth_flag, residual_ratio_limit)
 from .expr import ExprError, ExprSyntaxError, UnknownIdentifierError, differentiate, evaluate, parse, render as render_expr
-from .kernel import (DegenerateIntervalError, EqualResidualsError, PointSample,
-                     ZeroDerivativeError, hermite_forward_eval, hermite_inverse_eval,
-                     ici_step, ici_step_averaged, ici_step_blind, newton_step, secant_step)
-from .mpscalar import (Precision, UndefinedPhaseError, log10_abs, parse_complex,
-                       parse_real, phase, to_decimal)
+from .kernel import (EqualResidualsError, PointSample, ZeroDerivativeError, ici_step,
+                     ici_step_averaged, newton_step, secant_step)
+from .mpscalar import Precision, log10_abs, parse_complex, parse_real, to_decimal
 from .solve import (IterationRecord, IterationTrace, SolveConfig, read_trace_text,
                     solve, solve_expr, write_trace_csv, write_trace_text)
 
@@ -26,11 +24,9 @@ __all__ = [
     "residual_ratio_limit",
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError", "differentiate",
     "evaluate", "parse", "render_expr",
-    "DegenerateIntervalError", "EqualResidualsError", "PointSample",
-    "ZeroDerivativeError", "hermite_forward_eval", "hermite_inverse_eval",
-    "ici_step", "ici_step_averaged", "ici_step_blind", "newton_step", "secant_step",
-    "Precision", "UndefinedPhaseError", "log10_abs", "parse_complex", "parse_real",
-    "phase", "to_decimal",
+    "EqualResidualsError", "PointSample", "ZeroDerivativeError", "ici_step",
+    "ici_step_averaged", "newton_step", "secant_step",
+    "Precision", "log10_abs", "parse_complex", "parse_real", "to_decimal",
     "IterationRecord", "IterationTrace", "SolveConfig", "read_trace_text",
     "solve", "solve_expr", "write_trace_csv", "write_trace_text",
 ]

@@ -1,17 +1,16 @@
 """Command-line front end: solve, order, basin, scan, compare.
 
 Exit codes: 0 on success (solve/order: converged), 2 on non-convergence or
-a degenerate/NaN outcome, 1 on usage, parse or file errors.  Numeric output is a
-pure function of the flags.  ``--preset`` expands to a documented flag set;
-explicit flags override preset values, and ``--config FILE`` (a JSON object
-keyed by long flag names) sits between the two.
+a degenerate/NaN outcome (compare: only a method that stops degenerate or
+NaN), 1 on usage, parse or file errors.  Numeric output is a pure function of
+the flags.  ``--preset`` expands to a documented flag set; explicit flags
+override preset values.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 
 from . import diagnostics as diag
@@ -75,7 +74,6 @@ def _build_parser():
                        help="residual tolerance (decimal literal)")
         p.add_argument("--max-iter", type=int, dest="max_iter", default=max_iter)
         p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--config", help="JSON file with flag values")
 
     def add_solve_like(name, help, run, one_method=True):
         p = sub.add_parser(name, help=help)
@@ -126,53 +124,20 @@ def _build_parser():
     return parser, sub.choices
 
 
-def _load_config(path, command):
-    """Read a JSON object keyed by ``command``'s long flag names; type and key it by dest."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliUsageError(f"--config: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise CliUsageError("--config: expected a JSON object")
-    flags = {opt[2:]: action for action in command._actions for opt in action.option_strings
-             if opt.startswith("--") and action.dest not in ("help", "preset", "config")}
-    values = {}
-    for key, value in raw.items():
-        action = flags.get(key.replace("_", "-"))
-        if action is None:
-            raise CliUsageError(f"--config: unknown key {key!r} for '{command.prog}'")
-        if action.type is not None and value is not None:
-            try:
-                if action.nargs is None:
-                    value = action.type(value)
-                else:
-                    items = value if isinstance(value, list) else [value]
-                    value = [action.type(v) for v in items]
-            except (TypeError, ValueError) as exc:
-                raise CliUsageError(f"--config: {key}: {exc}") from exc
-        values[action.dest] = value
-    return values
-
-
 def _parse_args(argv):
-    """Parse, make --preset and then --config the subcommand's defaults, parse again.
+    """Parse, make --preset the subcommand's defaults, parse again.
 
-    An explicit flag thus beats the config file, which beats the preset,
-    which beats the built-in default.
+    An explicit flag thus beats the preset, which beats the built-in default.
     """
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    command = commands[args.command]
-    config = _load_config(args.config, command) if args.config else {}
-    preset = {}
     if args.preset:
         info = PRESETS[args.preset]
         if args.command not in info["commands"]:
             raise CliUsageError(f"--preset {args.preset} does not apply to '{args.command}'")
-        preset = info["values"]
-    command.set_defaults(**{**preset, **config})
-    return parser.parse_args(argv)
+        commands[args.command].set_defaults(**info["values"])
+        args = parser.parse_args(argv)
+    return args
 
 
 _FLAG_NAMES = {"seg_from": "from", "seg_to": "to"}

@@ -8,16 +8,15 @@ interpolant at height zero, so it is exact whenever the two samples are
 drawn from the inverse of a cubic.  It is computed by :func:`ici_blend`,
 grouped as the current abscissa minus an update built from the two Newton
 updates y/y', so a driver that keeps each sample's update divides once per
-sample.  The iteration driver lives in :mod:`iciroot.solve`.
+sample.  :func:`ici_step_averaged` groups the same average as base points
+plus updates.  The cubic Hermite interpolant forms the step is derived from
+are test oracles (``tests/oracles.py``).  The iteration driver lives in
+:mod:`iciroot.solve`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-class DegenerateIntervalError(ValueError):
-    """Two-point operation received samples with equal abscissae."""
 
 
 class EqualResidualsError(ValueError):
@@ -37,35 +36,6 @@ class PointSample:
     yp: object
 
 
-def hermite_forward_eval(pa: PointSample, pb: PointSample, theta):
-    """Cubic Hermite interpolant of f through two derivative-tagged samples.
-
-    theta is the normalized abscissa (x - pa.x) / (pb.x - pa.x); the result
-    interpolates pa.y, pb.y with slopes pa.yp, pb.yp at theta = 0, 1.
-    """
-    if pa.x == pb.x:
-        raise DegenerateIntervalError("samples share the same abscissa")
-    h = pb.x - pa.x
-    omt = theta - 1
-    return ((1 + 2 * theta) * omt * omt * pa.y
-            + theta * omt * omt * h * pa.yp
-            + theta * theta * (3 - 2 * theta) * pb.y
-            + theta * theta * omt * h * pb.yp)
-
-
-def hermite_inverse_eval(pa: PointSample, pb: PointSample, s):
-    """Cubic interpolant of the inverse function x(y), evaluated at s.
-
-    s is the normalized height (y - pa.y) / (pb.y - pa.y); the inverse data
-    are the abscissae with slopes 1/pa.yp, 1/pb.yp at s = 0, 1.
-    """
-    _check_blend(pa, pb)
-    delta = pb.y - pa.y
-    oms = 1 - s
-    return (((1 + 2 * s) * pa.x + s * delta / pa.yp) * oms * oms
-            + ((3 - 2 * s) * pb.x - oms * delta / pb.yp) * s * s)
-
-
 def newton_step(p: PointSample):
     """x - y/y'."""
     if p.yp == 0:
@@ -81,7 +51,6 @@ def secant_step(p_prev: PointSample, p_cur: PointSample):
 
 
 def _check_blend(p_prev: PointSample, p_cur: PointSample):
-    # for the inverse interpolant, and so for every blended step
     if p_prev.y == p_cur.y:
         raise EqualResidualsError("equal residuals: inverse interpolant undefined")
     if p_prev.yp == 0 or p_cur.yp == 0:
@@ -121,17 +90,6 @@ def ici_step(p_prev: PointSample, p_cur: PointSample):
     _check_blend(p_prev, p_cur)
     return ici_blend(p_prev.x, p_prev.y, p_prev.y / p_prev.yp,
                      p_cur.x, p_cur.y, p_cur.y / p_cur.yp)
-
-
-def ici_step_blind(p_prev: PointSample, p_cur: PointSample):
-    """The inverse cubic interpolant at height zero (:func:`hermite_inverse_eval`).
-
-    Mathematically equal to :func:`ici_step` but written without the
-    stabilizing small-update grouping; kept for cross-checks and stability
-    experiments.
-    """
-    _check_blend(p_prev, p_cur)
-    return hermite_inverse_eval(p_prev, p_cur, p_prev.y / (p_prev.y - p_cur.y))
 
 
 def ici_step_averaged(p_prev: PointSample, p_cur: PointSample):

@@ -36,10 +36,6 @@ _TEN = from_int(10)
 GUARD_BITS = 32
 
 
-class UndefinedPhaseError(ValueError):
-    """The phase of zero is undefined."""
-
-
 @lru_cache(maxsize=None)
 def _context(digits: int) -> MPContext:
     ctx = MPContext()
@@ -136,17 +132,6 @@ def is_finite(x) -> bool:
 
 def is_nan(x) -> bool:
     return bool(context_of(x).isnan(x))
-
-
-def phase(z):
-    """Argument of a nonzero complex (or real) scalar, in (-pi, pi].
-
-    Raises:
-        UndefinedPhaseError: if ``z`` is zero.
-    """
-    if z == 0:
-        raise UndefinedPhaseError("phase of zero is undefined")
-    return context_of(z).arg(z)
 
 
 # The fixed-point band of ln_abs, exp_real and cos_sin_real: see their docstrings.

@@ -9,6 +9,7 @@ import math
 from mpmath.ctx_mp import MPContext
 
 from iciroot.expr import Bin, Call, Const, Neg, Num, UnknownIdentifierError, Var, free_variables
+from iciroot.kernel import EqualResidualsError, ZeroDerivativeError
 
 
 def make_ctx(digits):
@@ -94,6 +95,64 @@ def double_root_contraction_rate(digits):
     assert lo < r < hi
     assert abs(r - r_blend) <= ctx.mpf("1e-30"), "step forms disagree on the rate"
     return r
+
+
+# ---------------------------------------------------------------------------
+# the paper's derivation of the blended step, as cubic Hermite interpolants
+#
+# The package ships only the stable Newton/Newton/secant average
+# (kernel.ici_step); these are the forms it was derived from, written out
+# term by term.  They take the kernel's PointSample and raise its public
+# errors, but call none of its step code.
+
+class DegenerateIntervalError(ValueError):
+    """Two-point operation received samples with equal abscissae."""
+
+
+def hermite_forward_eval(pa, pb, theta):
+    """Cubic Hermite interpolant of f through two derivative-tagged samples.
+
+    theta is the normalized abscissa (x - pa.x) / (pb.x - pa.x); the result
+    interpolates pa.y, pb.y with slopes pa.yp, pb.yp at theta = 0, 1.
+    """
+    if pa.x == pb.x:
+        raise DegenerateIntervalError("samples share the same abscissa")
+    h = pb.x - pa.x
+    omt = theta - 1
+    return ((1 + 2 * theta) * omt * omt * pa.y
+            + theta * omt * omt * h * pa.yp
+            + theta * theta * (3 - 2 * theta) * pb.y
+            + theta * theta * omt * h * pb.yp)
+
+
+def _check_inverse(pa, pb):
+    if pa.y == pb.y:
+        raise EqualResidualsError("equal residuals: inverse interpolant undefined")
+    if pa.yp == 0 or pb.yp == 0:
+        raise ZeroDerivativeError("zero derivative: inverse slope undefined")
+
+
+def hermite_inverse_eval(pa, pb, s):
+    """Cubic interpolant of the inverse function x(y), evaluated at s.
+
+    s is the normalized height (y - pa.y) / (pb.y - pa.y); the inverse data
+    are the abscissae with slopes 1/pa.yp, 1/pb.yp at s = 0, 1.
+    """
+    _check_inverse(pa, pb)
+    delta = pb.y - pa.y
+    oms = 1 - s
+    return (((1 + 2 * s) * pa.x + s * delta / pa.yp) * oms * oms
+            + ((3 - 2 * s) * pb.x - oms * delta / pb.yp) * s * s)
+
+
+def ici_step_blind(p_prev, p_cur):
+    """The inverse cubic interpolant at height zero: the paper's step before regrouping.
+
+    Mathematically equal to ``kernel.ici_step``, but without its
+    small-update grouping.
+    """
+    _check_inverse(p_prev, p_cur)
+    return hermite_inverse_eval(p_prev, p_cur, p_prev.y / (p_prev.y - p_cur.y))
 
 
 # ---------------------------------------------------------------------------

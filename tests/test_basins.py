@@ -14,7 +14,7 @@ from iciroot import basins
 from iciroot.basins import BasinRaster, BasinSpec, line_scan, render, write_image
 from iciroot.expr import parse
 from iciroot.kernel import PointSample, ici_step
-from iciroot.mpscalar import Precision, parse_real, phase
+from iciroot.mpscalar import Precision, parse_real
 from iciroot.solve import SolveConfig, solve_expr
 
 

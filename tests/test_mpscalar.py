@@ -18,9 +18,8 @@ from mpmath.libmp import (fnan, fninf, finf, from_int, from_man_exp, fzero, mpc_
 
 from iciroot import mpscalar
 from iciroot.expr import evaluate, parse
-from iciroot.mpscalar import (Precision, UndefinedPhaseError, is_finite, is_nan,
-                              log10_abs, log10_abs_text, parse_complex, parse_real, phase,
-                              to_decimal)
+from iciroot.mpscalar import (Precision, is_finite, is_nan, log10_abs, log10_abs_text,
+                              parse_complex, parse_real, to_decimal)
 from test_solve import _count_calls
 
 
@@ -38,23 +37,6 @@ def test_contexts_are_independent_and_cached():
     assert a.ctx is not b.ctx
     assert a.ctx.prec >= 40 * 3.32 + 32
     assert b.ctx.prec >= 1624 * 3.32 + 32
-
-
-def test_phase_axis_examples():
-    p = Precision(40)
-    assert phase(p.cplx(1, 0)) == 0
-    assert abs(phase(p.cplx(0, 1)) - p.ctx.pi / 2) < p.eps
-    # branch convention: arg(-1) = +pi, in (-pi, pi]
-    assert abs(phase(p.cplx(-1, 0)) - p.ctx.pi) < p.eps
-    assert phase(p.cplx(-1, 0)) > 0
-
-
-def test_phase_of_zero_is_an_error():
-    p = Precision(40)
-    with pytest.raises(UndefinedPhaseError):
-        phase(p.cplx(0, 0))
-    with pytest.raises(UndefinedPhaseError):
-        phase(p.real(0))
 
 
 def test_log10_abs_examples():
