@@ -11,7 +11,7 @@ from .diagnostics import (ConvergenceReport, build_report, error_constant_oracle
                           ratio_growth_flag, residual_ratio_limit)
 from .expr import ExprError, ExprSyntaxError, UnknownIdentifierError, differentiate, evaluate, parse, render as render_expr
 from .kernel import (EqualResidualsError, PointSample, ZeroDerivativeError, ici_step,
-                     ici_step_averaged, newton_step, secant_step)
+                     newton_step, secant_step)
 from .mpscalar import Precision, log10_abs, parse_complex, parse_real, to_decimal
 from .solve import (IterationRecord, IterationTrace, SolveConfig, read_trace_text,
                     solve, solve_expr, write_trace_csv, write_trace_text)
@@ -25,7 +25,7 @@ __all__ = [
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError", "differentiate",
     "evaluate", "parse", "render_expr",
     "EqualResidualsError", "PointSample", "ZeroDerivativeError", "ici_step",
-    "ici_step_averaged", "newton_step", "secant_step",
+    "newton_step", "secant_step",
     "Precision", "log10_abs", "parse_complex", "parse_real", "to_decimal",
     "IterationRecord", "IterationTrace", "SolveConfig", "read_trace_text",
     "solve", "solve_expr", "write_trace_csv", "write_trace_text",

@@ -5,11 +5,11 @@ two-point step).  A pixel records either the converged limit, the final
 iterate after ``max_iter`` steps, or a NaN flag when the iteration hit a
 degeneracy (equal residuals, zero derivative, division by zero) or escaped
 the overflow cap.  Arbitrary-precision arithmetic never overflows on its
-own, so the cap — a decimal exponent, IEEE-double-like 308 by default —
-is what makes "iteration blew up" an observable pixel state.  The step
-arithmetic, and f and f' from the expression's tape, run on fixed-precision
-complex numbers at the spec's binary precision; an op with no fixed-precision
-form falls back to mpmath for its own value only.
+own, so the cap — magnitudes past 2**1024 (:data:`OVERFLOW_BITS`), where an
+IEEE double overflows — is what makes "iteration blew up" an observable
+pixel state.  The step arithmetic, and f and f' from the expression's tape,
+run on fixed-precision complex numbers at the spec's binary precision; an op
+with no fixed-precision form falls back to mpmath for its own value only.
 
 Pixels are independent; rows may be partitioned across worker processes.
 Per-pixel results are transported as raw mantissa/exponent tuples, so the
@@ -30,9 +30,10 @@ from mpmath.libmp import from_man_exp
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase, ln2_fixed
 
 from .expr import compile_tape, lower, mp_lowering
-from .mpscalar import LOG2_10, Precision, opened, parse_real, read_tol, to_decimal
+from .mpscalar import Precision, opened, parse_real, read_tol, to_decimal
 
 DEFAULT_BASIN_DIGITS = 34
+OVERFLOW_BITS = 1024        # |z|, |f| or |f'| past 2**1024 is a NaN pixel, as for a double
 
 
 @dataclass
@@ -53,7 +54,6 @@ class BasinSpec:
     max_iter: int = 13
     tol: str = "1e-8"
     precision: Precision = field(default_factory=lambda: Precision(DEFAULT_BASIN_DIGITS))
-    overflow_exp: int = 308
     workers: int = 1
 
     def __post_init__(self):
@@ -274,7 +274,7 @@ def _cpow(a, n, P):
 # exp and cos_sin run in fixed point, on mpmath's fixed-point kernels, while
 # the argument's real and imaginary parts lie below 2**_FIXED_MAG in
 # magnitude; beyond that (where exp and cosh of 1024 are already past the
-# default overflow cap) the slot goes to mpmath.  The argument is reduced
+# overflow cap) the slot goes to mpmath.  The argument is reduced
 # with _FIXED_GUARD guard bits plus one per bit of its integer part, which
 # the reduction by ln 2 or pi/2 consumes.
 _FIXED_MAG = 10
@@ -468,7 +468,7 @@ def _pixel_iterator(spec: BasinSpec):
     P = ctx.prec
     jet = lower(compile_tape(spec.ftext, p, complex_mode=True), _triple_lowering(ctx, P))
     _, tol_man, tol_exp, _ = parse_real(spec.tol, p)._mpf_
-    cap = int(spec.overflow_exp * LOG2_10) + 1
+    cap = OVERFLOW_BITS
     max_iter = spec.max_iter
 
     def sample(z):

@@ -4,7 +4,8 @@ Exit codes: 0 on success (solve/order: converged), 2 on non-convergence or
 a degenerate/NaN outcome (compare: only a method that stops degenerate or
 NaN), 1 on usage, parse or file errors.  Numeric output is a pure function of
 the flags.  ``--preset`` expands to a documented flag set; explicit flags
-override preset values.
+override preset values.  Flags are taken by their whole names only.  An x0
+ending in the imaginary unit (``--x0 5+0i``) solves in complex mode.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     """The ``iciroot`` parser and its subcommand parsers by name."""
-    parser = _Parser(prog="iciroot", description=__doc__)
+    parser = _Parser(prog="iciroot", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, digits, max_iter, tol):
@@ -76,13 +77,11 @@ def _build_parser():
         p.add_argument("--preset", choices=sorted(PRESETS))
 
     def add_solve_like(name, help, run, one_method=True):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(run=run)
         add_common(p, digits=Precision.digits, max_iter=SolveConfig.max_iter, tol=None)
         p.add_argument("--x0", type=str,
-                       help="initial guess; an 'i'/'j' suffix selects complex mode")
-        p.add_argument("--complex", action="store_true", dest="complex_mode",
-                       help="force complex mode even for a real x0")
+                       help="initial guess; an 'i'/'j' suffix (5+0i) selects complex mode")
         if one_method:      # compare runs every method and writes no file
             p.add_argument("--method", choices=METHODS, default=SolveConfig.method)
             p.add_argument("--out", type=str, help="output file path")
@@ -97,7 +96,7 @@ def _build_parser():
                    one_method=False)
 
     def add_grid(name, help, run):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(run=run)
         add_common(p, digits=DEFAULT_BASIN_DIGITS, max_iter=BasinSpec.max_iter, tol=BasinSpec.tol)
         p.add_argument("--out", type=str, help="output file path")
@@ -109,9 +108,6 @@ def _build_parser():
                        help="pixels: WIDTH [HEIGHT]")
         p.add_argument("--workers", type=int, default=BasinSpec.workers,
                        help="row-parallel worker processes")
-        p.add_argument("--overflow-exp", type=int, dest="overflow_exp",
-                       default=BasinSpec.overflow_exp,
-                       help="decimal exponent treated as overflow (NaN pixel)")
         return p
 
     p_basin = add_grid("basin", "render a basin-of-attraction image (PPM)", _run_basin)
@@ -155,7 +151,7 @@ def _solve_flags(args, method):
     _require(args, "f", "x0")
     p = Precision(args.digits)
     cfg = SolveConfig(precision=p, tol=args.tol, method=method, max_iter=args.max_iter)
-    return solve_expr(args.f, parse_scalar(args.x0, p, args.complex_mode), cfg), cfg
+    return solve_expr(args.f, parse_scalar(args.x0, p), cfg), cfg
 
 
 def _print_trace(trace, digits):
@@ -219,8 +215,7 @@ def _grid_spec(args) -> BasinSpec:
         raise CliUsageError(f"--size takes WIDTH [HEIGHT], got {len(args.size)} values")
     return BasinSpec(ftext=args.f, re_range=tuple(args.re), im_range=tuple(args.im),
                      width=args.size[0], height=args.size[-1], max_iter=args.max_iter,
-                     tol=args.tol, precision=Precision(args.digits),
-                     overflow_exp=args.overflow_exp, workers=args.workers)
+                     tol=args.tol, precision=Precision(args.digits), workers=args.workers)
 
 
 def _run_basin(args) -> int:
@@ -265,7 +260,3 @@ def main(argv=None) -> int:
     except (CliUsageError, ExprError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -33,6 +33,9 @@ from dataclasses import dataclass
 from .mpscalar import context_of, exp_real, ln_abs, opened, to_decimal
 from .solve import IterationTrace
 
+_GROWTH_WINDOW = 4      # ratio_growth_flag: trailing ratios that must each grow tenfold
+_CSV_DIGITS = 12        # write_report_csv: significant digits of every value
+
 
 class MultipleRootError(ValueError):
     """First derivative vanishes at the root."""
@@ -72,7 +75,7 @@ def residual_ratio_limit(f1, f2, f3, f4):
     return error_constant_oracle(f1, f2, f3, f4) / f1 ** 3
 
 
-def ratio_growth_flag(trace: IterationTrace, window: int = 4) -> bool:
+def ratio_growth_flag(trace: IterationTrace) -> bool:
     """True when the trailing ratios grow steadily: the multiple-root signature.
 
     The residual recorded at a converged stop sits at the evaluation noise
@@ -84,12 +87,12 @@ def ratio_growth_flag(trace: IterationTrace, window: int = 4) -> bool:
     ratios = _ratios([abs(y) for y in trace.residuals()])
     if trace.converged:
         ratios = ratios[:-1]
-    if len(ratios) < window:
+    if len(ratios) < _GROWTH_WINDOW:
         return False
-    tail = ratios[-window:]
+    tail = ratios[-_GROWTH_WINDOW:]
     if any(r == 0 for r in tail):
         return False
-    return all(tail[i + 1] >= 10 * tail[i] for i in range(window - 1))
+    return all(tail[i + 1] >= 10 * tail[i] for i in range(_GROWTH_WINDOW - 1))
 
 
 @dataclass
@@ -178,7 +181,7 @@ def report_to_text(report: ConvergenceReport, digits: int = 8) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report_csv(report: ConvergenceReport, path_or_file, digits: int = 12):
+def write_report_csv(report: ConvergenceReport, path_or_file):
     """Per-step table (digits, ratio) plus summary columns on the k = 0 row."""
     with opened(path_or_file, "w") as fh:
         w = csv.writer(fh)
@@ -186,9 +189,10 @@ def write_report_csv(report: ConvergenceReport, path_or_file, digits: int = 12):
                     "fitted_constant", "predicted_next", "fit_misfit_log10", "order_tail"])
         tail = report.order_estimates[-1] if report.order_estimates else None
         for k, d in enumerate(report.digits_per_step):
-            summary = ([_fmt_optional(report.fitted_constant, digits),
-                        _fmt_optional(report.predicted_next, digits),
-                        _fmt_optional(report.fit_misfit_log10, digits),
-                        _fmt_optional(tail, digits)]
+            summary = ([_fmt_optional(report.fitted_constant, _CSV_DIGITS),
+                        _fmt_optional(report.predicted_next, _CSV_DIGITS),
+                        _fmt_optional(report.fit_misfit_log10, _CSV_DIGITS),
+                        _fmt_optional(tail, _CSV_DIGITS)]
                        if k == 0 else ["", "", "", ""])
-            w.writerow([k, to_decimal(d, digits), _ratio_cell(report, k, digits)] + summary)
+            w.writerow([k, to_decimal(d, _CSV_DIGITS), _ratio_cell(report, k, _CSV_DIGITS)]
+                       + summary)

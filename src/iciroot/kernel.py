@@ -8,10 +8,9 @@ interpolant at height zero, so it is exact whenever the two samples are
 drawn from the inverse of a cubic.  It is computed by :func:`ici_blend`,
 grouped as the current abscissa minus an update built from the two Newton
 updates y/y', so a driver that keeps each sample's update divides once per
-sample.  :func:`ici_step_averaged` groups the same average as base points
-plus updates.  The cubic Hermite interpolant forms the step is derived from
-are test oracles (``tests/oracles.py``).  The iteration driver lives in
-:mod:`iciroot.solve`.
+sample.  The cubic Hermite interpolant forms the step is derived from, and
+the same average grouped as base points plus updates, are test oracles
+(``tests/oracles.py``).  The iteration driver lives in :mod:`iciroot.solve`.
 """
 
 from __future__ import annotations
@@ -90,23 +89,3 @@ def ici_step(p_prev: PointSample, p_cur: PointSample):
     _check_blend(p_prev, p_cur)
     return ici_blend(p_prev.x, p_prev.y, p_prev.y / p_prev.yp,
                      p_cur.x, p_cur.y, p_cur.y / p_cur.yp)
-
-
-def ici_step_averaged(p_prev: PointSample, p_cur: PointSample):
-    """Blended step computed as (average of base points) + (average of updates).
-
-    Same weights as :func:`ici_step`; the three sub-step base points
-    (x_prev, x_cur, x_cur) and the three small updates are averaged
-    separately before combining.  Mathematically equal to :func:`ici_step`.
-    """
-    _check_blend(p_prev, p_cur)
-    # u - v = 1, so v*v + u*u - 2*u*v = 1 exactly in exact arithmetic
-    t = 1 / (p_prev.y - p_cur.y)
-    u = p_prev.y * t
-    v = p_cur.y * t
-    w_prev, w_cur, w_sec = v * v, u * u, -2 * u * v
-    base = w_prev * p_prev.x + w_cur * p_cur.x + w_sec * p_cur.x
-    update = (w_prev * (-p_prev.y / p_prev.yp)
-              + w_cur * (-p_cur.y / p_cur.yp)
-              + w_sec * (-p_cur.y * (p_cur.x - p_prev.x) / (p_cur.y - p_prev.y)))
-    return base + update

@@ -758,13 +758,13 @@ def _sign_split(body: str) -> int:
             minus = body.rfind("-", 0, k)
 
 
-def parse_scalar(text: str, p: Precision, complex_mode: bool = False):
+def parse_scalar(text: str, p: Precision):
     """Parse a real literal at precision ``p``, or a complex one by :func:`parse_complex`.
 
-    Complex when ``complex_mode`` or when ``text`` ends in the imaginary unit
-    suffix ``i`` or ``j`` (so ``inf`` is real).
+    Complex when ``text`` ends in the imaginary unit suffix ``i`` or ``j``
+    (so ``inf`` is real, and ``5+0i`` is complex).
     """
-    if complex_mode or _imaginary(text):
+    if _imaginary(text):
         return parse_complex(text, p)
     return parse_real(text, p)
 

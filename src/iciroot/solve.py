@@ -12,7 +12,7 @@ Degenerate situations the step formulas cannot handle are safeguarded:
   converged, otherwise a plain Newton step from the current point is taken
   and recorded as ``safeguard_newton``;
 * vanishing current derivative (at most ``guard`` * max(|y|, 1)): the blended
-  methods fall back to a plain secant step, which needs no derivative;
+  method falls back to a plain secant step, which needs no derivative;
 * vanishing previous derivative: plain Newton from the current point;
 * NaN or infinity anywhere: the solve stops with status ``nan`` and a
   partial trace.
@@ -40,11 +40,11 @@ import math
 from dataclasses import dataclass, field
 
 from .expr import compile_pair
-from .kernel import ici_blend, ici_step_averaged, secant_step
+from .kernel import ici_blend, secant_step
 from .mpscalar import (Precision, is_complex_scalar, is_finite, log10_abs_text, opened,
                        parse_complex, parse_real, parse_scalar, read_tol, to_decimal)
 
-METHODS = ("newton", "secant", "ici", "ici_averaged")
+METHODS = ("newton", "secant", "ici")
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -236,11 +236,9 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
                 x_next, kind = secant_step(prev, cur), "secant"
             elif dead_derivative(-2):
                 x_next, kind = cur.x - update(-1), "safeguard_newton"
-            elif cfg.method == "ici":
+            else:
                 x_next = ici_blend(prev.x, prev.y, update(-2), cur.x, cur.y, update(-1))
                 kind = "ici"
-            else:
-                x_next, kind = ici_step_averaged(prev, cur), "ici_averaged"
         if not is_finite(x_next):
             return IterationTrace(records, STATUS_NAN)
         stop = evaluate(x_next, kind)

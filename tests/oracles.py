@@ -101,9 +101,10 @@ def double_root_contraction_rate(digits):
 # the paper's derivation of the blended step, as cubic Hermite interpolants
 #
 # The package ships only the stable Newton/Newton/secant average
-# (kernel.ici_step); these are the forms it was derived from, written out
-# term by term.  They take the kernel's PointSample and raise its public
-# errors, but call none of its step code.
+# (kernel.ici_step); these are the forms it was derived from, and the same
+# average grouped another way, written out term by term.  They take the
+# kernel's PointSample and raise its public errors, but call none of its
+# step code.
 
 class DegenerateIntervalError(ValueError):
     """Two-point operation received samples with equal abscissae."""
@@ -153,6 +154,26 @@ def ici_step_blind(p_prev, p_cur):
     """
     _check_inverse(p_prev, p_cur)
     return hermite_inverse_eval(p_prev, p_cur, p_prev.y / (p_prev.y - p_cur.y))
+
+
+def ici_step_averaged(p_prev, p_cur):
+    """Blended step computed as (average of base points) + (average of updates).
+
+    Same weights as ``kernel.ici_step``; the three sub-step base points
+    (x_prev, x_cur, x_cur) and the three small updates are averaged
+    separately before combining.  Mathematically equal to ``kernel.ici_step``.
+    """
+    _check_inverse(p_prev, p_cur)
+    # u - v = 1, so v*v + u*u - 2*u*v = 1 exactly in exact arithmetic
+    t = 1 / (p_prev.y - p_cur.y)
+    u = p_prev.y * t
+    v = p_cur.y * t
+    w_prev, w_cur, w_sec = v * v, u * u, -2 * u * v
+    base = w_prev * p_prev.x + w_cur * p_cur.x + w_sec * p_cur.x
+    update = (w_prev * (-p_prev.y / p_prev.yp)
+              + w_cur * (-p_cur.y / p_cur.yp)
+              + w_sec * (-p_cur.y * (p_cur.x - p_prev.x) / (p_cur.y - p_prev.y)))
+    return base + update
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ import pytest
 from iciroot.basins import BasinSpec, line_scan, render
 from iciroot.diagnostics import build_report, error_constant_oracle, residual_ratio_limit
 from iciroot.expr import differentiate, evaluate, parse
-from iciroot.kernel import PointSample, ici_step, ici_step_averaged, newton_step, secant_step
+from iciroot.kernel import PointSample, ici_step, newton_step, secant_step
 from iciroot.mpscalar import Precision, log10_abs, to_decimal
 from iciroot.solve import SolveConfig, solve_expr
 
 from oracles import (bisect_root, double_root_contraction_rate, hermite_forward_eval,
-                     ici_step_blind, make_ctx)
+                     ici_step_averaged, ici_step_blind, make_ctx)
 
 EXP_FUNCTION = "(x^2+x)*exp(-x)-1/3"
 

@@ -538,13 +538,14 @@ def test_exponent_first_cap_test_decides_as_cmag_at_its_edge():
 
 
 def test_low_overflow_cap_matches_the_cmag_test_over_grids(monkeypatch):
-    # overflow_exp 2 puts the cap at |a| > 2**7: the Newton step from near 0 of
-    # z^3-1 passes it, and so does f' = 3000 z^2 where |f| is still small
+    # a cap at |a| > 2**7: the Newton step from near 0 of z^3-1 passes it, and
+    # so does f' = 3000 z^2 where |f| is still small
     cap = 7
-    cases = ((_cube_spec(re_range=(-0.1, 0.1), im_range=(-0.1, 0.1), width=4, height=4,
-                         overflow_exp=2), lambda z: (z ** 3 - 1, 3 * z ** 2)),
+    monkeypatch.setattr(basins, "OVERFLOW_BITS", cap)
+    cases = ((_cube_spec(re_range=(-0.1, 0.1), im_range=(-0.1, 0.1), width=4, height=4),
+              lambda z: (z ** 3 - 1, 3 * z ** 2)),
              (_cube_spec(ftext="1000*z^3-1", re_range=(-0.5, 0.5), im_range=(-0.5, 0.5),
-                         width=20, height=20, overflow_exp=2),
+                         width=20, height=20),
               lambda z: (1000 * z ** 3 - 1, 3000 * z ** 2)))
     fired = []
     for spec, fd in cases:

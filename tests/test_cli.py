@@ -38,14 +38,26 @@ def test_explicit_zero_max_iter_is_not_replaced_by_the_default(capsys):
     assert "max_iter must be >= 1" in capsys.readouterr().err
 
 
-def test_explicit_zero_overflow_exp_reaches_the_render(tmp_path, capsys):
-    out_file = str(tmp_path / "b.ppm")
-    flags = ["basin", "--f", "z^3-1", "--size", "4", "--out", out_file]
-    assert main(flags) == 0
-    assert capsys.readouterr().out.endswith("converged 16/16, nan 0\n")
-    assert main(flags + ["--overflow-exp", "0"]) == 0
-    # with a cap of 10**0, every seed of this grid counts as overflow
-    assert capsys.readouterr().out.endswith("converged 0/16, nan 16\n")
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--f", "x-1", "--x0", "5", "--complex"], "unrecognized arguments: --complex"),
+    (["basin", "--f", "z^3-1", "--size", "4", "--overflow-exp", "10"],
+     "unrecognized arguments: --overflow-exp 10"),
+    (["solve", "--f", "x-1", "--x0", "5", "--method", "ici_averaged"],
+     "argument --method: invalid choice: 'ici_averaged'")],
+    ids=["complex", "overflow-exp", "ici_averaged"])
+def test_retired_flags_and_method_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    # a complex x0 is written with its imaginary part; the overflow cap is fixed
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_flag_prefixes_are_usage_errors(capsys):
+    assert main(["solve", "--f", "x^2-2", "--x0", "1", "--digit", "20", "--max", "3"]) == 1
+    assert "unrecognized arguments: --digit 20 --max 3" in capsys.readouterr().err
+    parser, commands = cli._build_parser()
+    assert not any(p.allow_abbrev for p in [parser, *commands.values()])
 
 
 def test_more_than_two_size_values_is_usage_error(tmp_path, capsys):
@@ -525,7 +537,8 @@ def test_x0_inf_stays_real(capsys):
 
 
 def test_complex_flag_forces_complex_mode(capsys):
-    assert main(["solve", "--f", "x-1", "--x0", "5", "--complex"]) == 0
+    # the imaginary unit on x0 is the one complex flag; a zero part still counts
+    assert main(["solve", "--f", "x-1", "--x0", "5+0i"]) == 0
     assert "root: 1.0+0.0i" in capsys.readouterr().out
 
 
@@ -547,6 +560,15 @@ def test_config_file_flag_is_a_usage_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"f": "x", "x0": "5", "digits": 20}))
     assert main(["solve", "--config", str(cfg)]) == 1
     assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def test_every_flag_is_documented_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser, commands = cli._build_parser()
+    flags = {opt for p in [parser, *commands.values()] for action in p._actions
+             for opt in action.option_strings if opt.startswith("--")}
+    assert "--x0" in flags and "--workers" in flags
+    assert sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", readme)) == []
 
 
 def test_python_dash_m_runs_the_cli():

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from iciroot.kernel import (EqualResidualsError, PointSample, ZeroDerivativeError, ici_step,
-                            ici_step_averaged, newton_step, secant_step)
+                            newton_step, secant_step)
 from iciroot.mpscalar import Precision
 
 from oracles import (DegenerateIntervalError, hermite_forward_eval, hermite_inverse_eval,
-                     ici_step_blind)
+                     ici_step_averaged, ici_step_blind)
 
 P50 = Precision(50)
 R = P50.real

@@ -506,7 +506,7 @@ def _printed_values(draw):
 def test_every_printed_value_reads_back_to_its_text(case):
     value, digits, is_complex = case
     text = to_decimal(value, digits)
-    back = mpscalar.parse_scalar(text, Precision(digits), is_complex)
+    back = (parse_complex if is_complex else mpscalar.parse_scalar)(text, Precision(digits))
     assert to_decimal(back, digits) == text
 
 

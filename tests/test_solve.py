@@ -15,8 +15,8 @@ from iciroot.diagnostics import ratio_growth_flag
 from iciroot.kernel import PointSample, ici_step, newton_step, secant_step
 from iciroot.mpscalar import (GUARD_BITS, LOG2_10, Precision, is_nan, parse_complex, parse_real,
                               to_decimal)
-from iciroot.solve import (IterationRecord, IterationTrace, SolveConfig, read_trace_text, solve,
-                           solve_expr, write_trace_csv, write_trace_text)
+from iciroot.solve import (METHODS, IterationRecord, IterationTrace, SolveConfig, read_trace_text,
+                           solve, solve_expr, write_trace_csv, write_trace_text)
 
 from oracles import bisect_root, digits_of_accuracy
 
@@ -83,7 +83,7 @@ def test_first_step_matches_newton_for_every_method():
     p = Precision(40)
     f, fp = _cubic(p)
     x1 = {}
-    for method in ("newton", "ici", "ici_averaged", "secant"):
+    for method in METHODS:
         trace = solve(f, fp, p.real(2), SolveConfig(precision=p, method=method, max_iter=3))
         x1[method] = trace.records[1].x
         assert trace.records[1].step_kind == "newton"
