@@ -3,9 +3,11 @@
 Exit codes: 0 on success (solve/order: converged), 2 on non-convergence or
 a degenerate/NaN outcome (compare: only a method that stops degenerate or
 NaN), 1 on usage, parse or file errors.  Numeric output is a pure function of
-the flags.  ``--preset`` expands to a documented flag set; explicit flags
-override preset values.  Flags are taken by their whole names only.  An x0
-ending in the imaginary unit (``--x0 5+0i``) solves in complex mode.
+the flags.  ``--preset`` expands to one of the subcommand's own documented
+flag sets; explicit flags override preset values.  Flags are taken by their
+whole names only.  An x0 ending in the imaginary unit (``--x0 5+0i``) solves
+in complex mode.  ``solve --out`` writes the trace text that ``order
+--trace`` reads back, and ``order --out`` the report's per-step table as CSV.
 """
 
 from __future__ import annotations
@@ -19,29 +21,18 @@ from .basins import DEFAULT_BASIN_DIGITS, BasinSpec, line_scan, render, write_im
 from .expr import ExprError
 from .mpscalar import Precision, log10_abs_text, opened, parse_complex, parse_scalar, to_decimal
 from .solve import (METHODS, STATUS_DEGENERATE, STATUS_NAN, SolveConfig, read_trace_text,
-                    solve_expr, write_trace_csv, write_trace_text)
+                    solve_expr, write_trace_text)
 
-PRESETS = {
-    "newton-classic": {
-        "commands": ("solve", "order", "compare"),
-        "values": {"f": "x^3-2*x-5", "x0": "1", "digits": 40, "method": "ici"},
-    },
-    "exp-1000": {
-        "commands": ("solve", "order", "compare"),
-        "values": {"f": "(x^2+x)*exp(-x)-1/3", "x0": "2.0", "digits": 1000,
-                   "max_iter": 8, "method": "ici"},
-    },
-    "cube-roots": {
-        "commands": ("basin", "scan"),
-        "values": {"f": "z^3-1", "re": ["-2.0", "2.0"], "im": ["-2.0", "2.0"],
+SOLVE_PRESETS = {
+    "newton-classic": {"f": "x^3-2*x-5", "x0": "1", "digits": 40},
+    "exp-1000": {"f": "(x^2+x)*exp(-x)-1/3", "x0": "2.0", "digits": 1000, "max_iter": 8},
+}
+
+GRID_PRESETS = {
+    "cube-roots": {"f": "z^3-1", "re": ["-2.0", "2.0"], "im": ["-2.0", "2.0"],
                    "size": [1600, 1600], "max_iter": 13, "tol": "1e-8"},
-    },
-    "kepler-basin": {
-        "commands": ("basin", "scan"),
-        "values": {"f": "z - 0.083*sin(z) - 1", "re": ["-30.5", "-29.5"],
-                   "im": ["-17.5", "-16.5"], "size": [1600, 1600],
-                   "max_iter": 30, "tol": "1e-8"},
-    },
+    "kepler-basin": {"f": "z - 0.083*sin(z) - 1", "re": ["-30.5", "-29.5"],
+                     "im": ["-17.5", "-16.5"], "size": [1600, 1600], "max_iter": 30, "tol": "1e-8"},
 }
 
 
@@ -67,50 +58,51 @@ def _build_parser():
     parser = _Parser(prog="iciroot", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, digits, max_iter, tol):
+    def add_command(name, help, run, digits, max_iter, tol, presets):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(run=run)
         p.add_argument("--f", type=str, help="function text, e.g. 'x^3-2*x-5'")
         p.add_argument("--digits", type=int, default=digits,
                        help="working precision in decimal digits")
         p.add_argument("--tol", type=str, default=tol,
                        help="residual tolerance (decimal literal)")
         p.add_argument("--max-iter", type=int, dest="max_iter", default=max_iter)
-        p.add_argument("--preset", choices=sorted(PRESETS))
-
-    def add_solve_like(name, help, run, one_method=True):
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.set_defaults(run=run)
-        add_common(p, digits=Precision.digits, max_iter=SolveConfig.max_iter, tol=None)
-        p.add_argument("--x0", type=str,
-                       help="initial guess; an 'i'/'j' suffix (5+0i) selects complex mode")
-        if one_method:      # compare runs every method and writes no file
-            p.add_argument("--method", choices=METHODS, default=SolveConfig.method)
-            p.add_argument("--out", type=str, help="output file path")
-            p.add_argument("--format", choices=("csv", "text"), default="csv",
-                           help="--out file format")
+        p.add_argument("--preset", choices=sorted(presets))
         return p
 
-    add_solve_like("solve", "run one solve and print the trace", _run_solve)
-    p_order = add_solve_like("order", "solve and report convergence diagnostics", _run_order)
-    p_order.add_argument("--trace", type=str, help="read a saved text trace instead of solving")
-    add_solve_like("compare", "newton vs ici vs secant on one problem", _run_compare,
-                   one_method=False)
+    def add_solve_like(name, help, run, out_help=None):
+        p = add_command(name, help, run, Precision.digits, SolveConfig.max_iter, None,
+                        SOLVE_PRESETS)
+        p.add_argument("--x0", type=str,
+                       help="initial guess; an 'i'/'j' suffix (5+0i) selects complex mode")
+        if out_help:        # compare runs every method and writes no file
+            p.add_argument("--method", choices=METHODS, default=SolveConfig.method)
+            p.add_argument("--out", type=str, help=out_help)
+        return p
+
+    add_solve_like("solve", "run one solve and print the trace", _run_solve,
+                   "write the trace text that order --trace reads")
+    p_order = add_solve_like("order", "solve and report convergence diagnostics", _run_order,
+                             "write the report's per-step table as CSV")
+    p_order.add_argument("--trace", type=str,
+                         help="read a trace written by solve --out instead of solving")
+    add_solve_like("compare", "newton vs ici vs secant on one problem", _run_compare)
 
     def add_grid(name, help, run):
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.set_defaults(run=run)
-        add_common(p, digits=DEFAULT_BASIN_DIGITS, max_iter=BasinSpec.max_iter, tol=BasinSpec.tol)
+        p = add_command(name, help, run, DEFAULT_BASIN_DIGITS, BasinSpec.max_iter, BasinSpec.tol,
+                        GRID_PRESETS)
         p.add_argument("--out", type=str, help="output file path")
-        p.add_argument("--re", nargs=2, type=str, default=list(BasinSpec.re_range),
-                       help="real-axis range MIN MAX")
-        p.add_argument("--im", nargs=2, type=str, default=list(BasinSpec.im_range),
-                       help="imaginary-axis range MIN MAX")
-        p.add_argument("--size", nargs="+", type=int, default=[BasinSpec.width],
-                       help="pixels: WIDTH [HEIGHT]")
-        p.add_argument("--workers", type=int, default=BasinSpec.workers,
-                       help="row-parallel worker processes")
         return p
 
     p_basin = add_grid("basin", "render a basin-of-attraction image (PPM)", _run_basin)
+    p_basin.add_argument("--re", nargs=2, type=str, default=list(BasinSpec.re_range),
+                         help="real-axis range MIN MAX")
+    p_basin.add_argument("--im", nargs=2, type=str, default=list(BasinSpec.im_range),
+                         help="imaginary-axis range MIN MAX")
+    p_basin.add_argument("--size", nargs="+", type=int, default=[BasinSpec.width],
+                         help="pixels: WIDTH [HEIGHT]")
+    p_basin.add_argument("--workers", type=int, default=BasinSpec.workers,
+                         help="row-parallel worker processes")
     p_basin.add_argument("--csv", type=str, help="also dump per-pixel outcomes as CSV")
     p_scan = add_grid("scan", "root assignments along a complex segment", _run_scan)
     p_scan.add_argument("--from", dest="seg_from", type=str,
@@ -127,23 +119,24 @@ def _parse_args(argv):
     """
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "order" and args.trace:
+        for name in ("f", "x0", "digits", "tol", "max_iter", "method", "preset"):
+            if getattr(args, name) != commands["order"].get_default(name):
+                raise CliUsageError(f"--trace reads a saved trace; {_flag(name)} does not apply")
     if args.preset:
-        info = PRESETS[args.preset]
-        if args.command not in info["commands"]:
-            raise CliUsageError(f"--preset {args.preset} does not apply to '{args.command}'")
-        commands[args.command].set_defaults(**info["values"])
+        commands[args.command].set_defaults(**{**SOLVE_PRESETS, **GRID_PRESETS}[args.preset])
         args = parser.parse_args(argv)
     return args
 
 
-_FLAG_NAMES = {"seg_from": "from", "seg_to": "to"}
+def _flag(name):
+    return "--" + {"seg_from": "from", "seg_to": "to"}.get(name, name.replace("_", "-"))
 
 
 def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
-            flag = _FLAG_NAMES.get(name, name.replace("_", "-"))
-            raise CliUsageError(f"missing required flag --{flag}")
+            raise CliUsageError(f"missing required flag {_flag(name)}")
 
 
 def _solve_flags(args, method):
@@ -171,12 +164,10 @@ def _run_solve(args) -> int:
     if diag.ratio_growth_flag(trace):
         print("warning: residual ratios grow without bound "
               "(multiple-root signature); convergence is slow")
-    if args.out and args.format == "text":
+    if args.out:
         meta = {"function": args.f, "x0": args.x0, "digits": args.digits,
                 "tol": to_decimal(cfg.tol, 8), "method": args.method}
         write_trace_text(trace, meta, args.out)
-    elif args.out:
-        write_trace_csv(trace, args.out, digits=args.digits)
     return 0 if trace.converged else 2
 
 
@@ -187,12 +178,8 @@ def _run_order(args) -> int:
         trace, _ = _solve_flags(args, args.method)
     print(f"status: {trace.status} ({len(trace) - 1} iterations)")
     report = diag.build_report(trace)
-    text = diag.report_to_text(report, digits=8)
-    print(text, end="")
-    if args.out and args.format == "text":
-        with opened(args.out, "w") as fh:
-            fh.write(text)
-    elif args.out:
+    print(diag.report_to_text(report, digits=8), end="")
+    if args.out:
         diag.write_report_csv(report, args.out)
     return 0 if trace.converged else 2
 
@@ -210,17 +197,13 @@ def _run_compare(args) -> int:
     return worst
 
 
-def _grid_spec(args) -> BasinSpec:
-    if len(args.size) > 2:
-        raise CliUsageError(f"--size takes WIDTH [HEIGHT], got {len(args.size)} values")
-    return BasinSpec(ftext=args.f, re_range=tuple(args.re), im_range=tuple(args.im),
-                     width=args.size[0], height=args.size[-1], max_iter=args.max_iter,
-                     tol=args.tol, precision=Precision(args.digits), workers=args.workers)
-
-
 def _run_basin(args) -> int:
     _require(args, "f")
-    spec = _grid_spec(args)
+    if len(args.size) > 2:
+        raise CliUsageError(f"--size takes WIDTH [HEIGHT], got {len(args.size)} values")
+    spec = BasinSpec(ftext=args.f, re_range=tuple(args.re), im_range=tuple(args.im),
+                     width=args.size[0], height=args.size[-1], max_iter=args.max_iter,
+                     tol=args.tol, precision=Precision(args.digits), workers=args.workers)
     raster = render(spec)
     out = args.out or "basin.ppm"
     write_image(raster, out)
@@ -236,8 +219,8 @@ def _run_basin(args) -> int:
 
 def _run_scan(args) -> int:
     _require(args, "f", "seg_from", "seg_to")
-    spec = _grid_spec(args)
-    p = spec.precision
+    p = Precision(args.digits)
+    spec = BasinSpec(ftext=args.f, max_iter=args.max_iter, tol=args.tol, precision=p)
     seg = (parse_complex(args.seg_from, p), parse_complex(args.seg_to, p))
     assignments = line_scan(spec, seg, args.samples)
     changes = sum(1 for k in range(1, len(assignments)) if assignments[k] != assignments[k - 1])

@@ -530,7 +530,8 @@ def log10_abs_text(x, digits: int, negate: bool = False) -> str:
     return to_decimal(-full if negate else full, digits)
 
 
-def _digits_of(ctx) -> int:
+def digits_of(ctx) -> int:
+    """The decimal digits a context works at: its Precision's, else its dps."""
     return getattr(ctx, "_decimal_digits", ctx.dps)
 
 
@@ -547,7 +548,7 @@ def to_decimal(x, digits: int | None = None) -> str:
         return f"{to_decimal(x.real, digits)}{'' if im.startswith('-') else '+'}{im}i"
     ctx = context_of(x)
     if digits is None:
-        digits = _digits_of(ctx)
+        digits = digits_of(ctx)
     if ctx.isnan(x):
         return "nan"
     if not ctx.isfinite(x):

@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 
 from .expr import compile_pair
 from .kernel import ici_blend, secant_step
-from .mpscalar import (Precision, is_complex_scalar, is_finite, log10_abs_text, opened,
-                       parse_complex, parse_real, parse_scalar, read_tol, to_decimal)
+from .mpscalar import (Precision, context_of, digits_of, is_complex_scalar, is_finite,
+                       log10_abs_text, opened, parse_complex, parse_real, parse_scalar, read_tol,
+                       to_decimal)
 
 METHODS = ("newton", "secant", "ici")
 
@@ -293,12 +294,15 @@ def write_trace_csv(trace: IterationTrace, path_or_file, digits: int | None = No
 
 
 def write_trace_text(trace: IterationTrace, meta: dict, path_or_file):
-    """Write run metadata (key: value lines) followed by the CSV table."""
+    """Write run metadata (key: value lines; ``digits`` from the final x when
+    ``meta`` has none), the trace's ``status`` line, then the CSV table."""
+    if "digits" not in meta:
+        meta = {**meta, "digits": digits_of(context_of(trace.final.x))}
     with opened(path_or_file, "w") as fh:
         for key, value in meta.items():
             fh.write(f"{key}: {value}\n")
         fh.write(f"status: {trace.status}\n")
-        write_trace_csv(trace, fh, digits=int(meta["digits"]) if "digits" in meta else None)
+        write_trace_csv(trace, fh, digits=int(meta["digits"]))
 
 
 def read_trace_text(path_or_file):
@@ -307,8 +311,9 @@ def read_trace_text(path_or_file):
     Returns:
         (IterationTrace, meta dict).  Record values are reconstructed at the
         precision named by the ``digits`` metadata entry.  A missing table
-        header, a row with fewer than five fields or a table with no records
-        (every trace has its seed) raises ValueError.
+        header, a row with fewer than five fields, a table with no records
+        (every trace has its seed) or text with no ``digits`` or ``status``
+        line (a bare CSV table) raises ValueError.
     """
     with opened(path_or_file, "r") as fh:
         lines = fh.read().splitlines()
@@ -321,18 +326,19 @@ def read_trace_text(path_or_file):
         k += 1
     if k == len(lines):
         raise ValueError("missing trace table header")
-    p = Precision(int(meta.get("digits", 40)))
-    records = []
-    for row in csv.reader(lines[k + 1:]):
-        if not row:
-            continue
+    rows = [row for row in csv.reader(lines[k + 1:]) if row]
+    for row in rows:
         if len(row) < 5:
             raise ValueError(f"trace table row has {len(row)} fields, needs 5: {','.join(row)}")
-        n, x_s, y_s, yp_s, kind = row[:5]
+    if not rows:
+        raise ValueError("trace table has no records")
+    for key in ("digits", "status"):
+        if key not in meta:
+            raise ValueError(f"trace text has no '{key}:' line")
+    p = Precision(int(meta["digits"]))
+    records = []
+    for n, x_s, y_s, yp_s, kind, *_ in rows:
         x = parse_scalar(x_s, p)
         conv = parse_complex if is_complex_scalar(x) else parse_real
         records.append(IterationRecord(int(n), x, conv(y_s, p), conv(yp_s, p), kind))
-    if not records:
-        raise ValueError("trace table has no records")
-    status = meta.pop("status", STATUS_MAX_ITER)
-    return IterationTrace(records, status), meta
+    return IterationTrace(records, meta.pop("status")), meta

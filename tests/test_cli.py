@@ -11,6 +11,7 @@ import pytest
 
 from iciroot import basins, cli, mpscalar
 from iciroot.cli import main
+from iciroot.solve import SolveConfig, solve_expr, write_trace_csv
 
 
 def test_missing_function_flag_is_usage_error(capsys):
@@ -43,10 +44,17 @@ def test_explicit_zero_max_iter_is_not_replaced_by_the_default(capsys):
     (["basin", "--f", "z^3-1", "--size", "4", "--overflow-exp", "10"],
      "unrecognized arguments: --overflow-exp 10"),
     (["solve", "--f", "x-1", "--x0", "5", "--method", "ici_averaged"],
-     "argument --method: invalid choice: 'ici_averaged'")],
-    ids=["complex", "overflow-exp", "ici_averaged"])
+     "argument --method: invalid choice: 'ici_averaged'"),
+    (["solve", "--f", "x-1", "--x0", "5", "--out", "t.txt", "--format", "text"],
+     "unrecognized arguments: --format text"),
+    (["order", "--f", "x-1", "--x0", "5", "--out", "r.csv", "--format", "csv"],
+     "unrecognized arguments: --format csv"),
+    (["scan", "--f", "z^3-1", "--from", "0.9+0i", "--to", "1.1+0i", "--out", "s.csv",
+      "--size", "4"], "unrecognized arguments: --size 4")],
+    ids=["complex", "overflow-exp", "ici_averaged", "solve-format", "order-format", "scan-size"])
 def test_retired_flags_and_method_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
-    # a complex x0 is written with its imaginary part; the overflow cap is fixed
+    # a complex x0 is written with its imaginary part; the overflow cap is fixed;
+    # each --out has one format; a scan has no window or pixel grid
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert message in capsys.readouterr().err
@@ -79,17 +87,22 @@ def test_an_expression_too_deep_for_the_stack_exits_one(tmp_path, capsys, ftext,
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize("command", ["basin", "scan"])
-@pytest.mark.parametrize("flags, message", [
-    (["--tol", "0"], "tol must be positive"), (["--tol=-1"], "tol must be positive"),
-    (["--re", "0", "inf"], "finite, non-degenerate"), (["--im", "1", "1"], "non-degenerate"),
-    (["--re", "1", "one"], "invalid real literal 'one'")],
-    ids=["tol-0", "tol-negative", "re-inf", "im-empty", "re-text"])
+_BAD_TOLERANCE_OR_WINDOW = [("tol-0", ["--tol", "0"], "tol must be positive"),
+                            ("tol-negative", ["--tol=-1"], "tol must be positive"),
+                            ("re-inf", ["--re", "0", "inf"], "finite, non-degenerate"),
+                            ("im-empty", ["--im", "1", "1"], "non-degenerate"),
+                            ("re-text", ["--re", "1", "one"], "invalid real literal 'one'")]
+
+
+# only basin has a window; scan iterates along its --from/--to segment
+@pytest.mark.parametrize("command, flags, message", [
+    pytest.param(command, flags, message, id=f"{name}-{command}")
+    for name, flags, message in _BAD_TOLERANCE_OR_WINDOW
+    for command in (("basin", "scan") if flags[0].startswith("--tol") else ("basin",))])
 def test_a_bad_tolerance_or_window_exits_one(tmp_path, capsys, command, flags, message):
     out_file = tmp_path / "out"
-    argv = [command, "--f", "z^3-1", "--size", "4", "--out", str(out_file), *flags]
-    if command == "scan":
-        argv += ["--from", "0.9+0i", "--to", "1.1+0i"]
+    argv = [command, "--f", "z^3-1", "--out", str(out_file), *flags]
+    argv += ["--size", "4"] if command == "basin" else ["--from", "0.9+0i", "--to", "1.1+0i"]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -136,7 +149,7 @@ def test_values_with_huge_decimal_exponents_print_quickly(tmp_path, monkeypatch,
 def test_order_reads_back_a_trace_with_a_complex_nan(tmp_path, capsys):
     trace_file = tmp_path / "t.txt"
     assert main(["solve", "--f", "log(z-1)*(z-1)", "--x0", "1+0i", "--digits", "20",
-                 "--format", "text", "--out", str(trace_file)]) == 2
+                 "--out", str(trace_file)]) == 2
     assert ",nan+nani," in trace_file.read_text()
     capsys.readouterr()
     assert main(["order", "--trace", str(trace_file)]) == 2
@@ -165,7 +178,7 @@ def test_values_led_by_a_dash_are_values_on_every_subcommand(command):
             args = cli._parse_args([command, *argv])
             assert {dest: getattr(args, dest) for dest in expected} == expected
             checked += 1
-    assert checked == {"solve": 4, "order": 4, "compare": 4, "basin": 2, "scan": 3}[command]
+    assert checked == {"solve": 4, "order": 4, "compare": 4, "basin": 2, "scan": 2}[command]
 
 
 @pytest.mark.parametrize("argv, code, root", [
@@ -218,19 +231,22 @@ def test_double_root_prints_slow_convergence_warning(capsys):
 
 
 def test_solve_writes_csv(tmp_path, capsys):
-    out_file = tmp_path / "trace.csv"
+    # the one --out format of solve: the run's key: value lines, then the CSV table
+    out_file = tmp_path / "trace.txt"
     code = main(["solve", "--f", "x^2-2", "--x0", "1.5", "--digits", "30",
                  "--out", str(out_file)])
     assert code == 0
     lines = out_file.read_text().splitlines()
-    assert lines[0] == "n,x,y,yp,step_kind,log10_abs_y"
-    assert len(lines) > 3
+    assert lines[:6] == ["function: x^2-2", "x0: 1.5", "digits: 30", "tol: 1.0e-20",
+                         "method: ici", "status: converged"]
+    assert lines[6] == "n,x,y,yp,step_kind,log10_abs_y"
+    assert len(lines) > 9
 
 
 def test_solve_writes_text_and_order_reads_it_back(tmp_path, capsys):
     out_file = tmp_path / "trace.txt"
     assert main(["solve", "--f", "x^2-2", "--x0", "1.5", "--digits", "120",
-                 "--max-iter", "4", "--format", "text", "--out", str(out_file)]) == 2
+                 "--max-iter", "4", "--out", str(out_file)]) == 2
     text = out_file.read_text()
     assert text.startswith("function: x^2-2\n")
     assert "status: max_iter" in text
@@ -271,15 +287,42 @@ def test_order_of_a_missing_trace_file_is_an_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_order_rejects_a_bare_trace_table(tmp_path, capsys):
+    # a table with no digits: or status: line, as solve --out wrote it when a
+    # bare CSV table was its default, says neither its precision nor its outcome
+    p = mpscalar.Precision(200)
+    trace = solve_expr("(x^2+x)*exp(-x)-1/3", p.real("2.0"), SolveConfig(precision=p))
+    assert trace.converged
+    write_trace_csv(trace, tmp_path / "e.csv", digits=200)
+    assert main(["order", "--trace", str(tmp_path / "e.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: trace text has no 'digits:' line\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [["--f", "x^2-2"], ["--x0", "1"], ["--digits", "30"],
+                                   ["--tol", "1e-10"], ["--max-iter", "3"],
+                                   ["--method", "newton"], ["--preset", "newton-classic"]],
+                         ids=lambda flags: flags[0])
+def test_order_from_a_trace_refuses_the_solve_flags(tmp_path, capsys, flags):
+    # the trace file fixes the run; a solve flag that differs from its default
+    # would be silently ignored
+    trace_file = tmp_path / "t.txt"
+    assert main(["solve", "--f", "x^2-2", "--x0", "1.5", "--out", str(trace_file)]) == 0
+    capsys.readouterr()
+    assert main(["order", "--trace", str(trace_file), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --trace reads a saved trace; {flags[0]} does not apply\n"
+    assert captured.out == ""
+    assert main(["order", "--trace", str(trace_file)]) == 0
+
+
 @pytest.mark.parametrize("args", [
     ["solve", "--f", "x^2-2", "--x0", "1.5", "--digits", "20", "--out", "{bad}"],
-    ["solve", "--f", "x^2-2", "--x0", "1.5", "--digits", "20", "--format", "text",
-     "--out", "{bad}"],
     ["order", "--f", "x^2-2", "--x0", "1.5", "--digits", "20", "--out", "{bad}"],
     ["basin", "--f", "z^3-1", "--size", "1", "--out", "{bad}"],
     ["basin", "--f", "z^3-1", "--size", "1", "--out", "{ok}", "--csv", "{bad}"],
     ["scan", "--f", "z^3-1", "--from=-1+0i", "--to=1+0i", "--samples", "2", "--out", "{bad}"],
-], ids=["solve-csv", "solve-text", "order", "basin", "basin-csv", "scan"])
+], ids=["solve-text", "order", "basin", "basin-csv", "scan"])
 def test_an_unwritable_output_path_is_an_error(tmp_path, capsys, args):
     # the results are printed first; the failed write then exits 1 without a traceback
     paths = {"bad": str(tmp_path / "no" / "such" / "dir" / "x.out"), "ok": str(tmp_path / "b.ppm")}
@@ -300,13 +343,14 @@ def test_order_runs_a_solve_and_reports(tmp_path, capsys):
 
 
 def test_order_writes_the_report_in_the_requested_format(tmp_path, capsys):
-    args = ["order", "--f", "x^2-2", "--x0", "1", "--digits", "20"]
-    assert main([*args, "--out", str(tmp_path / "r.txt"), "--format", "text"]) == 0
+    # the one --out format of order: the report's per-step table as CSV; the
+    # report text is what order prints
+    assert main(["order", "--f", "x^2-2", "--x0", "1", "--digits", "20",
+                 "--out", str(tmp_path / "r.csv")]) == 0
     out = capsys.readouterr().out
-    text = (tmp_path / "r.txt").read_text()
-    assert text.startswith("fitted_constant:") and out.endswith(text)
-    assert main([*args, "--out", str(tmp_path / "r.csv"), "--format", "csv"]) == 0
-    assert (tmp_path / "r.csv").read_text().startswith("k,digits,ratio")
+    table = (tmp_path / "r.csv").read_text()
+    assert table.startswith("k,digits,ratio") and "fitted_constant:" not in table
+    assert out.splitlines()[1].startswith("fitted_constant:")
 
 
 def test_solve_reads_a_literal_with_a_bare_leading_dot(capsys):
@@ -418,7 +462,7 @@ def test_basin_one_pixel_is_valid_ppm(tmp_path, capsys):
     assert len(data) == 11 + 3
 
 
-@pytest.mark.parametrize("command, entry", [("basin", "render"), ("scan", "line_scan")])
+@pytest.mark.parametrize("command, entry", [("basin", "render")])
 def test_window_ends_in_negative_exponent_form_are_values(tmp_path, capsys, monkeypatch,
                                                           command, entry):
     specs = []
@@ -426,8 +470,6 @@ def test_window_ends_in_negative_exponent_form_are_values(tmp_path, capsys, monk
     monkeypatch.setattr(cli, entry, lambda spec, *args: specs.append(spec) or real(spec, *args))
     argv = [command, "--f", "z^3-1", "--re", "-1E-3", "1e-3", "--im", "-1e-20", "1e-20",
             "--size", "4", "--out", str(tmp_path / "out")]
-    if command == "scan":
-        argv += ["--from", "0.9+0i", "--to", "1.1+0i", "--samples", "3"]
     assert main(argv) == 0
     assert specs[0].re_range == ("-1E-3", "1e-3") and specs[0].im_range == ("-1e-20", "1e-20")
 
@@ -460,8 +502,7 @@ def test_basin_csv_dump(tmp_path, capsys):
 
 def test_scan_constant_segment(tmp_path, capsys):
     out_file = tmp_path / "scan.csv"
-    code = main(["scan", "--f", "z^3-1", "--re", "-2", "2", "--im", "-2", "2",
-                 "--from", "0.9+0i", "--to", "1.1+0i", "--samples", "9",
+    code = main(["scan", "--f", "z^3-1", "--from", "0.9+0i", "--to", "1.1+0i", "--samples", "9",
                  "--out", str(out_file)])
     out = capsys.readouterr().out
     assert code == 0
@@ -483,7 +524,9 @@ def test_complex_mode_inferred_from_x0(capsys):
 
 
 def test_wrong_preset_for_subcommand(capsys):
+    # each subcommand offers only its own presets
     assert main(["basin", "--preset", "newton-classic"]) == 1
+    assert "argument --preset: invalid choice: 'newton-classic'" in capsys.readouterr().err
 
 
 def test_readme_scan_example_runs(capsys):
@@ -520,10 +563,10 @@ def _readme_commands():
 @pytest.mark.parametrize("argv, code", _readme_commands(), ids=lambda v: shlex.join(v)
                          if isinstance(v, list) else f"exit{v}")
 def test_readme_command_lines_run_as_documented(tmp_path, monkeypatch, capsys, argv, code):
-    # outputs land in tmp_path; basin and scan lines get --size 4 last, which
-    # wins over the line's own --size and over a preset
+    # outputs land in tmp_path; basin lines get --size 4 last, which wins over
+    # the line's own --size and over a preset
     monkeypatch.chdir(tmp_path)
-    if argv[0] in ("basin", "scan"):
+    if argv[0] == "basin":
         argv = [*argv, "--size", "4"]
     assert main(argv) == code
     assert capsys.readouterr().err == ""
@@ -571,6 +614,35 @@ def test_every_flag_is_documented_in_the_readme():
     assert sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", readme)) == []
 
 
+# each subcommand's flags, in the order --help lists them, and its presets
+_CLI_SURFACE = {
+    "solve": (["--f", "--digits", "--tol", "--max-iter", "--preset", "--x0", "--method", "--out"],
+              ["exp-1000", "newton-classic"]),
+    "order": (["--f", "--digits", "--tol", "--max-iter", "--preset", "--x0", "--method", "--out",
+               "--trace"], ["exp-1000", "newton-classic"]),
+    "compare": (["--f", "--digits", "--tol", "--max-iter", "--preset", "--x0"],
+                ["exp-1000", "newton-classic"]),
+    "basin": (["--f", "--digits", "--tol", "--max-iter", "--preset", "--out", "--re", "--im",
+               "--size", "--workers", "--csv"], ["cube-roots", "kepler-basin"]),
+    "scan": (["--f", "--digits", "--tol", "--max-iter", "--preset", "--out", "--from", "--to",
+              "--samples"], ["cube-roots", "kepler-basin"]),
+}
+
+
+def test_the_cli_surface_is_the_documented_one():
+    # 43 flag slots, 17 distinct flags; every subcommand's --preset offers its own two
+    _, commands = cli._build_parser()
+    surface = {}
+    for name, p in commands.items():
+        flags = [opt for action in p._actions for opt in action.option_strings
+                 if opt.startswith("--") and opt != "--help"]
+        presets = next(a.choices for a in p._actions if "--preset" in a.option_strings)
+        surface[name] = (flags, list(presets))
+    assert surface == _CLI_SURFACE
+    assert sum(len(flags) for flags, _ in surface.values()) == 43
+    assert len({flag for flags, _ in surface.values() for flag in flags}) == 17
+
+
 def test_python_dash_m_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "iciroot", "--help"], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -592,7 +664,7 @@ def test_transcendental_solves_at_1000_digits_keep_their_traces(tmp_path, capsys
     def solve(name):
         out = tmp_path / name
         assert main(["solve", "--f", ftext, "--x0", x0, "--digits", "1000",
-                     "--out", str(out), "--format", "text"]) == 0
+                     "--out", str(out)]) == 0
         return capsys.readouterr().out, out.read_text()
     printed, trace = solve("kernels.txt")
     assert f"status: converged ({iterations} iterations)" in printed

@@ -688,3 +688,25 @@ def test_every_iterate_replays_from_the_public_kernel(ftext, x0, digits, max_ite
             want = newton_step(_sample(recs[k - 1]))
         assert recs[k].x == want, (k, kind)
     assert {r.step_kind for r in recs[1:]} == kinds
+
+
+@pytest.mark.parametrize("text, key", [
+    ("status: converged\nn,x,y,yp,step_kind,log10_abs_y\n0,1.5,0.25,3.0,seed,-0.6\n", "digits"),
+    ("digits: 40\nn,x,y,yp,step_kind,log10_abs_y\n0,1.5,0.25,3.0,seed,-0.6\n", "status"),
+    ("n,x,y,yp,step_kind,log10_abs_y\n0,1.5,0.25,3.0,seed,-0.6\n", "digits")],
+    ids=["no-digits", "no-status", "bare-table"])
+def test_read_trace_text_rejects_text_that_does_not_say_its_precision_and_status(text, key):
+    with pytest.raises(ValueError, match=f"trace text has no '{key}:' line"):
+        read_trace_text(io.StringIO(text))
+
+
+def test_trace_text_says_the_trace_precision_when_the_meta_does_not():
+    p = Precision(34)
+    trace = solve_expr("z^3-1", p.cplx("0.5", "0.5"), SolveConfig(precision=p, tol="1e-20"))
+    bare, given = io.StringIO(), io.StringIO()
+    write_trace_text(trace, {"function": "z^3-1"}, bare)
+    write_trace_text(trace, {"function": "z^3-1", "digits": 34}, given)
+    assert bare.getvalue() == given.getvalue()
+    assert bare.getvalue().startswith("function: z^3-1\ndigits: 34\nstatus: converged\nn,x,")
+    back, meta = read_trace_text(io.StringIO(bare.getvalue()))
+    assert meta == {"function": "z^3-1", "digits": "34"} and back.converged
