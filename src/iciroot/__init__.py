@@ -4,11 +4,16 @@ The production iteration averages two Newton steps and a secant step with
 residual-derived weights, equivalently evaluating an inverse cubic Hermite
 interpolant at height zero.  It needs one function evaluation and one
 derivative evaluation per step and converges with order 1 + sqrt(3).
+
+The names from ``basins`` (the renderer) and ``diagnostics`` (the report)
+load on first use, so that ``import iciroot`` pays only for the solver.
+``solve`` loads at once: ``iciroot.solve`` names both a submodule and the
+exported function, and the first import of the submodule would otherwise
+bind the package attribute to the module.
 """
 
-from .basins import BasinRaster, BasinSpec, line_scan, render, write_image
-from .diagnostics import (ConvergenceReport, build_report, error_constant_oracle,
-                          ratio_growth_flag, residual_ratio_limit)
+from importlib import import_module
+
 from .expr import ExprError, ExprSyntaxError, UnknownIdentifierError, differentiate, evaluate, parse, render as render_expr
 from .kernel import (EqualResidualsError, PointSample, ZeroDerivativeError, ici_step,
                      newton_step, secant_step)
@@ -17,6 +22,15 @@ from .solve import (IterationRecord, IterationTrace, SolveConfig, read_trace_tex
                     solve, solve_expr, write_trace_csv, write_trace_text)
 
 __version__ = "0.1.0"
+
+# the names that load on first use, and the module each comes from
+_LAZY = {
+    "BasinRaster": "basins", "BasinSpec": "basins", "line_scan": "basins", "render": "basins",
+    "write_image": "basins",
+    "ConvergenceReport": "diagnostics", "build_report": "diagnostics",
+    "error_constant_oracle": "diagnostics", "ratio_growth_flag": "diagnostics",
+    "residual_ratio_limit": "diagnostics",
+}
 
 __all__ = [
     "BasinRaster", "BasinSpec", "line_scan", "render", "write_image",
@@ -30,3 +44,15 @@ __all__ = [
     "IterationRecord", "IterationTrace", "SolveConfig", "read_trace_text",
     "solve", "solve_expr", "write_trace_csv", "write_trace_text",
 ]
+
+
+def __getattr__(name):
+    """Load a ``basins`` or ``diagnostics`` name on its first access (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

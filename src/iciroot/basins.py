@@ -23,7 +23,6 @@ from __future__ import annotations
 import colorsys
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from mpmath.libmp import from_man_exp
@@ -558,6 +557,8 @@ def render(spec: BasinSpec) -> BasinRaster:
     if spec.workers == 1 or spec.height == 1:
         rows = list(map(render_row, range(spec.height)))
     else:
+        # imported here: the pool stack costs a cold start that serial renders skip
+        from concurrent.futures import ProcessPoolExecutor
         # fork starts every worker up front: no more of them than there are rows
         with ProcessPoolExecutor(max_workers=min(spec.workers, spec.height),
                                  initializer=_init_worker,

@@ -16,8 +16,6 @@ import argparse
 import csv
 import sys
 
-from . import diagnostics as diag
-from .basins import DEFAULT_BASIN_DIGITS, BasinSpec, line_scan, render, write_image
 from .expr import ExprError
 from .mpscalar import Precision, log10_abs_text, opened, parse_complex, parse_scalar, to_decimal
 from .solve import (METHODS, STATUS_DEGENERATE, STATUS_NAN, SolveConfig, read_trace_text,
@@ -55,6 +53,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     """The ``iciroot`` parser and its subcommand parsers by name."""
+    # basins and diagnostics load where a subcommand needs them, not with the module
+    from .basins import DEFAULT_BASIN_DIGITS, BasinSpec
+
     parser = _Parser(prog="iciroot", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -120,8 +121,12 @@ def _parse_args(argv):
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "order" and args.trace:
+        # parsed again without defaults, the namespace holds only the flags given
+        for action in commands["order"]._actions:
+            action.default = argparse.SUPPRESS
+        given = vars(parser.parse_args(argv))
         for name in ("f", "x0", "digits", "tol", "max_iter", "method", "preset"):
-            if getattr(args, name) != commands["order"].get_default(name):
+            if name in given:
                 raise CliUsageError(f"--trace reads a saved trace; {_flag(name)} does not apply")
     if args.preset:
         commands[args.command].set_defaults(**{**SOLVE_PRESETS, **GRID_PRESETS}[args.preset])
@@ -157,11 +162,13 @@ def _print_trace(trace, digits):
 
 
 def _run_solve(args) -> int:
+    from .diagnostics import ratio_growth_flag
+
     trace, cfg = _solve_flags(args, args.method)
     _print_trace(trace, args.digits)
     print(f"status: {trace.status} ({len(trace) - 1} iterations)")
     print(f"root: {to_decimal(trace.final.x, args.digits)}")
-    if diag.ratio_growth_flag(trace):
+    if ratio_growth_flag(trace):
         print("warning: residual ratios grow without bound "
               "(multiple-root signature); convergence is slow")
     if args.out:
@@ -172,15 +179,17 @@ def _run_solve(args) -> int:
 
 
 def _run_order(args) -> int:
+    from .diagnostics import build_report, report_to_text, write_report_csv
+
     if args.trace:
         trace, _ = read_trace_text(args.trace)
     else:
         trace, _ = _solve_flags(args, args.method)
     print(f"status: {trace.status} ({len(trace) - 1} iterations)")
-    report = diag.build_report(trace)
-    print(diag.report_to_text(report, digits=8), end="")
+    report = build_report(trace)
+    print(report_to_text(report, digits=8), end="")
     if args.out:
-        diag.write_report_csv(report, args.out)
+        write_report_csv(report, args.out)
     return 0 if trace.converged else 2
 
 
@@ -198,6 +207,8 @@ def _run_compare(args) -> int:
 
 
 def _run_basin(args) -> int:
+    from .basins import BasinSpec, render, write_image
+
     _require(args, "f")
     if len(args.size) > 2:
         raise CliUsageError(f"--size takes WIDTH [HEIGHT], got {len(args.size)} values")
@@ -218,6 +229,8 @@ def _run_basin(args) -> int:
 
 
 def _run_scan(args) -> int:
+    from .basins import BasinSpec, line_scan
+
     _require(args, "f", "seg_from", "seg_to")
     p = Precision(args.digits)
     spec = BasinSpec(ftext=args.f, max_iter=args.max_iter, tol=args.tol, precision=p)

@@ -556,6 +556,12 @@ def to_decimal(x, digits: int | None = None) -> str:
     return _mpf_text(x._mpf_, digits)
 
 
+@lru_cache(maxsize=None)
+def _log10_2_fixed(wp: int) -> int:
+    """log10(2) as a fixed-point integer of ``wp`` fraction bits."""
+    return (ln2_fixed(wp) << wp) // ln10_fixed(wp)
+
+
 def _mpf_text(s, dps: int) -> str:
     """mpmath's ``to_str(s, dps, min_fixed=-6, max_fixed=6)``, correctly rounded.
 
@@ -568,7 +574,7 @@ def _mpf_text(s, dps: int) -> str:
     # log10(2) to 64 bits more than n has: the guess is within one of floor(n * log10(2))
     n = exp + bc - 1
     wp = n.bit_length() + 64
-    e10 = (n * (ln2_fixed(wp) << wp) // ln10_fixed(wp)) >> wp
+    e10 = (n * _log10_2_fixed(wp)) >> wp
     head, exponent = _round_decimal(man, exp, dps, e10)
     if -6 < exponent < 6:
         if exponent < 0:
@@ -681,6 +687,12 @@ _DECIMAL = _re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:e([+-]?\d+))?")
 _SPECIAL_WORDS = ("inf", "+inf", "-inf", "nan")
 
 
+@lru_cache(maxsize=256)
+def _ten_power(exp: int, prec: int):
+    """10**exp to ``prec`` bits; the values of one trace share a few exponents."""
+    return mpf_pow_int(_TEN, exp, prec)
+
+
 def _from_decimal(m, prec: int, rnd):
     """mpmath's ``from_str`` of the literal matched by ``_DECIMAL``, for any length.
 
@@ -694,7 +706,7 @@ def _from_decimal(m, prec: int, rnd):
     man = _int_of_digits(whole + frac or "0")
     man = -man if sign == "-" else man
     if abs(exp) > 400:
-        return mpf_mul(from_int(man, prec + 10), mpf_pow_int(_TEN, exp, prec + 10), prec, rnd)
+        return mpf_mul(from_int(man, prec + 10), _ten_power(exp, prec + 10), prec, rnd)
     if exp >= 0:
         return from_int(man * 10 ** exp, prec, rnd)
     return from_rational(man, 10 ** -exp, prec, rnd)

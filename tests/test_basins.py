@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import math
@@ -319,7 +320,7 @@ def test_render_starts_no_more_workers_than_rows(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(basins, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(basins, "_worker_render_row", None)
     want = _outcome(render(_cube_spec(width=3, height=4)))
     for workers, height, size in ((8, 4, 4), (3, 4, 3), (2, 5, 2)):
@@ -389,7 +390,7 @@ def test_render_of_mpf_valued_spec_under_spawn(monkeypatch):
             initargs.append(kw["initargs"])
             super().__init__(mp_context=multiprocessing.get_context("spawn"), **kw)
 
-    monkeypatch.setattr(basins, "ProcessPoolExecutor", SpawnPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
     want = render(_cube_spec(width=5, height=4, **window))
     for kind, values in kinds.items():
         for workers in (1, 2):

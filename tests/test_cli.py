@@ -113,7 +113,8 @@ def test_a_deep_zoom_window_on_the_re_flag_reaches_the_spec(tmp_path, capsys, mo
     # the two ends are one double apart from nothing: read as text at 34 digits
     # they give four distinct column centres
     specs = []
-    monkeypatch.setattr(cli, "render", lambda spec: specs.append(spec) or basins.render(spec))
+    real = basins.render
+    monkeypatch.setattr(basins, "render", lambda spec: specs.append(spec) or real(spec))
     assert main(["basin", "--f", "z^3-1", "--re", "1.00000000000000000001",
                  "1.00000000000000000002", "--size", "4", "1",
                  "--out", str(tmp_path / "b.ppm")]) == 0
@@ -304,8 +305,8 @@ def test_order_rejects_a_bare_trace_table(tmp_path, capsys):
                                    ["--method", "newton"], ["--preset", "newton-classic"]],
                          ids=lambda flags: flags[0])
 def test_order_from_a_trace_refuses_the_solve_flags(tmp_path, capsys, flags):
-    # the trace file fixes the run; a solve flag that differs from its default
-    # would be silently ignored
+    # the trace file fixes the run; a solve flag given with it would be
+    # silently ignored
     trace_file = tmp_path / "t.txt"
     assert main(["solve", "--f", "x^2-2", "--x0", "1.5", "--out", str(trace_file)]) == 0
     capsys.readouterr()
@@ -314,6 +315,21 @@ def test_order_from_a_trace_refuses_the_solve_flags(tmp_path, capsys, flags):
     assert captured.err == f"error: --trace reads a saved trace; {flags[0]} does not apply\n"
     assert captured.out == ""
     assert main(["order", "--trace", str(trace_file)]) == 0
+
+
+@pytest.mark.parametrize("flags", [["--digits", "40"], ["--digits=40"], ["--max-iter", "100"],
+                                   ["--method", "ici"]], ids=lambda flags: flags[0])
+def test_order_from_a_trace_refuses_a_solve_flag_at_its_default_value(tmp_path, capsys, flags):
+    # a flag that repeats its default is given all the same, and ignored
+    # all the same; the flags with no default are refused by the test above
+    trace_file = tmp_path / "t.txt"
+    assert main(["solve", "--f", "x^2-2", "--x0", "1.5", "--out", str(trace_file)]) == 0
+    capsys.readouterr()
+    assert main(["order", "--trace", str(trace_file), *flags]) == 1
+    captured = capsys.readouterr()
+    name = flags[0].split("=")[0]
+    assert captured.err == f"error: --trace reads a saved trace; {name} does not apply\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("args", [
@@ -466,8 +482,8 @@ def test_basin_one_pixel_is_valid_ppm(tmp_path, capsys):
 def test_window_ends_in_negative_exponent_form_are_values(tmp_path, capsys, monkeypatch,
                                                           command, entry):
     specs = []
-    real = getattr(cli, entry)
-    monkeypatch.setattr(cli, entry, lambda spec, *args: specs.append(spec) or real(spec, *args))
+    real = getattr(basins, entry)
+    monkeypatch.setattr(basins, entry, lambda spec, *args: specs.append(spec) or real(spec, *args))
     argv = [command, "--f", "z^3-1", "--re", "-1E-3", "1e-3", "--im", "-1e-20", "1e-20",
             "--size", "4", "--out", str(tmp_path / "out")]
     assert main(argv) == 0
@@ -654,6 +670,25 @@ def test_every_exported_name_resolves_once():
     import iciroot
     assert len(iciroot.__all__) == len(set(iciroot.__all__))
     assert [name for name in iciroot.__all__ if not hasattr(iciroot, name)] == []
+
+
+def test_import_loads_neither_the_renderer_its_pool_nor_the_report():
+    # a fresh interpreter: this one has loaded them all
+    code = ("import sys, types\n"
+            "import iciroot, iciroot.cli\n"
+            "loaded = [m for m in ('iciroot.basins', 'iciroot.diagnostics',\n"
+            "                      'concurrent.futures.process', 'multiprocessing')\n"
+            "          if m in sys.modules]\n"
+            "assert loaded == [], loaded\n"
+            "import iciroot.solve\n"
+            "assert isinstance(iciroot.solve, types.FunctionType), iciroot.solve\n"
+            "from iciroot import basins, diagnostics\n"
+            "assert iciroot.render is basins.render\n"
+            "assert iciroot.build_report is diagnostics.build_report\n"
+            "assert iciroot.solve is iciroot.solve_expr.__globals__['solve']\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("ftext, x0, iterations, root", [
