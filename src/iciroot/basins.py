@@ -355,8 +355,8 @@ def _triple_lowering(ctx, P):
     Any other op (``pow``, ``log``, ``sqrt``), an exp/cos_sin argument past
     _FIXED_MAG, or an operand that is not a triple falls back to the mpmath
     lowering for that slot only; a finite result turns back into a triple.
-    A zero divisor raises ZeroDivisionError, as in mpmath, so a tape's NaN
-    cones fall where they fall for mpmath values.
+    A zero divisor raises ZeroDivisionError, as in mpmath, so NaN cones fall
+    as for mpmath values.  Constants fold on the mpmath lowering ("fold").
     """
     mp = mp_lowering(ctx, complex_mode=True)
 
@@ -411,6 +411,7 @@ def _triple_lowering(ctx, P):
         return unary("pow", lambda a, _: _cpow(a, n, P))(n)
 
     return {
+        "fold": mp,
         "const": canon,
         "add": binary("add", _cadd),
         "sub": binary("sub", _csub),
@@ -465,7 +466,7 @@ def _pixel_iterator(spec: BasinSpec):
     p = spec.precision
     ctx = p.ctx
     P = ctx.prec
-    jet = lower(compile_tape(spec.ftext, p, complex_mode=True), _triple_lowering(ctx, P))
+    jet = lower(compile_tape(spec.ftext), _triple_lowering(ctx, P))
     _, tol_man, tol_exp, _ = parse_real(spec.tol, p)._mpf_
     cap = OVERFLOW_BITS
     max_iter = spec.max_iter

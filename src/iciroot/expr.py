@@ -13,23 +13,14 @@ Grammar (no implicit multiplication)::
 the tree and converted at evaluation precision, so ``0.083`` stays honest at
 1000 digits.  Trees are immutable; evaluation is reentrant.
 
-:func:`build_tape` flattens a tree and its symbolic derivative into one
-:class:`Tape`: numbered slots, and steps named by op (``add sub mul div neg
-powint pow exp log sqrt cos_sin pick``) that compute them.  Every
-subexpression f and f' share gets one slot: variable-free subtrees are
-folded to values at compile time, ``sin``/``cos`` of one argument come from
-one ``cos_sin`` step, ``exp(u)`` serves as its own derivative factor, and
-``u^n`` reuses the ``u^(n-1)`` of n*u^(n-1).  Each output carries its cone,
-the slots it depends on, so that a division by zero makes NaN exactly the
-outputs whose cone it lies in.
-
-:func:`compile_tape` parses one-variable text into that tape.  A
-*lowering* maps each op name to a function for one kind of value, and
-:func:`lower` binds a tape to it.  :func:`mp_lowering` computes on mpmath
-values: :func:`compile_pair` (text -> jet ``x -> (f(x), f'(x))``, used by
-the solver) is the tape of f and f' under it, and :func:`compile_fn` is the
-tape of f alone.  The basin renderer lowers the same tape onto its
-fixed-precision integer triples (:mod:`iciroot.basins`).
+:func:`build_tape` flattens a tree and its derivative into a :class:`Tape`
+that depends on the text alone: its constants fold when a *lowering* (op
+names -> functions on one kind of value) binds it, at that binding's
+precision.  :func:`compile_tape` parses text into a tape and :func:`lower`
+binds it: under :func:`mp_lowering` it is :func:`compile_pair`'s jet
+``x -> (f(x), f'(x))`` for the solver, and its f-only form is
+:func:`compile_fn`; the basin renderer lowers it onto fixed-precision
+integer triples (:mod:`iciroot.basins`).
 """
 
 from __future__ import annotations
@@ -42,8 +33,8 @@ from types import MappingProxyType
 
 from mpmath.libmp import mpc_mul, mpc_pos, mpc_reciprocal, mpc_square, round_down
 
-from .mpscalar import (Precision, cos_sin_real, exp_real, is_complex_scalar, is_real_scalar, ln_abs,
-                       parse_real)
+from .mpscalar import (Precision, cos_sin_real, digits_of, exp_real, is_complex_scalar, is_real_scalar,
+                       ln_abs, parse_real)
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log")
 CONSTANTS = ("pi",)
@@ -258,10 +249,6 @@ def _is_int_literal(e) -> bool:
     return isinstance(e, Num) and _re.fullmatch(r"\d{1,2000}", e.text) is not None
 
 
-def _int_of(e) -> int:
-    return int(e.text)
-
-
 _ZERO = Num("0")
 _ONE = Num("1")
 
@@ -291,15 +278,15 @@ def _bin(op, a, b):
         if _is_zero(b):
             return a
         if _is_int_literal(a) and _is_int_literal(b):
-            return Num(str(_int_of(a) + _int_of(b)))
+            return Num(str(int(a.text) + int(b.text)))
         return Bin("+", a, b)
     if op == "-":
         if _is_zero(b):
             return a
         if _is_zero(a):
             return _neg(b)
-        if _is_int_literal(a) and _is_int_literal(b) and _int_of(a) >= _int_of(b):
-            return Num(str(_int_of(a) - _int_of(b)))
+        if _is_int_literal(a) and _is_int_literal(b) and int(a.text) >= int(b.text):
+            return Num(str(int(a.text) - int(b.text)))
         return Bin("-", a, b)
     if op == "*":
         if _is_zero(a) or _is_zero(b):
@@ -309,7 +296,7 @@ def _bin(op, a, b):
         if _is_one(b):
             return a
         if _is_int_literal(a) and _is_int_literal(b):
-            return Num(str(_int_of(a) * _int_of(b)))
+            return Num(str(int(a.text) * int(b.text)))
         return Bin("*", a, b)
     if op == "/":
         if _is_zero(a) and not _is_zero(b):
@@ -355,12 +342,8 @@ def differentiate(e, var: str):
             return _bin("/", num, _bin("^", v, Num("2")))
         if e.op == "^":
             if not free_variables(v):
-                # constant exponent: power rule
-                if _is_int_literal(v):
-                    new_exp = Num(str(_int_of(v) - 1))
-                else:
-                    new_exp = _bin("-", v, _ONE)
-                return _bin("*", _bin("*", v, _bin("^", u, new_exp)), du)
+                # constant exponent: power rule (an integer literal folds, v - 1 >= 1)
+                return _bin("*", _bin("*", v, _bin("^", u, _bin("-", v, _ONE))), du)
             # general case: u^v * (dv*log(u) + v*du/u)
             t1 = _bin("*", dv, Call("log", u))
             t2 = _bin("/", _bin("*", v, du), u)
@@ -409,48 +392,73 @@ def render(e) -> str:
 class Tape:
     """A tree, and optionally its derivative, flattened into numbered slots.
 
-    Slot 0 is the variable.  ``consts[k]`` is slot k's value when it was
-    fixed at compile time (a literal, pi, or an op on such values; a
-    ``cos_sin`` value is a (cos, sin) pair), else None.  A step
-    ``(k, op, i, j, arg)`` computes slot k on each call as
-    ``lowering[op](arg)(vals[i], vals[j])``; a unary op ignores its second
-    operand, and ``arg`` is the step's static parameter (see
-    :func:`mp_lowering`).  ``outputs`` are f's slot and, when the tape holds
-    it, f''s.  A division by zero anywhere in an output's ``cone`` (the
-    computed slots it depends on) makes that whole output ``nan``, as in a
-    tree walk where the exception ends the evaluation: mpmath alone would
-    let a NaN vanish (an mpc NaN**0 is 1).  ``raised`` are the slots whose
-    compile-time evaluation divided by zero.
+    It depends on the text alone.  Slot 0 is x; each other slot k has one
+    step ``(k, op, i, j, arg)`` computing ``lowering[op](arg)(vals[i],
+    vals[j])`` (op: ``num pi add sub mul div neg powint pow exp log sqrt
+    cos_sin pick``; a unary op ignores vals[j]).  ``consts`` are the steps
+    of the constant slots (``num`` of a literal's text, ``pi``, an op on
+    constant slots), which :func:`lower` runs once per binding; ``steps``
+    run on each call.  ``outputs`` are f's slot and, if held, f''s.  A
+    division by zero or an overflow in an output's ``cone`` (the slots it
+    depends on) makes it NaN, as in a tree walk that the exception ends:
+    mpmath alone would let a NaN vanish (an mpc NaN**0 is 1).
     """
 
     consts: tuple
     steps: tuple
     outputs: tuple
     cones: tuple
-    raised: frozenset
-    nan: object
 
 
 _BINARY_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
+_EXACT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_EXACT_DIGITS = 2000
+_EXACT_LIMIT = 10 ** _EXACT_DIGITS
+_MAX_ARG_MAG = 1 << 16
 
 
-def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative: bool = True):
+def _int_exponent(e):
+    """The integer that the exponent ``e`` is, exactly, else None.
+
+    An integer literal is read from its text; anything else folds as an
+    exact rational through literals, ``+ - * /`` and negation only (``6/2``
+    is 3; ``3+1e-50``, ``pi`` and functions are None).  A literal past
+    _EXACT_DIGITS digits and exponent, or a value whose numerator or
+    denominator reaches _EXACT_LIMIT, is None: ``1e100000000`` builds none.
+    """
+    if _is_int_literal(e):
+        return int(e.text)
+    from fractions import Fraction          # off the cold start: only for other exponents
+
+    def exact(node):
+        v = None
+        if isinstance(node, Num):
+            mantissa, _, exp = node.text.lower().partition("e")
+            if len(mantissa) + abs(int(exp or 0)) <= _EXACT_DIGITS:
+                v = Fraction(node.text)
+        elif isinstance(node, Neg):
+            v = exact(node.child)
+            v = None if v is None else -v
+        elif isinstance(node, Bin) and node.op in _EXACT_OPS:
+            a, b = exact(node.left), exact(node.right)
+            if a is not None and b is not None and (b or node.op != "/"):
+                v = _EXACT_OPS[node.op](a, b)
+        return v if v is not None and abs(v.numerator) < _EXACT_LIMIT > v.denominator else None
+    v = exact(e)
+    return v.numerator if v is not None and v.denominator == 1 else None
+
+
+def build_tape(e, var: str, derivative: bool = True):
     """Flatten ``e`` (and ``differentiate(e, var)`` when ``derivative``) into a :class:`Tape`.
 
     Each distinct subexpression gets one slot, shared by f and f'.
-    Variable-free subtrees are folded to values here, by the mpmath lowering
-    at precision ``p``; ``sin`` and ``cos`` of one argument read one
-    ``cos_sin`` slot; ``exp(u)`` is one slot serving f and f'; and ``u^n``
-    (n >= 3) is ``powint``, u^(n-1) * u, reusing the u^(n-1) of n*u^(n-1).
-    A ``pow`` step whose exponent folds to an integer carries it as its arg.
+    Variable-free subtrees are constant steps; ``sin`` and ``cos`` of one
+    argument read one ``cos_sin`` slot; ``exp(u)`` is one slot serving f
+    and f'; ``u^n`` (n >= 3) is ``powint``, u^(n-1) * u, reusing the
+    u^(n-1) of n*u^(n-1); a ``pow`` carries :func:`_int_exponent` as arg.
     """
-    ctx = p.ctx
-    mp = mp_lowering(ctx, complex_mode)
-    nan_result = ctx.mpc(ctx.nan, ctx.nan) if complex_mode else ctx.nan
-    consts = [None]
-    steps = []
-    raised = set()
-    cones = [frozenset()]   # per slot: the computed slots it depends on, itself included
+    consts, steps = [], []
+    cones = [frozenset({0})]    # per slot: the slots it depends on, itself included; 0 is x
     # Equal subtrees share a slot.  A frozen node rehashes its whole subtree on
     # every hash, so subtrees are keyed by a structural id instead: one id per
     # distinct (kind, fields, ids of children), found once per node object.
@@ -475,27 +483,15 @@ def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative
 
     def add(op, i, j=None, arg=None):
         j = i if j is None else j
-        k = len(consts)
-        value = None
-        if consts[i] is None or consts[j] is None:
-            steps.append((k, op, i, j, arg))
-        else:
-            try:
-                value = mp[op](arg)(consts[i], consts[j])
-            except ZeroDivisionError:
-                value = nan_result
-                raised.add(k)
-        consts.append(value)
+        k = len(cones)
         cones.append(cones[i] | cones[j] | {k})
+        (steps if 0 in cones[k] else consts).append((k, op, i, j, arg))
         return k
 
-    def constant(value):
-        consts.append(value)
+    def constant(op, arg=None):
+        consts.append((len(cones), op, 0, 0, arg))
         cones.append(frozenset())
-        return len(consts) - 1
-
-    def int_exponent(c):
-        return int(ctx.re(c)) if c is not None and ctx.isint(c) else None
+        return len(cones) - 1
 
     def slot(node):
         s = sid(node)
@@ -506,9 +502,9 @@ def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative
 
     def build(node):
         if isinstance(node, Num):
-            return constant(parse_real(node.text, p))
+            return constant("num", node.text)
         if isinstance(node, Const):
-            return constant(+ctx.pi)
+            return constant("pi")
         if isinstance(node, Var):
             if node.name != var:
                 raise UnknownIdentifierError(
@@ -518,15 +514,13 @@ def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative
             return add("neg", slot(node.child))
         if isinstance(node, Bin):
             u = slot(node.left)
-            if node.op == "^" and _is_int_literal(node.right) and _int_of(node.right) >= 3:
-                n = _int_of(node.right)
+            n = _int_exponent(node.right) if node.op == "^" else None
+            if _is_int_literal(node.right) and n is not None and n >= 3:
                 lower = index.get(interned.get((Bin, "^", sid(node.left),
                                                 interned.get(Num(str(n - 1))))))
                 if lower is not None:       # f' is built first: it needs u^(n-1)
                     return add("powint", lower, u, n)
-            v = slot(node.right)
-            return add(_BINARY_OPS[node.op], u, v,
-                       int_exponent(consts[v]) if node.op == "^" else None)
+            return add(_BINARY_OPS[node.op], u, slot(node.right), n)
         if isinstance(node, Call):
             if node.fn in ("sin", "cos"):
                 key = ("cos_sin", sid(node.arg))
@@ -540,44 +534,41 @@ def build_tape(e, var: str, p: Precision, complex_mode: bool = False, derivative
     kd = slot(differentiate(e, var)) if derivative else None     # f' first: see powint
     kf = slot(e)
     outputs = (kf,) if kd is None else (kf, kd)
-    return Tape(tuple(consts), tuple(steps), outputs,
-                tuple(cones[k] for k in outputs), frozenset(raised), nan_result)
+    return Tape(tuple(consts), tuple(steps), outputs, tuple(cones[k] for k in outputs))
 
 
 @lru_cache(maxsize=None)
 def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
     """The mpmath lowering: each op name -> ``arg -> fn(a, b)`` on ``ctx``'s values.
 
-    Built once per context and mode and shared, so it is read-only: an
-    edit would reroute every later lowering at that context.
+    Built once per context (a :class:`~iciroot.mpscalar.Precision`'s) and
+    mode, and shared, so it is read-only.  "const" (the identity) and "nan"
+    (the mode's NaN) are not ops.  The args: ``num`` takes a literal's text;
+    ``pick`` 0 for cos and 1 for sin of a ``cos_sin`` pair; ``powint`` n;
+    ``pow`` its exponent when that is exactly an integer, else None.  In
+    real mode a domain violation of ``pow``/``log``/``sqrt`` gives NaN; in
+    complex mode the principal branches are used.
 
-    "const" maps a compile-time value to the lowering's form (here itself).
-    The args: ``pick`` takes 0 for cos and 1 for sin of a ``cos_sin``
-    pair; ``powint`` takes n; ``pow`` takes its exponent when that folds to
-    an integer, else None.  In real mode a domain violation of
-    ``pow``/``log``/``sqrt`` gives NaN; in complex mode the principal
-    branches are used.
-
-    ``pow`` by a folded integer n with |n| >= 3 of a finite complex value
-    is binary powering on mpmath's raw tuples at ``prec + 2*bitlen(|n|) +
-    10`` bits, rounded once to ``prec``; for n < 0, u^|n| is cut to
-    ``prec + 4`` bits and inverted once at ``prec``, as mpmath does.
-    mpmath's own ``**`` takes such a power through log and exp once |n|
-    times the operand's bits reach 10,000: at 1000 digits, about 70 times
-    as long.  Below that cutoff ``**`` is exact before its one rounding,
-    and binary powering rounds to the same bits unless u^n lies within
+    ``pow`` by an integer n, |n| >= 3, of a finite complex value is binary
+    powering on mpmath's raw tuples at ``prec + 2*bitlen(|n|) + 10`` bits,
+    rounded once (for n < 0, u^|n| is cut to ``prec + 4`` bits and inverted
+    once, as mpmath does): mpmath's ``**`` takes log and exp once |n| times
+    the operand's bits reach 10,000, about 70 times as long at 1000 digits.
+    Below that cutoff the two round to the same bits unless u^n lies within
     about 2**-(prec + bitlen(|n|) + 10) of a rounding boundary.  Real
-    values, non-finite bases (mpmath's rules: NaN**3 == 0), |n| <= 2 and
-    exponents that are not integers keep ``**``.
+    values, non-finite bases (mpmath's NaN**3 == 0), |n| <= 2 and other
+    exponents keep ``**``.
 
-    A real-mode jet takes real values only (a real x, the literals and
-    ``real_only``'s results are all mpfs).  Its ``exp``, ``log`` (NaN
-    below zero) and ``cos_sin`` are :func:`~iciroot.mpscalar.exp_real`,
+    A real-mode jet takes mpfs only.  Its ``exp``, ``log`` (NaN below zero)
+    and ``cos_sin`` are :func:`~iciroot.mpscalar.exp_real`,
     :func:`~iciroot.mpscalar.ln_abs` and :func:`~iciroot.mpscalar.cos_sin_real`:
     fixed-point kernels from about 750 to 6000 digits, mpmath's functions
-    elsewhere, rounded to the context's precision.
+    elsewhere.  In both modes ``exp`` and ``cos_sin`` of a finite a with
+    log2|a| past _MAX_ARG_MAG raise OverflowError: mpmath's time for them
+    grows with the square of log2|a| (0.1 s at 2**16, 23 s at 2**20).
     """
     nan = ctx.nan
+    p = Precision(digits_of(ctx))
 
     def real_only(r):
         return r if is_real_scalar(r) else nan
@@ -635,8 +626,18 @@ def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
     def fixed(fn):
         return lambda _: fn
 
+    def bounded(fn):
+        def guarded(a, b):
+            if ctx.isfinite(a) and ctx.mag(a) > _MAX_ARG_MAG:
+                raise OverflowError("argument too large")
+            return fn(a, b)
+        return guarded
+
     return MappingProxyType({
         "const": lambda v: v,
+        "nan": ctx.mpc(nan, nan) if complex_mode else nan,
+        "num": lambda text: lambda a, b: parse_real(text, p),
+        "pi": fixed(lambda a, b: +ctx.pi),
         "add": fixed(operator.add),
         "sub": fixed(operator.sub),
         "mul": fixed(operator.mul),
@@ -644,49 +645,54 @@ def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
         "neg": fixed(lambda a, _: -a),
         "pow": pow_step,
         "powint": powint,
-        "exp": fixed(call("exp") if complex_mode else real_exp),
+        "exp": fixed(bounded(call("exp") if complex_mode else real_exp)),
         "log": fixed(call("log") if complex_mode else real_log),
         "sqrt": fixed(call("sqrt")),
-        "cos_sin": fixed(call("cos_sin") if complex_mode else real_cos_sin),
+        "cos_sin": fixed(bounded(call("cos_sin") if complex_mode else real_cos_sin)),
         "pick": lambda k: lambda t, _: t[k],
     })
 
 
 def lower(tape: Tape, lowering: dict):
-    """Bind ``tape`` to one lowering; returns ``run(x)``.
+    """Bind ``tape`` to one lowering; returns ``run(x)``, f(x) or (f(x), f'(x)).
 
-    ``run(x)`` is f(x), or the pair (f(x), f'(x)) when the tape holds f'.
-    Each output is NaN (``tape.nan``) where a division by zero in its cone
-    made it so, and only there.
+    The constant steps run once here, on the mpmath lowering
+    ``lowering["fold"]`` (else ``lowering``), at its precision and mode;
+    "const" puts each value in the lowering's form.  An output is NaN (the
+    fold's "nan") where a division by zero or an overflow in its cone did.
 
     Under :func:`mp_lowering` one call runs the tape once, so each distinct
     subexpression is evaluated once, and each output keeps the semantics of
     a node-by-node walk of its own tree, every fold of ``differentiate``
     included: it is NaN where that walk gives NaN, and only there
     (``sqrt(x)`` at 0 gives f = 0 and f' = NaN).  Values are bit-identical
-    to that walk's except two kinds of integer power.  u^n for n >= 3 is
-    u^(n-1) * u, rounded twice.  A complex u^n with |n| >= 3 taken by the
-    ``pow`` step is binary powering, rounded once (see :func:`mp_lowering`);
-    below mpmath's exact-power cutoff it has the walk's bits in practice;
-    above it the two may differ in the last bits.
+    to that walk's except integer powers: u^n for n >= 3 is u^(n-1) * u,
+    rounded twice, and a complex ``pow`` by an integer is binary powering
+    (:func:`mp_lowering`), whose last bits may differ above mpmath's
+    exact-power cutoff.
     """
-    const = lowering["const"]
-    template = [None if v is None else const(v) for v in tape.consts]
+    def execute(vals, steps, failed):
+        for k, fn, i, j in steps:
+            try:
+                vals[k] = fn(vals[i], vals[j])
+            except (ZeroDivisionError, OverflowError):
+                vals[k] = nan
+                failed = failed | {k}
+        return failed
+
+    fold = lowering.get("fold", lowering)
+    nan, const = fold["nan"], lowering["const"]
+    vals = [None] * (1 + len(tape.consts) + len(tape.steps))
+    raised = execute(vals, [(k, fold[op](arg), i, j) for k, op, i, j, arg in tape.consts], frozenset())
+    template = [None if v is None else const(v) for v in vals]
     steps = [(k, lowering[op](arg), i, j) for k, op, i, j, arg in tape.steps]
     outputs = tuple(zip(tape.outputs, tape.cones))
     get = operator.itemgetter(*tape.outputs)
-    raised, nan = tape.raised, tape.nan
 
     def run(x):
         vals = template.copy()
         vals[0] = x
-        failed = raised
-        for k, fn, i, j in steps:
-            try:
-                vals[k] = fn(vals[i], vals[j])
-            except ZeroDivisionError:
-                vals[k] = nan
-                failed = failed | {k}
+        failed = execute(vals, steps, raised)
         if failed:
             for k, cone in outputs:
                 if not failed.isdisjoint(cone):
@@ -696,15 +702,8 @@ def lower(tape: Tape, lowering: dict):
 
 
 def compile_fn(e, var: str, p: Precision, complex_mode: bool = False):
-    """Compile a tree into a closure ``x -> f(x)`` at precision ``p``: the f-cone of its tape.
-
-    Literals are converted once at the target precision.  In real mode a
-    domain violation (sqrt/log/power of a negative argument) or a division
-    by zero yields a NaN sentinel instead of raising; in complex mode the
-    principal branches are used and only division by zero maps to NaN.
-    """
-    tape = build_tape(e, var, p, complex_mode, derivative=False)
-    return lower(tape, mp_lowering(p.ctx, complex_mode))
+    """Compile a tree into ``x -> f(x)`` at precision ``p``: its f-only tape under :func:`mp_lowering`."""
+    return lower(build_tape(e, var, derivative=False), mp_lowering(p.ctx, complex_mode))
 
 
 def _sole_variable(e) -> str:
@@ -717,15 +716,15 @@ def _sole_variable(e) -> str:
 
 
 @_within_stack
-def compile_tape(text: str, p: Precision, complex_mode: bool) -> Tape:
+def compile_tape(text: str) -> Tape:
     """Parse one-variable function text into the tape of f and f'."""
     tree = parse(text)
-    return build_tape(tree, _sole_variable(tree), p, complex_mode)
+    return build_tape(tree, _sole_variable(tree))
 
 
 def compile_pair(text: str, p: Precision, complex_mode: bool):
     """Parse one-variable function text into its mpmath jet ``x -> (f(x), f'(x))``."""
-    return lower(compile_tape(text, p, complex_mode), mp_lowering(p.ctx, complex_mode))
+    return lower(compile_tape(text), mp_lowering(p.ctx, complex_mode))
 
 
 @_within_stack

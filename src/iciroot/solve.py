@@ -189,7 +189,7 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
         """Record one fresh (f, fp) pair; return the status it stops on, or None."""
         try:
             y, yp = pair(xv)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             y = yp = cfg.precision.nan
         records.append(IterationRecord(len(records), xv, y, yp, kind))
         if not (is_finite(y) and is_finite(yp)):

@@ -8,7 +8,8 @@ import math
 
 from mpmath.ctx_mp import MPContext
 
-from iciroot.expr import Bin, Call, Const, Neg, Num, UnknownIdentifierError, Var, free_variables
+from iciroot.expr import (_MAX_ARG_MAG, Bin, Call, Const, Neg, Num, UnknownIdentifierError, Var,
+                          free_variables)
 from iciroot.kernel import EqualResidualsError, ZeroDerivativeError
 
 
@@ -190,13 +191,19 @@ def reference_fn(e, var, ctx, complex_mode=False):
     folded or shared.  Literals are read at ctx's precision.  In real mode a
     domain violation (sqrt/log/power of a negative argument) gives NaN; in
     complex mode the principal branches are used.  A division by zero
-    anywhere makes the whole result NaN.
+    anywhere makes the whole result NaN, and so does an exp, sin or cos of
+    a finite argument past 2**_MAX_ARG_MAG in magnitude (an overflow).
     """
     nan = ctx.mpf("nan")
     nan_result = ctx.mpc(nan, nan) if complex_mode else nan
 
     def real_only(r):
         return r if complex_mode or hasattr(r, "_mpf_") else nan
+
+    def bounded(u):
+        if ctx.isfinite(u) and ctx.mag(u) > _MAX_ARG_MAG:
+            raise OverflowError("argument too large")
+        return u
 
     def build(node):
         if isinstance(node, Num):
@@ -228,7 +235,7 @@ def reference_fn(e, var, ctx, complex_mode=False):
             f = build(node.arg)
             fn = getattr(ctx, node.fn)
             if node.fn in ("exp", "sin", "cos"):
-                return lambda x: fn(f(x))
+                return lambda x: fn(bounded(f(x)))
             return lambda x: real_only(fn(f(x)))
         raise TypeError(f"not an expression node: {node!r}")
 
@@ -237,7 +244,7 @@ def reference_fn(e, var, ctx, complex_mode=False):
     def evaluate_at(x):
         try:
             return body(x)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             return nan_result
     return evaluate_at
 

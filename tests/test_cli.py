@@ -677,7 +677,8 @@ def test_import_loads_neither_the_renderer_its_pool_nor_the_report():
     code = ("import sys, types\n"
             "import iciroot, iciroot.cli\n"
             "loaded = [m for m in ('iciroot.basins', 'iciroot.diagnostics',\n"
-            "                      'concurrent.futures.process', 'multiprocessing')\n"
+            "                      'concurrent.futures.process', 'multiprocessing',\n"
+            "                      'fractions', 'decimal')\n"
             "          if m in sys.modules]\n"
             "assert loaded == [], loaded\n"
             "import iciroot.solve\n"
@@ -707,3 +708,30 @@ def test_transcendental_solves_at_1000_digits_keep_their_traces(tmp_path, capsys
     # with mpmath's exp and cos/sin throughout, the same text to the last digit
     monkeypatch.setattr(mpscalar, "_in_band", lambda prec, man, mag: False)
     assert solve("mpmath.txt") == (printed, trace)
+
+
+def _run_iciroot(argv, cwd):
+    """``python -m iciroot`` in a fresh interpreter, so a traceback reaches stderr."""
+    return subprocess.run([sys.executable, "-m", "iciroot", *argv], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+# exp of exp(exp(exp(10))) = exp(10**9565): mpmath raises OverflowError
+_OVERFLOWING_F = "exp(exp(exp(exp(x))))-1"
+
+
+def test_an_overflowing_solve_ends_nan_without_a_traceback(tmp_path):
+    done = _run_iciroot(["solve", "--f", _OVERFLOWING_F, "--x0", "10", "--digits", "40"], tmp_path)
+    assert done.returncode == 2, done.stderr
+    assert "status: nan" in done.stdout
+    assert "Traceback" not in done.stderr
+
+
+def test_an_overflowing_basin_writes_its_nan_pixels_without_a_traceback(tmp_path):
+    out = tmp_path / "overflow.ppm"
+    done = _run_iciroot(["basin", "--f", _OVERFLOWING_F, "--size", "4", "--re", "9", "11",
+                         "--im", "-1", "1", "--out", str(out)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert int(re.search(r"nan (\d+)", done.stdout).group(1)) > 0
+    assert out.read_bytes().startswith(b"P6\n4 4\n")

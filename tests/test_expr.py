@@ -6,8 +6,8 @@ from hypothesis import given
 
 from iciroot import basins
 from iciroot.expr import (Bin, Call, ExprSyntaxError, Num, UnknownIdentifierError,
-                          Var, build_tape, compile_fn, differentiate, evaluate,
-                          free_variables, lower, mp_lowering, parse, render)
+                          Var, build_tape, compile_fn, compile_pair, compile_tape, differentiate,
+                          evaluate, free_variables, lower, mp_lowering, parse, render)
 from iciroot.mpscalar import Precision, is_nan
 from iciroot.solve import SolveConfig, solve_expr
 
@@ -306,13 +306,12 @@ def assert_jet_matches_reference(tree, points, p, complex_mode, ulps=JET_ULPS, j
 
 def mp_jet(tree, var, p, complex_mode=False):
     """The tape of tree and its derivative under the mpmath lowering."""
-    return lower(build_tape(tree, var, p, complex_mode), mp_lowering(p.ctx, complex_mode))
+    return lower(build_tape(tree, var), mp_lowering(p.ctx, complex_mode))
 
 
 def triple_jet(tree, p):
     """The tape of tree (complex mode) under the triple lowering."""
-    tape = build_tape(tree, _var(tree), p, complex_mode=True)
-    return lower(tape, basins._triple_lowering(p.ctx, p.ctx.prec))
+    return lower(build_tape(tree, _var(tree)), basins._triple_lowering(p.ctx, p.ctx.prec))
 
 
 def assert_triples_match_reference(tree, points, p, jet=None):
@@ -370,7 +369,7 @@ def test_jet_matches_reference_on_generated_trees(tree):
     ("1/x", "0", True, True),
     ("sqrt(x)", "0", False, True),      # f = 0; f' = 1/(2*sqrt(0)) divides by zero
     ("log(x)", "0", False, True),       # f = -inf; f' = 1/0
-    ("x + 1/0", "2", True, False),      # 1/0 folds at compile time; f' = 1 does not read it
+    ("x + 1/0", "2", True, False),      # 1/0 folds at the binding; f' = 1 does not read it
     # real log's edges, each against the walk: NaN below zero and at NaN,
     # -inf at 0 (above), +inf at +inf
     ("log(x)", "-1", True, False),
@@ -468,7 +467,7 @@ def test_fixed_point_exp_and_cos_sin_give_the_walks_bits(ftext, x0, digits):
 
 
 def test_real_integer_powers_are_mpmaths_power():
-    # real mode, and real (compile-time) values in complex mode, keep **
+    # real mode, and real (folded constant) values in complex mode, keep **
     p = Precision(1000)
     for complex_mode in (False, True):
         ops = mp_lowering(p.ctx, complex_mode)
@@ -531,7 +530,7 @@ def test_a_mutated_lowering_fails_its_reference_check(lowering, mutation):
     else:
         tree, p = parse("(1/x)^(x-x)"), Precision(30)
         points = [p.cplx(0)]
-    tape = build_tape(tree, _var(tree), p, complex_mode=True)
+    tape = build_tape(tree, _var(tree))
     if lowering == "mpmath":
         ops = mp_lowering(p.ctx, complex_mode=True)
         check = lambda jet: assert_jet_matches_reference(tree, points, p, True, jet=jet)
@@ -544,3 +543,70 @@ def test_a_mutated_lowering_fails_its_reference_check(lowering, mutation):
         tape = _drop_cones(tape)
     with pytest.raises(AssertionError):
         check(lower(tape, ops))
+
+
+# ---------------------------------------------------------------------------
+# one tape, bound at any precision
+
+_ANY_PRECISION_TEXT = "x^3 - 0.083*sin(x) + pi/3 - exp(1/7)"
+
+
+def _raw(v):
+    return v._mpc_ if hasattr(v, "_mpc_") else v._mpf_
+
+
+@pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
+def test_one_tape_binds_at_any_precision(complex_mode):
+    # compiled once; each binding matches the walk and a fresh compile at its own precision
+    tree, tape = parse(_ANY_PRECISION_TEXT), compile_tape(_ANY_PRECISION_TEXT)
+    for digits in (40, 1000, 16000):
+        p = Precision(digits)
+        jet = lower(tape, mp_lowering(p.ctx, complex_mode))
+        points = _points(p, complex_mode)[:3]
+        assert_jet_matches_reference(tree, points, p, complex_mode, jet=jet)
+        fresh = compile_pair(_ANY_PRECISION_TEXT, p, complex_mode)
+        for x in points:
+            assert [_raw(v) for v in jet(x)] == [_raw(v) for v in fresh(x)], (digits, x)
+    if complex_mode:
+        p = Precision(34)
+        assert_triples_match_reference(tree, _points(p, True), p,
+                                       jet=lower(tape, basins._triple_lowering(p.ctx, p.ctx.prec)))
+
+
+def test_constants_fold_at_the_binding_precision():
+    tape = compile_tape("x + 1/7 + pi")
+    for digits in (40, 1000, 16000):
+        p = Precision(digits)
+        f, d = lower(tape, mp_lowering(p.ctx))(p.real(0))
+        assert f == p.real(1) / 7 + p.ctx.pi and d == 1, digits
+
+
+def _pow_args(text, p, complex_mode):
+    """The args that binding ``text``'s tape at ``p`` hands to its pow steps and folds."""
+    ops, seen = mp_lowering(p.ctx, complex_mode), []
+    lower(compile_tape(text), {**ops, "pow": lambda n: seen.append(n) or ops["pow"](n)})
+    return seen
+
+
+@pytest.mark.parametrize("text, args", [
+    ("x^(3+1e-50)-2", [None, None]),    # 3 at 40 digits, but not an integer
+    ("x^(6/2)", [2, 3]),                # f' = 6/2 * x^(6/2 - 1) comes first
+    ("x^(2*1.5)", [2, 3]),
+    ("x^3.0", [2, 3]),
+    ("x^(-(9/3))", [-4, -3]),
+    ("x^1e100000000", [None, None]),    # past the exact bound: no 10**100000000 is built
+    ("x^(pi-pi+3)", [None, None]),
+    ("2^(3^2)", [2, None]),             # 3^2 folds first; a power is no exact fold
+])
+def test_integer_exponents_are_decided_exactly_at_every_precision(text, args):
+    for digits in (40, 100, 1000):
+        for complex_mode in (False, True):
+            assert _pow_args(text, Precision(digits), complex_mode) == args, (digits, complex_mode)
+
+
+@pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
+def test_a_near_integer_exponent_takes_the_walks_power(complex_mode):
+    # at 40 digits 3+1e-50 rounds to 3; the walk's ** of it and the tape's agree bit for bit
+    p = Precision(40)
+    assert_jet_matches_reference(parse("x^(3+1e-50)-2"), _points(p, complex_mode), p,
+                                 complex_mode, ulps=0)

@@ -176,6 +176,17 @@ def test_division_by_zero_in_the_pair_gives_a_nan_record():
     assert is_nan(trace.final.y) and is_nan(trace.final.yp)
 
 
+def test_an_overflow_in_the_pair_gives_a_nan_record():
+    # mpmath raises OverflowError where an exponent outgrows Python's integers
+    def f(x):
+        raise OverflowError("too many digits in integer")
+    p = Precision(30)
+    trace = solve(f, lambda x: 1, p.real(10), SolveConfig(precision=p))
+    assert trace.status == "nan"
+    assert len(trace) == 1
+    assert is_nan(trace.final.y) and is_nan(trace.final.yp)
+
+
 def test_non_finite_step_stops_with_status_nan():
     p = Precision(30)
     trace = solve(lambda x: 1, lambda x: 1, p.inf, SolveConfig(precision=p))
