@@ -28,14 +28,14 @@ _LAZY = {
     "BasinRaster": "basins", "BasinSpec": "basins", "line_scan": "basins", "render": "basins",
     "write_image": "basins",
     "ConvergenceReport": "diagnostics", "build_report": "diagnostics",
-    "error_constant_oracle": "diagnostics", "ratio_growth_flag": "diagnostics",
-    "residual_ratio_limit": "diagnostics",
+    "error_constant_oracle": "diagnostics", "residual_ratio_limit": "diagnostics",
+    "root_multiplicity": "diagnostics",
 }
 
 __all__ = [
     "BasinRaster", "BasinSpec", "line_scan", "render", "write_image",
-    "ConvergenceReport", "build_report", "error_constant_oracle", "ratio_growth_flag",
-    "residual_ratio_limit",
+    "ConvergenceReport", "build_report", "error_constant_oracle", "residual_ratio_limit",
+    "root_multiplicity",
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError", "differentiate",
     "evaluate", "parse", "render_expr",
     "EqualResidualsError", "PointSample", "ZeroDerivativeError", "ici_step",

@@ -405,7 +405,7 @@ def _triple_lowering(ctx, P):
 
     def pow_(n):
         # repeated squaring takes one step per bit of n: a power beyond
-        # 2**16 goes to the mpmath lowering
+        # 2**16 goes to the mpmath lowering, which overflows past 2**1024
         if n is None or abs(n) >> 16:
             return via_mp("pow", n)
         return unary("pow", lambda a, _: _cpow(a, n, P))(n)

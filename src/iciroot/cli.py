@@ -162,15 +162,15 @@ def _print_trace(trace, digits):
 
 
 def _run_solve(args) -> int:
-    from .diagnostics import ratio_growth_flag
+    from .diagnostics import root_multiplicity
 
     trace, cfg = _solve_flags(args, args.method)
     _print_trace(trace, args.digits)
     print(f"status: {trace.status} ({len(trace) - 1} iterations)")
     print(f"root: {to_decimal(trace.final.x, args.digits)}")
-    if ratio_growth_flag(trace):
-        print("warning: residual ratios grow without bound "
-              "(multiple-root signature); convergence is slow")
+    m = root_multiplicity(trace)
+    if m:
+        print(f"warning: multiple-root of multiplicity ~{m}; convergence is linear")
     if args.out:
         meta = {"function": args.f, "x0": args.x0, "digits": args.digits,
                 "tol": to_decimal(cfg.tol, 8), "method": args.method}

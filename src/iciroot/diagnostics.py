@@ -30,10 +30,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .mpscalar import context_of, exp_real, ln_abs, opened, to_decimal
+from .mpscalar import context_of, exp_real, is_finite, ln_abs, opened, to_decimal
 from .solve import IterationTrace
 
-_GROWTH_WINDOW = 4      # ratio_growth_flag: trailing ratios that must each grow tenfold
 _CSV_DIGITS = 12        # write_report_csv: significant digits of every value
 
 
@@ -75,24 +74,25 @@ def residual_ratio_limit(f1, f2, f3, f4):
     return error_constant_oracle(f1, f2, f3, f4) / f1 ** 3
 
 
-def ratio_growth_flag(trace: IterationTrace) -> bool:
-    """True when the trailing ratios grow steadily: the multiple-root signature.
+def root_multiplicity(trace: IterationTrace) -> int | None:
+    """The multiplicity m >= 2 of the root that the trace approaches, else None.
 
-    The residual recorded at a converged stop sits at the evaluation noise
-    floor, so its ratio is dropped before looking at the tail.  A simple
-    root settles to a constant ratio (quotients -> 1); a multiple root keeps
-    multiplying the ratio by a large steady factor.  Takes the moduli only,
-    no logarithms, since ``iciroot solve`` asks on every run.
+    Schröder's estimate m_k = (x_k - x_{k-1}) / (N_k - N_{k-1}), with the
+    Newton update N = y/y', tends to m because (f/f')' -> 1/m at a root of
+    multiplicity m (Traub 1964, ch. 7), whichever method made the records.
+    The three m_k of the last four records, complex ones by modulus, must
+    each lie within 0.1 of one integer m >= 2.  None with fewer records, a
+    zero or non-finite y', or N_k = N_{k-1}.
     """
-    ratios = _ratios([abs(y) for y in trace.residuals()])
-    if trace.converged:
-        ratios = ratios[:-1]
-    if len(ratios) < _GROWTH_WINDOW:
-        return False
-    tail = ratios[-_GROWTH_WINDOW:]
-    if any(r == 0 for r in tail):
-        return False
-    return all(tail[i + 1] >= 10 * tail[i] for i in range(_GROWTH_WINDOW - 1))
+    tail = trace.records[-4:]
+    if len(tail) < 4 or not all(r.yp != 0 and is_finite(r.yp) for r in tail):
+        return None
+    ns = [r.y / r.yp for r in tail]
+    if any(a == b for a, b in zip(ns, ns[1:])):
+        return None
+    ms = [abs((b.x - a.x) / (nb - na)) for a, b, na, nb in zip(tail, tail[1:], ns, ns[1:])]
+    m = int(ms[-1] + 0.5) if ms[-1] < 2 ** 30 else 0      # 0 for a NaN or huge m_k
+    return m if m >= 2 and all(abs(v - m) <= 0.1 for v in ms) else None
 
 
 @dataclass

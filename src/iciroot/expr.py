@@ -415,6 +415,7 @@ _EXACT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": oper
 _EXACT_DIGITS = 2000
 _EXACT_LIMIT = 10 ** _EXACT_DIGITS
 _MAX_ARG_MAG = 1 << 16
+_MAX_EXP_MAG = 1024         # pow: log2 of the exponent magnitude at which it raises OverflowError
 
 
 def _int_exponent(e):
@@ -565,7 +566,10 @@ def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
     fixed-point kernels from about 750 to 6000 digits, mpmath's functions
     elsewhere.  In both modes ``exp`` and ``cos_sin`` of a finite a with
     log2|a| past _MAX_ARG_MAG raise OverflowError: mpmath's time for them
-    grows with the square of log2|a| (0.1 s at 2**16, 23 s at 2**20).
+    grows with the square of log2|a| (0.1 s at 2**16, 23 s at 2**20).  So
+    does ``pow`` by an exponent with a part of magnitude 2**_MAX_EXP_MAG or
+    more, read from its raw tuple: mpmath's working precision for it grows
+    with the exponent's bits (11 s for 0.3**1e3000 at 30 digits).
     """
     nan = ctx.nan
     p = Precision(digits_of(ctx))
@@ -574,10 +578,12 @@ def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
         return r if is_real_scalar(r) else nan
 
     def pow_(a, b):
+        if any(t[2] + t[3] > _MAX_EXP_MAG for t in getattr(b, "_mpc_", None) or (b._mpf_,)):
+            raise OverflowError("exponent too large")
         return a ** b if complex_mode else real_only(a ** b)
 
     def pow_step(n):
-        if not complex_mode or n is None or abs(n) < 3:
+        if not complex_mode or n is None or abs(n) < 3 or n.bit_length() > _MAX_EXP_MAG:
             return pow_
         guard = 2 * abs(n).bit_length() + 10
 

@@ -8,8 +8,8 @@ import math
 
 from mpmath.ctx_mp import MPContext
 
-from iciroot.expr import (_MAX_ARG_MAG, Bin, Call, Const, Neg, Num, UnknownIdentifierError, Var,
-                          free_variables)
+from iciroot.expr import (_MAX_ARG_MAG, _MAX_EXP_MAG, Bin, Call, Const, Neg, Num,
+                          UnknownIdentifierError, Var, free_variables)
 from iciroot.kernel import EqualResidualsError, ZeroDerivativeError
 
 
@@ -50,6 +50,25 @@ def digits_of_accuracy(x, ref):
     if err == 0:
         return float("inf")
     return float(-ctx.log(err, 10))
+
+
+def wilkinson_text(n=20):
+    """Wilkinson's polynomial prod_{k=1}^{n} (x - k), written out with its integer coefficients.
+
+    Highest degree first, as ``x^20 - 210*x^19 + ... + 2432902008176640000``
+    for n = 20.  The expanded form rounds every term, so near a root |f|
+    stops falling at a floor far above the working precision's unit.
+    """
+    coeffs = [1]                    # coefficient of x^k at index k
+    for r in range(1, n + 1):
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    terms = []
+    for k in range(n, -1, -1):
+        c = abs(coeffs[k])
+        power = "x" if k == 1 else f"x^{k}"
+        body = str(c) if k == 0 else power if c == 1 else f"{c}*{power}"
+        terms.append(("- " if coeffs[k] < 0 else "+ ") + body)
+    return " ".join(terms)[2:]
 
 
 def double_root_contraction_rate(digits):
@@ -192,7 +211,9 @@ def reference_fn(e, var, ctx, complex_mode=False):
     domain violation (sqrt/log/power of a negative argument) gives NaN; in
     complex mode the principal branches are used.  A division by zero
     anywhere makes the whole result NaN, and so does an exp, sin or cos of
-    a finite argument past 2**_MAX_ARG_MAG in magnitude (an overflow).
+    a finite argument past 2**_MAX_ARG_MAG in magnitude, or a power whose
+    finite exponent has a part of magnitude 2**_MAX_EXP_MAG or more (an
+    overflow).
     """
     nan = ctx.mpf("nan")
     nan_result = ctx.mpc(nan, nan) if complex_mode else nan
@@ -204,6 +225,11 @@ def reference_fn(e, var, ctx, complex_mode=False):
         if ctx.isfinite(u) and ctx.mag(u) > _MAX_ARG_MAG:
             raise OverflowError("argument too large")
         return u
+
+    def bounded_exponent(b):
+        if ctx.isfinite(b) and max(abs(ctx.re(b)), abs(ctx.im(b))) >= 2 ** _MAX_EXP_MAG:
+            raise OverflowError("exponent too large")
+        return b
 
     def build(node):
         if isinstance(node, Num):
@@ -230,7 +256,7 @@ def reference_fn(e, var, ctx, complex_mode=False):
                 return lambda x: lf(x) * rf(x)
             if op == "/":
                 return lambda x: lf(x) / rf(x)
-            return lambda x: real_only(lf(x) ** rf(x))
+            return lambda x: real_only(lf(x) ** bounded_exponent(rf(x)))
         if isinstance(node, Call):
             f = build(node.arg)
             fn = getattr(ctx, node.fn)

@@ -11,7 +11,9 @@ import pytest
 
 from iciroot import basins, cli, mpscalar
 from iciroot.cli import main
-from iciroot.solve import SolveConfig, solve_expr, write_trace_csv
+from iciroot.solve import METHODS, SolveConfig, solve_expr, write_trace_csv
+
+from oracles import wilkinson_text
 
 
 def test_missing_function_flag_is_usage_error(capsys):
@@ -229,6 +231,36 @@ def test_double_root_prints_slow_convergence_warning(capsys):
     assert code == 0
     assert "warning" in out
     assert "multiple-root" in out
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("ftext, x0", [("x^3-2*x-5", "2"), ("(x^2+x)*exp(-x)-1/3", "2.0"),
+                                       ("x - 0.083*sin(x) - 1", "1")])
+def test_simple_roots_print_no_warning_under_any_method(ftext, x0, method, capsys):
+    assert main(["solve", "--f", ftext, "--x0", x0, "--digits", "60", "--method", method]) == 0
+    assert "warning" not in capsys.readouterr().out
+
+
+# x^2*(x-1) from 0.5 lands on the root 0 in one step, so it starts from -0.4
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("ftext, x0, m", [
+    ("(x-1)^2*(x+2)", "3", 2), ("(x-1)^3*(x+2)", "3", 3), ("(x-1)^4", "3", 4),
+    ("x^2*(x-1)", "-0.4", 2), ("(exp(x)-2)^2", "1", 2), ("(x^2-2)^2*(x-5)", "1", 2),
+    ("(x-2)^2", "0.5", 2), ("(z^2+1)^2*(z-3)", "0.3+1.2i", 2)])
+def test_multiple_roots_print_their_multiplicity_under_every_method(ftext, x0, m, method, capsys):
+    main(["solve", "--f", ftext, "--x0", x0, "--digits", "40", "--method", method])
+    warnings = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
+    assert warnings == [f"warning: multiple-root of multiplicity ~{m}; convergence is linear"]
+
+
+@pytest.mark.parametrize("digits", ["40", "100"])
+@pytest.mark.parametrize("method", METHODS)
+def test_the_wilkinson_floor_gets_no_multiplicity_claim(digits, method, capsys):
+    # near 19 the expanded form's rounding keeps |y| noisy far above tol: the
+    # estimates scatter there, and no three of them agree on an integer
+    main(["solve", "--f", wilkinson_text(), "--x0", "19.4", "--digits", digits,
+          "--method", method])
+    assert "warning" not in capsys.readouterr().out
 
 
 def test_solve_writes_csv(tmp_path, capsys):
@@ -670,6 +702,8 @@ def test_every_exported_name_resolves_once():
     import iciroot
     assert len(iciroot.__all__) == len(set(iciroot.__all__))
     assert [name for name in iciroot.__all__ if not hasattr(iciroot, name)] == []
+    assert "root_multiplicity" in iciroot.__all__
+    assert not hasattr(iciroot, "ratio_growth_flag")
 
 
 def test_import_loads_neither_the_renderer_its_pool_nor_the_report():

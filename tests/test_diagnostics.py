@@ -7,7 +7,7 @@ from mpmath.libmp import mpf_abs, mpf_log, round_nearest
 
 from iciroot import diagnostics, mpscalar
 from iciroot.diagnostics import (MultipleRootError, build_report, error_constant_oracle,
-                                 ratio_growth_flag, report_to_text, residual_ratio_limit,
+                                 report_to_text, residual_ratio_limit, root_multiplicity,
                                  write_report_csv)
 from iciroot.mpscalar import Precision, log10_abs_text
 from iciroot.solve import (IterationRecord, IterationTrace, SolveConfig, solve_expr,
@@ -122,12 +122,24 @@ def test_residual_ratio_limit_matches_observed_tail_for_sqrt2():
     assert abs(ratios[-1] - limit) <= limit * p.real("1e-3")
 
 
-def test_ratio_growth_flag_separates_multiple_roots_from_simple_ones():
+def test_root_multiplicity_separates_multiple_roots_from_simple_ones():
     p = Precision(30)
     double = solve_expr("(x-2)^2", p.real("0.5"), SolveConfig(precision=p))
     simple = solve_expr("x^3-2*x-5", p.real(1), SolveConfig(precision=p))
-    assert ratio_growth_flag(double)
-    assert not ratio_growth_flag(simple)
+    assert root_multiplicity(double) == 2
+    assert root_multiplicity(simple) is None
+
+
+def test_root_multiplicity_needs_four_records_with_a_finite_nonzero_derivative():
+    # (x-2)^2 at x = 2 - 2**-k: y = 4**-k and y' = -2 * 2**-k, so every m_k is exactly 2
+    def record(k, x, y, yp):
+        return IterationRecord(k, P.real(x), P.real(y), P.real(yp), "ici")
+    double = [record(k, 2 - 2.0 ** -k, 4.0 ** -k, -2 * 2.0 ** -k) for k in range(5)]
+    assert root_multiplicity(IterationTrace(double, "max_iter")) == 2
+    assert root_multiplicity(IterationTrace(double[:3], "max_iter")) is None
+    for last in (record(4, 2, 0, 0), record(4, "nan", "nan", "nan"), record(4, 2, 0, "inf"),
+                 double[3]):         # a repeated record: N_k = N_{k-1}
+        assert root_multiplicity(IterationTrace(double[:4] + [last], "nan")) is None
 
 
 def test_build_report_fields_on_real_solve():

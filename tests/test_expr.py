@@ -604,6 +604,31 @@ def test_integer_exponents_are_decided_exactly_at_every_precision(text, args):
             assert _pow_args(text, Precision(digits), complex_mode) == args, (digits, complex_mode)
 
 
+# an exponent of magnitude 2**1024 or more overflows: mpmath's working
+# precision for a power grows with the exponent's bits (11 s for 0.3**1e3000)
+@pytest.mark.parametrize("text", ["x^(1e3000)-1", "x^(1e100000)-1", "x^(2^1030)", "2^(1e400*x)-1"])
+@pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
+def test_a_power_by_a_huge_exponent_is_nan(text, complex_mode):
+    p = Precision(30)
+    tree, points = parse(text), [x for x in _points(p, complex_mode) if x != 0]
+    assert_jet_matches_reference(tree, points, p, complex_mode)
+    if complex_mode:
+        assert_triples_match_reference(tree, points, p)
+    assert all(is_nan(v) for x in points for v in mp_jet(tree, "x", p, complex_mode)(x))
+
+
+def test_the_exponent_bound_is_two_to_the_1024():
+    ctx = Precision(30).ctx
+    edge = ctx.mpf(2) ** 1024
+    for complex_mode in (False, True):
+        pow_ = mp_lowering(ctx, complex_mode)["pow"](None)
+        assert pow_(ctx.mpf(1), edge * (1 - ctx.mpf(2) ** -60)) == 1
+        for b in (edge, -edge, ctx.mpc(1, edge)):
+            with pytest.raises(OverflowError):
+                pow_(ctx.mpf(1), b)
+        assert ctx.isnan(pow_(ctx.mpf(1), ctx.nan))
+
+
 @pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
 def test_a_near_integer_exponent_takes_the_walks_power(complex_mode):
     # at 40 digits 3+1e-50 rounds to 3; the walk's ** of it and the tape's agree bit for bit

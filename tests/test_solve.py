@@ -11,7 +11,7 @@ from mpmath import ctx_mp_python
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import libmpc, libmpf
 
-from iciroot.diagnostics import ratio_growth_flag
+from iciroot.diagnostics import root_multiplicity
 from iciroot.kernel import PointSample, ici_step, newton_step, secant_step
 from iciroot.mpscalar import (GUARD_BITS, LOG2_10, Precision, is_nan, parse_complex, parse_real,
                               to_decimal)
@@ -134,14 +134,14 @@ def test_kepler_equation_root_matches_bisection_oracle():
     assert digits_of_accuracy(trace.final.x, root) >= 29
 
 
-def test_multiple_root_converges_slowly_with_growing_ratios():
+def test_multiple_root_converges_slowly_at_multiplicity_two():
     p = Precision(30)
     cfg = SolveConfig(precision=p)
     trace = solve_expr("(x-2)^2", p.real("0.5"), cfg)
     assert trace.converged
     assert abs(trace.final.x - 2) <= p.real("1e-10")
     assert len(trace) - 1 > 10  # linear-rate convergence: many steps
-    assert ratio_growth_flag(trace)
+    assert root_multiplicity(trace) == 2
 
 
 def test_complex_solve_finds_a_cube_root_of_unity():
