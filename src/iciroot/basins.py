@@ -3,19 +3,24 @@
 Every pixel center seeds one iteration (Newton first, then the blended
 two-point step).  A pixel records either the converged limit, the final
 iterate after ``max_iter`` steps, or a NaN flag when the iteration hit a
-degeneracy (equal residuals, zero derivative, division by zero) or escaped
-the overflow cap.  Arbitrary-precision arithmetic never overflows on its
-own, so the cap — magnitudes past 2**1024 (:data:`OVERFLOW_BITS`), where an
-IEEE double overflows — is what makes "iteration blew up" an observable
-pixel state.  The step arithmetic, and f and f' from the expression's tape,
-run on fixed-precision complex numbers at the spec's binary precision; an op
-with no fixed-precision form falls back to mpmath for its own value only.
+degeneracy (equal residuals, zero derivative, division by zero, a failed f
+or f') or escaped the overflow cap.  Arbitrary-precision arithmetic never
+overflows on its own, so the cap — magnitudes past 2**1024
+(:data:`OVERFLOW_BITS`), where an IEEE double overflows — is what makes
+"iteration blew up" an observable pixel state.
 
-Pixels are independent; rows may be partitioned across worker processes.
-Per-pixel results are transported as raw mantissa/exponent tuples, so the
-assembled raster is bit-identical regardless of the worker count.  Renders
-and scans own their pixel iterators and read no module state, so threads
-may run them at once; only a pool process keeps its row renderer global.
+The step, and f and f' from the expression's tape, run in fixed point at one
+scale per render, F = P + max(GUARD_BITS, ceil(-log2 tol), ceil(-log2 s)),
+P the spec's binary precision and s the smaller pixel spacing: a value is a
+pair of ints (re, im) standing for (re + i*im) * 2**-F.  Each operation is
+off by a few units of 2**-F, so values of magnitude 2**(P - F) or more keep
+P bits and smaller ones fewer (an f' that small gives limits that need not
+match the solver's).  A group of pixels advances together, one ``map`` pass
+per integer operation over its lanes (:class:`_Lanes`), each pixel leaving
+as it converges or fails.  Each lane's arithmetic is its own and results
+travel as raw mantissa/exponent tuples, so the raster is bit-identical
+whatever the grouping or the number of worker processes.  Renders and scans
+read no module state but constants, so threads may run them at once.
 """
 
 from __future__ import annotations
@@ -24,12 +29,15 @@ import colorsys
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, floordiv, lshift, mul, neg, rshift, sub, truediv
 
 from mpmath.libmp import from_man_exp
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase, ln2_fixed
 
 from .expr import compile_tape, lower, mp_lowering
-from .mpscalar import Precision, opened, parse_real, read_tol, to_decimal
+from .kernel import ici_blend
+from .mpscalar import GUARD_BITS, Precision, opened, parse_real, read_tol, to_decimal
 
 DEFAULT_BASIN_DIGITS = 34
 OVERFLOW_BITS = 1024        # |z|, |f| or |f'| past 2**1024 is a NaN pixel, as for a double
@@ -71,16 +79,19 @@ class BasinSpec:
         if not (0 < re1 - re0 < p.inf and 0 < im1 - im0 < p.inf):
             raise ValueError("re_range and im_range must be finite, non-degenerate intervals")
 
+    def _axes(self):
+        """(re0, dre, im1, dim): the grid's left and top edges and its pixel spacings."""
+        p = self.precision
+        re0, re1, im0, im1 = (parse_real(v, p) for v in (*self.re_range, *self.im_range))
+        return re0, (re1 - re0) / self.width, im1, (im1 - im0) / self.height
+
     def grid(self):
         """Pixel centers as (re of each column, im of each row).
 
         Row j = 0 sits at the top of im_range.
         """
-        p = self.precision
-        half = p.ctx.mpf(0.5)
-        re0, re1, im0, im1 = (parse_real(v, p) for v in (*self.re_range, *self.im_range))
-        dre = (re1 - re0) / self.width
-        dim = (im1 - im0) / self.height
+        half = self.precision.ctx.mpf(0.5)
+        re0, dre, im1, dim = self._axes()
         return ([re0 + (i + half) * dre for i in range(self.width)],
                 [im1 - (j + half) * dim for j in range(self.height)])
 
@@ -124,216 +135,192 @@ class BasinRaster:
 
 
 # ---------------------------------------------------------------------------
-# fixed-precision complex arithmetic for the pixel loop
-#
-# A pixel iterate is a triple (re, im, e) of Python ints standing for
-# (re + i*im) * 2**e, with the larger of |re|, |im| holding exactly P bits
-# (P = the spec's binary working precision); zero is (0, 0, 0).  One shared
-# exponent turns each complex operation into a few integer multiplications
-# and shifts, several times cheaper than going through mpmath's per-component
-# rounding, at a normwise error of about 2**-P per operation.  Each operation
-# normalizes its own result in one pass.  f and f' come from the expression's
-# tape lowered onto triples (below); every value the step sees is finite, so
-# the NaN and overflow checks reduce to reading the exponent.
+# fixed-point lanes: one slot's values over a group of pixels.  A lane that
+# meets a zero divisor, a failure of mpmath or a value no pair may hold dies:
+# it goes on as zero and ends as a NaN pixel, as every slot feeds f or f'.
 
-_CZERO = (0, 0, 0)
+GROUP_LANES = 1024      # 256 lanes took 1.1-1.2x as long on 128² frames of z^3-1, 4096 no less
+HOLD_BITS = 64          # a part reaching 2**(OVERFLOW_BITS + HOLD_BITS) kills its lane
 
 
-def _cnorm(re, im, e, P):
-    n = (abs(re) | abs(im)).bit_length()
-    if n == 0:
-        return _CZERO
-    s = n - P
-    if s > 0:
-        return re >> s, im >> s, e + s
-    return re << -s, im << -s, e + s
+def _shift(x, k):
+    return x << k if k >= 0 else x >> -k
 
 
-def _cadd(a, b, P):
-    ar, ai, ae = a
-    br, bi, be = b
-    if not (ar or ai):
-        return b
-    if not (br or bi):
-        return a
-    d = ae - be
-    if d >= 0:
-        if d > P + 1:   # b lies below the last kept bit of a
-            return a
-        re, im, e = (ar << d) + br, (ai << d) + bi, be
-    else:
-        if d < -P - 1:
-            return b
-        re, im, e = ar + (br << -d), ai + (bi << -d), ae
-    s = (abs(re) | abs(im)).bit_length() - P      # normalized in place, as _cnorm does
-    if s > 0:
-        return re >> s, im >> s, e + s
-    if re or im:
-        return re << -s, im << -s, e + s
-    return _CZERO
+def _scale_bits(spec: BasinSpec):
+    """F = P + max(GUARD_BITS, ceil(-log2 tol), ceil(-log2 s)), s the smaller pixel spacing."""
+    p, (_, dre, _, dim) = spec.precision, spec._axes()
+    # ceil(-log2 x) = 1 - (exponent + bit count) for a positive mpf x
+    return p.ctx.prec + max(GUARD_BITS, *(1 - e - bc for _, _, e, bc in
+                                          (read_tol(spec.tol, p)._mpf_, min(dre, dim)._mpf_)))
 
 
-def _csub(a, b, P):
-    return _cadd(a, (-b[0], -b[1], b[2]), P)
+class _Scale:
+    """One render's scale F, its bounds (from OVERFLOW_BITS) and the positions of dead lanes."""
+
+    __slots__ = ("F", "bits", "hold", "edge", "dead")
+
+    def __init__(self, F):
+        self.F = F
+        self.bits = OVERFLOW_BITS + HOLD_BITS
+        self.hold = 1 << self.bits + F
+        self.edge = 1 << OVERFLOW_BITS + F - 1
+        self.dead = set()
+
+    def parts(self, v):
+        """Lanes' parts, or those of a pair (a folded constant) or an int, repeated per lane."""
+        if type(v) is _Lanes:
+            return v.re, v.im
+        if type(v) is int:
+            v = (v << self.F, 0)
+        elif type(v) is not tuple:
+            raise OverflowError("not a lane value")     # a failed fold or slot: its cone fails
+        return repeat(v[0]), repeat(v[1])
+
+    def held(self, re, im):
+        """re, im as lanes, each lane with a part past the hold bound dead and zero."""
+        h = self.hold
+        if max(re) >= h or min(re) <= -h or max(im) >= h or min(im) <= -h:
+            for k, (r, i) in enumerate(zip(re, im)):
+                if not (-h < r < h and -h < i < h):
+                    self.dead.add(k)
+                    re[k] = im[k] = 0
+        return _Lanes(re, im, self)
+
+    def divide(self, a, b):
+        """a / b = a * conj(b) / |b|**2 over the lanes; a zero divisor kills its lane."""
+        (ar, ai), (br, bi) = self.parts(a), self.parts(b)
+        if type(b) is _Lanes:
+            den = list(map(add, map(mul, b.re, b.re), map(mul, b.im, b.im)))
+            for k in [k for k, v in enumerate(den) if not v] if 0 in den else ():
+                self.dead.add(k)
+                den[k] = 1
+        else:
+            den = next(br) ** 2 + next(bi) ** 2
+            if not den:
+                raise ZeroDivisionError("division by a zero constant")
+            den = repeat(den)
+        F = repeat(self.F)
+        re = map(lshift, map(add, map(mul, ar, br), map(mul, ai, bi)), F)
+        im = map(lshift, map(sub, map(mul, ai, br), map(mul, ar, bi)), F)
+        return self.held(list(map(floordiv, re, den)), list(map(floordiv, im, den)))
+
+    def over_cap(self, z):
+        """Kill the lanes of z past the cap, as ``ctx.mag`` bounds |z|.
+
+        That bound is the bit length of |re| | |im| less F, plus one when
+        both parts are nonzero; parts below 2**(cap - 1) rule a group out.
+        """
+        c, re, im = self.edge, z.re, z.im
+        if max(re) < c and min(re) > -c and max(im) < c and min(im) > -c:
+            return
+        for k, (r, i) in enumerate(zip(re, im)):
+            m = abs(r) | abs(i)
+            if m >= c << 1 or (m >= c and r and i):
+                self.dead.add(k)
 
 
-def _cmul(a, b, P):
-    ar, ai, ae = a
-    br, bi, be = b
-    re = ar * br - ai * bi
-    im = ar * bi + ai * br
-    s = (abs(re) | abs(im)).bit_length() - P
-    if s > 0:
-        return re >> s, im >> s, ae + be + s
-    if re or im:
-        return re << -s, im << -s, ae + be + s
-    return _CZERO
+class _Lanes:
+    """One slot's values over a group of lanes: lane k is (re[k] + i*im[k]) * 2**-F.
 
-
-def _cdiv(a, b, P):
-    """a / b = a * conj(b) / |b|^2 for normalized a and nonzero normalized b."""
-    ar, ai, ae = a
-    br, bi, be = b
-    den = br * br + bi * bi
-    k = P + 2
-    re = ((ar * br + ai * bi) << k) // den
-    im = ((ai * br - ar * bi) << k) // den
-    s = (abs(re) | abs(im)).bit_length() - P
-    if s > 0:
-        return re >> s, im >> s, ae - be - k + s
-    if re or im:
-        return re << -s, im << -s, ae - be - k + s
-    return _CZERO
-
-
-def _cmag(a):
-    """Bound m with |a| <= 2**m, the way ``ctx.mag`` bounds an mpc."""
-    ar, ai, ae = a
-    if not (ar or ai):
-        return -math.inf
-    return ae + (abs(ar) | abs(ai)).bit_length() + (1 if ar and ai else 0)
-
-
-def _past_cap(a, cap, P):
-    """``_cmag(a) > cap`` for a normalized triple, from its exponent alone unless near cap.
-
-    A nonzero normalized triple has ``_cmag`` ae + P or ae + P + 1, so only
-    an exponent of at least cap - P needs the components.
+    The operators take lanes, pairs and ints, one ``map`` pass per integer
+    operation, so :func:`iciroot.kernel.ici_blend` runs on lanes as written.
     """
-    return a[2] > cap - P - 1 and _cmag(a) > cap
+
+    __slots__ = ("re", "im", "g")
+
+    def __init__(self, re, im, g):
+        self.re, self.im, self.g = re, im, g
+
+    def take(self, keep):
+        """The lanes at the positions ``keep``."""
+        return _Lanes(list(map(self.re.__getitem__, keep)), list(map(self.im.__getitem__, keep)),
+                      self.g)
+
+    def __add__(self, b):
+        br, bi = self.g.parts(b)
+        return _Lanes(list(map(add, self.re, br)), list(map(add, self.im, bi)), self.g)
+
+    __radd__ = __add__
+
+    def __sub__(self, b):
+        br, bi = self.g.parts(b)
+        return _Lanes(list(map(sub, self.re, br)), list(map(sub, self.im, bi)), self.g)
+
+    def __rsub__(self, b):
+        return -self + b
+
+    def __neg__(self):
+        return _Lanes(list(map(neg, self.re)), list(map(neg, self.im)), self.g)
+
+    def __mul__(self, b):
+        ar, ai, (br, bi), F = self.re, self.im, self.g.parts(b), repeat(self.g.F)
+        return self.g.held(list(map(rshift, map(sub, map(mul, ar, br), map(mul, ai, bi)), F)),
+                           list(map(rshift, map(add, map(mul, ar, bi), map(mul, ai, br)), F)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, b):
+        return self.g.divide(self, b)
+
+    def __rtruediv__(self, b):
+        return self.g.divide(b, self)
 
 
-def _from_mp(v, P):
-    """mpf or mpc -> fixed-precision triple; None for an infinity or NaN."""
-    if hasattr(v, "_mpc_"):
-        re_t, im_t = v._mpc_
-    else:
-        re_t, im_t = v._mpf_, (0, 0, 0, 0)
-    rs, rm, rx, rb = re_t
-    is_, im_, ix, ib = im_t
-    if (not rm and (rx or rb)) or (not im_ and (ix or ib)):
-        return None     # special values carry a zero mantissa and a tag
-    if rs:
-        rm = -rm
-    if is_:
-        im_ = -im_
-    return _cadd(_cnorm(rm, 0, rx, P), _cnorm(0, im_, ix, P), P)
+def _within(y, tol2):
+    """Whether |y|**2 <= tol2 in each lane, decided exactly."""
+    return list(map(tol2.__ge__, map(add, map(mul, y.re, y.re), map(mul, y.im, y.im))))
 
 
-def _to_mpc(ctx, a):
-    ar, ai, ae = a
-    return ctx.make_mpc((from_man_exp(ar, ae), from_man_exp(ai, ae)))
-
-
-def _abs_le(a, tol_man, tol_exp):
-    """|a| <= tol_man * 2**tol_exp, decided exactly on the squares."""
-    ar, ai, ae = a
-    lhs = ar * ar + ai * ai
-    rhs = tol_man * tol_man
-    sh = 2 * (tol_exp - ae)
-    if sh >= 0:
-        return lhs <= rhs << sh
-    return lhs << -sh <= rhs
-
-
-def _cpow(a, n, P):
-    """a**n for an integer n, by repeated squaring (then 1/a**-n for n < 0)."""
+def _power(a, n):
+    """a**n on lanes for an integer n, by repeated squaring (of 1/a for n < 0)."""
     if n < 0:
-        return _cdiv(_cnorm(1, 0, 0, P), _cpow(a, -n, P), P)
+        a, n = 1 / a, -n
     r = None
     while n:
         if n & 1:
-            r = a if r is None else _cmul(r, a, P)
+            r = a if r is None else r * a
         n >>= 1
         if n:
-            a = _cmul(a, a, P)
-    return _cnorm(1, 0, 0, P) if r is None else r
+            a = a * a
+    return (1 << a.g.F, 0) if r is None else r
 
 
-# exp and cos_sin run in fixed point, on mpmath's fixed-point kernels, while
-# the argument's real and imaginary parts lie below 2**_FIXED_MAG in
-# magnitude; beyond that (where exp and cosh of 1024 are already past the
-# overflow cap) the slot goes to mpmath.  The argument is reduced
-# with _FIXED_GUARD guard bits plus one per bit of its integer part, which
-# the reduction by ln 2 or pi/2 consumes.
+# exp and cos_sin run on mpmath's fixed-point kernels at wp = P + _FIXED_GUARD
+# + max(mag, 0) bits, P the context's precision and 2**mag bounding the
+# argument's parts: the reduction by ln 2 or pi/2 consumes one bit per bit of
+# the integer part.  Past 2**_FIXED_MAG (where exp and cosh of 1024 are
+# already past the overflow cap) the lane goes to mpmath.  e**x is taken as
+# v * 2**(n - wp) with n apart: mpmath's ``exp_fixed`` shifts v by n, which
+# drops the low bits of a small result.
 _FIXED_MAG = 10
 _FIXED_GUARD = 16
 
 
-def _fixed(m, e, wp):
-    """m * 2**e as an integer scaled by 2**wp (rounded down)."""
-    s = e + wp
-    return m << s if s >= 0 else m >> -s
+def _exp_lane(r, i, F, wp):
+    """exp(re + i*im) = e**re (cos im + i sin im) of a lane, as its parts at scale F."""
+    n, t = divmod(_shift(r, wp - F), ln2_fixed(wp))
+    v = exp_basecase(t, wp)
+    if not i:
+        return _shift(v, n - wp + F), 0
+    c, s = cos_sin_fixed(_shift(i, wp - F), wp)
+    k = n - 2 * wp + F
+    return _shift(v * c, k), _shift(v * s, k)
 
 
-def _fixed_prec(a, P):
-    """Working precision for exp/cos_sin of the triple a, or None past _FIXED_MAG."""
-    ar, ai, ae = a
-    mag = ae + (abs(ar) | abs(ai)).bit_length()
-    if mag > _FIXED_MAG:
-        return None
-    return P + _FIXED_GUARD + max(mag, 0)
-
-
-def _exp_fixed(x, wp):
-    """(v, n) with e**(x / 2**wp) = v * 2**(n - wp).
-
-    mpmath's ``exp_fixed`` returns v shifted by n into fixed point, which
-    drops the low bits of a small result; a triple keeps n in its exponent.
-    """
-    n, t = divmod(x, ln2_fixed(wp))
-    return exp_basecase(t, wp), n
-
-
-def _cexp(a, P):
-    """exp(re + i*im) = e**re (cos im + i sin im); None past _FIXED_MAG."""
-    wp = _fixed_prec(a, P)
-    if wp is None:
-        return None
-    ar, ai, ae = a
-    v, n = _exp_fixed(_fixed(ar, ae, wp), wp)
-    if not ai:
-        return _cnorm(v, 0, n - wp, P)
-    c, s = cos_sin_fixed(_fixed(ai, ae, wp), wp)
-    return _cnorm(v * c, v * s, n - 2 * wp, P)
-
-
-def _ccos_sin(a, P):
-    """(cos a, sin a); None past _FIXED_MAG.
+def _cos_sin_lane(r, i, F, wp):
+    """(cos a, sin a) of a lane as the parts (cos re, cos im, sin re, sin im) at scale F.
 
     With a = x + iy: cos a = cos x cosh y - i sin x sinh y and
     sin a = sin x cosh y + i cos x sinh y.
     """
-    wp = _fixed_prec(a, P)
-    if wp is None:
-        return None
-    ar, ai, ae = a
-    c, s = cos_sin_fixed(_fixed(ar, ae, wp), wp)
-    if not ai:
-        return _cnorm(c, 0, -wp, P), _cnorm(s, 0, -wp, P)
+    c, s = cos_sin_fixed(_shift(r, wp - F), wp)
+    if not i:
+        return _shift(c, F - wp), 0, _shift(s, F - wp), 0
     # e**y = v * 2**(n - wp) and e**-y = w * 2**(-n - wp), brought to one
     # exponent h: cosh y = (v + w) * 2**h and sinh y = (v - w) * 2**h
-    v, n = _exp_fixed(_fixed(ai, ae, wp), wp)
+    n, t = divmod(_shift(i, wp - F), ln2_fixed(wp))
+    v = exp_basecase(t, wp)
     w = (1 << 2 * wp) // v
     if n >= 0:
         v <<= 2 * n
@@ -342,89 +329,99 @@ def _ccos_sin(a, P):
         w <<= -2 * n
         h = n - wp - 1
     ch, sh = v + w, v - w
-    return _cnorm(c * ch, -s * sh, h - wp, P), _cnorm(s * ch, c * sh, h - wp, P)
+    k = h - wp + F
+    return _shift(c * ch, k), _shift(-s * sh, k), _shift(s * ch, k), _shift(c * sh, k)
 
 
-def _triple_lowering(ctx, P):
-    """The lowering of an expression tape onto triples at precision P (complex mode).
+def _lanes_lowering(ctx, g: _Scale):
+    """The lowering of an expression tape onto lanes at g's scale (complex mode).
 
-    A slot holds a triple while its value is finite, else mpmath's value (an
-    infinity or NaN).  add, sub, mul, div, neg, powint and ``pow`` by a
-    folded integer below 2**16 in magnitude run on triples, exp and
-    cos_sin in fixed point.
-    Any other op (``pow``, ``log``, ``sqrt``), an exp/cos_sin argument past
-    _FIXED_MAG, or an operand that is not a triple falls back to the mpmath
-    lowering for that slot only; a finite result turns back into a triple.
-    A zero divisor raises ZeroDivisionError, as in mpmath, so NaN cones fall
-    as for mpmath values.  Constants fold on the mpmath lowering ("fold").
+    A slot holds lanes, or a pair (re, im) of ints for a folded constant, or
+    None for a constant no pair may hold; reading None or a failed slot fails
+    the cone.  add, sub, mul, div, neg, powint and ``pow`` by an integer
+    below 2**16 in magnitude run on lanes; exp and cos_sin per lane on
+    mpmath's fixed-point kernels; anything else (``log``, ``sqrt``, other
+    powers, exp or cos_sin past _FIXED_MAG) per lane through the mpmath
+    lowering, where an exception or a value that is not finite kills the
+    lane.  Constants fold on the mpmath lowering ("fold").
     """
     mp = mp_lowering(ctx, complex_mode=True)
+    F, P, h, dead = g.F, ctx.prec, g.hold, g.dead
 
-    def canon(v):
-        """An mpmath value (or a cos_sin pair of them) in slot form."""
+    def pair(v):
+        """mpf or mpc as ints at scale F (a cos_sin pair as four); None where no pair may hold it."""
         if type(v) is tuple:
-            return canon(v[0]), canon(v[1])
-        t = _from_mp(v, P)
-        return v if t is None else t
+            c, s = pair(v[0]), pair(v[1])
+            return None if c is None or s is None else c + s
+        out = ()
+        for s, m, e, bc in getattr(v, "_mpc_", None) or (v._mpf_, (0, 0, 0, 0)):
+            if (not m and (e or bc)) or e + bc > g.bits:
+                return None         # special values carry a zero mantissa and a tag
+            out += (_shift(-m if s else m, e + F),)
+        return out
 
-    def via_mp(op, arg):
-        fn = mp[op](arg)
+    def value(r, i):
+        return ctx.make_mpc((from_man_exp(r, -F), from_man_exp(i, -F)))
 
+    def checked(fn):
+        """fn on lanes and pairs; a None or a failed slot's value fails the slot's cone."""
         def slot(a, b):
-            if type(a) is tuple:
-                a = _to_mpc(ctx, a)
-            if type(b) is tuple:
-                b = _to_mpc(ctx, b)
-            return canon(fn(a, b))
+            if type(a) not in (_Lanes, tuple) or type(b) not in (_Lanes, tuple):
+                raise OverflowError("not a lane value")
+            return fn(a, b)
         return slot
 
-    def binary(op, kernel):
+    def lanewise(op, kernel=None):
+        """op per lane: ``kernel(re, im, F, wp)`` on its ints below _FIXED_MAG, else mpmath's op."""
+        width = 4 if op == "cos_sin" else 2
+
         def make(arg):
-            fallback = via_mp(op, arg)
+            fallback = mp[op](arg)
 
-            def fn(a, b):
-                if type(a) is tuple and type(b) is tuple:
-                    return kernel(a, b, P)
-                return fallback(a, b)
-            return fn
-        return make
-
-    def unary(op, kernel):
-        """kernel(a, arg) on a triple; None from it means mpmath."""
-        def make(arg):
-            fallback = via_mp(op, arg)
-
-            def fn(a, b):
-                if type(a) is tuple:
-                    r = kernel(a, arg)
-                    if r is not None:
-                        return r
-                return fallback(a, b)
-            return fn
+            def slot(a, b):
+                rows = []
+                for k, (ar, ai, br, bi) in enumerate(zip(*g.parts(a), *g.parts(b))):
+                    mag = (abs(ar) | abs(ai)).bit_length() - F
+                    try:
+                        if kernel and mag <= _FIXED_MAG:
+                            r = kernel(ar, ai, F, P + _FIXED_GUARD + max(mag, 0))
+                        else:
+                            r = pair(fallback(value(ar, ai), value(br, bi)))
+                    except (ArithmeticError, ValueError):
+                        r = None
+                    if r is None or not all(-h < c < h for c in r):
+                        dead.add(k)
+                        r = (0,) * width
+                    rows.append(r)
+                cols = [list(c) for c in zip(*rows)]
+                if width == 2:
+                    return _Lanes(cols[0], cols[1], g)
+                return _Lanes(cols[0], cols[1], g), _Lanes(cols[2], cols[3], g)
+            return slot
         return make
 
     def pow_(n):
-        # repeated squaring takes one step per bit of n: a power beyond
-        # 2**16 goes to the mpmath lowering, which overflows past 2**1024
+        # repeated squaring takes one step per bit of n: a power beyond 2**16
+        # goes to the mpmath lowering, which overflows past 2**1024
         if n is None or abs(n) >> 16:
-            return via_mp("pow", n)
-        return unary("pow", lambda a, _: _cpow(a, n, P))(n)
+            return lanewise("pow")(n)
+        return checked(lambda a, _: _power(a, n))
 
     return {
         "fold": mp,
-        "const": canon,
-        "add": binary("add", _cadd),
-        "sub": binary("sub", _csub),
-        "mul": binary("mul", _cmul),
-        "div": binary("div", _cdiv),
-        "powint": binary("powint", _cmul),      # u^(n-1) * u
-        "neg": unary("neg", lambda a, _: (-a[0], -a[1], a[2])),
+        "const": lambda v: None if type(v) is tuple else pair(v),
+        "add": lambda _: checked(add),
+        "sub": lambda _: checked(sub),
+        "mul": lambda _: checked(mul),
+        "div": lambda _: checked(truediv),
+        "powint": lambda _: checked(mul),       # u^(n-1) * u
+        "neg": lambda _: checked(lambda a, _: -a),
         "pow": pow_,
-        "exp": unary("exp", lambda a, _: _cexp(a, P)),
-        "cos_sin": unary("cos_sin", lambda a, _: _ccos_sin(a, P)),
-        "log": lambda arg: via_mp("log", arg),
-        "sqrt": lambda arg: via_mp("sqrt", arg),
-        "pick": mp["pick"],
+        "exp": lanewise("exp", _exp_lane),
+        "cos_sin": lanewise("cos_sin", _cos_sin_lane),
+        "log": lanewise("log"),
+        "sqrt": lanewise("sqrt"),
+        "pick": lambda k: checked(lambda t, _: t[k]),   # of a cos_sin slot's tuple of lanes
     }
 
 
@@ -432,140 +429,138 @@ def _triple_lowering(ctx, P):
 # the pixel loop
 
 
-def _ici_triple(zp, yp, np_, zc, yc, nc, P):
-    """The blended step of :func:`iciroot.kernel.ici_step` on triples; None when yp == yc.
+def _lane_iterator(spec: BasinSpec):
+    """The spec's pixel iteration, ``iterate(re, im)``: one outcome per seed, re and im its parts.
 
-    np_ and nc are the Newton updates y/y' at zp and zc.  The weighted
-    average of the two Newton steps and the secant step is taken in update
-    form, with u = yp/dy, v = yc/dy, dy = yp - yc and u - v = 1 applied
-    exactly: zn = zc - (u^2 Nc + v^2 (Np + (1 + 2u)(zc - zp))).  The update
-    rounds at its own scale; only the last subtraction rounds at that of zc.
+    The seeds advance GROUP_LANES at a time: a Newton step, then blended
+    steps (:func:`iciroot.kernel.ici_blend` on lanes).  An outcome is
+    (final ``_mpc_``, iterations, converged, NaN, phase), with None for the
+    limit and the phase of a NaN pixel; a pixel that stops at ``max_iter``
+    reports its last iterate.
     """
-    dy = _csub(yp, yc, P)
-    if not (dy[0] or dy[1]):
-        return None
-    one = (1 << P - 1, 0, 1 - P)
-    t = _cdiv(one, dy, P)
-    u = _cmul(yp, t, P)
-    v = _cmul(yc, t, P)
-    w = _cadd(one, (u[0], u[1], u[2] + 1), P)           # 1 + 2u
-    prev = _cadd(np_, _cmul(w, _csub(zc, zp, P), P), P)
-    update = _cadd(_cmul(_cmul(u, u, P), nc, P), _cmul(_cmul(v, v, P), prev, P), P)
-    return _csub(zc, update, P)
+    ctx, F, max_iter = spec.precision.ctx, _scale_bits(spec), spec.max_iter
+    g = _Scale(F)
+    dead = g.dead
+    jet = lower(compile_tape(spec.ftext), _lanes_lowering(ctx, g))
+    _, man, exp, _ = read_tol(spec.tol, spec.precision)._mpf_
+    tol2 = (man << exp + F) ** 2            # |y| <= tol decided exactly on the squares
 
-
-def _pixel_iterator(spec: BasinSpec):
-    """The spec's pixel iteration, ``iterate(z0) -> (z, iters, converged, nan)``.
-
-    Newton seed step then blended steps (:func:`_ici_triple`).  z0 is a
-    triple, or None for a seed that is not finite.  Degeneracies and
-    overflow produce (None, iters, False, True) instead of raising; their
-    pixels render as NaN.  A pixel that stops at ``max_iter`` reports its
-    last iterate, whose low bits depend on how the step rounds.
-    """
-    p = spec.precision
-    ctx = p.ctx
-    P = ctx.prec
-    jet = lower(compile_tape(spec.ftext), _triple_lowering(ctx, P))
-    _, tol_man, tol_exp, _ = parse_real(spec.tol, p)._mpf_
-    cap = OVERFLOW_BITS
-    max_iter = spec.max_iter
+    def fixed(v):
+        s, m, e, _ = v._mpf_
+        return _shift(-m if s else m, e + F)
 
     def sample(z):
-        """(f(z), f'(z)) as triples, or None on a NaN, an infinity or an overflow."""
-        y, d = jet(z)
-        if (type(y) is not tuple or _past_cap(y, cap, P)
-                or type(d) is not tuple or _past_cap(d, cap, P)):
-            return None
-        return y, d
+        """(f, f') at z as lanes; a failed output kills every lane, and each is held to the cap."""
+        n = len(z.re)
+        out = []
+        for v in jet(z):
+            if type(v) is tuple:
+                v = _Lanes([v[0]] * n, [v[1]] * n, g)
+            elif type(v) is not _Lanes:
+                dead.update(range(n))
+                v = _Lanes([0] * n, [0] * n, g)
+            g.over_cap(v)
+            out.append(v)
+        return out
 
-    def iterate(z0):
-        s = None if z0 is None else sample(z0)
-        if s is None:
-            return None, 0, False, True
-        zc, (yc, dc) = z0, s
-        zp = yp = np_ = None
+    def outcome(lanes, k, it, conv):
+        z = ctx.make_mpc((from_man_exp(lanes.re[k], -F), from_man_exp(lanes.im[k], -F)))
+        return z._mpc_, it, conv, False, float(ctx.arg(z))
+
+    def run(z):
+        """The outcomes of one group, z its seeds."""
+        out = [None] * len(z.re)
+        idx = list(range(len(z.re)))        # each lane's seed
+
+        def settle(it, lanes, conv=()):
+            """End dead lanes (NaN) and those in conv at iteration it; lanes, kept to the rest."""
+            for k in dead.union(conv):
+                out[idx[k]] = (None, it, False, True, None) if k in dead else outcome(zn, k, it, True)
+            keep = [k for k in range(len(idx)) if k not in dead and k not in conv]
+            idx[:] = [idx[k] for k in keep]
+            dead.clear()
+            return [v.take(keep) for v in lanes]
+
+        dead.clear()
+        zc, yc, dc = settle(0, (z, *sample(z)))
+        zp = yp = np_ = zn = None
         for it in range(1, max_iter + 1):
-            if not (dc[0] or dc[1]):
-                return None, it, False, True
-            nc = _cdiv(yc, dc, P)               # Newton update at the current point
-            if zp is None:
-                zn = _csub(zc, nc, P)
-            else:
-                zn = _ici_triple(zp, yp, np_, zc, yc, nc, P)
-                if zn is None:
-                    return None, it, False, True
-            if _past_cap(zn, cap, P):
-                return None, it, False, True
-            s = sample(zn)
-            if s is None:
-                return None, it, False, True
-            zp, yp, np_ = zc, yc, nc            # Np: the previous point's update
-            zc, (yc, dc) = zn, s
-            if _abs_le(yc, tol_man, tol_exp):
-                return _to_mpc(ctx, zc), it, True, False
-        return _to_mpc(ctx, zc), max_iter, False, False
+            if not idx:
+                break
+            nc = yc / dc                    # Newton update at the current point
+            zn = zc - nc if zp is None else ici_blend(zp, yp, np_, zc, yc, nc)
+            g.over_cap(zn)
+            if dead:
+                zc, yc, nc, zn = settle(it, (zc, yc, nc, zn))     # zp, yp, np_ are spent
+                if not idx:
+                    break
+            y, d = sample(zn)
+            conv = _within(y, tol2)
+            if dead or True in conv:
+                conv = {k for k, c in enumerate(conv) if c}
+                zc, yc, nc, zn, y, d = settle(it, (zc, yc, nc, zn, y, d), conv)
+            zp, yp, np_ = zc, yc, nc        # Np: the previous point's update
+            zc, yc, dc = zn, y, d
+        for k, j in enumerate(idx):
+            out[j] = outcome(zc, k, max_iter, False)
+        return out
+
+    def iterate(re, im):
+        re, im = list(map(fixed, re)), list(map(fixed, im))
+        out = []
+        for s in range(0, len(re), GROUP_LANES):
+            out += run(_Lanes(re[s:s + GROUP_LANES], im[s:s + GROUP_LANES], g))
+        return out
     return iterate
 
 
-def _row_renderer(spec: BasinSpec):
-    """``render_row(j)``: row j of the spec's grid as a list of transport tuples.
+def _rows_renderer(spec: BasinSpec):
+    """``render_rows(rows)``: those rows of the spec's grid, each a list of outcome tuples."""
+    iterate = _lane_iterator(spec)
+    res, ims = spec.grid()
+    w = spec.width
 
-    A pixel's tuple is (final ``_mpc_``, iterations, converged, NaN, phase),
-    with None for the limit and the phase of a NaN pixel.
-    """
-    iterate = _pixel_iterator(spec)
-    ctx = spec.precision.ctx
-    P = ctx.prec
-    re, im = spec.grid()
-    res = [_from_mp(v, P) for v in re]                       # real triples
-    ims = [(0, t[0], t[2]) for t in (_from_mp(v, P) for v in im)]
-
-    def render_row(j):
-        im = ims[j]
-        row = []
-        for re in res:
-            z, iters, conv, nan = iterate(_cadd(re, im, P))
-            if nan:
-                row.append((None, iters, False, True, None))
-            else:
-                row.append((z._mpc_, iters, conv, False, float(ctx.arg(z))))
-        return row
-    return render_row
+    def render_rows(rows):
+        out = iterate(res * len(rows), [im for j in rows for im in [ims[j]] * w])
+        return [out[k:k + w] for k in range(0, len(out), w)]
+    return render_rows
 
 
-# A pool process's row renderer.  Spawn pickles the initializer and the row
+# A pool process's row renderer.  Spawn pickles the initializer and the task
 # function by name, so both live at module level and reach the renderer here.
 _worker_render_row = None
 
 
 def _init_worker(spec: BasinSpec):
     global _worker_render_row
-    _worker_render_row = _row_renderer(spec)
+    _worker_render_row = _rows_renderer(spec)
 
 
-def _render_row_in_worker(j):
-    return _worker_render_row(j)
+def _render_rows_in_worker(rows):
+    return _worker_render_row(rows)
 
 
 def render(spec: BasinSpec) -> BasinRaster:
     """Iterate from every pixel center and assemble the outcome raster.
 
     The result is a pure function of the spec: identical specs give
-    bit-identical rasters, whatever ``spec.workers`` is.
+    bit-identical rasters, whatever ``spec.workers`` is.  With n = min(workers,
+    height) processes, the rows go out in 2n interleaved shares (rows j with
+    j = k mod 2n), so each share is wide and the shares cost alike.
     """
-    render_row = _row_renderer(spec)    # here, so a bad expression raises before any pool starts
-    if spec.workers == 1 or spec.height == 1:
-        rows = list(map(render_row, range(spec.height)))
+    render_rows = _rows_renderer(spec)  # here, so a bad expression raises before any pool starts
+    n = min(spec.workers, spec.height)
+    if n == 1:
+        rows = render_rows(range(spec.height))
     else:
         # imported here: the pool stack costs a cold start that serial renders skip
         from concurrent.futures import ProcessPoolExecutor
+        shares = min(2 * n, spec.height)
         # fork starts every worker up front: no more of them than there are rows
-        with ProcessPoolExecutor(max_workers=min(spec.workers, spec.height),
-                                 initializer=_init_worker,
-                                 initargs=(spec,)) as pool:
-            chunk = max(1, spec.height // (spec.workers * 4))
-            rows = list(pool.map(_render_row_in_worker, range(spec.height), chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=n, initializer=_init_worker, initargs=(spec,)) as pool:
+            done = list(pool.map(_render_rows_in_worker,
+                                 [range(k, spec.height, shares) for k in range(shares)]))
+        rows = [done[j % shares][j // shares] for j in range(spec.height)]
     ctx = spec.precision.ctx
     final, iters, conv, nan_mask, phase = [], [], [], [], []
     for row in rows:
@@ -608,20 +603,20 @@ def line_scan(spec: BasinSpec, segment, samples: int):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    iterate = _pixel_iterator(spec)
     p = spec.precision
     ctx = p.ctx
     z_start, z_end = p.scalar(segment[0]), p.scalar(segment[1])
+    ts = [ctx.mpf(k) / (samples - 1) if samples > 1 else ctx.mpf(0) for k in range(samples)]
+    zs = [z_start + t * (z_end - z_start) for t in ts]
+    outcomes = _lane_iterator(spec)([z.real for z in zs], [z.imag for z in zs])
     radius = parse_real(spec.tol, p) * 1000
     reps = []
     assignments = []
-    for k in range(samples):
-        t = ctx.mpf(k) / (samples - 1) if samples > 1 else ctx.mpf(0)
-        z0 = z_start + t * (z_end - z_start)
-        z, _, _, nan = iterate(_from_mp(z0, ctx.prec))
+    for final, _, _, nan, _ in outcomes:
         if nan:
             assignments.append(-1)
             continue
+        z = ctx.make_mpc(final)
         for idx, rep in enumerate(reps):
             if abs(z - rep) <= radius:
                 assignments.append(idx)

@@ -52,10 +52,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    """The ``iciroot`` parser and its subcommand parsers by name."""
-    # basins and diagnostics load where a subcommand needs them, not with the module
-    from .basins import DEFAULT_BASIN_DIGITS, BasinSpec
+    """The ``iciroot`` parser and its subcommand parsers by name.
 
+    The grid flags default to None, so that ``BasinSpec``'s own defaults
+    apply: the renderer loads where ``basin`` or ``scan`` runs, not here.
+    """
     parser = _Parser(prog="iciroot", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -90,20 +91,15 @@ def _build_parser():
     add_solve_like("compare", "newton vs ici vs secant on one problem", _run_compare)
 
     def add_grid(name, help, run):
-        p = add_command(name, help, run, DEFAULT_BASIN_DIGITS, BasinSpec.max_iter, BasinSpec.tol,
-                        GRID_PRESETS)
+        p = add_command(name, help, run, None, None, None, GRID_PRESETS)
         p.add_argument("--out", type=str, help="output file path")
         return p
 
     p_basin = add_grid("basin", "render a basin-of-attraction image (PPM)", _run_basin)
-    p_basin.add_argument("--re", nargs=2, type=str, default=list(BasinSpec.re_range),
-                         help="real-axis range MIN MAX")
-    p_basin.add_argument("--im", nargs=2, type=str, default=list(BasinSpec.im_range),
-                         help="imaginary-axis range MIN MAX")
-    p_basin.add_argument("--size", nargs="+", type=int, default=[BasinSpec.width],
-                         help="pixels: WIDTH [HEIGHT]")
-    p_basin.add_argument("--workers", type=int, default=BasinSpec.workers,
-                         help="row-parallel worker processes")
+    p_basin.add_argument("--re", nargs=2, type=str, help="real-axis range MIN MAX")
+    p_basin.add_argument("--im", nargs=2, type=str, help="imaginary-axis range MIN MAX")
+    p_basin.add_argument("--size", nargs="+", type=int, help="pixels: WIDTH [HEIGHT]")
+    p_basin.add_argument("--workers", type=int, help="row-parallel worker processes")
     p_basin.add_argument("--csv", type=str, help="also dump per-pixel outcomes as CSV")
     p_scan = add_grid("scan", "root assignments along a complex segment", _run_scan)
     p_scan.add_argument("--from", dest="seg_from", type=str,
@@ -206,15 +202,24 @@ def _run_compare(args) -> int:
     return worst
 
 
+def _grid_spec(args, **given):
+    """The BasinSpec of --f and the grid flags given; BasinSpec's defaults fill the rest."""
+    from .basins import BasinSpec
+
+    digits = args.digits
+    given.update(precision=None if digits is None else Precision(digits), max_iter=args.max_iter, tol=args.tol)
+    return BasinSpec(args.f, **{k: v for k, v in given.items() if v is not None})
+
+
 def _run_basin(args) -> int:
-    from .basins import BasinSpec, render, write_image
+    from .basins import render, write_image
 
     _require(args, "f")
-    if len(args.size) > 2:
-        raise CliUsageError(f"--size takes WIDTH [HEIGHT], got {len(args.size)} values")
-    spec = BasinSpec(ftext=args.f, re_range=tuple(args.re), im_range=tuple(args.im),
-                     width=args.size[0], height=args.size[-1], max_iter=args.max_iter,
-                     tol=args.tol, precision=Precision(args.digits), workers=args.workers)
+    size = args.size or [None]
+    if len(size) > 2:
+        raise CliUsageError(f"--size takes WIDTH [HEIGHT], got {len(size)} values")
+    spec = _grid_spec(args, re_range=args.re and tuple(args.re), im_range=args.im and tuple(args.im),
+                      width=size[0], height=size[-1], workers=args.workers)
     raster = render(spec)
     out = args.out or "basin.ppm"
     write_image(raster, out)
@@ -229,11 +234,11 @@ def _run_basin(args) -> int:
 
 
 def _run_scan(args) -> int:
-    from .basins import BasinSpec, line_scan
+    from .basins import line_scan
 
     _require(args, "f", "seg_from", "seg_to")
-    p = Precision(args.digits)
-    spec = BasinSpec(ftext=args.f, max_iter=args.max_iter, tol=args.tol, precision=p)
+    spec = _grid_spec(args)
+    p = spec.precision
     seg = (parse_complex(args.seg_from, p), parse_complex(args.seg_to, p))
     assignments = line_scan(spec, seg, args.samples)
     changes = sum(1 for k in range(1, len(assignments)) if assignments[k] != assignments[k - 1])

@@ -19,8 +19,8 @@ names -> functions on one kind of value) binds it, at that binding's
 precision.  :func:`compile_tape` parses text into a tape and :func:`lower`
 binds it: under :func:`mp_lowering` it is :func:`compile_pair`'s jet
 ``x -> (f(x), f'(x))`` for the solver, and its f-only form is
-:func:`compile_fn`; the basin renderer lowers it onto fixed-precision
-integer triples (:mod:`iciroot.basins`).
+:func:`compile_fn`; the basin renderer lowers it onto fixed-point integer
+lanes, a group of pixels at once (:mod:`iciroot.basins`).
 """
 
 from __future__ import annotations

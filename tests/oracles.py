@@ -279,7 +279,7 @@ class _NotFirstOrder(Exception):
     pass
 
 
-def rounding_error_scale(e, var, ctx, x, unit):
+def rounding_error_scale(e, var, ctx, x, unit, floor=0):
     """First-order scale m of the rounding error of the tree ``e`` at the complex point ``x``.
 
     An evaluation at precision P (``unit`` = 2**-P) that rounds each node's
@@ -287,7 +287,11 @@ def rounding_error_scale(e, var, ctx, x, unit):
     computes integer powers by repeated multiplication is off by at most a
     small multiple of 2**-P * m.  ``ctx`` (of much higher precision than P)
     walks the tree; each node adds its own |value| and carries its
-    operands' m through its partial derivatives:
+    operands' m through its partial derivatives.  With a ``floor``, each
+    node's own term (the last of each rule below; the |val| or cosh times 1
+    for u ^ v, exp, sin and cos) is at least ``floor``: the scale of an
+    evaluation whose error per node is absolute where |value| < floor, as
+    fixed point at scale 2**-F is with floor = 2**(P - F).  The rules:
 
         literal, pi        |c|
         variable           0
@@ -309,6 +313,9 @@ def rounding_error_scale(e, var, ctx, x, unit):
     """
     small = ctx.mpf(2) ** -32
 
+    def own(val):
+        return max(abs(val), floor)
+
     def first_order(m, size=1):
         if unit * m > small * size:
             raise _NotFirstOrder
@@ -316,9 +323,9 @@ def rounding_error_scale(e, var, ctx, x, unit):
     def walk(node):
         if isinstance(node, Num):
             c = ctx.mpc(_literal(ctx, node.text))
-            return c, abs(c)
+            return c, own(c)
         if isinstance(node, Const):
-            return ctx.mpc(ctx.pi), +ctx.pi
+            return ctx.mpc(ctx.pi), own(ctx.pi)
         if isinstance(node, Var):
             return x, 0
         if isinstance(node, Neg):
@@ -330,23 +337,23 @@ def rounding_error_scale(e, var, ctx, x, unit):
             if node.fn in ("exp", "sin", "cos"):
                 first_order(mu)
                 bound = abs(val) if node.fn == "exp" else ctx.cosh(u.imag)
-                return val, bound * (mu + 1)
+                return val, bound * mu + own(bound)
             first_order(mu, abs(u))
             if node.fn == "sqrt":
-                return val, mu / (2 * abs(val)) + abs(val)
-            return val, mu / abs(u) + abs(val)
+                return val, mu / (2 * abs(val)) + own(val)
+            return val, mu / abs(u) + own(val)
         u, mu = walk(node.left)
         v, mv = walk(node.right)
         if node.op in "+-":
             val = u + v if node.op == "+" else u - v
-            return val, mu + mv + abs(val)
+            return val, mu + mv + own(val)
         if node.op == "*":
             val = u * v
-            return val, mu * abs(v) + abs(u) * mv + abs(val)
+            return val, mu * abs(v) + abs(u) * mv + own(val)
         if node.op == "/":
             first_order(mv, abs(v))
             val = u / v
-            return val, (mu + abs(val) * mv) / abs(v) + abs(val)
+            return val, (mu + abs(val) * mv) / abs(v) + own(val)
         val = u ** v
         if not free_variables(node.right) and ctx.isint(v):
             n = int(v.real)
@@ -355,16 +362,107 @@ def rounding_error_scale(e, var, ctx, x, unit):
             else:
                 first_order(mu, abs(u))
                 prop = -n * abs(val) / abs(u) * mu if n else 0
-            return val, prop + 2 * abs(n) * abs(val)
+            return val, prop + 2 * abs(n) * own(val)
         first_order(mu, abs(u))
         first_order(mv)
-        return val, abs(val) * (abs(v) * mu / abs(u) + abs(ctx.log(u)) * mv + 1)
+        return val, abs(val) * (abs(v) * mu / abs(u) + abs(ctx.log(u)) * mv) + own(val)
 
     try:
         val, m = walk(e)
     except (ZeroDivisionError, _NotFirstOrder):
         return None
     return m if ctx.isfinite(val) and ctx.isfinite(m) else None
+
+
+# ---------------------------------------------------------------------------
+# one basin pixel in fixed point
+
+class DeadPixel(Exception):
+    """A fixed-point pixel's iteration met a zero divisor, an unheld value or a failed f, f'."""
+
+
+class FixedPairs:
+    """Pairs (re, im) of ints standing for (re + i*im) * 2**-F, one pixel at a time.
+
+    The reference for the renderer's lanes, written without them: products
+    and quotients round down at scale F, and a zero divisor or a component
+    reaching 2**hold_bits raises :class:`DeadPixel`.
+    """
+
+    def __init__(self, F, hold_bits):
+        self.F = F
+        self.hold = 1 << hold_bits + F
+        self.one = (1 << F, 0)
+
+    def held(self, re, im):
+        if abs(re) >= self.hold or abs(im) >= self.hold:
+            raise DeadPixel
+        return re, im
+
+    @staticmethod
+    def add(a, b):
+        return a[0] + b[0], a[1] + b[1]
+
+    @staticmethod
+    def sub(a, b):
+        return a[0] - b[0], a[1] - b[1]
+
+    def mul(self, a, b):
+        return self.held((a[0] * b[0] - a[1] * b[1]) >> self.F, (a[0] * b[1] + a[1] * b[0]) >> self.F)
+
+    def div(self, a, b):
+        den = b[0] * b[0] + b[1] * b[1]
+        if not den:
+            raise DeadPixel
+        return self.held(((a[0] * b[0] + a[1] * b[1]) << self.F) // den,
+                         ((a[1] * b[0] - a[0] * b[1]) << self.F) // den)
+
+    def mag(self, a):
+        """ctx.mag of the value a stands for: bit length less F, plus one when both parts are nonzero."""
+        return (abs(a[0]) | abs(a[1])).bit_length() - self.F + (1 if a[0] and a[1] else 0)
+
+    def pixel(self, fd, z0, tol2, max_iter, cap_bits):
+        """One pixel's basin iteration from z0: (z, iterations, converged, nan), z None when nan.
+
+        fd(z) gives (f(z), f'(z)) as pairs, or raises DeadPixel.  A Newton
+        step, then the blended step of kernel.ici_blend operation by
+        operation (u = yp/(yp - yc), v = u - 1); a value past cap_bits by
+        :meth:`mag` ends the pixel as NaN, and |f|**2 <= tol2 converges it.
+        """
+        add, sub, mul, div = self.add, self.sub, self.mul, self.div
+
+        def sample(z):
+            y, d = fd(z)
+            if self.mag(y) > cap_bits or self.mag(d) > cap_bits:
+                raise DeadPixel
+            return y, d
+
+        try:
+            yc, dc = sample(z0)
+        except DeadPixel:
+            return None, 0, False, True
+        zc, zp = z0, None
+        for it in range(1, max_iter + 1):
+            try:
+                nc = div(yc, dc)
+                if zp is None:
+                    zn = sub(zc, nc)
+                else:
+                    u = div(yp, sub(yp, yc))
+                    v = sub(u, self.one)
+                    w = add(mul(u, (2 << self.F, 0)), self.one)
+                    bracket = add(np_, mul(w, sub(zc, zp)))
+                    zn = sub(zc, add(mul(mul(u, u), nc), mul(mul(v, v), bracket)))
+                if self.mag(zn) > cap_bits:
+                    raise DeadPixel
+                y, d = sample(zn)
+            except DeadPixel:
+                return None, it, False, True
+            zp, yp, np_ = zc, yc, nc
+            zc, yc, dc = zn, y, d
+            if y[0] * y[0] + y[1] * y[1] <= tol2:
+                return zc, it, True, False
+        return zc, max_iter, False, False
 
 
 # ---------------------------------------------------------------------------

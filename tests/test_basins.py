@@ -3,20 +3,25 @@ import csv
 import io
 import math
 import multiprocessing
+import operator
 import pickle
 import random
 import sys
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from mpmath.libmp import from_man_exp
 
 from iciroot import basins
 from iciroot.basins import BasinRaster, BasinSpec, line_scan, render, write_image
-from iciroot.expr import parse
-from iciroot.kernel import PointSample, ici_step
-from iciroot.mpscalar import Precision, parse_real
+from iciroot.expr import compile_tape, lower
+from iciroot.kernel import PointSample, ici_blend, ici_step
+from iciroot.mpscalar import GUARD_BITS, Precision, parse_real
 from iciroot.solve import SolveConfig, solve_expr
+
+from oracles import DeadPixel, FixedPairs
 
 
 def _cube_spec(**kw):
@@ -404,84 +409,134 @@ def test_render_of_mpf_valued_spec_under_spawn(monkeypatch):
     assert all(pickle.loads(pickle.dumps(args)) == args for args in initargs)
 
 
+def _scale(P):
+    """The lanes' scale of a render at the default guard: F = P + GUARD_BITS (177 at 34 digits)."""
+    return basins._Scale(P + GUARD_BITS)
+
+
+def _lanes(g, pairs):
+    return basins._Lanes([r for r, _ in pairs], [i for _, i in pairs], g)
+
+
+def _pairs(lanes):
+    return list(zip(lanes.re, lanes.im))
+
+
+def _fixed(v, F):
+    """floor(v * 2**F) for an mpf v, exactly."""
+    return int(v.context.floor(v.context.ldexp(v, F)))
+
+
 def test_fixed_precision_complex_arithmetic_against_mpmath():
+    # every lane op is off by a few units of 2**-F absolutely; for results of
+    # magnitude 2**(P - F) or more that is within 8 units of 2**-P of themselves,
+    # and a sum or difference is exact
     p = Precision(34)
     ref = Precision(80).ctx
     P = p.ctx.prec
+    g = _scale(P)
+    F = g.F
     rng = random.Random(7)
+    floor = ref.ldexp(1, P - F)
 
     def value(t):
-        return ref.mpc(ref.ldexp(t[0], t[2]), ref.ldexp(t[1], t[2]))
+        return ref.mpc(ref.ldexp(t[0], -F), ref.ldexp(t[1], -F))
 
     def rand():
         scale = p.ctx.ldexp(1, rng.randint(-100, 100))
-        return basins._from_mp(p.ctx.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale, P)
+        z = p.ctx.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
+        return _fixed(z.real, F), _fixed(z.imag, F)
 
-    for _ in range(300):
-        x, y = rand(), rand()
-        big = max(abs(value(x)), abs(value(y)))
-        # a product or quotient is good to a few units of 2**-P of itself; a sum
-        # may also drop an addend that lies wholly below the larger one's last bit
-        for got, want, slack in ((basins._cmul(x, y, P), value(x) * value(y), 0),
-                                 (basins._cdiv(x, y, P), value(x) / value(y), 0),
-                                 (basins._cadd(x, y, P), value(x) + value(y), big),
-                                 (basins._csub(x, y, P), value(x) - value(y), big)):
-            assert abs(value(got) - want) <= ref.ldexp(abs(want), 3 - P) + ref.ldexp(slack, -P)
-    assert basins._from_mp(p.nan, P) is None and basins._from_mp(p.inf, P) is None
-    assert basins._from_mp(p.cplx(0, 0), P) == basins._CZERO
+    draws = [(rand(), rand()) for _ in range(300)]
+    x, y = (_lanes(g, side) for side in zip(*draws))
+    for got, op in ((x * y, operator.mul), (x / y, operator.truediv),
+                    (x + y, operator.add), (x - y, operator.sub)):
+        for a, b, r in zip(_pairs(x), _pairs(y), _pairs(got)):
+            want = op(value(a), value(b))
+            slack = 0 if op in (operator.add, operator.sub) else ref.ldexp(max(abs(want), floor), 3 - P)
+            assert abs(value(r) - want) <= slack
+    assert not g.dead
+    const = basins._lanes_lowering(p.ctx, g)["const"]
+    assert const(p.nan) is None and const(p.inf) is None and const(p.cplx(0, 0)) == (0, 0)
+    assert const(p.ctx.ldexp(1, g.bits)) is None and const(p.ctx.ldexp(1, g.bits - 1)) is not None
     tol = p.real("1e-8")
-    _, man, exp, _ = tol._mpf_
-    assert basins._abs_le(basins._from_mp(tol, P), man, exp)
-    assert basins._abs_le(basins._from_mp(p.cplx(0, tol), P), man, exp)
-    assert not basins._abs_le(basins._from_mp(tol * (1 + p.eps), P), man, exp)
+    T = _fixed(tol, F)
+    assert p.ctx.ldexp(tol, F) == T         # the tolerance is an exact integer at scale F
+    y = _lanes(g, [(T, 0), (0, T), (-T, 0), (T + 1, 0), (T, 1)])
+    assert basins._within(y, T * T) == [True, True, True, False, False]
 
 
-def test_triple_ops_give_the_bits_of_their_cnorm_form():
-    # each op normalizes in its own body; the result must be _cnorm of the exact
-    # integer result, zero included, as when each op ended in a _cnorm call
+def test_lane_ops_give_the_bits_of_their_scalar_form():
+    # each op over a group gives in every lane the floor of the exact result at
+    # scale F, zero included, whatever its neighbours hold; operands stay as they were
     P = Precision(34).ctx.prec
+    g = _scale(P)
+    F = g.F
     rng = random.Random(5)
 
     def rand():
         re, im = rng.getrandbits(P) - (1 << P - 1), rng.getrandbits(P) - (1 << P - 1)
-        return basins._cnorm(*rng.choice(((re, im), (re, 0), (0, im))), rng.randint(-60, 60), P)
+        re, im = rng.choice(((re, im), (re, 0), (0, im)))
+        e = rng.randint(-60, 60) + F
+        return re << e, im << e
 
-    def aligned(a, b, sign):
-        (ar, ai, ae), (br, bi, be) = a, b
-        m = min(ae, be)
-        return basins._cnorm((ar << ae - m) + sign * (br << be - m),
-                             (ai << ae - m) + sign * (bi << be - m), m, P)
-
+    xs, ys = [], []
     for _ in range(500):
         a, b = rand(), rand()
-        near = (b[0] + rng.randint(-2, 2), b[1] + rng.randint(-2, 2), b[2])  # cancels in b - near
-        for x, y in ((a, b), (b, near), (a, basins._CZERO), (basins._CZERO, a), (a, a)):
-            (xr, xi, xe), (yr, yi, ye) = x, y
-            if abs(xe - ye) <= P + 1 or not (xr or xi) or not (yr or yi):
-                assert basins._cadd(x, y, P) == aligned(x, y, 1)
-                assert basins._csub(x, y, P) == aligned(x, y, -1)
-            assert basins._cmul(x, y, P) == basins._cnorm(xr * yr - xi * yi, xr * yi + xi * yr,
-                                                          xe + ye, P)
-            if yr or yi:
-                k = P + 2
-                den = yr * yr + yi * yi
-                assert basins._cdiv(x, y, P) == basins._cnorm(
-                    ((xr * yr + xi * yi) << k) // den, ((xi * yr - xr * yi) << k) // den,
-                    xe - ye - k, P)
-    assert basins._csub(a, a, P) == basins._CZERO
+        near = (b[0] + rng.randint(-2, 2), b[1] + rng.randint(-2, 2))    # cancels in b - near
+        for x, y in ((a, b), (b, near), (a, (0, 0)), ((0, 0), a), (a, a)):
+            xs.append(x)
+            ys.append(y)
+    x, y = _lanes(g, xs), _lanes(g, ys)
+    before = (list(x.re), list(x.im), list(y.re), list(y.im))
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1]) >> F, (a[0] * b[1] + a[1] * b[0]) >> F
+
+    def div(a, b):
+        den = b[0] * b[0] + b[1] * b[1]
+        return (((a[0] * b[0] + a[1] * b[1]) << F) // den, ((a[1] * b[0] - a[0] * b[1]) << F) // den)
+
+    assert _pairs(x + y) == [(a[0] + b[0], a[1] + b[1]) for a, b in zip(xs, ys)]
+    assert _pairs(x - y) == [(a[0] - b[0], a[1] - b[1]) for a, b in zip(xs, ys)]
+    assert _pairs(x * y) == [mul(a, b) for a, b in zip(xs, ys)]
+    assert _pairs(-x) == [(-a[0], -a[1]) for a in xs]
+    assert not g.dead
+    q = _pairs(x / y)
+    zero = {k for k, b in enumerate(ys) if b == (0, 0)}
+    assert g.dead == zero and zero
+    assert [q[k] for k in range(len(ys)) if k not in zero] == \
+        [div(a, b) for a, b in zip(xs, ys) if b != (0, 0)]
+    g.dead.clear()
+    # ints and pairs (folded constants) on either side, as ici_blend and the tape use them
+    c = ys[0]
+    one, two = (1 << F, 0), (2 << F, 0)
+    assert _pairs(1 + x) == _pairs(x + 1) == [(a[0] + one[0], a[1]) for a in xs]
+    assert _pairs(x - 1) == [(a[0] - one[0], a[1]) for a in xs]
+    assert _pairs(c - x) == [(c[0] - a[0], c[1] - a[1]) for a in xs]
+    assert _pairs(2 * x) == _pairs(x * two) == [(2 * a[0], 2 * a[1]) for a in xs]
+    assert _pairs(c * x) == _pairs(x * c) == [mul(a, c) for a in xs]
+    assert _pairs(x / c) == [div(a, c) for a in xs]
+    assert _pairs(c / y) == [div(c, b) if b != (0, 0) else (0, 0) for b in ys]
+    assert (x.re, x.im, y.re, y.im) == before
+    assert _pairs(x - x) == [(0, 0)] * len(xs)
 
 
-def test_blended_step_on_triples_against_the_kernel():
+def test_blended_step_on_lanes_against_the_kernel():
+    # the step is kernel.ici_blend itself, run on lanes; held to ici_step at 120 digits
     p = Precision(34)
     ref = Precision(120).ctx
     P = p.ctx.prec
+    g = _scale(P)
+    F = g.F
     rng = random.Random(11)
+    floor = ref.ldexp(1, P - F)
 
     def value(t):
-        return ref.mpc(ref.ldexp(t[0], t[2]), ref.ldexp(t[1], t[2]))
+        return ref.mpc(ref.ldexp(t[0], -F), ref.ldexp(t[1], -F))
 
-    def triple(v):
-        return basins._from_mp(p.ctx.mpc(v.real, v.imag), P)
+    def pair(v):
+        return _fixed(p.ctx.mpf(v.real), F), _fixed(p.ctx.mpf(v.imag), F)
 
     def unit(real, lo=0.0, hi=1.0):
         while True:
@@ -492,50 +547,88 @@ def test_blended_step_on_triples_against_the_kernel():
     def scale():
         return ref.ldexp(1, rng.randint(-100, 100))
 
-    def step(samples):
-        (zp, yp, np_), (zc, yc, nc) = samples
-        zn = basins._ici_triple(zp, yp, np_, zc, yc, nc, P)
-        zp, yp, np_, zc, yc, nc = map(value, (zp, yp, np_, zc, yc, nc))
-        want = ici_step(PointSample(zp, yp, yp / np_), PointSample(zc, yc, yc / nc))
-        return value(zn), want, (zp, yp, np_, zc, yc, nc)
+    def big(*factors):
+        """The product of the factors' moduli, each and the product at least 2**(P - F)."""
+        m = ref.mpf(1)
+        for f in factors:
+            m *= max(abs(f), floor)
+        return max(m, floor)
 
+    unrelated, cubic = [], []
     for k in range(400):
         real = k % 2 == 0
-        # unrelated samples: the update form rounds each of its terms, so its error
-        # is a few units of 2**-P of the sum of their moduli
-        got, want, (zp, yp, np_, zc, yc, nc) = step(
-            [[triple(unit(real) * scale()) for _ in range(3)] for _ in range(2)])
-        u, v = yp / (yp - yc), yc / (yp - yc)
-        terms = (abs(zc) + abs(u) ** 2 * abs(nc)
-                 + abs(v) ** 2 * (abs(np_) + (1 + 2 * abs(u)) * abs(zc - zp)))
-        assert abs(got - want) <= ref.ldexp(terms, 5 - P)
+        unrelated.append([[pair(unit(real) * scale()) for _ in range(3)] for _ in range(2)])
         # samples of an inverse cubic x(y) = r + R t (a1 + a2 t + a3 t^2), t = y / Y,
-        # with |y_cur| < |y_prev| / 2: the step is exact in exact arithmetic and
-        # lands within a few units of 2**-P of |zn| on triples
+        # with |y_cur| < |y_prev| / 2: the step is exact in exact arithmetic
         R, Y = scale(), scale()
         r = R * unit(real, 0.5, 1)
         a1, a2, a3 = unit(real, 0.5, 1), unit(real), unit(real)
         tp = unit(real, 0.05, 0.5)
-        samples = [[triple(r + R * t * (a1 + t * (a2 + t * a3))), triple(t * Y),
-                    triple(R * t * (a1 + t * (2 * a2 + t * 3 * a3)))]     # y / f'(x) = y x'(y)
-                   for t in (tp, tp * unit(real, 0.01, 0.5))]
-        got, want, _ = step(samples)
-        assert abs(got - want) <= ref.ldexp(abs(want), 3 - P)
-        assert abs(want - r) <= ref.ldexp(abs(r), 5 - P)
-    one = basins._cnorm(1, 0, 0, P)
-    assert basins._ici_triple(one, one, one, one, one, one, P) is None    # equal residuals
+        cubic.append((r, [[pair(r + R * t * (a1 + t * (a2 + t * a3))), pair(t * Y),
+                           pair(R * t * (a1 + t * (2 * a2 + t * 3 * a3)))]     # y / f'(x) = y x'(y)
+                          for t in (tp, tp * unit(real, 0.01, 0.5))]))
+
+    def steps(samples):
+        # one group: lane k holds samples[k]
+        (zp, yp, np_), (zc, yc, nc) = ([_lanes(g, [s[i][c] for s in samples]) for c in range(3)]
+                                       for i in range(2))
+        zn = ici_blend(zp, yp, np_, zc, yc, nc)
+        assert not g.dead
+        for s, got in zip(samples, _pairs(zn)):
+            (zp, yp, np_), (zc, yc, nc) = ([value(t) for t in side] for side in s)
+            want = ici_step(PointSample(zp, yp, yp / np_), PointSample(zc, yc, yc / nc))
+            yield value(got), want, (zp, yp, np_, zc, yc, nc)
+
+    for got, want, (zp, yp, np_, zc, yc, nc) in steps(unrelated):
+        # unrelated samples: each op is off by a few units of 2**-F, which each
+        # product carries; the scale is the sum of the terms' moduli, every factor
+        # and product of it at least 2**(P - F), within today's bound for larger ones
+        u = yp / (yp - yc)
+        v = u - 1
+        terms = (big(zc) + big(big(u, u), nc)
+                 + big(big(v, v), big(np_) + big(1 + 2 * u, zc - zp)))
+        assert abs(got - want) <= ref.ldexp(terms, 5 - P)
+    for (got, want, (_, yp, np_, _, yc, nc)), (r, _) in zip(steps([s for _, s in cubic]), cubic):
+        assert abs(got - want) <= ref.ldexp(max(abs(want), floor), 3 - P)
+        # the samples are off by 2**-F, which moves the step by |x'(y)| = |n / y| times that
+        assert abs(want - r) <= ref.ldexp(max(abs(r), floor * (1 + abs(np_ / yp) + abs(nc / yc))), 5 - P)
+    one = _lanes(g, [(1 << F, 0)])
+    ici_blend(one, one, one, one, one, one)
+    assert g.dead == {0}                                    # equal residuals
 
 
-def test_exponent_first_cap_test_decides_as_cmag_at_its_edge():
+def test_exponent_first_cap_test_decides_as_cmag_at_its_edge(monkeypatch):
+    # the cap test rules a group out from the extremes of its parts; a lane
+    # near the edge is decided as ctx.mag bounds its value: mag > cap kills it
     P = Precision(34).ctx.prec
+    ctx = Precision(34).ctx
     top = (1 << P) - 1
     for cap in (7, 1024):
+        monkeypatch.setattr(basins, "OVERFLOW_BITS", cap)
+        g = _scale(P)
+        F = g.F
+        c = 1 << cap + F - 1
+        values = [(0, 0), (c - 1, 0), (c, 0), (2 * c - 1, 0), (2 * c, 0), (c - 1, 1), (c, 1),
+                  (-c, -1), (1, -c), (-(2 * c - 1), 2 * c - 1), (0, -(2 * c))]
         for e in (cap - P - 2, cap - P - 1, cap - P):
-            for a in ((top, 0, e), (0, -top, e), (1 << P - 1, 0, e), (top, 1, e),
-                      (-top, top, e), (1, 1 << P - 1, e)):
-                assert basins._past_cap(a, cap, P) == (basins._cmag(a) > cap)
-        assert not basins._past_cap(basins._CZERO, cap, P)
-    assert basins._past_cap((top, 1, 7 - P), 7, P) and not basins._past_cap((top, 0, 7 - P), 7, P)
+            values += [(m0 << e + F, m1 << e + F) for m0, m1 in
+                       ((top, 0), (0, -top), (1 << P - 1, 0), (top, 1), (-top, top), (1, 1 << P - 1))]
+        want = {k for k, (r, i) in enumerate(values)
+                if ctx.mag(ctx.make_mpc((from_man_exp(r, -F), from_man_exp(i, -F)))) > cap}
+        g.over_cap(_lanes(g, values))
+        assert g.dead == want and 0 < len(want) < len(values)
+        for k, v in enumerate(values):             # alone, where the first test can decide
+            g.dead.clear()
+            g.over_cap(_lanes(g, [v]))
+            assert bool(g.dead) == (k in want), (cap, v)
+
+
+def _mag_cap(self, z):
+    """The cap test by mpmath's mag of each lane's exact value."""
+    ctx = Precision(34).ctx
+    for k, (r, i) in enumerate(zip(z.re, z.im)):
+        if ctx.mag(ctx.make_mpc((from_man_exp(r, -self.F), from_man_exp(i, -self.F)))) > basins.OVERFLOW_BITS:
+            self.dead.add(k)
 
 
 def test_low_overflow_cap_matches_the_cmag_test_over_grids(monkeypatch):
@@ -567,8 +660,143 @@ def test_low_overflow_cap_matches_the_cmag_test_over_grids(monkeypatch):
                     assert raster.nan_mask[j][i] and raster.iterations[j][i] == 1
         fired.append((step, fprime))
         with monkeypatch.context() as m:
-            m.setattr(basins, "_past_cap", lambda a, cap, P: basins._cmag(a) > cap)
+            m.setattr(basins._Scale, "over_cap", _mag_cap)
             want = render(spec)
         assert raster.nan_mask == want.nan_mask and raster.iterations == want.iterations
         assert raster.converged == want.converged and raster.phase == want.phase
     assert fired[0][0] > 0 and fired[1][1] > 0
+
+
+def _lane_fd(spec, F):
+    """f and f' of the spec's tape on one lane, as pairs; DeadPixel where the lane dies."""
+    g = basins._Scale(F)
+    jet = lower(compile_tape(spec.ftext), basins._lanes_lowering(spec.precision.ctx, g))
+
+    def fd(z):
+        g.dead.clear()
+        out = [v if type(v) is tuple else (v.re[0], v.im[0]) for v in jet(_lanes(g, [z]))]
+        if g.dead:
+            raise DeadPixel
+        return out
+    return fd
+
+
+def test_render_equals_the_one_pixel_fixed_point_loop(monkeypatch):
+    # the lanes of a group, however wide, each iterate as oracles.FixedPairs
+    # iterates one pixel: same limits, iterations, flags and phases, bit for bit
+    # a cap of 2**2 with tol 1000 on z^8-1: the first step from |z| ~ 0.7 lands
+    # where |f| <= tol but f' is past the cap, and NaN wins
+    low_cap = _cube_spec(ftext="z^8-1", re_range=("0.55", "0.85"), im_range=("-0.15", "0.15"),
+                         width=6, height=6, tol="1000")
+    for spec in (_cube_spec(width=12, height=12), _kepler_spec(width=12, height=12), low_cap):
+        monkeypatch.setattr(basins, "OVERFLOW_BITS", 2 if spec is low_cap else 1024)
+        p = spec.precision
+        ctx = p.ctx
+        F = basins._scale_bits(spec)
+        fp = FixedPairs(F, basins.OVERFLOW_BITS + basins.HOLD_BITS)
+        if spec.ftext == "z^3-1":       # written out, independently of the tape
+            def fd(z):
+                z2 = fp.mul(z, z)
+                return fp.sub(fp.mul(z2, z), fp.one), fp.mul((3 << F, 0), z2)
+        else:
+            fd = _lane_fd(spec, F)
+        tol = p.real(spec.tol)
+        tol2 = _fixed(tol, F) ** 2
+        res, ims = spec.grid()
+        want = [[fp.pixel(fd, (_fixed(re, F), _fixed(im, F)), tol2, spec.max_iter, basins.OVERFLOW_BITS)
+                 for re in res] for im in ims]
+        assert any(w[3] for row in want for w in row) == (spec.ftext != "z^3-1")
+        if spec is low_cap:
+            assert sum(w[1] == 1 and w[3] for row in want for w in row) > 0
+        for lanes in (1, 7, spec.width * spec.height):
+            monkeypatch.setattr(basins, "GROUP_LANES", lanes)
+            raster = render(spec)
+            for j, row in enumerate(want):
+                for i, (z, it, conv, nan) in enumerate(row):
+                    where = (spec.ftext, lanes, i, j)
+                    assert (raster.iterations[j][i], raster.converged[j][i],
+                            raster.nan_mask[j][i]) == (it, conv, nan), where
+                    if nan:
+                        assert raster.final[j][i] is None and raster.phase[j][i] is None
+                        continue
+                    final = (from_man_exp(z[0], -F), from_man_exp(z[1], -F))
+                    assert raster.final[j][i]._mpc_ == final, where
+                    assert raster.phase[j][i] == float(ctx.arg(ctx.make_mpc(final))), where
+
+
+# ---------------------------------------------------------------------------
+# degenerate inputs end in a defined state, in bounded time
+
+def _timed_render(spec, seconds):
+    t0 = time.perf_counter()
+    raster = render(spec)
+    assert time.perf_counter() - t0 < seconds, spec.ftext
+    return raster
+
+
+def _agrees_with_the_solver(spec, raster):
+    cfg = SolveConfig(precision=spec.precision, tol=spec.tol, max_iter=spec.max_iter)
+    res, ims = spec.grid()
+    for j, im in enumerate(ims):
+        for i, re in enumerate(res):
+            if raster.nan_mask[j][i]:
+                continue
+            trace = solve_expr(spec.ftext, spec.precision.ctx.mpc(re, im), cfg)
+            assert trace.converged == raster.converged[j][i], (i, j)
+            assert len(trace) - 1 == raster.iterations[j][i], (i, j)
+
+
+def test_a_window_1e_60_wide_and_a_tol_of_1e_100_iterate_as_the_solver():
+    # F grows with -log2 of the pixel spacing and of tol: the seeds of a window
+    # 1e-60 wide stay distinct, and |f| <= 1e-100 is an exact test at scale F
+    spec = BasinSpec("exp(1e60*z) - 2", re_range=("0", "1e-60"), im_range=("-5e-61", "5e-61"),
+                     width=6, height=6)
+    F = basins._scale_bits(spec)
+    res, ims = spec.grid()
+    assert F >= spec.precision.ctx.prec + 199
+    assert len({_fixed(v, F) for v in res}) == len({_fixed(v, F) for v in ims}) == 6
+    raster = _timed_render(spec, 5)
+    assert raster.counts() == (36, 0)
+    assert len({z for row in raster.final for z in row}) == 36      # each pixel its own limit
+    _agrees_with_the_solver(spec, raster)
+    # at 120 digits, where the solver's own rounding lets it reach 1e-100
+    spec = _cube_spec(width=12, height=12, tol="1e-100", precision=Precision(120))
+    raster = _timed_render(spec, 5)
+    assert raster.counts()[0] > 100
+    _agrees_with_the_solver(spec, raster)
+
+
+def test_huge_powers_and_nested_squarings_end_as_nan_pixels_in_time():
+    # a value no pair may hold kills its lane at the product that makes it
+    nested = "z"
+    for _ in range(20):
+        nested = f"({nested})^2"
+    edge = "5.9e270"                    # |z| up to 2**900 at the corners
+    for spec in (_cube_spec(ftext="z^65535-1", re_range=("-" + edge, edge), im_range=("-" + edge, edge),
+                            width=6, height=6),
+                 _cube_spec(ftext=nested + " - 1", width=6, height=6)):
+        raster = _timed_render(spec, 5)
+        assert raster.counts() == (0, 36), spec.ftext
+
+
+def test_exp_of_exp_and_sin_past_2_to_the_10_give_nan_pixels():
+    # past 2**10 exp and sin go to mpmath, whose values here no pair may hold
+    for ftext, re_range, im_range in (("exp(exp(z)) - 1", ("1024", "1025"), ("-1", "1")),
+                                      ("sin(z)", ("-1", "1"), ("1024", "1025"))):
+        raster = _timed_render(_cube_spec(ftext=ftext, re_range=re_range, im_range=im_range,
+                                          width=4, height=4), 5)
+        assert raster.counts() == (0, 16) and raster.iterations == [[0] * 4] * 4, ftext
+
+
+def test_a_derivative_below_the_scale_renders_a_defined_raster():
+    # f' = 3e-50 z^2 lies below 2**(P - F), where lanes keep fewer than P bits:
+    # the limits need not match the solver's, but every pixel ends defined
+    spec = _cube_spec(ftext="1e-50*(z^3-1)", width=8, height=8)
+    raster = _timed_render(spec, 5)
+    for j in range(spec.height):
+        for i in range(spec.width):
+            if raster.nan_mask[j][i]:
+                assert raster.final[j][i] is None and raster.phase[j][i] is None
+            else:
+                assert spec.precision.ctx.isfinite(raster.final[j][i])
+                assert -math.pi <= raster.phase[j][i] <= math.pi

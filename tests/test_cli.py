@@ -715,6 +715,12 @@ def test_import_loads_neither_the_renderer_its_pool_nor_the_report():
             "                      'fractions', 'decimal')\n"
             "          if m in sys.modules]\n"
             "assert loaded == [], loaded\n"
+            # the parser takes the grid defaults from BasinSpec only when a grid command runs
+            "import contextlib, io\n"
+            "iciroot.cli._build_parser()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert iciroot.cli.main(['solve', '--preset', 'newton-classic']) == 0\n"
+            "assert 'iciroot.basins' not in sys.modules\n"
             "import iciroot.solve\n"
             "assert isinstance(iciroot.solve, types.FunctionType), iciroot.solve\n"
             "from iciroot import basins, diagnostics\n"

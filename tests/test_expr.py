@@ -3,12 +3,13 @@ import random
 
 import pytest
 from hypothesis import given
+from mpmath.libmp import from_man_exp
 
 from iciroot import basins
-from iciroot.expr import (Bin, Call, ExprSyntaxError, Num, UnknownIdentifierError,
+from iciroot.expr import (Bin, Call, ExprSyntaxError, Neg, Num, UnknownIdentifierError,
                           Var, build_tape, compile_fn, compile_pair, compile_tape, differentiate,
                           evaluate, free_variables, lower, mp_lowering, parse, render)
-from iciroot.mpscalar import Precision, is_nan
+from iciroot.mpscalar import GUARD_BITS, Precision, is_nan
 from iciroot.solve import SolveConfig, solve_expr
 
 from oracles import central_diff, make_ctx, reference_fn, rounding_error_scale
@@ -259,12 +260,17 @@ def test_every_zero_literal_folds_as_zero(text):
 # last bit of max(1, |reference|).  NaN must sit in exactly the same components.
 JET_ULPS = 4
 
-# The triple lowering rounds every op its own way, so it is held to the walk
-# at 80 digits instead: within TRIPLE_ULPS * 2**-P * m, m the first-order
-# rounding-error scale of oracles.rounding_error_scale (P = 145 bits at 34
-# digits).  A component is NaN or infinite (no triple) exactly where the
-# walk at the working precision gives a NaN or an infinity.
-TRIPLE_ULPS = 8
+# The lanes lowering holds values at one binary scale 2**-F (F = P + 32 here),
+# so it is held to the walk at 80 digits instead: within LANE_ULPS * 2**-P * m,
+# m the first-order rounding-error scale of oracles.rounding_error_scale with
+# every node's own term at least 2**(P - F), for an error per node of a few
+# units of 2**-F (P = 145 bits at 34 digits).  A lane dies where a value the
+# tape holds is a NaN or an infinity or has a part of
+# 2**(OVERFLOW_BITS + HOLD_BITS) or more (:func:`_lane_holds`: the walk at 80
+# digits of each subtree of f and f' that reads the variable, and of each
+# largest constant subtree, which the tape folds).  Elsewhere it lives
+# wherever that scale gives a first-order bound.
+LANE_ULPS = 8
 
 # zeros, poles and branch cuts of the generated trees sit at these points.
 # They stay within |x| <= 1: from larger points the nested exp/cos of the
@@ -309,37 +315,60 @@ def mp_jet(tree, var, p, complex_mode=False):
     return lower(build_tape(tree, var), mp_lowering(p.ctx, complex_mode))
 
 
-def triple_jet(tree, p):
-    """The tape of tree (complex mode) under the triple lowering."""
-    return lower(build_tape(tree, _var(tree)), basins._triple_lowering(p.ctx, p.ctx.prec))
+def _lane_holds(tree, var, ctx, x, bits):
+    """Whether every value of ``tree`` that a lane holds at x is finite with parts below 2**bits."""
+    def holds(node):
+        v = reference_fn(node, var, ctx, complex_mode=True)(x)
+        if not ctx.isfinite(v) or max(abs(ctx.re(v)), abs(ctx.im(v))) >= ctx.ldexp(1, bits):
+            return False
+        if var not in free_variables(node):     # a constant folds whole
+            return True
+        kids = ((node.left, node.right) if isinstance(node, Bin) else (node.arg,)
+                if isinstance(node, Call) else (node.child,) if isinstance(node, Neg) else ())
+        return all(map(holds, kids))
+    return holds(tree)
 
 
-def assert_triples_match_reference(tree, points, p, jet=None):
-    """The triple lowering (or ``jet``) at each complex point against the walk."""
+def assert_lanes_match_reference(tree, points, p, tape=None, lowering=basins._lanes_lowering):
+    """The lanes lowering (or ``lowering``) of tree's tape (or ``tape``) over one group of points, against the walk."""
     ctx, P = p.ctx, p.ctx.prec
     var = _var(tree)
     trees = (tree, differentiate(tree, var))
     walks = [reference_fn(t, var, ctx, complex_mode=True) for t in trees]
-    jet = jet or triple_jet(tree, p)
+    g = basins._Scale(P + GUARD_BITS)
+    F = g.F
+    jet = lower(tape or build_tape(tree, var), lowering(ctx, g))
+    zs = [(int(ctx.floor(ctx.ldexp(z.real, F))), int(ctx.floor(ctx.ldexp(z.imag, F))))
+          for z in map(ctx.mpc, points)]
+    g.dead.clear()
+    outputs = jet(basins._Lanes([r for r, _ in zs], [i for _, i in zs], g))
     ref = make_ctx(80)
     unit = ref.mpf(2) ** -P
-    for point in points:
-        z = basins._from_mp(point, P)
-        x = basins._to_mpc(ctx, z)          # the value z stands for, exactly
-        for got, t, walk in zip(jet(z), trees, walks):
-            where = (render(tree), render(t), str(x), str(got))
-            missing = not ctx.isfinite(walk(x))
-            assert (type(got) is not tuple) == missing, where
-            if missing:
-                continue
-            x_ref = ref.make_mpc(x._mpc_)
+    floor = ref.mpf(2) ** (P - F)
+
+    def exact(r, i):
+        return ctx.make_mpc((from_man_exp(r, -F), from_man_exp(i, -F)))
+
+    for k, z in enumerate(zs):
+        x = exact(*z)                        # the value lane k stands for
+        x_ref = ref.make_mpc(x._mpc_)
+        got = [v if type(v) is tuple else (v.re[k], v.im[k]) if type(v) is basins._Lanes else None
+               for v in outputs]
+        dead = k in g.dead or None in got
+        where = (render(tree), str(x), str([walk(x) for walk in walks]))
+        if not all(_lane_holds(t, var, ref, x_ref, g.bits) for t in trees):
+            assert dead, where
+            continue
+        scales = [rounding_error_scale(t, var, ref, x_ref, unit, floor) for t in trees]
+        if None in scales:
+            # beyond first order a value below 2**(P - F) carries too few bits:
+            # the lane may die (a constant 1e-50 is 0 at scale F), and has no bound
+            continue
+        assert not dead, where
+        for pair, t, scale in zip(got, trees, scales):
             value = reference_fn(t, var, ref, complex_mode=True)(x_ref)
-            assert ref.isfinite(value), where
-            scale = rounding_error_scale(t, var, ref, x_ref, unit)
-            if scale is None:       # beyond first order: the value has no bound
-                continue
-            err = abs(ref.make_mpc(basins._to_mpc(ctx, got)._mpc_) - value)
-            assert err <= TRIPLE_ULPS * unit * scale, where + (str(err / (unit * scale)),)
+            err = abs(ref.make_mpc(exact(*pair)._mpc_) - value)
+            assert err <= LANE_ULPS * unit * scale, where + (render(t), str(err / (unit * scale)))
 
 
 @pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
@@ -350,7 +379,7 @@ def test_jet_matches_reference_on_random_trees(complex_mode):
         tree = _random_tree(rng, rng.randint(1, 6))
         assert_jet_matches_reference(tree, _points(p, complex_mode), p, complex_mode)
         if complex_mode:
-            assert_triples_match_reference(tree, _points(p, complex_mode), p)
+            assert_lanes_match_reference(tree, _points(p, complex_mode), p)
 
 
 @SETTINGS
@@ -359,7 +388,7 @@ def test_jet_matches_reference_on_generated_trees(tree):
     p = Precision(30)
     for complex_mode in (False, True):
         assert_jet_matches_reference(tree, _points(p, complex_mode), p, complex_mode)
-    assert_triples_match_reference(tree, _points(p, True), p)
+    assert_lanes_match_reference(tree, _points(p, True), p)
 
 
 @pytest.mark.parametrize("text, x, want_f_nan, want_d_nan", [
@@ -390,7 +419,7 @@ def test_jet_division_by_zero_makes_the_whole_complex_component_nan():
     p = Precision(30)
     tree = parse("(1/x)^(x-x)")
     assert_jet_matches_reference(tree, [p.cplx(0)], p, complex_mode=True)
-    assert_triples_match_reference(tree, [p.cplx(0)], p)
+    assert_lanes_match_reference(tree, [p.cplx(0)], p)
     f, _ = mp_jet(tree, "x", p, complex_mode=True)(p.cplx(0))
     assert is_nan(f)
 
@@ -401,7 +430,7 @@ def test_jet_power_of_an_infinite_complex_value_is_mpmaths_power():
     p = Precision(30)
     tree = parse("log(x)^3")
     assert_jet_matches_reference(tree, [p.cplx(0)], p, complex_mode=True)
-    assert_triples_match_reference(tree, [p.cplx(0)], p)
+    assert_lanes_match_reference(tree, [p.cplx(0)], p)
     f, _ = mp_jet(tree, "x", p, complex_mode=True)(p.cplx(0))
     assert f == p.cplx("-inf")
 
@@ -478,18 +507,19 @@ def test_real_integer_powers_are_mpmaths_power():
                         == _power_or_raise(lambda u, v: u ** v, x, b)), (complex_mode, n, x)
 
 
-def test_triple_lowering_falls_back_to_mpmath_per_slot():
-    # exp(log(x)) at 0 is exp(-inf) = 0: the infinite slot stays an mpmath
-    # value and exp of it is mpmath's; sqrt and x^0.5 have no triple form;
-    # exp and cos of arguments past the fixed-point range, and integer powers
-    # past 2**16, go to mpmath; a negative integer power stays on triples and
-    # divides by zero at 0
+def test_lanes_lowering_falls_back_to_mpmath_per_lane():
+    # sqrt and x^0.5 have no lanes form; exp and cos of arguments past the
+    # fixed-point range, and integer powers past 2**16, go to mpmath one lane
+    # at a time; a negative integer power stays on lanes and divides by zero
+    # at 0; exp(log(x)) dies at 0, where log gives -inf, and only there
     p = Precision(34)
     for text in ("exp(log(x))", "sqrt(x) + x^0.5", "exp(x*3000)", "cos(x*3000)", "x^(-2)",
                  "x^100000"):
-        assert_triples_match_reference(parse(text), _points(p, True), p)
-    f, _ = triple_jet(parse("exp(log(x))"), p)(basins._CZERO)
-    assert f == basins._CZERO
+        assert_lanes_match_reference(parse(text), _points(p, True), p)
+    g = basins._Scale(p.ctx.prec + GUARD_BITS)
+    f, _ = lower(compile_tape("exp(log(x))"), basins._lanes_lowering(p.ctx, g))(
+        basins._Lanes([0, 1 << g.F], [0, 0], g))
+    assert g.dead == {0} and f.re[1] == 1 << g.F
 
 
 _A8_WINDOWS = {
@@ -509,7 +539,7 @@ def test_jet_matches_reference_at_every_a8_window_pixel_center():
         spec = _A8_WINDOWS[name]
         tree, p = parse(spec.ftext), spec.precision
         assert_jet_matches_reference(tree, _a8_centers(spec), p, complex_mode=True, ulps=ulps)
-        assert_triples_match_reference(tree, _a8_centers(spec), p)
+        assert_lanes_match_reference(tree, _a8_centers(spec), p)
 
 
 def _swap_cos_sin(lowering):
@@ -521,7 +551,18 @@ def _drop_cones(tape):
     return dataclasses.replace(tape, cones=tuple(frozenset() for _ in tape.cones))
 
 
-@pytest.mark.parametrize("lowering", ["mpmath", "triples"])
+def _forget_dead_lanes(lowering):
+    """Lanes keep their failures in the scale's dead set, their form of cones: each op forgets them."""
+    def mutated(ctx, g):
+        ops = lowering(ctx, g)
+
+        def forgetting(make):
+            return lambda arg: (lambda fn: lambda a, b: (fn(a, b), g.dead.clear())[0])(make(arg))
+        return {op: v if op in ("fold", "const") else forgetting(v) for op, v in ops.items()}
+    return mutated
+
+
+@pytest.mark.parametrize("lowering", ["mpmath", "lanes"])
 @pytest.mark.parametrize("mutation", ["swap_cos_sin", "drop_cones"])
 def test_a_mutated_lowering_fails_its_reference_check(lowering, mutation):
     if mutation == "swap_cos_sin":
@@ -533,16 +574,20 @@ def test_a_mutated_lowering_fails_its_reference_check(lowering, mutation):
     tape = build_tape(tree, _var(tree))
     if lowering == "mpmath":
         ops = mp_lowering(p.ctx, complex_mode=True)
-        check = lambda jet: assert_jet_matches_reference(tree, points, p, True, jet=jet)
+        if mutation == "swap_cos_sin":
+            ops = _swap_cos_sin(ops)
+        else:
+            tape = _drop_cones(tape)
+        with pytest.raises(AssertionError):
+            assert_jet_matches_reference(tree, points, p, True, jet=lower(tape, ops))
     else:
-        ops = basins._triple_lowering(p.ctx, p.ctx.prec)
-        check = lambda jet: assert_triples_match_reference(tree, points, p, jet=jet)
-    if mutation == "swap_cos_sin":
-        ops = _swap_cos_sin(ops)
-    else:
-        tape = _drop_cones(tape)
-    with pytest.raises(AssertionError):
-        check(lower(tape, ops))
+        # a lane's failure never reaches the tape's cones; it is dropped where lanes keep it
+        if mutation == "swap_cos_sin":
+            mutated = lambda ctx, g: _swap_cos_sin(basins._lanes_lowering(ctx, g))
+        else:
+            mutated = _forget_dead_lanes(basins._lanes_lowering)
+        with pytest.raises(AssertionError):
+            assert_lanes_match_reference(tree, points, p, tape, lowering=mutated)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +614,7 @@ def test_one_tape_binds_at_any_precision(complex_mode):
             assert [_raw(v) for v in jet(x)] == [_raw(v) for v in fresh(x)], (digits, x)
     if complex_mode:
         p = Precision(34)
-        assert_triples_match_reference(tree, _points(p, True), p,
-                                       jet=lower(tape, basins._triple_lowering(p.ctx, p.ctx.prec)))
+        assert_lanes_match_reference(tree, _points(p, True), p, tape)
 
 
 def test_constants_fold_at_the_binding_precision():
@@ -613,7 +657,7 @@ def test_a_power_by_a_huge_exponent_is_nan(text, complex_mode):
     tree, points = parse(text), [x for x in _points(p, complex_mode) if x != 0]
     assert_jet_matches_reference(tree, points, p, complex_mode)
     if complex_mode:
-        assert_triples_match_reference(tree, points, p)
+        assert_lanes_match_reference(tree, points, p)
     assert all(is_nan(v) for x in points for v in mp_jet(tree, "x", p, complex_mode)(x))
 
 
