@@ -28,12 +28,13 @@ from __future__ import annotations
 import colorsys
 import csv
 import math
+import time
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, floordiv, lshift, mul, neg, rshift, sub, truediv
 
 from mpmath.libmp import from_man_exp
-from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase, ln2_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase, ln2_fixed, pi_fixed
 
 from .expr import compile_tape, lower, mp_lowering
 from .kernel import ici_blend
@@ -254,9 +255,20 @@ class _Lanes:
         return _Lanes(list(map(neg, self.re)), list(map(neg, self.im)), self.g)
 
     def __mul__(self, b):
-        ar, ai, (br, bi), F = self.re, self.im, self.g.parts(b), repeat(self.g.F)
-        return self.g.held(list(map(rshift, map(sub, map(mul, ar, br), map(mul, ai, bi)), F)),
-                           list(map(rshift, map(add, map(mul, ar, bi), map(mul, ai, br)), F)))
+        # a square, an int and a real constant take fewer products, each with
+        # the bits of the general form by an integer identity
+        ar, ai, g = self.re, self.im, self.g
+        if b is self:           # ar*ar - ai*ai = (ar + ai)(ar - ai), ar*ai + ai*ar = 2*ar*ai
+            return g.held(list(map(rshift, map(mul, map(add, ar, ai), map(sub, ar, ai)), repeat(g.F))),
+                          list(map(rshift, map(mul, ar, ai), repeat(g.F - 1))))
+        if type(b) is int:      # (b << F) >> F
+            return g.held(list(map(mul, ar, repeat(b))), list(map(mul, ai, repeat(b))))
+        if type(b) is tuple and not b[1]:
+            c, F = repeat(b[0]), repeat(g.F)
+            return g.held(list(map(rshift, map(mul, ar, c), F)), list(map(rshift, map(mul, ai, c), F)))
+        (br, bi), F = g.parts(b), repeat(g.F)
+        return g.held(list(map(rshift, map(sub, map(mul, ar, br), map(mul, ai, bi)), F)),
+                      list(map(rshift, map(add, map(mul, ar, bi), map(mul, ai, br)), F)))
 
     __rmul__ = __mul__
 
@@ -292,34 +304,35 @@ def _power(a, n):
 # the integer part.  Past 2**_FIXED_MAG (where exp and cosh of 1024 are
 # already past the overflow cap) the lane goes to mpmath.  e**x is taken as
 # v * 2**(n - wp) with n apart: mpmath's ``exp_fixed`` shifts v by n, which
-# drops the low bits of a small result.
+# drops the low bits of a small result.  wp <= P + 26 < P + GUARD_BITS <= F,
+# so an argument comes down from scale F by a right shift.
 _FIXED_MAG = 10
 _FIXED_GUARD = 16
 
 
-def _exp_lane(r, i, F, wp):
-    """exp(re + i*im) = e**re (cos im + i sin im) of a lane, as its parts at scale F."""
-    n, t = divmod(_shift(r, wp - F), ln2_fixed(wp))
+def _exp_lane(r, i, d, wp, ln2, pi2):
+    """exp(re + i*im) = e**re (cos im + i sin im) of a lane, as its parts at scale F = wp + d."""
+    n, t = divmod(r >> d, ln2)
     v = exp_basecase(t, wp)
     if not i:
-        return _shift(v, n - wp + F), 0
-    c, s = cos_sin_fixed(_shift(i, wp - F), wp)
-    k = n - 2 * wp + F
+        return _shift(v, n + d), 0
+    c, s = cos_sin_fixed(i >> d, wp, pi2)
+    k = n - wp + d
     return _shift(v * c, k), _shift(v * s, k)
 
 
-def _cos_sin_lane(r, i, F, wp):
-    """(cos a, sin a) of a lane as the parts (cos re, cos im, sin re, sin im) at scale F.
+def _cos_sin_lane(r, i, d, wp, ln2, pi2):
+    """(cos a, sin a) of a lane as the parts (cos re, cos im, sin re, sin im) at scale F = wp + d.
 
     With a = x + iy: cos a = cos x cosh y - i sin x sinh y and
     sin a = sin x cosh y + i cos x sinh y.
     """
-    c, s = cos_sin_fixed(_shift(r, wp - F), wp)
+    c, s = cos_sin_fixed(r >> d, wp, pi2)
     if not i:
-        return _shift(c, F - wp), 0, _shift(s, F - wp), 0
+        return c << d, 0, s << d, 0
     # e**y = v * 2**(n - wp) and e**-y = w * 2**(-n - wp), brought to one
     # exponent h: cosh y = (v + w) * 2**h and sinh y = (v - w) * 2**h
-    n, t = divmod(_shift(i, wp - F), ln2_fixed(wp))
+    n, t = divmod(i >> d, ln2)
     v = exp_basecase(t, wp)
     w = (1 << 2 * wp) // v
     if n >= 0:
@@ -329,7 +342,7 @@ def _cos_sin_lane(r, i, F, wp):
         w <<= -2 * n
         h = n - wp - 1
     ch, sh = v + w, v - w
-    k = h - wp + F
+    k = h + d
     return _shift(c * ch, k), _shift(-s * sh, k), _shift(s * ch, k), _shift(c * sh, k)
 
 
@@ -372,31 +385,34 @@ def _lanes_lowering(ctx, g: _Scale):
         return slot
 
     def lanewise(op, kernel=None):
-        """op per lane: ``kernel(re, im, F, wp)`` on its ints below _FIXED_MAG, else mpmath's op."""
+        """op per lane: ``kernel(re, im, F - wp, wp, ln2, pi2)`` below _FIXED_MAG, else mpmath's op."""
         width = 4 if op == "cos_sin" else 2
 
         def make(arg):
             fallback = mp[op](arg)
 
             def slot(a, b):
-                rows = []
+                rows, consts = [], {}       # consts: ln 2 and pi/2 at each working precision
                 for k, (ar, ai, br, bi) in enumerate(zip(*g.parts(a), *g.parts(b))):
                     mag = (abs(ar) | abs(ai)).bit_length() - F
                     try:
                         if kernel and mag <= _FIXED_MAG:
-                            r = kernel(ar, ai, F, P + _FIXED_GUARD + max(mag, 0))
+                            wp = P + _FIXED_GUARD + max(mag, 0)
+                            if wp not in consts:
+                                consts[wp] = ln2_fixed(wp), pi_fixed(wp - 1)
+                            r = kernel(ar, ai, F - wp, wp, *consts[wp])
                         else:
                             r = pair(fallback(value(ar, ai), value(br, bi)))
                     except (ArithmeticError, ValueError):
                         r = None
-                    if r is None or not all(-h < c < h for c in r):
+                    if r is None:
                         dead.add(k)
                         r = (0,) * width
                     rows.append(r)
                 cols = [list(c) for c in zip(*rows)]
                 if width == 2:
-                    return _Lanes(cols[0], cols[1], g)
-                return _Lanes(cols[0], cols[1], g), _Lanes(cols[2], cols[3], g)
+                    return g.held(cols[0], cols[1])
+                return g.held(cols[0], cols[1]), g.held(cols[2], cols[3])
             return slot
         return make
 
@@ -473,17 +489,18 @@ def _lane_iterator(spec: BasinSpec):
         idx = list(range(len(z.re)))        # each lane's seed
 
         def settle(it, lanes, conv=()):
-            """End dead lanes (NaN) and those in conv at iteration it; lanes, kept to the rest."""
+            """End dead lanes (NaN) and those in conv (limits lanes[0]) at iteration it; the rest's lanes."""
             for k in dead.union(conv):
-                out[idx[k]] = (None, it, False, True, None) if k in dead else outcome(zn, k, it, True)
+                out[idx[k]] = (None, it, False, True, None) if k in dead else outcome(lanes[0], k, it, True)
             keep = [k for k in range(len(idx)) if k not in dead and k not in conv]
             idx[:] = [idx[k] for k in keep]
             dead.clear()
             return [v.take(keep) for v in lanes]
 
         dead.clear()
-        zc, yc, dc = settle(0, (z, *sample(z)))
-        zp = yp = np_ = zn = None
+        y, d = sample(z)                    # a seed that meets tol is its own limit
+        zc, yc, dc = settle(0, (z, y, d), {k for k, c in enumerate(_within(y, tol2)) if c})
+        zp = yp = np_ = None
         for it in range(1, max_iter + 1):
             if not idx:
                 break
@@ -491,14 +508,14 @@ def _lane_iterator(spec: BasinSpec):
             zn = zc - nc if zp is None else ici_blend(zp, yp, np_, zc, yc, nc)
             g.over_cap(zn)
             if dead:
-                zc, yc, nc, zn = settle(it, (zc, yc, nc, zn))     # zp, yp, np_ are spent
+                zn, zc, yc, nc = settle(it, (zn, zc, yc, nc))     # zp, yp, np_ are spent
                 if not idx:
                     break
             y, d = sample(zn)
             conv = _within(y, tol2)
             if dead or True in conv:
                 conv = {k for k, c in enumerate(conv) if c}
-                zc, yc, nc, zn, y, d = settle(it, (zc, yc, nc, zn, y, d), conv)
+                zn, zc, yc, nc, y, d = settle(it, (zn, zc, yc, nc, y, d), conv)
             zp, yp, np_ = zc, yc, nc        # Np: the previous point's update
             zc, yc, dc = zn, y, d
         for k, j in enumerate(idx):
@@ -545,8 +562,9 @@ def render(spec: BasinSpec) -> BasinRaster:
 
     The result is a pure function of the spec: identical specs give
     bit-identical rasters, whatever ``spec.workers`` is.  With n = min(workers,
-    height) processes, the rows go out in 2n interleaved shares (rows j with
-    j = k mod 2n), so each share is wide and the shares cost alike.
+    height) >= 2 the rows go out in n interleaved shares (rows j with
+    j = k mod n), so each share is wide and the shares cost alike: this
+    process renders share 0 while n - 1 pool processes render the rest.
     """
     render_rows = _rows_renderer(spec)  # here, so a bad expression raises before any pool starts
     n = min(spec.workers, spec.height)
@@ -555,12 +573,18 @@ def render(spec: BasinSpec) -> BasinRaster:
     else:
         # imported here: the pool stack costs a cold start that serial renders skip
         from concurrent.futures import ProcessPoolExecutor
-        shares = min(2 * n, spec.height)
-        # fork starts every worker up front: no more of them than there are rows
-        with ProcessPoolExecutor(max_workers=n, initializer=_init_worker, initargs=(spec,)) as pool:
-            done = list(pool.map(_render_rows_in_worker,
-                                 [range(k, spec.height, shares) for k in range(shares)]))
-        rows = [done[j % shares][j // shares] for j in range(spec.height)]
+        shares = [range(k, spec.height, n) for k in range(n)]
+        # fork starts every worker up front.  The pool's threads hand the shares
+        # out, each step once it holds the GIL, which this process keeps while
+        # it renders (a worker started 10-35 ms late on a 2-CPU host), so it
+        # sleeps until the shares are out
+        with ProcessPoolExecutor(max_workers=n - 1, initializer=_init_worker, initargs=(spec,)) as pool:
+            rest = [pool.submit(_render_rows_in_worker, rows) for rows in shares[1:]]
+            while not all(f.running() or f.done() for f in rest):
+                time.sleep(5e-4)
+            time.sleep(5e-4)            # a running share is queued; its feeder thread sends it
+            done = [render_rows(shares[0]), *(f.result() for f in rest)]
+        rows = [done[j % n][j // n] for j in range(spec.height)]
     ctx = spec.precision.ctx
     final, iters, conv, nan_mask, phase = [], [], [], [], []
     for row in rows:

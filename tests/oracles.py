@@ -427,7 +427,8 @@ class FixedPairs:
         fd(z) gives (f(z), f'(z)) as pairs, or raises DeadPixel.  A Newton
         step, then the blended step of kernel.ici_blend operation by
         operation (u = yp/(yp - yc), v = u - 1); a value past cap_bits by
-        :meth:`mag` ends the pixel as NaN, and |f|**2 <= tol2 converges it.
+        :meth:`mag` ends the pixel as NaN, and |f|**2 <= tol2 converges it
+        (at iteration 0 for the seed).
         """
         add, sub, mul, div = self.add, self.sub, self.mul, self.div
 
@@ -441,6 +442,8 @@ class FixedPairs:
             yc, dc = sample(z0)
         except DeadPixel:
             return None, 0, False, True
+        if yc[0] * yc[0] + yc[1] * yc[1] <= tol2:
+            return z0, 0, True, False       # a seed that meets tol is its own limit
         zc, zp = z0, None
         for it in range(1, max_iter + 1):
             try:

@@ -79,14 +79,19 @@ def test_pixel_center_convention():
     assert z33.imag == spec.precision.real("-1.5")
 
 
-def test_pixel_exactly_at_a_root_converges_at_iteration_one():
-    # string ranges parse as exact decimals, putting the center exactly at 1+0i
+def test_pixel_exactly_at_a_root_converges_at_iteration_zero():
+    # string ranges parse as exact decimals, putting the center exactly at 1+0i;
+    # its seed meets tol, so it is its own limit, as the solver reports
     spec = _cube_spec(re_range=("0.9", "1.1"), im_range=("-0.1", "0.1"), width=1, height=1)
     assert spec.pixel_center(0, 0) == spec.precision.cplx(1, 0)
     raster = render(spec)
     assert raster.converged[0][0]
-    assert raster.iterations[0][0] == 1
+    assert raster.iterations[0][0] == 0
+    assert raster.final[0][0] == spec.pixel_center(0, 0)
     assert raster.phase[0][0] == 0.0
+    cfg = SolveConfig(precision=spec.precision, tol=spec.tol)
+    trace = solve_expr(spec.ftext, spec.pixel_center(0, 0), cfg)
+    assert trace.converged and len(trace) == 1
     assert not raster.nan_mask[0][0]
 
 
@@ -308,7 +313,8 @@ def test_raster_csv_writes_a_deep_zoom_window_at_the_spec_precision():
 
 def test_render_starts_no_more_workers_than_rows(monkeypatch):
     # fork starts every worker of a pool up front, so 8 workers for 4 rows
-    # would be 4 idle processes; a serial stand-in records the pool size
+    # would be 4 idle processes, and the calling process renders one share
+    # itself; a serial stand-in records the pool size
     sizes = []
 
     class SerialPool:
@@ -322,17 +328,32 @@ def test_render_starts_no_more_workers_than_rows(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            done = concurrent.futures.Future()
+            done.set_result(fn(*args))
+            return done
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(basins, "_worker_render_row", None)
     want = _outcome(render(_cube_spec(width=3, height=4)))
-    for workers, height, size in ((8, 4, 4), (3, 4, 3), (2, 5, 2)):
+    assert sizes == []
+    for workers, height, size in ((8, 4, 3), (3, 4, 2), (2, 5, 1), (8, 1, None)):
         got = render(_cube_spec(width=3, height=height, workers=workers))
-        assert sizes.pop() == size
+        assert (sizes.pop() if sizes else None) == size
         if height == 4:
             assert _outcome(got) == want
+
+
+def test_kepler_grid_writes_the_same_bytes_at_any_worker_count(tmp_path):
+    # the A8 Kepler 12x12 grid, NaN pixels included: PPM and CSV at 1, 2 and 3 workers
+    files = set()
+    for workers in (1, 2, 3):
+        raster = render(_kepler_spec(width=12, height=12, workers=workers))
+        assert raster.counts()[1] > 0
+        write_image(raster, tmp_path / "k.ppm")
+        raster.to_csv(tmp_path / "k.csv")
+        files.add(((tmp_path / "k.ppm").read_bytes(), (tmp_path / "k.csv").read_bytes()))
+    assert len(files) == 1
 
 
 def test_raster_csv_accepts_a_pathlib_path(tmp_path):
@@ -521,6 +542,35 @@ def test_lane_ops_give_the_bits_of_their_scalar_form():
     assert (x.re, x.im, y.re, y.im) == before
     assert _pairs(x - x) == [(0, 0)] * len(xs)
 
+    # the fast paths of mul (a square, an int, a real constant) against the
+    # general four-product form, dead lanes included
+    def held(pairs):
+        h = g.hold
+        dead = {k for k, (r, i) in enumerate(pairs) if not (-h < r < h and -h < i < h)}
+        return [(0, 0) if k in dead else p for k, p in enumerate(pairs)], dead
+
+    def same(got, want):
+        assert (_pairs(got), g.dead) == held(want)
+        g.dead.clear()
+
+    g.dead.clear()                      # c / y killed the lanes of its zero divisors
+    same(x * x, [mul(a, a) for a in xs])
+    same(y * y, [mul(b, b) for b in ys])
+    copy = _lanes(g, xs)
+    assert _pairs(x * copy) == _pairs(x * x)                # the general path on equal lanes
+    g.dead.clear()
+    past = 1 << g.bits                                      # no pair may hold the int itself
+    for n in (0, 1, -1, 2, -2, 3, -3, past):
+        same(x * n, [mul(a, (n << F, 0)) for a in xs])
+        same(n * x, [mul(a, (n << F, 0)) for a in xs])
+        assert _pairs(x * n) == _pairs(x * _lanes(g, [(n << F, 0)] * len(xs)))
+        g.dead.clear()
+    assert past << F == g.hold
+    for c in [(b[0], 0) for b in ys[:50:5]] + [(0, 0), (g.hold - 1, 0), (-g.hold + 1, 0)]:
+        same(x * c, [mul(a, c) for a in xs])
+        same(c * x, [mul(a, c) for a in xs])
+    assert (x.re, x.im) == before[:2]
+
 
 def test_blended_step_on_lanes_against_the_kernel():
     # the step is kernel.ici_blend itself, run on lanes; held to ici_step at 120 digits
@@ -684,12 +734,18 @@ def _lane_fd(spec, F):
 def test_render_equals_the_one_pixel_fixed_point_loop(monkeypatch):
     # the lanes of a group, however wide, each iterate as oracles.FixedPairs
     # iterates one pixel: same limits, iterations, flags and phases, bit for bit
-    # a cap of 2**2 with tol 1000 on z^8-1: the first step from |z| ~ 0.7 lands
-    # where |f| <= tol but f' is past the cap, and NaN wins
+    # a cap of 2**2 with tol 1000 on z^8-1: every seed, |z| ~ 0.7, meets tol,
+    # so each pixel converges at iteration 0 unless f' there is past the cap
     low_cap = _cube_spec(ftext="z^8-1", re_range=("0.55", "0.85"), im_range=("-0.15", "0.15"),
                          width=6, height=6, tol="1000")
-    for spec in (_cube_spec(width=12, height=12), _kepler_spec(width=12, height=12), low_cap):
-        monkeypatch.setattr(basins, "OVERFLOW_BITS", 2 if spec is low_cap else 1024)
+    # a cap of 2**3 with tol 0.5 on sin(10z): the first step from seeds where
+    # |f| ~ 0.97 lands near -pi/10, where |f| <= tol but |f'| ~ 10 is past the
+    # cap, and NaN wins
+    same_sample = _cube_spec(ftext="sin(10*z)", re_range=("0.132", "0.138"),
+                             im_range=("-0.003", "0.003"), width=6, height=6, tol="0.5")
+    caps = {id(low_cap): 2, id(same_sample): 3}
+    for spec in (_cube_spec(width=12, height=12), _kepler_spec(width=12, height=12), low_cap, same_sample):
+        monkeypatch.setattr(basins, "OVERFLOW_BITS", caps.get(id(spec), 1024))
         p = spec.precision
         ctx = p.ctx
         F = basins._scale_bits(spec)
@@ -706,7 +762,9 @@ def test_render_equals_the_one_pixel_fixed_point_loop(monkeypatch):
         want = [[fp.pixel(fd, (_fixed(re, F), _fixed(im, F)), tol2, spec.max_iter, basins.OVERFLOW_BITS)
                  for re in res] for im in ims]
         assert any(w[3] for row in want for w in row) == (spec.ftext != "z^3-1")
-        if spec is low_cap:
+        if spec is low_cap:         # every pixel ends at its seed, converged or (f' past the cap) NaN
+            assert all(w[1] == 0 for row in want for w in row) and any(w[2] for row in want for w in row)
+        if spec is same_sample:
             assert sum(w[1] == 1 and w[3] for row in want for w in row) > 0
         for lanes in (1, 7, spec.width * spec.height):
             monkeypatch.setattr(basins, "GROUP_LANES", lanes)
@@ -764,6 +822,55 @@ def test_a_window_1e_60_wide_and_a_tol_of_1e_100_iterate_as_the_solver():
     raster = _timed_render(spec, 5)
     assert raster.counts()[0] > 100
     _agrees_with_the_solver(spec, raster)
+
+
+def test_a_seed_that_meets_tol_is_its_own_limit():
+    # |f(z0)| <= tol ends a pixel converged at iteration 0, its seed the
+    # limit, as solve_expr reports
+    spec = BasinSpec("z^2 - 1e-122", re_range=("-5e-61", "5e-61"), im_range=("-5e-61", "5e-61"),
+                     width=6, height=6)
+    raster = _timed_render(spec, 5)
+    assert raster.counts() == (36, 0) and raster.iterations == [[0] * 6] * 6
+    _agrees_with_the_solver(spec, raster)
+    ctx, F = spec.precision.ctx, basins._scale_bits(spec)
+    res, ims = spec.grid()
+    assert all(abs(raster.final[j][i] - ctx.mpc(re, im)) <= ctx.ldexp(1, 1 - F)
+               for j, im in enumerate(ims) for i, re in enumerate(res))
+
+
+def test_exp_and_cos_sin_lanes_give_the_bits_of_one_lane_groups():
+    # ln 2 and pi/2 are taken once per working precision and the hold bound
+    # checked once per group: a group of mixed magnitudes, past the kernels'
+    # 2**10 and past the hold bound too, gives each lane what it gets alone
+    assert basins._FIXED_GUARD + basins._FIXED_MAG < GUARD_BITS     # wp < F: one right shift
+    p = Precision(34)
+    g = _scale(p.ctx.prec)
+    F = g.F
+    lowering = basins._lanes_lowering(p.ctx, g)
+    rng = random.Random(11)
+
+    def part(m):
+        return rng.choice((0, int(rng.uniform(-1, 1) * 2 ** 40) << F + m - 40))
+
+    # e**800 and cosh 800 lie past the hold bound, on the kernels' side of 2**10
+    past = {"exp": (800 << F, 0), "cos_sin": (0, 800 << F)}
+    zs = [(part(rng.randint(-30, 12)), part(rng.randint(-30, 12))) for _ in range(300)]
+    for op in ("exp", "cos_sin"):
+        slot = lowering[op](None)
+        x = _lanes(g, zs + [past[op]])
+        group = slot(x, x)
+        group = [_pairs(v) for v in (group if op == "cos_sin" else (group,))]
+        dead = set(g.dead)
+        g.dead.clear()
+        assert len(zs) in dead and len(dead) < len(zs), op
+        assert all(-g.hold < c < g.hold for v in group for p in v for c in p)
+        for k, z in enumerate(zs):
+            one = _lanes(g, [z])
+            alone = slot(one, one)
+            alone = [_pairs(v)[0] for v in (alone if op == "cos_sin" else (alone,))]
+            assert (bool(g.dead), alone) == (k in dead, [v[k] for v in group] if k not in dead
+                                             else [(0, 0)] * len(group)), (op, z)
+            g.dead.clear()
 
 
 def test_huge_powers_and_nested_squarings_end_as_nan_pixels_in_time():
