@@ -19,16 +19,19 @@ diagnostic is derived from these two lists: the ratios, the order-estimate
 admission, the fit index and the prediction from |y_k|; digits -L_k/ln 10,
 order estimates L_{k+1}/L_k, the fitted constant C = exp(L_K * rho**-K) and
 its misfit |L_{K-1} - L_K/rho| / ln 10 from L_k.  At 1000 digits one
-logarithm costs about 0.25 ms by the fixed-point kernel of
-:func:`~iciroot.mpscalar.ln_abs` (1.1-1.9 ms by mpmath's AGM), about a
-third of one solver record, and a complex modulus is a square root at the
-working precision, so :func:`build_report` takes each only once.
+logarithm costs about 0.14 ms by the fixed-point kernel of
+:func:`~iciroot.mpscalar.ln_abs` (1.0 ms by mpmath's AGM), half a solver
+record, and a complex modulus is a square root at the working precision,
+so :func:`build_report` takes each only once, and rho once per precision.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
+
+from mpmath.libmp import fone, from_int, mpf_add, mpf_sqrt, round_nearest
 
 from .mpscalar import context_of, exp_real, is_finite, ln_abs, opened, to_decimal
 from .solve import IterationTrace
@@ -125,6 +128,12 @@ class ConvergenceReport:
     fit_misfit_log10: object
 
 
+@lru_cache(maxsize=None)
+def _rho(prec: int):
+    """1 + sqrt(3) as a raw mpf rounded to ``prec`` bits, the bits of ``1 + ctx.sqrt(3)``."""
+    return mpf_add(fone, mpf_sqrt(from_int(3), prec, round_nearest), prec, round_nearest)
+
+
 def build_report(trace: IterationTrace) -> ConvergenceReport:
     """Compute every diagnostic that the trace supports; missing ones are None.
 
@@ -132,7 +141,7 @@ def build_report(trace: IterationTrace) -> ConvergenceReport:
     per record (see the module notes).
     """
     ctx = context_of(trace.records[0].y)
-    rho = 1 + ctx.sqrt(ctx.mpf(3))
+    rho = ctx.make_mpf(_rho(ctx.prec))
     mods = [abs(y) for y in trace.residuals()]
     logs = [ctx.make_mpf(ln_abs(a, ctx.prec)) for a in mods]
     ln10 = +ctx.ln10

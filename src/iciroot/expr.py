@@ -563,7 +563,7 @@ def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
     A real-mode jet takes mpfs only.  Its ``exp``, ``log`` (NaN below zero)
     and ``cos_sin`` are :func:`~iciroot.mpscalar.exp_real`,
     :func:`~iciroot.mpscalar.ln_abs` and :func:`~iciroot.mpscalar.cos_sin_real`:
-    fixed-point kernels from about 750 to 6000 digits, mpmath's functions
+    fixed-point kernels from about 750 to 12,000 digits, mpmath's functions
     elsewhere.  In both modes ``exp`` and ``cos_sin`` of a finite a with
     log2|a| past _MAX_ARG_MAG raise OverflowError: mpmath's time for them
     grows with the square of log2|a| (0.1 s at 2**16, 23 s at 2**20).  So

@@ -136,8 +136,8 @@ def is_nan(x) -> bool:
 
 # The fixed-point band of ln_abs, exp_real and cos_sin_real: see their docstrings.
 _LN_MIN_PREC = LOG_TAYLOR_PREC      # above it mpmath takes ln by AGM
-_LN_MAX_PREC = 20_000               # bits, about 6000 digits: the first-report crossover
-_LN_STEPS = 64                      # K: factors (1 + 2**-k), k = 1..K
+_LN_MAX_PREC = 40_000               # bits, about 12,000 digits: see ln_abs
+_LN_STEPS = 128                     # K: factors (1 + 2**-k), k = 1..K
 _LN_GUARD = 40                      # guard bits of the fixed-point sum
 _KERNEL_MAX_MAG = 64                # exp and cos/sin of |x| >= 2**64 are left to mpmath
 
@@ -163,8 +163,8 @@ def _ln_table(wp: int) -> tuple:
     """ln(1 + 2**-k) for k = 1..K, fixed point at ``wp`` bits; built on first use at each ``wp``.
 
     ln(1 + x) = atanh(x) - sum over i >= 1 of atanh(x**(2**i)) / 2**i, each
-    atanh a sum of :func:`_reciprocals` shifted: 6 ms at 1000 digits and
-    0.17 s at 6000, against 10 ms and 0.32 s by series in 1/(2**(k+1) + 1).
+    atanh a sum of :func:`_reciprocals` shifted: 4.7 ms at 1000 digits and
+    0.11 s at 6000 (measured as for :func:`ln_abs`).
     With the dropped tails and shifts an entry is off by less than w / k +
     log2(w) + 7 units of 2**-w, so w = wp + 24 keeps it within 2 units of
     2**-wp for w < 2**22.
@@ -221,14 +221,16 @@ def _split_series(x: int, wp: int, ratio, alternate: bool = False):
     x, sin x) when ``alternate``, and (2j - 1, 2j + 1) the series of
     atanh(u) / u in x = u**2.  Paterson and Stockmeyer's split: the terms
     are summed per residue i of j mod m (m even) on powers of x**m, and each
-    sum is multiplied by x**i once at the end, so N terms take about 2m +
-    N / m full multiplications, not N.  A coefficient is kept to 1 unit per
-    step, and its error shrinks with x**m at each block, so each half is
-    within a few dozen units of 2**-wp for the N of the kernels.
+    sum is multiplied by x**i once at the end, so N terms take about 2m
+    full multiplications and N / m by x**m, not N, and each of the latter
+    takes x**m cut to the bits the shrinking term still needs (1/4 unit).
+    A coefficient is kept to 1 unit per step, and its error shrinks with
+    x**m at each block, so each half is within a few dozen units of 2**-wp
+    for the N of the kernels.
     """
     one = MPZ_ONE << wp
     terms = wp // max(1, wp - x.bit_length())      # x**j falls by 2**(wp - bitlen) a term
-    m = max(2, 2 * int(math.sqrt(terms / 16) + 0.5))      # measured best: 4 at 1000 digits
+    m = max(2, 2 * int(math.sqrt(terms / 16) + 0.5))      # measured best: 2 at 1000 digits
     powers = [one, x]
     for _ in range(m - 1):
         powers.append((powers[-1] * x) >> wp)
@@ -244,7 +246,8 @@ def _split_series(x: int, wp: int, ratio, alternate: bool = False):
             j += 1
             num, den = ratio(j)
             a = a * num // den if num > 1 else a // den
-        a = (a * x_m) >> wp
+        t = max(0, wp - a.bit_length() - 2)
+        a = (a * (x_m >> t)) >> (wp - t)
     even = sums[0] + sum((s * p) >> wp for s, p in zip(sums[2::2], powers[2::2]))
     odd = sum((s * p) >> wp for s, p in zip(sums[1::2], powers[1::2]))
     return even, odd
@@ -376,44 +379,46 @@ def ln_abs(x, prec: int):
     NaN and infinities pass through.  Every logarithm of a residual in this
     package is taken here.
 
-    In the band LOG_TAYLOR_PREC < ``prec`` <= 20,000 bits (about 750 to
-    6000 digits), where mpmath takes the logarithm by AGM, a fixed-point
+    In the band LOG_TAYLOR_PREC < ``prec`` <= 40,000 bits (about 750 to
+    12,000 digits), where mpmath takes the logarithm by AGM, a fixed-point
     kernel takes it: write |x| = m * 2**e with m in [1/2, 1); multiply m
-    by (1 + 2**-k) for k = 1..K = 64 whenever the product stays <= 1,
+    by (1 + 2**-k) for k = 1..K = 128 whenever the product stays <= 1,
     each a shift and an add; finish ln of the remainder, within 2**-K of
     1, by the atanh series; subtract the chosen ln(1 + 2**-k) from a table
     built once per 256 bits of precision (:func:`_ln_table`) and add
     e * ln 2.  The sum is kept with 40 guard bits, and for 1/2 <= |x| < 2
     with as many more as |x - 1| has leading zeros, 2**-(c + 1) <= |x - 1|.
-    Its error is below 2**9 units of 2**-(prec + 40 + c): at most 2.4
+    Its error is below 2**10 units of 2**-(prec + 40 + c): at most 2.4
     units per factor from truncated shifts (the factors multiply to less
-    than 2.4), 2 per table entry, a few dozen in the series and 2 in e *
-    ln 2, whose ln 2 carries as many extra bits as e has.  Since |ln|x||
-    > 1/2 outside [1/2, 2) and >= |x - 1| / 2 inside, that is below
-    2**-29 ulp before the one rounding, so the result is within 1 ulp of
-    ln|x|, and equals the correctly rounded value unless ln|x| lies within
-    2**-29 ulp of a rounding midpoint.
+    than 2.4) and 2 per table entry, below 570 for the K factors; a few
+    dozen in the series; 2 in e * ln 2, whose ln 2 carries as many extra
+    bits as e has.  Since |ln|x|| > 1/2 outside [1/2, 2) and >= |x - 1| / 2
+    inside, that is below 2**-29 ulp before the one rounding, so the
+    result is within 1 ulp of ln|x|, and equals the correctly rounded
+    value unless ln|x| lies within 2**-29 ulp of a rounding midpoint.
 
     mpmath's ``mpf_log`` stays outside the band and for zero, NaN,
     infinities and powers of two.
 
     Measured on a 2-CPU host with Python 3.11 and mpmath 1.3.0 (pure-Python
-    backend), one log against ``mpf_log``: 0.12 against 0.81 ms at 750
-    digits, 0.25 against 1.1-1.9 ms at 1000, 4.4 against 19 ms at 4000,
-    11 against 33 ms at 6000; at 12,000 digits the two cost the same, and
-    at 16,000 the kernel loses.  The first log at a precision also builds
-    the table, 6 ms at 1000 digits and 0.17 s at 6000, so the upper edge
-    is set by the first order report of a process, table included.  On
-    9- to 12-record traces of a cubic and of an exp problem, from 1000 to
-    6000 digits, it was faster than with ``mpf_log`` alone in 127 of 132
-    alternated fresh-interpreter pairs (median time 0.55-0.89 of the
-    other); with the band widened, it was slower in 12 of 24 pairs at 7000
-    to 10,000 digits (1.45 times on the cubic at 10,000).  K = 32 costs
-    0.38 ms a log at 1000 digits, K = 128 0.22 ms with a table up to 20%
-    dearer.  On 60 random values each at 750, 1000 and 1624 digits and 10
-    at 4000 the kernel returned ``mpf_log``'s bits every time, and it was
-    within 0.5 ulp on values with |x - 1| from 2**-1 to 2**-3364 at 1000
-    digits, at 0.1-0.4 ms where ``mpf_log`` takes 1.3-33 ms.
+    backend), the least time per log over 20 arguments in [0.05, 6), in
+    fresh interpreters: 0.09 against 0.67 ms for ``mpf_log`` at 750
+    digits, 0.14 against 1.0 ms at 1000, 1.7 against 11 ms at 4000 and
+    3.7 against 21 ms at 6000.  K weighs the table against the series
+    (Brent 1976): with K = 64 a log took 0.15 ms at 1000 digits and 4.7 ms
+    at 6000, with K = 160 about 5% less than with 128, from a dearer
+    table.  The first log at a precision builds the table, 4.7 ms at
+    1000 digits and 0.11 s at 6000, so the upper edge is set by the first
+    solve and report of a process, tables included: on 8- to 12-record
+    traces of a cubic and of an exp problem, a band to 40,000 bits beat one
+    to 20,000 in all 36 alternated fresh-interpreter pairs at 7000, 9000 and
+    12,000 digits (median time 0.55-0.81 of the other).  Past 12,000 the
+    tables grow dear (0.44 s for ln's) and nothing was measured.  On 948
+    arguments (200 each at 750, 1000, 1624 and 4000 digits, 100 at 6000, 24
+    each at 9000 and 12,000; random, and next to multiples of ln 2 and
+    pi/2) the kernel returned ``mpf_log``'s bits every time, and it is
+    within 1 ulp on values with |x - 1| from 2**-1 to 2**-3364 at 1000
+    digits.
     """
     a = mpc_abs(x._mpc_, prec, round_nearest) if hasattr(x, "_mpc_") else mpf_abs(x._mpf_)
     _, man, exp, bc = a
@@ -431,20 +436,18 @@ def exp_real(x, prec: int):
     multiply y by (1 + 2**-k), a shift and an add; the rest, below 2**-K,
     goes through one split Taylor series (:func:`_split_series`), and
     exp(x) = 2**n * y * exp(rest).  No square root is taken.  With 40
-    guard bits the error is below 2**9 units of 2**-(prec + 40): 2.4 units
-    per factor of y, 2 per table entry taken, 2 in n ln 2 (ln 2 carries as
-    many extra bits as n has) and a few dozen in the series.  The result is
-    within 1 ulp of exp(x).  mpmath's ``mpf_exp`` takes every other x.
+    guard bits the error is below 2**10 units of 2**-(prec + 40): 2.4
+    units per factor of y and 2 per table entry taken, at most K = 128 of
+    each, 2 in n ln 2 (ln 2 carries as many extra bits as n has) and a few
+    dozen in the series.  The result is within 1 ulp of exp(x).  mpmath's
+    ``mpf_exp`` takes every other x.
 
-    Measured in fresh interpreters on a 2-CPU host with Python 3.11 and
-    mpmath 1.3.0 (pure-Python backend), one exp against ``mpf_exp``: 0.24
-    against 0.46 ms at 750 digits, 0.41 against 0.96 ms at 1000, 15
-    against 28 ms at 6000, and still 38 against 71 ms at 9000; 0.07 against
-    0.11 ms at 300, below the band.  The first call at a precision also
-    builds the table, 10 ms at 1000 digits and 0.23 s at 6000, which 13 to
-    18 calls repay across the band.  It gave ``mpf_exp``'s bits on all
-    1100 arguments tried, random ones at 750 to 6000 digits and ones next
-    to multiples of ln 2 and pi/2.
+    Measured as for :func:`ln_abs`, one exp against ``mpf_exp``: 0.08
+    against 0.23 ms at 750 digits, 0.14 against 0.42 ms at 1000, 1.8
+    against 6.2 ms at 4000 and 3.9 against 14 ms at 6000 (K = 64: 0.16
+    ms at 1000 digits).  It shares :func:`ln_abs`'s table.  On the 948
+    arguments of :func:`ln_abs` it gave ``mpf_exp``'s bits on 947; on the
+    other it was within 0.5 ulp, so ``mpf_exp`` had rounded the wrong way.
     """
     s = x._mpf_
     sign, man, exp, bc = s
@@ -468,19 +471,18 @@ def cos_sin_real(x, prec: int):
     atan table and g are built once per 256 bits of precision
     (:func:`_atan_table`).  The rotations run with 40 guard bits and as
     many more as t has leading zeros, so sin t keeps its relative error:
-    below 2**9 units of the last guard bit in all, 2 per rotation times a
-    stretch of 1.65, 2 per table entry and a few dozen in the series.
-    Both results are within 1 ulp.  mpmath's ``mpf_cos_sin`` takes every
-    other x.
+    below 2**10 units of the last guard bit in all, 2 per rotation times a
+    stretch of 1.65 and 2 per table entry for K = 128 rotations, and a few
+    dozen in the series.  Both results are within 1 ulp.  mpmath's
+    ``mpf_cos_sin`` takes every other x.
 
-    Measured as for :func:`exp_real`, one (cos, sin) against
-    ``mpf_cos_sin``: 0.36 against 0.52 ms at 750 digits, 0.49 against 0.96
-    ms at 1000, 17 against 30 ms at 6000 and 41 against 75 ms at 9000; at
-    300 digits, below the band, the two cost the same.  The atan table
-    costs 8 ms at 1000 digits and 0.19 s at 6000 on the first call, repaid
-    after about 16 calls.  On the same 1100 arguments it gave
-    ``mpf_cos_sin``'s bits on 1098; on the other two it was within 0.5 ulp,
-    so ``mpf_cos_sin`` had rounded the wrong way.
+    Measured as for :func:`ln_abs`, one (cos, sin) against
+    ``mpf_cos_sin``: 0.15 against 0.24 ms at 750 digits, 0.22 against
+    0.44 ms at 1000, 2.3 against 6.3 ms at 4000 and 4.9 against 14 ms at
+    6000 (K = 64: 0.21 ms at 1000 digits).  The atan table costs 3.8 ms
+    at 1000 digits and 0.09 s at 6000 on the first call.  On the same 948
+    arguments it gave ``mpf_cos_sin``'s bits on 947; on the other it was
+    within 0.5 ulp, so ``mpf_cos_sin`` had rounded the wrong way.
     """
     s = x._mpf_
     sign, man, exp, bc = s
@@ -613,7 +615,7 @@ def _round_decimal(man: int, exp: int, dps: int, e10: int):
     10**(dps + 2).
     """
     bc = man.bit_length()
-    low = 10 ** (dps - 1)
+    low, high = _int_power(10, dps - 1), _int_power(10, dps)
     while True:
         shift = dps - 1 - e10
         if abs(shift) > bc + 2 * dps + _EXACT_SHIFT:
@@ -622,15 +624,21 @@ def _round_decimal(man: int, exp: int, dps: int, e10: int):
             q = _scaled_exact(man, exp, shift)
         if q < low:
             e10 -= 1
-        elif q >= 10 * low:
+        elif q >= high:
             e10 += 1
         else:
             return _int_text(q, dps), e10
 
 
+@lru_cache(maxsize=256)
+def _int_power(base: int, exp: int) -> int:
+    """base**exp; the values of one trace or report share a few digit counts and exponents."""
+    return base ** exp
+
+
 def _scaled_exact(man: int, exp: int, shift: int) -> int:
     """man * 2**exp * 10**shift rounded half up, in integers: 10**shift = 5**shift * 2**shift."""
-    num, den = (man * 5 ** shift, 1) if shift >= 0 else (man, 5 ** -shift)
+    num, den = (man * _int_power(5, shift), 1) if shift >= 0 else (man, _int_power(5, -shift))
     b = exp + shift
     if b >= 0:
         return ((num << (b + 1)) + den) // (2 * den)

@@ -57,8 +57,9 @@ STATUS_NAN = "nan"
 class SolveConfig:
     """Solver parameters; an unset tolerance gets a precision-scaled default.
 
-    tol defaults to 10**(-digits+10), leaving guard digits so the residual
-    evaluation itself is trustworthy.
+    tol defaults to 10**-max(digits - 10, ceil(digits / 2)): ten guard
+    digits, so the residual evaluation itself is trustworthy, but never
+    fewer than half the digits kept.
     """
 
     precision: Precision = field(default_factory=Precision)
@@ -72,7 +73,8 @@ class SolveConfig:
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         p = self.precision
-        self.tol = p.ctx.mpf(10) ** (-p.digits + 10) if self.tol is None else read_tol(self.tol, p)
+        self.tol = (p.ctx.mpf(10) ** -max(p.digits - 10, -(-p.digits // 2)) if self.tol is None
+                    else read_tol(self.tol, p))
 
 
 @dataclass(frozen=True)

@@ -546,7 +546,7 @@ def _random_raw(rng, prec, mag):
 
 @pytest.mark.parametrize("prec", [
     Precision(1000).ctx.prec, Precision(1624).ctx.prec, Precision(4000).ctx.prec,
-    mpscalar._LN_MIN_PREC + 1, mpscalar._LN_MAX_PREC])
+    mpscalar._LN_MIN_PREC + 1, 20_000, mpscalar._LN_MAX_PREC])
 def test_ln_abs_kernel_is_within_one_ulp(monkeypatch, prec):
     rng = random.Random(prec)
     calls = _count_calls(monkeypatch, mpscalar, ["_ln_fixed_point"])
@@ -569,7 +569,8 @@ def test_ln_abs_kernel_keeps_relative_accuracy_next_to_one(monkeypatch):
     prec = Precision(1000).ctx.prec
     rng = random.Random(11)
     calls = _count_calls(monkeypatch, mpscalar, ["_ln_fixed_point"])
-    gaps = (1, 2, 10, 63, 64, 65, 66, 200, 1329, prec - 2, prec + 10)
+    K = mpscalar._LN_STEPS
+    gaps = (1, 2, 10, 63, 64, 65, 66, K - 1, K, K + 1, K + 2, 200, 1329, prec - 2, prec + 10)
     for k in gaps:
         for sign in (1, -1):
             # |x| = 1 + sign * 2**-k * (1 + r), r in [0, 1): ln|x| has about k leading zeros
@@ -673,14 +674,34 @@ def test_exp_and_cos_sin_kernels_at_the_edges(monkeypatch):
     prec = Precision(1000).ctx.prec
     rng = random.Random(5)
     calls = _kernel_calls(monkeypatch)
-    edges = ([_random_raw(rng, prec, mag) for mag in (-64, -65, -1000, -prec + 1, 64)]
+    K = mpscalar._LN_STEPS
+    mags = (-64, -65, -K, -K - 1, -1000, -prec + 1, 64)
+    edges = ([_random_raw(rng, prec, mag) for mag in mags]
              + _near_multiples(mpf_ln2(2 * prec), prec)
              + _near_multiples(mpf_shift(mpf_pi(2 * prec), -1), prec))
-    edges += [(1, man, exp, bc) for _, man, exp, bc in edges[:5]]
+    edges += [(1, man, exp, bc) for _, man, exp, bc in edges[:len(mags)]]
     same = {"exp": 0, "cos_sin": 0}
     for a in edges:
         _check_exp_and_cos_sin(a, prec, same)
     assert calls == {"_exp_fixed_point": len(edges), "_cos_sin_fixed_point": len(edges)}
+
+
+def test_kernel_series_are_as_short_as_a_128_factor_table_makes_them(monkeypatch):
+    # the tables take the argument below 2**-128, so at wp bits the atanh
+    # series in u**2 < 2**-256 needs about wp / 256 terms and the Taylor
+    # series about wp / 128, plus a block of m = 2 terms past the last
+    # that counts; a shorter table, or a longer series, fails here
+    K = 128
+    x = Precision(1000).real("0.3")
+    prec = x.context.prec
+    wp = prec + mpscalar._LN_GUARD
+    for kernel, ratio, terms in ((mpscalar.ln_abs, "_atanh_ratio", wp / (2 * K)),
+                                 (mpscalar.exp_real, "_factorial_ratio", wp / K),
+                                 (mpscalar.cos_sin_real, "_factorial_ratio", wp / K)):
+        with monkeypatch.context() as m:
+            calls = _count_calls(m, mpscalar, [ratio])
+            kernel(x, prec)
+        assert 0 < calls[ratio] <= terms + 2, (kernel.__name__, calls)
 
 
 def test_exp_and_cos_sin_fall_back_to_mpmath_outside_the_kernel(monkeypatch):

@@ -110,6 +110,17 @@ def test_converged_status_implies_residual_below_tol():
     assert abs(trace.final.y) <= cfg.tol
 
 
+def test_default_tolerance_keeps_half_the_digits_below_20():
+    # at 10 digits 10**(-digits+10) would be 1, met by x^2-2 at its seed x = 1
+    p = Precision(10)
+    trace = solve_expr("x^2-2", p.real(1), SolveConfig(precision=p))
+    assert trace.converged and len(trace) > 1
+    assert abs(trace.final.y) <= p.real("1e-5")
+    for digits in (20, 40, 1000):
+        p = Precision(digits)
+        assert SolveConfig(precision=p).tol == p.ctx.mpf(10) ** (-digits + 10)
+
+
 def test_solve_expr_matches_handle_based_solve():
     p = Precision(40)
     f, fp = _cubic(p)
