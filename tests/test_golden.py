@@ -10,6 +10,11 @@ report's text at 60 digits, and a third digest hashes the bits that
 raw ``_mpf_`` / ``_mpc_`` tuples of every record, so the reader is pinned
 like the writer.
 
+The basin renderer is pinned the same way: the PPM bytes and the per-pixel
+CSV text of a 24x24 frame of each A8 window (the cube ``z^3-1`` and the Kepler
+window), rendered with 1 and with 2 workers, and the assignments of A8's
+400-sample line scan.
+
 To print the digests of the code in the working tree:
 ``PYTHONPATH=src:tests python -c "import test_golden; test_golden.print_digests()"``.
 """
@@ -19,6 +24,7 @@ import io
 
 import pytest
 
+from iciroot.basins import BasinSpec, line_scan, render, write_image
 from iciroot.diagnostics import build_report, report_to_text
 from iciroot.mpscalar import Precision, parse_scalar
 from iciroot.solve import METHODS, SolveConfig, read_trace_text, solve_expr, write_trace_text
@@ -84,7 +90,64 @@ def test_the_golden_set_covers_every_problem_and_method():
     assert set(GOLDEN) == {(n, m) for n in PROBLEMS for m in METHODS}
 
 
+WINDOWS = {
+    "cube": dict(ftext="z^3-1", re_range=("-2", "2"), im_range=("-2", "2"), max_iter=13),
+    "kepler": dict(ftext="z - 0.083*sin(z) - 1", re_range=("-30.5", "-29.5"),
+                   im_range=("-17.5", "-16.5"), max_iter=30),
+}
+
+RASTER_SIZE = 24
+SCAN = (("-1.45", "-1.05"), 400)      # A8's scan of the cube window, along the real axis
+
+
+def _window(name, **kw):
+    return BasinSpec(**WINDOWS[name], tol="1e-8", precision=Precision(34), **kw)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _raster_digests(name, workers):
+    """(PPM digest, CSV digest) of one 24x24 frame of an A8 window."""
+    raster = render(_window(name, width=RASTER_SIZE, height=RASTER_SIZE, workers=workers))
+    ppm, csv_text = io.BytesIO(), io.StringIO()
+    write_image(raster, ppm)
+    raster.to_csv(csv_text)
+    return _sha(ppm.getvalue()), _sha(csv_text.getvalue().encode())
+
+
+def _scan_digest():
+    spec = _window("cube")
+    p = spec.precision
+    (start, end), samples = SCAN
+    scan = line_scan(spec, (p.cplx(start, 0), p.cplx(end, 0)), samples)
+    return _sha(",".join(map(str, scan)).encode())
+
+
+RASTERS = {
+    ('cube', 1): ('b73ccfaf7e41c290', '30de3ca961cf0298'),
+    ('cube', 2): ('b73ccfaf7e41c290', '30de3ca961cf0298'),
+    ('kepler', 1): ('4d8a54c40d959433', '8d0e25b51f4d7a81'),
+    ('kepler', 2): ('4d8a54c40d959433', '8d0e25b51f4d7a81'),
+}
+
+SCAN_DIGEST = '3eff1a71b763a4e8'
+
+
+@pytest.mark.parametrize("name, workers", sorted(RASTERS))
+def test_basin_frames_match_their_golden_digests(name, workers):
+    assert _raster_digests(name, workers) == RASTERS[name, workers]
+
+
+def test_line_scan_matches_its_golden_digest():
+    assert _scan_digest() == SCAN_DIGEST
+
+
 def print_digests():
     for name in PROBLEMS:
         for method in METHODS:
             print(f"    ({name!r}, {method!r}): {_digests(name, method)!r},")
+    for name, workers in sorted(RASTERS):
+        print(f"    ({name!r}, {workers}): {_raster_digests(name, workers)!r},")
+    print(f"SCAN_DIGEST = {_scan_digest()!r}")
