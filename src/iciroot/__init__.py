@@ -14,7 +14,7 @@ bind the package attribute to the module.
 
 from importlib import import_module
 
-from .expr import ExprError, ExprSyntaxError, UnknownIdentifierError, differentiate, evaluate, parse, render as render_expr
+from .expr import ExprError, ExprSyntaxError, UnknownIdentifierError, differentiate, parse
 from .kernel import (EqualResidualsError, PointSample, ZeroDerivativeError, ici_step,
                      newton_step, secant_step)
 from .mpscalar import Precision, log10_abs, parse_complex, parse_real, to_decimal
@@ -36,8 +36,7 @@ __all__ = [
     "BasinRaster", "BasinSpec", "line_scan", "render", "write_image",
     "ConvergenceReport", "build_report", "error_constant_oracle", "residual_ratio_limit",
     "root_multiplicity",
-    "ExprError", "ExprSyntaxError", "UnknownIdentifierError", "differentiate",
-    "evaluate", "parse", "render_expr",
+    "ExprError", "ExprSyntaxError", "UnknownIdentifierError", "differentiate", "parse",
     "EqualResidualsError", "PointSample", "ZeroDerivativeError", "ici_step",
     "newton_step", "secant_step",
     "Precision", "log10_abs", "parse_complex", "parse_real", "to_decimal",

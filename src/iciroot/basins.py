@@ -36,7 +36,7 @@ from operator import add, floordiv, lshift, mul, neg, rshift, sub, truediv
 from mpmath.libmp import from_man_exp
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase, ln2_fixed, pi_fixed
 
-from .expr import compile_tape, lower, mp_lowering
+from .expr import compile_tape, lower, mp_lowering, square_and_multiply
 from .kernel import ici_blend
 from .mpscalar import GUARD_BITS, Precision, opened, parse_real, read_tol, to_decimal
 
@@ -288,13 +288,7 @@ def _power(a, n):
     """a**n on lanes for an integer n, by repeated squaring (of 1/a for n < 0)."""
     if n < 0:
         a, n = 1 / a, -n
-    r = None
-    while n:
-        if n & 1:
-            r = a if r is None else r * a
-        n >>= 1
-        if n:
-            a = a * a
+    r = square_and_multiply(a, n, mul, lambda u: u * u)
     return (1 << a.g.F, 0) if r is None else r
 
 

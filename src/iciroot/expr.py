@@ -33,8 +33,7 @@ from types import MappingProxyType
 
 from mpmath.libmp import mpc_mul, mpc_pos, mpc_reciprocal, mpc_square, round_down
 
-from .mpscalar import (Precision, cos_sin_real, digits_of, exp_real, is_complex_scalar, is_real_scalar,
-                       ln_abs, parse_real)
+from .mpscalar import Precision, cos_sin_real, digits_of, exp_real, is_real_scalar, ln_abs, parse_real
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log")
 CONSTANTS = ("pi",)
@@ -367,25 +366,6 @@ def differentiate(e, var: str):
 
 
 # ---------------------------------------------------------------------------
-# rendering (canonical, fully parenthesized)
-
-def render(e) -> str:
-    if isinstance(e, Num):
-        return e.text
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{render(e.child)})"
-    if isinstance(e, Bin):
-        return f"({render(e.left)} {e.op} {render(e.right)})"
-    if isinstance(e, Call):
-        return f"{e.fn}({render(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
 # evaluation: one tape, lowered once per kind of value
 
 @dataclass(frozen=True)
@@ -538,6 +518,18 @@ def build_tape(e, var: str, derivative: bool = True):
     return Tape(tuple(consts), tuple(steps), outputs, tuple(cones[k] for k in outputs))
 
 
+def square_and_multiply(a, n: int, mul, square):
+    """a**n for an int n >= 0 by binary powering on ``mul(u, v)`` and ``square(u)``; None for n = 0."""
+    r = None
+    while n:
+        if n & 1:
+            r = a if r is None else mul(r, a)
+        n >>= 1
+        if n:
+            a = square(a)
+    return r
+
+
 @lru_cache(maxsize=None)
 def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
     """The mpmath lowering: each op name -> ``arg -> fn(a, b)`` on ``ctx``'s values.
@@ -592,13 +584,8 @@ def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
                 return pow_(a, b)
             prec, rnd = ctx._prec_rounding
             wp = prec + guard
-            z, k, r = a._mpc_, abs(n), None
-            while k:
-                if k & 1:
-                    r = z if r is None else mpc_mul(r, z, wp, rnd)
-                k >>= 1
-                if k:
-                    z = mpc_square(z, wp, rnd)
+            r = square_and_multiply(a._mpc_, abs(n), lambda u, v: mpc_mul(u, v, wp, rnd),
+                                    lambda u: mpc_square(u, wp, rnd))
             if n < 0:
                 return ctx.make_mpc(mpc_reciprocal(mpc_pos(r, prec + 4, round_down), prec, rnd))
             return ctx.make_mpc(mpc_pos(r, prec, rnd))
@@ -732,9 +719,3 @@ def compile_pair(text: str, p: Precision, complex_mode: bool):
     """Parse one-variable function text into its mpmath jet ``x -> (f(x), f'(x))``."""
     return lower(compile_tape(text), mp_lowering(p.ctx, complex_mode))
 
-
-@_within_stack
-def evaluate(e, x, p: Precision):
-    """Evaluate ``e`` at the point ``x`` (real or complex) at precision ``p``."""
-    f = compile_fn(e, _sole_variable(e), p, is_complex_scalar(x))
-    return f(p.scalar(x))

@@ -130,10 +130,6 @@ def is_finite(x) -> bool:
     return bool(context_of(x).isfinite(x))
 
 
-def is_nan(x) -> bool:
-    return bool(context_of(x).isnan(x))
-
-
 # The fixed-point band of ln_abs, exp_real and cos_sin_real: see their docstrings.
 _LN_MIN_PREC = LOG_TAYLOR_PREC      # above it mpmath takes ln by AGM
 _LN_MAX_PREC = 40_000               # bits, about 12,000 digits: see ln_abs
@@ -147,15 +143,29 @@ def _table_wp(wp: int) -> int:
     return -(-wp // 256) * 256
 
 
-def _reciprocals(w: int) -> list:
-    """2**(w - j) // j for odd j <= w.
+def _atanh_sums(w: int, ms, alternate: bool) -> dict:
+    """m -> the sum over odd j <= w of 2**(w - m j) // j, for each m of the ascending ``ms``.
 
     atanh(2**-m) and atan(2**-m) are sums over odd j of 2**(-m j) / j, the
-    second with alternating signs: these terms shifted right by (m - 1) j
-    bits.  A shift and an add a term, where a series in 1/(2**(k+1) + 1)
-    needs two divisions.  Each term is low by less than 1 unit of 2**-w.
+    second with alternating signs (``alternate`` subtracts the j = 3 mod 4
+    terms).  A term is 2**(w - j) // j shifted right by (m - 1) j bits (a floor
+    of a floor is one floor): one division per j serves every m, where a series
+    in 1/(2**(k+1) + 1) needs two divisions a term.  Each term is low by less
+    than 1 unit of 2**-w.  The divisions are made a block of about 2**23 bits
+    at a time: all w / 2 of them would hold w**2 / 8 bits, 50 MB at 12,000 digits.
     """
-    return [(MPZ_ONE << (w - j)) // j for j in range(1, w + 1, 2)]
+    sums = dict.fromkeys(ms, 0)
+    size = max(1, (1 << 22) // w) * 2           # odd j per block, even: a block starts at j = 1 mod 4
+    for j0 in range(1, w + 1, 2 * size):
+        block = [(MPZ_ONE << (w - j)) // j for j in range(j0, min(j0 + 2 * size, w + 1), 2)]
+        parts = ((block[0::2], j0, 4, 1), (block[1::2], j0 + 2, 4, -1)) if alternate else ((block, j0, 2, 1),)
+        for m in ms:
+            if (m - 1) * j0 >= w:
+                break
+            for terms, j, step, sign in parts:
+                shifts = range((m - 1) * j, w, step * (m - 1)) if m > 1 else repeat(0)
+                sums[m] += sign * sum(map(rshift, terms, shifts))
+    return sums
 
 
 @lru_cache(maxsize=None)
@@ -163,24 +173,20 @@ def _ln_table(wp: int) -> tuple:
     """ln(1 + 2**-k) for k = 1..K, fixed point at ``wp`` bits; built on first use at each ``wp``.
 
     ln(1 + x) = atanh(x) - sum over i >= 1 of atanh(x**(2**i)) / 2**i, each
-    atanh a sum of :func:`_reciprocals` shifted: 4.7 ms at 1000 digits and
-    0.11 s at 6000 (measured as for :func:`ln_abs`).
+    atanh from :func:`_atanh_sums`: 5 ms at 1000 digits and 0.15 s at 6000
+    (measured as for :func:`ln_abs`).
     With the dropped tails and shifts an entry is off by less than w / k +
     log2(w) + 7 units of 2**-w, so w = wp + 24 keeps it within 2 units of
     2**-wp for w < 2**22.
     """
     w = wp + 24
-    recips = _reciprocals(w)
-
-    @lru_cache(maxsize=None)
-    def atanh_pow2(m):
-        return sum(map(rshift, recips, range(m - 1, w, 2 * m - 2) if m > 1 else repeat(0)))
-
+    atanh = _atanh_sums(w, sorted({k << i for k in range(1, _LN_STEPS + 1)
+                                   for i in range(w.bit_length()) if k << i < w}), False)
     table = []
     for k in range(1, _LN_STEPS + 1):
-        entry, m, i = atanh_pow2(k), 2 * k, 1
+        entry, m, i = atanh[k], 2 * k, 1
         while m < w:
-            entry -= atanh_pow2(m) >> i
+            entry -= atanh[m] >> i
             m, i = 2 * m, i + 1
         table.append(entry >> 24)
     return tuple(table)
@@ -190,26 +196,19 @@ def _ln_table(wp: int) -> tuple:
 def _atan_table(wp: int) -> tuple:
     """(atan(2**-k) for k = 1..K, the gain prod (1 + 4**-k)**-1/2), fixed point at ``wp`` bits.
 
-    Built on first use at each ``wp``, from :func:`_reciprocals`, the list
-    :func:`_ln_table` sums, with alternating signs.  An entry sums at most w / 2 terms,
-    each low by less than 1 unit of 2**-w, so w = wp + 24 keeps it within
-    2 units of 2**-wp for w < 2**24.  The gain is the square root of
-    2**(2w) / prod(1 + 4**-k), each factor of the product a shift and an
-    add; it is within 2 units too.
+    Built on first use at each ``wp``, from :func:`_atanh_sums` with
+    alternating signs.  An entry sums at most w / 2 terms, each low by less
+    than 1 unit of 2**-w, so w = wp + 24 keeps it within 2 units of 2**-wp
+    for w < 2**24.  The gain is the square root of 2**(2w) / prod(1 + 4**-k),
+    each factor of the product a shift and an add; it is within 2 units too.
     """
     w = wp + 24
-    recips = _reciprocals(w)
-    plus, minus = recips[0::2], recips[1::2]        # j = 1, 5, 9, ... and j = 3, 7, 11, ...
-    table = [sum(plus) - sum(minus)]
-    for m in range(2, _LN_STEPS + 1):
-        step = 4 * m - 4
-        table.append(sum(map(rshift, plus, range(m - 1, w, step)))
-                     - sum(map(rshift, minus, range(3 * m - 3, w, step))))
+    atan = _atanh_sums(w, range(1, _LN_STEPS + 1), True)
     prod = MPZ_ONE << w
     for k in range(1, _LN_STEPS + 1):
         prod += prod >> (2 * k)
     gain = isqrt((MPZ_ONE << (3 * w)) // prod)
-    return tuple(entry >> 24 for entry in table), gain >> 24
+    return tuple(atan[m] >> 24 for m in range(1, _LN_STEPS + 1)), gain >> 24
 
 
 def _split_series(x: int, wp: int, ratio, alternate: bool = False):

@@ -5,12 +5,16 @@ arithmetic helpers, so they stay independent of the code paths they check.
 """
 
 import math
+from functools import lru_cache
+from itertools import repeat
+from operator import rshift
 
 from mpmath.ctx_mp import MPContext
 
 from iciroot.expr import (_MAX_ARG_MAG, _MAX_EXP_MAG, Bin, Call, Const, Neg, Num,
                           UnknownIdentifierError, Var, free_variables)
 from iciroot.kernel import EqualResidualsError, ZeroDerivativeError
+from iciroot.mpscalar import _LN_STEPS
 
 
 def make_ctx(digits):
@@ -198,6 +202,23 @@ def ici_step_averaged(p_prev, p_cur):
 
 # ---------------------------------------------------------------------------
 # expression trees, walked node by node
+
+def render(e) -> str:
+    """A tree as canonical, fully parenthesized text, which :func:`iciroot.expr.parse` reads back."""
+    if isinstance(e, Num):
+        return e.text
+    if isinstance(e, Const):
+        return e.name
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Neg):
+        return f"(-{render(e.child)})"
+    if isinstance(e, Bin):
+        return f"({render(e.left)} {e.op} {render(e.right)})"
+    if isinstance(e, Call):
+        return f"{e.fn}({render(e.arg)})"
+    raise TypeError(f"not an expression node: {e!r}")
+
 
 def _literal(ctx, text):
     return ctx.mpf("0" + text if text.startswith(".") else text)
@@ -496,3 +517,47 @@ def reference_report(residuals, digits):
             misfit = abs(ctx.log(ys[K - 1], 10) - rho ** (K - 1) * ctx.log(constant, 10))
     return {"digits": [-ctx.log(y, 10) for y in ys], "orders": orders,
             "constant": constant, "misfit": misfit}
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point kernels' tables, built from every reciprocal at once
+
+def _reciprocals(w):
+    """2**(w - j) // j for odd j <= w: all w / 2 of them, about w**2 / 8 bits."""
+    return [(1 << (w - j)) // j for j in range(1, w + 1, 2)]
+
+
+def reference_ln_table(wp):
+    """ln(1 + 2**-k) for k = 1..K at ``wp`` bits, each atanh(2**-m) summed from the whole reciprocal list."""
+    w = wp + 24
+    recips = _reciprocals(w)
+
+    @lru_cache(maxsize=None)
+    def atanh_pow2(m):
+        return sum(map(rshift, recips, range(m - 1, w, 2 * m - 2) if m > 1 else repeat(0)))
+
+    table = []
+    for k in range(1, _LN_STEPS + 1):
+        entry, m, i = atanh_pow2(k), 2 * k, 1
+        while m < w:
+            entry -= atanh_pow2(m) >> i
+            m, i = 2 * m, i + 1
+        table.append(entry >> 24)
+    return tuple(table)
+
+
+def reference_atan_table(wp):
+    """(atan(2**-k) for k = 1..K, the gain prod (1 + 4**-k)**-1/2) at ``wp`` bits, from the whole reciprocal list."""
+    w = wp + 24
+    recips = _reciprocals(w)
+    plus, minus = recips[0::2], recips[1::2]        # j = 1, 5, 9, ... and j = 3, 7, 11, ...
+    table = [sum(plus) - sum(minus)]
+    for m in range(2, _LN_STEPS + 1):
+        step = 4 * m - 4
+        table.append(sum(map(rshift, plus, range(m - 1, w, step)))
+                     - sum(map(rshift, minus, range(3 * m - 3, w, step))))
+    prod = 1 << w
+    for k in range(1, _LN_STEPS + 1):
+        prod += prod >> (2 * k)
+    gain = math.isqrt((1 << (3 * w)) // prod)
+    return tuple(entry >> 24 for entry in table), gain >> 24

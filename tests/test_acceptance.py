@@ -14,7 +14,7 @@ import pytest
 
 from iciroot.basins import BasinSpec, line_scan, render
 from iciroot.diagnostics import build_report, error_constant_oracle, residual_ratio_limit
-from iciroot.expr import differentiate, evaluate, parse
+from iciroot.expr import compile_fn, differentiate, parse
 from iciroot.kernel import PointSample, ici_step, newton_step, secant_step
 from iciroot.mpscalar import Precision, log10_abs, to_decimal
 from iciroot.solve import SolveConfig, solve_expr
@@ -326,7 +326,7 @@ def test_a9_error_constant_resolution(exp_traces_1000):
     node = tree
     for _ in range(4):
         node = differentiate(node, "x")
-        derivs.append(evaluate(node, r, p))
+        derivs.append(compile_fn(node, "x", p)(r))
     f1, f2, f3, f4 = derivs
     direct = float(residual_ratio_limit(f1, f2, f3, f4))
     removed = float(error_constant_oracle(f1, f2, f3, f4) * f1)

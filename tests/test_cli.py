@@ -704,6 +704,9 @@ def test_every_exported_name_resolves_once():
     assert [name for name in iciroot.__all__ if not hasattr(iciroot, name)] == []
     assert "root_multiplicity" in iciroot.__all__
     assert not hasattr(iciroot, "ratio_growth_flag")
+    # trees evaluate through compile_fn; the canonical renderer is tests/oracles.py's
+    for name in ("evaluate", "render_expr"):
+        assert name not in iciroot.__all__ and not hasattr(iciroot, name)
 
 
 def test_import_loads_neither_the_renderer_its_pool_nor_the_report():

@@ -17,9 +17,10 @@ from mpmath.libmp import (fnan, fninf, finf, from_int, from_man_exp, fzero, mpc_
                           round_ceiling, round_floor, round_nearest)
 
 from iciroot import mpscalar
-from iciroot.expr import evaluate, parse
-from iciroot.mpscalar import (Precision, is_finite, is_nan, log10_abs, log10_abs_text,
-                              parse_complex, parse_real, to_decimal)
+from iciroot.expr import compile_fn, parse
+from iciroot.mpscalar import (Precision, is_finite, log10_abs, log10_abs_text, parse_complex,
+                              parse_real, to_decimal)
+from oracles import reference_atan_table, reference_ln_table
 from test_solve import _count_calls
 
 
@@ -52,7 +53,7 @@ def test_log10_abs_of_zero_is_minus_infinity_sentinel():
     p = Precision(40)
     v = log10_abs(p.real(0))
     assert v == p.ctx.mpf("-inf")
-    assert not is_nan(v)
+    assert not p.ctx.isnan(v)
 
 
 def _count_full_logs(monkeypatch):
@@ -198,7 +199,7 @@ def test_every_reader_of_decimal_text_gives_the_same_bits(text, digits):
     p = Precision(digits)
     want = parse_real(text, p)._mpf_
     assert p.real(text)._mpf_ == want
-    assert evaluate(parse(text), p.real(0), p)._mpf_ == want
+    assert compile_fn(parse(text), "x", p)(p.real(0))._mpf_ == want
     sign, body = ("", text) if text[0] not in "+-" else (text[0], text[1:])
     if len(body) <= 4300:
         assert p.ctx.mpf(sign + "0" + body)._mpf_ == want      # mpmath's own reader
@@ -219,7 +220,7 @@ def test_parse_real_takes_one_grammar_at_every_length(lead):
     for text, want in ((" INF ", p.inf), ("-Inf", -p.inf), ("+inf", p.inf), ("1E3", 1000),
                        ("-.5", p.real("-0.5")), ("\u0661\u0662", 12)):
         assert parse_real(text, p) == want
-    assert is_nan(parse_real("NaN", p))
+    assert p.ctx.isnan(parse_real("NaN", p))
 
 
 def test_recompute_at_higher_precision_agrees_through_lower_digits():
@@ -244,10 +245,10 @@ def test_sin_cos_identity_spot_checks():
 
 def test_nan_and_infinity_propagate_through_arithmetic():
     p = Precision(40)
-    assert is_nan(p.nan + 1)
-    assert is_nan(p.inf - p.inf)
+    assert p.ctx.isnan(p.nan + 1)
+    assert p.ctx.isnan(p.inf - p.inf)
     assert not is_finite(p.inf * 2)
-    assert is_nan(p.nan * p.real(3))
+    assert p.ctx.isnan(p.nan * p.real(3))
 
 
 def test_scientific_notation_beyond_1e6():
@@ -513,12 +514,12 @@ def test_every_printed_value_reads_back_to_its_text(case):
 def test_a_complex_nan_reads_back():
     p = Precision(20)
     z = parse_complex("nan+nani", p)
-    assert is_nan(z.real) and is_nan(z.imag)
+    assert p.ctx.isnan(z.real) and p.ctx.isnan(z.imag)
     assert to_decimal(z) == "nan+nani"
     assert to_decimal(parse_complex("-inf-infi", p)) == "-inf-infi"
     # a lone '+' before the imaginary part is dropped, as before "2i" and "infi"
     for text in ("nani", "+nani", "1+nani"):
-        assert is_nan(parse_complex(text, p).imag)
+        assert p.ctx.isnan(parse_complex(text, p).imag)
 
 
 # ln_abs: the fixed-point kernel in its band, mpf_log outside it
@@ -586,6 +587,30 @@ def test_ln_table_entries_are_within_two_units(wp):
     for k, entry in enumerate(mpscalar._ln_table(wp), 1):
         exact = mpf_log(from_man_exp((1 << k) + 1, -k), wp + 64, round_nearest)
         assert abs((entry << 64) - mpmath.libmp.to_fixed(exact, wp + 64)) < 2 << 64
+
+
+@pytest.mark.parametrize("wp", [3584, 13568, 39936])
+def test_tables_keep_the_bits_of_the_whole_reciprocal_list(wp):
+    # the tables at 1000, 4000 and 12,000 digits: one, 12 and 97 blocks of
+    # reciprocals; built uncached, so the test process keeps none of them
+    assert mpscalar._ln_table.__wrapped__(wp) == reference_ln_table(wp)
+    assert mpscalar._atan_table.__wrapped__(wp) == reference_atan_table(wp)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+def test_the_first_12000_digit_log_holds_few_reciprocals():
+    # all w / 2 reciprocals at once raised a fresh interpreter's peak RSS by 54 MB
+    code = ("import resource\n"
+            "from iciroot import Precision, mpscalar\n"
+            "p = Precision(12000)\n"
+            "x = p.real('1.2345')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "mpscalar.ln_abs(x, p.ctx.prec)\n"
+            "assert mpscalar._ln_table.cache_info().currsize == 1\n"
+            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "assert grown < 10 * 1024, f'peak RSS grew by {grown} KiB'\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 def _fallback_values(rng, prec):

@@ -10,11 +10,13 @@ import mpmath
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iciroot.expr import FUNCTIONS, Call, Const, Num, Var, _bin, _neg, parse, render
+from iciroot.expr import FUNCTIONS, Call, Const, Num, Var, _bin, _neg, parse
 from iciroot.kernel import PointSample, ici_step
 from iciroot.mpscalar import Precision
 from iciroot.solve import (METHODS, STATUS_CONVERGED, STATUS_DEGENERATE, STATUS_MAX_ITER,
                            STATUS_NAN, SolveConfig, solve_expr)
+
+from oracles import render
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 

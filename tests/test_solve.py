@@ -13,7 +13,7 @@ from mpmath.libmp import libmpc, libmpf
 
 from iciroot.diagnostics import root_multiplicity
 from iciroot.kernel import PointSample, ici_step, newton_step, secant_step
-from iciroot.mpscalar import (GUARD_BITS, LOG2_10, Precision, is_nan, parse_complex, parse_real,
+from iciroot.mpscalar import (GUARD_BITS, LOG2_10, Precision, parse_complex, parse_real,
                               to_decimal)
 from iciroot.solve import (METHODS, IterationRecord, IterationTrace, SolveConfig, read_trace_text,
                            solve, solve_expr, write_trace_csv, write_trace_text)
@@ -168,7 +168,7 @@ def test_nan_mid_run_gives_partial_trace():
     trace = solve_expr("log(x)+2", p.real(10), SolveConfig(precision=p, max_iter=20))
     assert trace.status == "nan"
     assert len(trace) >= 2
-    assert is_nan(trace.final.y)
+    assert p.ctx.isnan(trace.final.y)
 
 
 def test_nan_at_seed():
@@ -184,7 +184,7 @@ def test_division_by_zero_in_the_pair_gives_a_nan_record():
                   SolveConfig(precision=p))
     assert trace.status == "nan"
     assert len(trace) == 1
-    assert is_nan(trace.final.y) and is_nan(trace.final.yp)
+    assert p.ctx.isnan(trace.final.y) and p.ctx.isnan(trace.final.yp)
 
 
 def test_an_overflow_in_the_pair_gives_a_nan_record():
@@ -195,7 +195,7 @@ def test_an_overflow_in_the_pair_gives_a_nan_record():
     trace = solve(f, lambda x: 1, p.real(10), SolveConfig(precision=p))
     assert trace.status == "nan"
     assert len(trace) == 1
-    assert is_nan(trace.final.y) and is_nan(trace.final.yp)
+    assert p.ctx.isnan(trace.final.y) and p.ctx.isnan(trace.final.yp)
 
 
 def test_non_finite_step_stops_with_status_nan():
@@ -517,7 +517,7 @@ def test_a_complex_nan_trace_reads_back_and_rewrites_byte_identically():
     back, meta2 = read_trace_text(io.StringIO(first.getvalue()))
     write_trace_text(back, meta2, second)
     assert second.getvalue() == first.getvalue()
-    assert is_nan(back.final.y.real) and is_nan(back.final.y.imag)
+    assert p.ctx.isnan(back.final.y.real) and p.ctx.isnan(back.final.y.imag)
 
 
 def test_a_5000_digit_trace_text_rewrites_byte_identically():
