@@ -21,6 +21,12 @@ as it converges or fails.  Each lane's arithmetic is its own and results
 travel as raw mantissa/exponent tuples, so the raster is bit-identical
 whatever the grouping or the number of worker processes.  Renders and scans
 read no module state but constants, so threads may run them at once.
+
+A pixel's phase is ``float(arg(limit))`` at P bits, taken from the limit's
+ints by :func:`_phase`: a fixed-point atan2 of about 100 bits, within 16
+units of its last bit, kept when neither that error nor mpmath's own (under
+1.25 * 2**(1 - P) relative) can move it across a rounding boundary between
+doubles.  Otherwise, or for a phase below 2**-1000, mpmath's ``arg`` decides.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from itertools import repeat
 from operator import add, floordiv, lshift, mul, neg, rshift, sub, truediv
 
 from mpmath.libmp import from_man_exp
-from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase, ln2_fixed, pi_fixed
+from mpmath.libmp.libelefun import atan_taylor, cos_sin_fixed, exp_basecase, ln2_fixed, pi_fixed
 
 from .expr import compile_tape, lower, mp_lowering, square_and_multiply
 from .kernel import ici_blend
@@ -438,6 +444,42 @@ def _lanes_lowering(ctx, g: _Scale):
 # ---------------------------------------------------------------------------
 # the pixel loop
 
+_PHASE_BITS = 100       # bits of each phase before it is rounded to a double
+_PHASE_SLACK = 16       # units of 2**-wp: quotient 1, pi 2, atan_taylor under 6 at wp 100-1100
+
+
+def _phase(x, y, P):
+    """``float(arg(x + i*y))`` as mpmath gives it at P bits, from the ints alone; None if unsure.
+
+    The smaller part over the larger, q <= 1, goes through mpmath's
+    ``atan_taylor`` at wp bits and is taken from or added to pi/2 or pi,
+    giving a within _PHASE_SLACK units of theta * 2**wp, theta the phase; wp
+    is _PHASE_BITS plus, where theta = atan(q), the bits q lies below 1.
+    mpmath's ``arg`` (a quotient and an atan at P + 4 bits, then a rounding
+    to P bits) is within 1.25 * 2**(1 - P) * |theta|, under (a >> P - 3) + 1
+    units.  If all of a +- e, e both bounds, rounds to one double, it is
+    mpmath's; else None, as for |theta| < 2**-1000, where doubles thin out.
+    """
+    if not y and x >= 0:
+        return 0.0
+    ax, ay = abs(x), abs(y)
+    near = ay <= ax                 # the phase is within pi/4 of 0 or of +-pi
+    small, big = (ay, ax) if near else (ax, ay)
+    k = big.bit_length() - small.bit_length() if near and x > 0 else 0
+    if k > 1000:
+        return None
+    wp = _PHASE_BITS + k
+    a = atan_taylor((small << wp) // big, wp)
+    if not near:
+        a = pi_fixed(wp - 1) + (a if x < 0 else -a)
+    elif x < 0:
+        a = pi_fixed(wp) - a
+    e = _PHASE_SLACK + (a >> P - 3) + 1
+    lo = float(a - e)               # float() of an int rounds to nearest, ties to even
+    if lo != float(a + e):
+        return None
+    return math.ldexp(lo if y >= 0 else -lo, -wp)
+
 
 def _lane_iterator(spec: BasinSpec):
     """The spec's pixel iteration, ``iterate(re, im)``: one outcome per seed, re and im its parts.
@@ -474,8 +516,10 @@ def _lane_iterator(spec: BasinSpec):
         return out
 
     def outcome(lanes, k, it, conv):
-        z = ctx.make_mpc((from_man_exp(lanes.re[k], -F), from_man_exp(lanes.im[k], -F)))
-        return z._mpc_, it, conv, False, float(ctx.arg(z))
+        r, i = lanes.re[k], lanes.im[k]
+        z = from_man_exp(r, -F), from_man_exp(i, -F)
+        ph = _phase(r, i, ctx.prec)
+        return z, it, conv, False, float(ctx.arg(ctx.make_mpc(z))) if ph is None else ph
 
     def run(z):
         """The outcomes of one group, z its seeds."""

@@ -783,6 +783,104 @@ def test_render_equals_the_one_pixel_fixed_point_loop(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# phases from the lane integers: the double that mpmath's arg rounds to
+
+def _arg(ctx, x, y, F):
+    return float(ctx.arg(ctx.make_mpc((from_man_exp(x, -F), from_man_exp(y, -F)))))
+
+
+def _phase_points(F, rng):
+    """Lane parts at scale F: axes, origin, diagonals, a part of one unit, parts next to the hold bound."""
+    one, top = 1 << F, (1 << F + basins.OVERFLOW_BITS + basins.HOLD_BITS) - 1
+    signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    pts = [(0, 0), (one, 0), (0, one), (0, -one), (-one, 0), (top, 0), (-top, 0), (0, top), (0, -top)]
+    for m in (1, one // 3, one, top):                           # |re| = |im|
+        pts += [(sx * m, sy * m) for sx, sy in signs]
+    for m in (one, 3 * one // 2, 1 << F + 900, top):            # one part a single unit of 2**-F
+        pts += [(sx * m, sy) for sx, sy in signs] + [(sx, sy * m) for sx, sy in signs]
+    for d in (1, 2, one // 5):                                  # next to the hold bound and the diagonal
+        pts += [(sx * top, sy * (top - d)) for sx, sy in signs] + [(sx * (top - d), sy * top) for sx, sy in signs]
+    for _ in range(1500):
+        a, b = (rng.getrandbits(rng.randrange(1, F + 1088)) for _ in range(2))
+        pts.append((rng.choice((a, -a)), rng.choice((b, -b, a + rng.randrange(-2, 3)))))
+    return pts
+
+
+@pytest.mark.parametrize("digits", [10, 34, 100])
+def test_phase_from_lane_parts_is_the_double_of_mpmaths_arg(digits):
+    ctx = Precision(digits).ctx
+    F = ctx.prec + GUARD_BITS
+    fast = unsure = 0
+    for x, y in _phase_points(F, random.Random(digits)):
+        got, want = basins._phase(x, y, ctx.prec), _arg(ctx, x, y, F)
+        if got is None:
+            unsure += abs(want) >= 2.0 ** -990     # else doubles thin out: mpmath decides
+            continue
+        fast += 1
+        assert got.hex() == want.hex(), (x, y)
+    assert fast > 1400 and unsure <= (3 if digits == 10 else 0)
+
+
+def test_phase_on_the_axes_diagonals_and_single_units():
+    ctx = Precision(34).ctx
+    F = ctx.prec + GUARD_BITS
+    one, top = 1 << F, (1 << F + basins.OVERFLOW_BITS + basins.HOLD_BITS) - 1
+    want = {(0, 0): 0.0, (one, 0): 0.0, (-one, 0): math.pi, (0, one): math.pi / 2, (0, -one): -math.pi / 2,
+            (one, one): math.pi / 4, (top, -top): -math.pi / 4, (-top, 0): math.pi, (0, top): math.pi / 2}
+    for (x, y), phase in want.items():
+        assert basins._phase(x, y, ctx.prec).hex() == phase.hex() == _arg(ctx, x, y, F).hex(), (x, y)
+    assert basins._phase(one, 1, ctx.prec) == 2.0 ** -F == _arg(ctx, one, 1, F)     # atan(2**-F)
+    assert basins._phase(top, 1, ctx.prec) is None                  # below 2**-1000: mpmath decides
+
+
+@pytest.mark.parametrize("digits", [10, 34])
+def test_phase_just_below_a_double_midpoint_is_left_to_mpmath(digits):
+    # theta = m - 2**-(P + 10), m = 1 + 3 * 2**-53 the midpoint of 1 + 2**-52 and
+    # 1 + 2**-51: theta rounds to the first, but mpmath's arg rounds it to m at P
+    # bits and float() takes m to the even second.  Only a bound that carries
+    # mpmath's error at P bits leaves this phase to mpmath
+    ctx = Precision(digits).ctx
+    P, F = ctx.prec, ctx.prec + GUARD_BITS
+    with ctx.workprec(F + 64):
+        theta = 1 + 3 * ctx.ldexp(1, -53) - ctx.ldexp(1, -P - 10)
+        y = int(ctx.nint(ctx.tan(theta) * 2 ** F))
+        assert float(ctx.atan2(y, 1 << F)) == 1 + 2.0 ** -52
+    assert _arg(ctx, 1 << F, y, F) == 1 + 2.0 ** -51
+    assert basins._phase(1 << F, y, P) is None
+
+
+def _bytes(raster):
+    ppm, text = io.BytesIO(), io.StringIO()
+    write_image(raster, ppm)
+    raster.to_csv(text)
+    return ppm.getvalue(), text.getvalue()
+
+
+def test_a_render_with_every_phase_from_mpmath_is_bit_identical(monkeypatch):
+    for spec in (_cube_spec(width=12, height=12), _kepler_spec(width=12, height=12),
+                 _cube_spec(width=12, height=12, precision=Precision(10))):
+        want = render(spec)
+        with monkeypatch.context() as m:
+            m.setattr(basins, "_phase", lambda x, y, P: None)
+            got = render(spec)
+        assert [[None if v is None else v.hex() for v in row] for row in got.phase] == \
+               [[None if v is None else v.hex() for v in row] for row in want.phase]
+        assert _outcome(got) == _outcome(want) and _bytes(got) == _bytes(want)
+
+
+def test_every_phase_of_a_10_digit_cube_grid_is_mpmaths_arg_of_its_limit():
+    # at 10 digits (P = 66) mpmath's arg rounds coarsest: each phase is still its double
+    spec = _cube_spec(width=12, height=12, precision=Precision(10))
+    ctx = spec.precision.ctx
+    assert ctx.prec == 66
+    raster = render(spec)
+    assert raster.counts()[1] == 0          # every pixel has a limit or a last iterate, and a phase
+    for j in range(12):
+        for i in range(12):
+            assert raster.phase[j][i].hex() == float(ctx.arg(raster.final[j][i])).hex(), (i, j)
+
+
+# ---------------------------------------------------------------------------
 # degenerate inputs end in a defined state, in bounded time
 
 def _timed_render(spec, seconds):

@@ -1,10 +1,11 @@
 """The APS01-APS12 battery (``tests/battery.py``): its texts against SciPy, and each method's runs.
 
-Both tests need SciPy, whose ``_tstutils`` holds the battery's f and roots,
-and skip without it.
+Only the check of the texts needs SciPy, whose ``_tstutils`` holds the
+battery's f, and it skips without it.
 """
 
 import math
+import pathlib
 
 import pytest
 
@@ -13,8 +14,7 @@ from iciroot.mpscalar import Precision
 from iciroot.solve import METHODS, SolveConfig, solve_expr
 
 from battery import PROBLEMS
-
-_tstutils = pytest.importorskip("scipy.optimize._tstutils")
+from battery_table import row
 
 DIGITS = 40
 
@@ -108,6 +108,7 @@ RECORDS = {
 
 
 def test_every_text_is_scipys_f_in_double_precision():
+    _tstutils = pytest.importorskip("scipy.optimize._tstutils")
     scipy_tests = {d["ID"]: d for d in _tstutils._APS_TESTS_DICTS}
     p = Precision(30)
     bad = []
@@ -139,3 +140,12 @@ def test_each_method_from_x0_keeps_its_status_records_and_root(method):
         if abs(x - root) > 1e-14 * max(1.0, abs(root)):
             moved.append(f"{pr.id}: reached the root {x!r}, listed {pr.root}")
     assert not moved, moved
+
+
+def test_readmes_40_digit_battery_row_is_the_pinned_records():
+    # every pinned run converged; tests/battery_table.py prints the row from the runs
+    runs = {m: [(True, RECORDS[pr.id][k]) for pr in PROBLEMS] for k, m in enumerate(METHODS)}
+    want = row(f"x0, {DIGITS}", runs)
+    assert want == "| x0, 40 | 82 / 82 / 82 | 816 / 1,102 / 647 | 78 / 4 / 0 |"
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    assert want in readme.splitlines()
