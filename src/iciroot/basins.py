@@ -1,13 +1,15 @@
 """Basin-of-attraction rendering over a complex-plane pixel grid.
 
-Every pixel center seeds one iteration (Newton first, then the blended
-two-point step).  A pixel records either the converged limit, the final
-iterate after ``max_iter`` steps, or a NaN flag when the iteration hit a
-degeneracy (equal residuals, zero derivative, division by zero, a failed f
-or f') or escaped the overflow cap.  Arbitrary-precision arithmetic never
-overflows on its own, so the cap — magnitudes past 2**1024
-(:data:`OVERFLOW_BITS`), where an IEEE double overflows — is what makes
-"iteration blew up" an observable pixel state.
+Every pixel center seeds one iteration that takes the solver's steps:
+Newton first, then the blended two-point step, and the safeguard steps that
+:func:`iciroot.kernel.next_step` picks where residuals meet or f' is dead.
+A pixel records either the converged limit, the final iterate after
+``max_iter`` steps, or a NaN flag: where no step exists (the solver's
+``degenerate`` stop), where f or f' fails, or where the iteration escaped
+the overflow cap.  Arbitrary-precision arithmetic never overflows on its
+own, so the cap — magnitudes past 2**1024 (:data:`OVERFLOW_BITS`), where an
+IEEE double overflows — is what makes "iteration blew up" an observable
+pixel state, and the one stop the basin adds to the solver's.
 
 The step, and f and f' from the expression's tape, run in fixed point at one
 scale per render, F = P + max(GUARD_BITS, ceil(-log2 tol), ceil(-log2 s)),
@@ -43,7 +45,7 @@ from mpmath.libmp import from_man_exp
 from mpmath.libmp.libelefun import atan_taylor, cos_sin_fixed, exp_basecase, ln2_fixed, pi_fixed
 
 from .expr import compile_tape, lower, mp_lowering, square_and_multiply
-from .kernel import ici_blend
+from .kernel import PointSample, ici_blend, next_step, secant_step
 from .mpscalar import GUARD_BITS, Precision, opened, parse_real, read_tol, to_decimal
 
 DEFAULT_BASIN_DIGITS = 34
@@ -154,6 +156,13 @@ def _shift(x, k):
     return x << k if k >= 0 else x >> -k
 
 
+def _outside(re, im, t):
+    """The lanes with a part of magnitude t or more; the extremes of the parts rule most groups out."""
+    if max(re) < t and min(re) > -t and max(im) < t and min(im) > -t:
+        return ()
+    return [k for k, (r, i) in enumerate(zip(re, im)) if not (-t < r < t and -t < i < t)]
+
+
 def _scale_bits(spec: BasinSpec):
     """F = P + max(GUARD_BITS, ceil(-log2 tol), ceil(-log2 s)), s the smaller pixel spacing."""
     p, (_, dre, _, dim) = spec.precision, spec._axes()
@@ -186,12 +195,9 @@ class _Scale:
 
     def held(self, re, im):
         """re, im as lanes, each lane with a part past the hold bound dead and zero."""
-        h = self.hold
-        if max(re) >= h or min(re) <= -h or max(im) >= h or min(im) <= -h:
-            for k, (r, i) in enumerate(zip(re, im)):
-                if not (-h < r < h and -h < i < h):
-                    self.dead.add(k)
-                    re[k] = im[k] = 0
+        for k in _outside(re, im, self.hold):
+            self.dead.add(k)
+            re[k] = im[k] = 0
         return _Lanes(re, im, self)
 
     def divide(self, a, b):
@@ -218,12 +224,10 @@ class _Scale:
         That bound is the bit length of |re| | |im| less F, plus one when
         both parts are nonzero; parts below 2**(cap - 1) rule a group out.
         """
-        c, re, im = self.edge, z.re, z.im
-        if max(re) < c and min(re) > -c and max(im) < c and min(im) > -c:
-            return
-        for k, (r, i) in enumerate(zip(re, im)):
-            m = abs(r) | abs(i)
-            if m >= c << 1 or (m >= c and r and i):
+        c = self.edge
+        for k in _outside(z.re, z.im, c):
+            r, i = z.re[k], z.im[k]
+            if abs(r) | abs(i) >= c << 1 or (r and i):
                 self.dead.add(k)
 
 
@@ -484,11 +488,15 @@ def _phase(x, y, P):
 def _lane_iterator(spec: BasinSpec):
     """The spec's pixel iteration, ``iterate(re, im)``: one outcome per seed, re and im its parts.
 
-    The seeds advance GROUP_LANES at a time: a Newton step, then blended
-    steps (:func:`iciroot.kernel.ici_blend` on lanes).  An outcome is
-    (final ``_mpc_``, iterations, converged, NaN, phase), with None for the
-    limit and the phase of a NaN pixel; a pixel that stops at ``max_iter``
-    reports its last iterate.
+    The seeds advance GROUP_LANES at a time, each lane taking the step that
+    :func:`iciroot.kernel.next_step` picks, as the solver does: a Newton
+    step, then blended steps (:func:`iciroot.kernel.ici_blend` on lanes),
+    and the safeguard steps on the few lanes whose residuals meet or whose
+    f' is dead, decided exactly at the solver's guard.  An outcome is (final
+    ``_mpc_``, iterations, converged, NaN, phase), with None for the limit
+    and the phase of a NaN pixel; a pixel that stops at ``max_iter``
+    reports its last iterate, and one with no step left (``degenerate``) is
+    a NaN pixel at the solver's iteration count.
     """
     ctx, F, max_iter = spec.precision.ctx, _scale_bits(spec), spec.max_iter
     g = _Scale(F)
@@ -496,6 +504,23 @@ def _lane_iterator(spec: BasinSpec):
     jet = lower(compile_tape(spec.ftext), _lanes_lowering(ctx, g))
     _, man, exp, _ = read_tol(spec.tol, spec.precision)._mpf_
     tol2 = (man << exp + F) ** 2            # |y| <= tol decided exactly on the squares
+    # the guard 10**(-digits+5): the predicates compare squared moduli with its
+    # inverse square, exactly.  Both compare a quotient of the step (nc = yc/dc,
+    # u = yp/(yp - yc)) with 1/guard, and one whose parts lie below `near`
+    # is under half that in modulus, each part floored within a unit: so
+    # only lanes with a part at `near` or more, or a lane the quotient
+    # killed, need the exact test
+    inv2 = 10 ** (2 * spec.precision.digits - 10)
+    near = 10 ** (spec.precision.digits - 5) << F - 2
+
+    def flat(ks, y, d):
+        """The lanes ks of (y, d) with |d| <= guard * |y|: a dead f'."""
+        return {k for k in ks if (d.re[k] ** 2 + d.im[k] ** 2) * inv2 <= y.re[k] ** 2 + y.im[k] ** 2}
+
+    def meet(ks, yc, yp):
+        """The lanes ks with |yc - yp| <= guard * max(|yc|, |yp|): residuals that meet."""
+        return {k for k in ks if ((yc.re[k] - yp.re[k]) ** 2 + (yc.im[k] - yp.im[k]) ** 2) * inv2
+                <= max(yc.re[k] ** 2 + yc.im[k] ** 2, yp.re[k] ** 2 + yp.im[k] ** 2)}
 
     def fixed(v):
         s, m, e, _ = v._mpf_
@@ -521,16 +546,36 @@ def _lane_iterator(spec: BasinSpec):
         ph = _phase(r, i, ctx.prec)
         return z, it, conv, False, float(ctx.arg(ctx.make_mpc(z))) if ph is None else ph
 
+    def apart(zn, ks, step):
+        """Put step(take) on the lanes ks of zn, ``take`` picking them from a slot; kills stay theirs."""
+        others = set(dead)
+        dead.clear()
+        s = step(lambda v: v.take(ks))
+        others.update(ks[n] for n in dead)
+        dead.clear()
+        dead.update(others)
+        for n, k in enumerate(ks):
+            zn.re[k], zn.im[k] = s.re[n], s.im[n]
+
     def run(z):
         """The outcomes of one group, z its seeds."""
         out = [None] * len(z.re)
         idx = list(range(len(z.re)))        # each lane's seed
+        spent = set()                       # lanes whose previous f' was dead
 
-        def settle(it, lanes, conv=()):
-            """End dead lanes (NaN) and those in conv (limits lanes[0]) at iteration it; the rest's lanes."""
+        def settle(it, lanes, conv=(), stuck=()):
+            """End dead lanes (NaN) and those in conv (limits lanes[0]) at iteration it, and those
+            in stuck (NaN) at it - 1; the rest's lanes."""
+            nonlocal spent
             for k in dead.union(conv):
                 out[idx[k]] = (None, it, False, True, None) if k in dead else outcome(lanes[0], k, it, True)
-            keep = [k for k in range(len(idx)) if k not in dead and k not in conv]
+            for k in stuck:
+                out[idx[k]] = (None, it - 1, False, True, None)
+            gone = dead.union(conv, stuck)
+            keep = [k for k in range(len(idx)) if k not in gone]
+            if spent:
+                new = {k: n for n, k in enumerate(keep)}
+                spent = {new[k] for k in spent if k in new}
             idx[:] = [idx[k] for k in keep]
             dead.clear()
             return [v.take(keep) for v in lanes]
@@ -543,10 +588,32 @@ def _lane_iterator(spec: BasinSpec):
             if not idx:
                 break
             nc = yc / dc                    # Newton update at the current point
-            zn = zc - nc if zp is None else ici_blend(zp, yp, np_, zc, yc, nc)
+            dc_dead = flat(dead.union(_outside(nc.re, nc.im, near)), yc, dc)
+            dead.difference_update(dc_dead)
+            lost = set(dead)                # nc past the hold bound: every step left reads it
+            met = ()
+            # the bulk takes the step of a lane where no predicate holds
+            if next_step("ici", zp is None, False, False, False) == "newton":
+                zn = zc - nc
+            else:
+                u = yp / (yp - yc)
+                met = meet(dead.union(_outside(u.re, u.im, near)).difference(lost), yc, yp)
+                zn = ici_blend(u, zp, np_, zc, nc)
+            kinds = {k: next_step("ici", zp is None, k in met, k in dc_dead, k in spent)
+                     for k in dc_dead.union(met, spent).difference(lost)}
+            dead.difference_update(kinds)
+            ks = [k for k, s in kinds.items() if s == "safeguard_newton"]
+            if ks:
+                apart(zn, ks, lambda t: t(zc) - t(nc))
+            ks = [k for k, s in kinds.items() if s == "secant"]
+            if ks:                          # lanes compare by identity: secant_step's check passes
+                apart(zn, ks, lambda t: secant_step(PointSample(t(zp), t(yp), None),
+                                                    PointSample(t(zc), t(yc), None)))
+            spent = set(ks)
+            stuck = [k for k, s in kinds.items() if s == "degenerate"]
             g.over_cap(zn)
-            if dead:
-                zn, zc, yc, nc = settle(it, (zn, zc, yc, nc))     # zp, yp, np_ are spent
+            if dead or stuck:
+                zn, zc, yc, nc = settle(it, (zn, zc, yc, nc), stuck=stuck)    # zp, yp, np_ are spent
                 if not idx:
                     break
             y, d = sample(zn)
@@ -660,8 +727,9 @@ def line_scan(spec: BasinSpec, segment, samples: int):
     """Iterate from points along a segment; assign each limit to a root index.
 
     Successive distinct limits (within 1000 * tol of each other) share an
-    index, in order of first appearance; NaN outcomes get -1.  The number of
-    index changes along the scan witnesses basin disconnection on the line.
+    index, in order of first appearance.  A sample with no limit, a NaN
+    pixel or one that stops at ``max_iter``, gets -1.  The number of index
+    changes along the scan witnesses basin disconnection on the line.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -674,8 +742,8 @@ def line_scan(spec: BasinSpec, segment, samples: int):
     radius = parse_real(spec.tol, p) * 1000
     reps = []
     assignments = []
-    for final, _, _, nan, _ in outcomes:
-        if nan:
+    for final, _, converged, _, _ in outcomes:
+        if not converged:
             assignments.append(-1)
             continue
         z = ctx.make_mpc(final)

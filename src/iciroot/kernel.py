@@ -8,8 +8,11 @@ interpolant at height zero, so it is exact whenever the two samples are
 drawn from the inverse of a cubic.  It is computed by :func:`ici_blend`,
 grouped as the current abscissa minus an update built from the two Newton
 updates y/y', so a driver that keeps each sample's update divides once per
-sample.  The cubic Hermite interpolant forms the step is derived from, and
-the same average grouped as base points plus updates, are test oracles
+sample.  Where the average is undefined or untrustworthy (equal residuals, a
+dead derivative), :func:`next_step` picks the step a driver takes instead,
+as Brent's ``zeroin`` does for its own steps; the solver and the basin lanes
+both ask it.  The cubic Hermite interpolant forms the step is derived from,
+and the same average grouped as base points plus updates, are test oracles
 (``tests/oracles.py``).  The iteration driver lives in :mod:`iciroot.solve`.
 """
 
@@ -56,22 +59,21 @@ def _check_blend(p_prev: PointSample, p_cur: PointSample):
         raise ZeroDerivativeError("zero derivative: inverse slope undefined")
 
 
-def ici_blend(zp, yp, np_, zc, yc, nc):
+def ici_blend(u, zp, np_, zc, nc):
     """The blended step of :func:`ici_step` from the two samples' Newton updates.
 
     np_ = yp/y'p and nc = yc/y'c are the Newton updates at the previous
-    point zp and the current point zc.  With u = yp/(yp - yc) and
-    v = u - 1 = yc/(yp - yc) the weighted average is taken in update form:
+    point zp and the current point zc, and u = yp/(yp - yc) is the weight,
+    divided by the caller, who checks yp != yc first.  With v = u - 1 =
+    yc/(yp - yc) the weighted average is taken in update form:
     zn = zc - (u^2 nc + v^2 (np_ + (1 + 2u)(zc - zp))).  The update rounds
     at its own scale; only the last subtraction rounds at that of zc.
 
-    One division, for u.  v = u - 1 carries u's rounding error, about
-    2^-P |u| at P bits; through v^2 that adds about 2^-P |u v| times the
-    bracket, which is at the scale of the update (|v| ~ |yc/yp|), so the
-    update keeps an error of a few 2^-P relative to itself.  Requires
-    yp != yc; :func:`ici_step` checks the samples first.
+    v = u - 1 carries u's rounding error, about 2^-P |u| at P bits; through
+    v^2 that adds about 2^-P |u v| times the bracket, which is at the scale
+    of the update (|v| ~ |yc/yp|), so the update keeps an error of a few
+    2^-P relative to itself.
     """
-    u = yp / (yp - yc)
     v = u - 1
     return zc - (u * u * nc + v * v * (np_ + (1 + 2 * u) * (zc - zp)))
 
@@ -87,5 +89,34 @@ def ici_step(p_prev: PointSample, p_cur: PointSample):
     Newton updates y/y' of both samples.
     """
     _check_blend(p_prev, p_cur)
-    return ici_blend(p_prev.x, p_prev.y, p_prev.y / p_prev.yp,
-                     p_cur.x, p_cur.y, p_cur.y / p_cur.yp)
+    return ici_blend(p_prev.y / (p_prev.y - p_cur.y), p_prev.x, p_prev.y / p_prev.yp,
+                     p_cur.x, p_cur.y / p_cur.yp)
+
+
+def next_step(method, first, residuals_meet, dead_current, dead_previous) -> str:
+    """The kind of step a driver takes next, or ``degenerate`` where none exists.
+
+    One of ``newton``, ``safeguard_newton``, ``secant``, ``ici`` or
+    ``degenerate``.  ``method`` is ``newton``, ``secant`` or ``ici``;
+    ``first`` says that only the seed has been sampled.  With guard =
+    10**(-digits+5) at the working precision the predicates are relative, so
+    scaling f changes none of them:
+
+    * residuals_meet: |y - y_prev| <= guard * max(|y|, |y_prev|), where the
+      secant and the blended step divide by a vanishing gap;
+    * dead_current, dead_previous: |y'| <= guard * |y| at the current or
+      the previous sample, where its Newton update is meaningless.
+
+    Each predicate is a bool or a callable that returns one, called only
+    when the ladder reaches it, so a caller evaluates only what it needs.
+    """
+    def holds(p):
+        return p() if callable(p) else p
+
+    if first or method == "newton":
+        return "degenerate" if holds(dead_current) else "newton"
+    if holds(residuals_meet):
+        return "degenerate" if holds(dead_current) else "safeguard_newton"
+    if method == "secant" or holds(dead_current):
+        return "secant"
+    return "safeguard_newton" if holds(dead_previous) else "ici"

@@ -5,32 +5,38 @@ Newton step, and from then on applies the configured two-point method.  Each
 trace record holds exactly one fresh function evaluation and one fresh
 derivative evaluation; previous evaluations are always reused.
 
-Degenerate situations the step formulas cannot handle are safeguarded:
+Where the blended average is undefined, :func:`~iciroot.kernel.next_step`
+picks the step instead, from three relative predicates at the guard
+10**(-digits+5), so scaling f changes no decision:
 
-* (nearly) equal residuals, a gap at most ``guard`` = 10**(-digits+5) times
-  the larger |y|: if already within tolerance the solve stops as
-  converged, otherwise a plain Newton step from the current point is taken
-  and recorded as ``safeguard_newton``;
-* vanishing current derivative (at most ``guard`` * max(|y|, 1)): the blended
-  method falls back to a plain secant step, which needs no derivative;
-* vanishing previous derivative: plain Newton from the current point;
+* (nearly) equal residuals, a gap at most the guard times the larger |y|:
+  a plain Newton step from the current point, recorded as
+  ``safeguard_newton``;
+* a dead current derivative, |y'| at most the guard times |y|: a plain
+  secant step, which needs no derivative;
+* a dead previous derivative: a plain Newton step from the current point;
+* no step at all (a dead current derivative on the first step, under
+  ``newton``, or with equal residuals): the solve stops with status
+  ``degenerate``;
 * NaN or infinity anywhere: the solve stops with status ``nan`` and a
   partial trace.
 
-No modulus on the common path: the tolerance test, the derivative floors
-and the residual-gap guard compare |.| against a threshold, and each reads
-the binary exponents of the values first (:func:`_log2_bounds`), which
-bound a magnitude within two binades.  Only when the bounds of the two sides
-overlap does the decision fall back to the exact comparison at the working
-precision (a complex modulus is a square root there), so every decision is
-the one the exact comparison makes.
+A residual within tolerance never reaches these guards: each record's own
+tolerance test stops the solve as converged first.
+
+No modulus on the common path: the tolerance test and the guards compare
+|.| against a threshold, and each reads the binary exponents of the values
+first (:func:`_log2_bounds`), which bound a magnitude within two binades.
+Only when the bounds of the two sides overlap does the decision fall back to
+the exact comparison at the working precision (a complex modulus is a square
+root there), so every decision is the one the exact comparison makes.
 
 One y/y' division per record: the Newton update of a record is divided
 once, beside its magnitude bounds, when a step first reads it.  The
 Newton steps take x - (y/y'), with the bits of
 :func:`~iciroot.kernel.newton_step`, and the blended step reads both
-records' updates through :func:`~iciroot.kernel.ici_blend`, which adds one
-division of its own.
+records' updates through :func:`~iciroot.kernel.ici_blend`, with one
+division more for its weight.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 
 from .expr import compile_pair
-from .kernel import ici_blend, secant_step
+from .kernel import ici_blend, next_step, secant_step
 from .mpscalar import (Precision, context_of, digits_of, is_complex_scalar, is_finite,
                        log10_abs_text, opened, parse_complex, parse_real, parse_scalar, read_tol,
                        to_decimal)
@@ -122,32 +128,16 @@ def solve(f, fp, x0, cfg: SolveConfig | None = None) -> IterationTrace:
     return _solve(lambda x: (f(x), fp(x)), x0, cfg)
 
 
-_ANY = (-math.inf, math.inf)
-
-
 def _log2_bounds(v):
-    """(lo, hi) with 2**lo <= |v| <= 2**hi, from the exponents of an mpf or mpc.
+    """(lo, hi) with 2**lo <= |v| <= 2**hi, from the exponents of a finite mpf or mpc.
 
     A zero gives (-inf, -inf); a complex value has one binade of slack at
-    the top, as |a + bi| < 2 * max(|a|, |b|).  Anything else (an infinity, a
-    NaN, an int from a caller's function) gives (-inf, inf), which only the
-    exact comparison decides.  Powers of two stay bounds of |v| and of
-    products of such magnitudes rounded at any precision.
+    the top, as |a + bi| < 2 * max(|a|, |b|).  Powers of two stay bounds of
+    |v| and of products of such magnitudes rounded at any precision.
     """
-    parts = getattr(v, "_mpc_", None)
-    slack = 1
-    if parts is None:
-        raw = getattr(v, "_mpf_", None)
-        if raw is None:
-            return _ANY
-        parts, slack = (raw,), 0
-    top = -math.inf
-    for _, man, exp, bc in parts:
-        if man:
-            top = max(top, exp + bc)
-        elif bc:
-            return _ANY
-    return top - 1, top + slack
+    parts = getattr(v, "_mpc_", None) or (v._mpf_,)
+    top = max(exp + bc if man else -math.inf for _, man, exp, bc in parts)
+    return top - 1, top + len(parts) - 1
 
 
 def _guard_bounds(digits: int):
@@ -188,9 +178,10 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
         return cfg.precision.ctx.mpf(10) ** (-cfg.precision.digits + 5)
 
     def evaluate(xv, kind):
-        """Record one fresh (f, fp) pair; return the status it stops on, or None."""
+        """Record one fresh (f, fp) pair as scalars of the working precision; return the status
+        it stops on, or None."""
         try:
-            y, yp = pair(xv)
+            y, yp = map(cfg.precision.scalar, pair(xv))
         except (ZeroDivisionError, OverflowError):
             y = yp = cfg.precision.nan
         records.append(IterationRecord(len(records), xv, y, yp, kind))
@@ -207,14 +198,14 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
         return m[2]
 
     def dead_derivative(k):
-        """|y'_k| at or below guard times the local scale max(|y_k|, 1)."""
+        """|y'_k| at or below guard times |y_k|."""
         (y_lo, y_hi), yp_b, _ = mods[k]
         rec = records[k]
-        return _le(yp_b, (g_lo + max(y_lo, 0), g_hi + max(y_hi, 0)),
-                   lambda: abs(rec.yp) <= guard() * max(abs(rec.y), 1))
+        return _le(yp_b, (g_lo + y_lo, g_hi + y_hi), lambda: abs(rec.yp) <= guard() * abs(rec.y))
 
-    def residuals_meet(cur, prev):
-        """|y - y_prev| at or below guard times max(|y|, |y_prev|)."""
+    def residuals_meet():
+        """|y - y_prev| at or below guard times max(|y|, |y_prev|), for the last two records."""
+        cur, prev = records[-1], records[-2]
         gap = cur.y - prev.y
         (c_lo, c_hi), (p_lo, p_hi) = mods[-1][0], mods[-2][0]
         return _le(_log2_bounds(gap), (g_lo + max(c_lo, p_lo), g_hi + max(c_hi, p_hi)),
@@ -225,23 +216,17 @@ def _solve(pair, x0, cfg: SolveConfig | None) -> IterationTrace:
         if stop:
             break
         cur = records[-1]
-        if len(records) == 1 or cfg.method == "newton":
-            if dead_derivative(-1):
-                return IterationTrace(records, STATUS_DEGENERATE)
-            x_next, kind = cur.x - update(-1), "newton"
-        else:
+        kind = next_step(cfg.method, len(records) == 1, residuals_meet,
+                         lambda: dead_derivative(-1), lambda: dead_derivative(-2))
+        if kind == STATUS_DEGENERATE:
+            return IterationTrace(records, STATUS_DEGENERATE)
+        if kind == "secant":
+            x_next = secant_step(records[-2], cur)
+        elif kind == "ici":
             prev = records[-2]
-            if residuals_meet(cur, prev):
-                if dead_derivative(-1):
-                    return IterationTrace(records, STATUS_DEGENERATE)
-                x_next, kind = cur.x - update(-1), "safeguard_newton"
-            elif cfg.method == "secant" or dead_derivative(-1):
-                x_next, kind = secant_step(prev, cur), "secant"
-            elif dead_derivative(-2):
-                x_next, kind = cur.x - update(-1), "safeguard_newton"
-            else:
-                x_next = ici_blend(prev.x, prev.y, update(-2), cur.x, cur.y, update(-1))
-                kind = "ici"
+            x_next = ici_blend(prev.y / (prev.y - cur.y), prev.x, update(-2), cur.x, update(-1))
+        else:
+            x_next = cur.x - update(-1)
         if not is_finite(x_next):
             return IterationTrace(records, STATUS_NAN)
         stop = evaluate(x_next, kind)

@@ -442,16 +442,26 @@ class FixedPairs:
         """ctx.mag of the value a stands for: bit length less F, plus one when both parts are nonzero."""
         return (abs(a[0]) | abs(a[1])).bit_length() - self.F + (1 if a[0] and a[1] else 0)
 
-    def pixel(self, fd, z0, tol2, max_iter, cap_bits):
+    def pixel(self, fd, z0, tol2, max_iter, cap_bits, digits):
         """One pixel's basin iteration from z0: (z, iterations, converged, nan), z None when nan.
 
-        fd(z) gives (f(z), f'(z)) as pairs, or raises DeadPixel.  A Newton
-        step, then the blended step of kernel.ici_blend operation by
-        operation (u = yp/(yp - yc), v = u - 1); a value past cap_bits by
-        :meth:`mag` ends the pixel as NaN, and |f|**2 <= tol2 converges it
-        (at iteration 0 for the seed).
+        fd(z) gives (f(z), f'(z)) as pairs, or raises DeadPixel.  Each step
+        is chosen as the solver chooses it, with guard = 10**(5 - digits)
+        compared exactly on squared moduli: a Newton step first; then, where
+        |y - y_prev| <= guard * max(|y|, |y_prev|), a Newton step from the
+        current point; else where |f'| <= guard * |y| now, a secant step, and
+        where it held at the previous point, a Newton step; else the blended
+        step of kernel.ici_blend operation by operation (u = yp/(yp - yc),
+        v = u - 1).  A dead f' on the first step or with meeting residuals
+        leaves no step: NaN at the iteration count before it.  A value past
+        cap_bits by :meth:`mag` ends the pixel as NaN, and |f|**2 <= tol2
+        converges it (at iteration 0 for the seed).
         """
         add, sub, mul, div = self.add, self.sub, self.mul, self.div
+        inv2 = 100 ** (digits - 5)
+
+        def sq(a):
+            return a[0] * a[0] + a[1] * a[1]
 
         def sample(z):
             y, d = fd(z)
@@ -463,15 +473,26 @@ class FixedPairs:
             yc, dc = sample(z0)
         except DeadPixel:
             return None, 0, False, True
-        if yc[0] * yc[0] + yc[1] * yc[1] <= tol2:
+        if sq(yc) <= tol2:
             return z0, 0, True, False       # a seed that meets tol is its own limit
-        zc, zp = z0, None
+        zc, zp, was_flat = z0, None, False
         for it in range(1, max_iter + 1):
+            is_flat = sq(dc) * inv2 <= sq(yc)
+            if zp is None or sq(sub(yc, yp)) * inv2 <= max(sq(yc), sq(yp)):
+                if is_flat:                 # no step: neither Newton nor a quotient of residuals
+                    return None, it - 1, False, True
+                kind = "newton"
+            else:
+                kind = "secant" if is_flat else "newton" if was_flat else "ici"
             try:
-                nc = div(yc, dc)
-                if zp is None:
+                if kind == "secant":
+                    nc = None
+                    zn = sub(zc, div(mul(yc, sub(zc, zp)), sub(yc, yp)))
+                elif kind == "newton":
+                    nc = div(yc, dc)
                     zn = sub(zc, nc)
                 else:
+                    nc = div(yc, dc)
                     u = div(yp, sub(yp, yc))
                     v = sub(u, self.one)
                     w = add(mul(u, (2 << self.F, 0)), self.one)
@@ -482,9 +503,9 @@ class FixedPairs:
                 y, d = sample(zn)
             except DeadPixel:
                 return None, it, False, True
-            zp, yp, np_ = zc, yc, nc
+            zp, yp, np_, was_flat = zc, yc, nc, is_flat
             zc, yc, dc = zn, y, d
-            if y[0] * y[0] + y[1] * y[1] <= tol2:
+            if sq(y) <= tol2:
                 return zc, it, True, False
         return zc, max_iter, False, False
 

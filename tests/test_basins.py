@@ -95,14 +95,20 @@ def test_pixel_exactly_at_a_root_converges_at_iteration_zero():
     assert not raster.nan_mask[0][0]
 
 
-def test_equal_consecutive_residuals_make_a_nan_pixel():
+def test_equal_consecutive_residuals_take_safeguard_newton_steps():
     # z^2+3 from 1: the Newton step lands exactly on -1, where f is 4 again,
-    # so the blended step of iteration 2 would divide by y_prev - y_cur = 0
+    # so the blended step of iteration 2 would divide by y_prev - y_cur = 0;
+    # as in the solver, a Newton step from the current point goes back to 1,
+    # and so on until max_iter
     spec = _cube_spec(ftext="z^2+3", re_range=("0.9", "1.1"), im_range=("-0.1", "0.1"),
                       width=1, height=1)
     raster = render(spec)
-    assert raster.nan_mask[0][0] and raster.iterations[0][0] == 2
-    assert raster.final[0][0] is None and raster.phase[0][0] is None
+    trace = solve_expr(spec.ftext, spec.pixel_center(0, 0),
+                       SolveConfig(precision=spec.precision, tol=spec.tol, max_iter=spec.max_iter))
+    assert [r.step_kind for r in trace.records[2:]] == ["safeguard_newton"] * (spec.max_iter - 1)
+    assert trace.status == "max_iter" and len(trace) - 1 == raster.iterations[0][0] == spec.max_iter
+    assert not raster.nan_mask[0][0] and not raster.converged[0][0]
+    assert raster.final[0][0] == trace.final.x == -1     # after an odd number of steps
 
 
 def test_render_cube_roots_structure():
@@ -377,26 +383,62 @@ def test_pixel_iteration_matches_the_solver():
     assert len(trace) - 1 == raster.iterations[0][0]
 
 
+_MIDDLE = dict(re_range=("-0.75", "0.75"), im_range=("-0.75", "0.75"), width=3, height=3)
+
+
+def _safeguard_windows():
+    """Small windows where each of the solver's safeguards fires, most at a dyadic middle seed."""
+    return [
+        # z^2+3 from 1: Newton lands on -1, where f is 4 again (safeguard_newton)
+        _cube_spec(ftext="z^2+3", re_range=("0.25", "1.75"), im_range=("-0.75", "0.75"),
+                   width=3, height=3),
+        # from 0 Newton lands on the critical point 1 (secant), then a dead previous f'
+        _cube_spec(ftext="z^3-3*z+3", **_MIDDLE),
+        # from 0 Newton lands on 1, where f is f(0) again and f' = 0 (degenerate)
+        _cube_spec(ftext="z^3-2*z^2+z-1", **_MIDDLE),
+        # f' = 0 at the seed (degenerate after 0 steps)
+        _cube_spec(**_MIDDLE),
+        # |f / f'| next to 1/guard = 1e29: dead on the left half, a Newton step on the right
+        _cube_spec(ftext="z - 1e29", re_range=("-1", "1"), im_range=("-1", "1"), width=4, height=4),
+        # f' about 1e-120 and f far below 1: a relative guard finds no dead derivative
+        BasinSpec("z^3-1e-183", re_range=("-3e-61", "3e-61"), im_range=("-3e-61", "3e-61"),
+                  width=6, height=6, tol="1e-200"),
+    ]
+
+
 def test_pixel_iteration_matches_the_solver_over_a_grid():
-    # every pixel that is not NaN agrees with the solver in flag, count and limit
+    # wherever no cap fires, every pixel agrees with the solver in flag, count
+    # and limit, and is NaN exactly where the solver ends degenerate
     kepler = BasinSpec(ftext="z - 0.083*sin(z) - 1", re_range=(-30.5, -29.5),
                        im_range=(-17.5, -16.5), width=12, height=12, max_iter=30, tol="1e-8")
-    for spec in (_cube_spec(width=12, height=12), kepler):
+    kinds, capped = set(), {}
+    for spec in (_cube_spec(width=12, height=12), kepler, *_safeguard_windows()):
         raster = render(spec)
         p = spec.precision
         cfg = SolveConfig(precision=p, tol=spec.tol, max_iter=spec.max_iter)
+        capped[spec.ftext] = 0
         for j in range(spec.height):
             for i in range(spec.width):
-                if raster.nan_mask[j][i]:
-                    continue
                 trace = solve_expr(spec.ftext, spec.pixel_center(i, j), cfg)
-                assert trace.converged == raster.converged[j][i]
-                assert len(trace) - 1 == raster.iterations[j][i]
-                assert abs(trace.final.x - raster.final[j][i]) <= p.real("1e-20")
-    # the overflow cap, which the solver does not have, leaves NaN pixels here
-    assert any(any(row) for row in raster.nan_mask)
+                kinds.update([trace.status, *(r.step_kind for r in trace.records)])
+                if any(p.ctx.mag(v) > basins.OVERFLOW_BITS for r in trace.records for v in (r.x, r.y, r.yp)):
+                    capped[spec.ftext] += 1     # the overflow cap, which the solver does not have
+                    continue
+                where = (spec.ftext, i, j)
+                assert raster.nan_mask[j][i] == (trace.status == "degenerate"), where
+                assert trace.converged == raster.converged[j][i], where
+                assert len(trace) - 1 == raster.iterations[j][i], where
+                if not raster.nan_mask[j][i]:
+                    assert abs(trace.final.x - raster.final[j][i]) <= p.real("1e-20"), where
+        if spec.ftext == "z^3-1e-183":
+            assert raster.counts() == (34, 0)
+    assert {"safeguard_newton", "secant", "degenerate"} <= kinds
+    # only the Kepler window's iterates pass 2**1024, and they leave NaN pixels there
+    assert capped.pop(kepler.ftext) > 0 and not any(capped.values())
     origin = _cube_spec(width=1, height=1, re_range=(-1.0, 1.0), im_range=(-1.0, 1.0))
-    assert origin.pixel_center(0, 0) == 0 and render(origin).nan_mask[0][0]   # f'(0) = 0
+    raster = render(origin)
+    assert origin.pixel_center(0, 0) == 0 and raster.nan_mask[0][0]   # f'(0) = 0
+    assert raster.iterations[0][0] == 0
 
 
 def test_render_of_mpf_valued_spec_under_spawn(monkeypatch):
@@ -622,7 +664,7 @@ def test_blended_step_on_lanes_against_the_kernel():
         # one group: lane k holds samples[k]
         (zp, yp, np_), (zc, yc, nc) = ([_lanes(g, [s[i][c] for s in samples]) for c in range(3)]
                                        for i in range(2))
-        zn = ici_blend(zp, yp, np_, zc, yc, nc)
+        zn = ici_blend(yp / (yp - yc), zp, np_, zc, nc)
         assert not g.dead
         for s, got in zip(samples, _pairs(zn)):
             (zp, yp, np_), (zc, yc, nc) = ([value(t) for t in side] for side in s)
@@ -643,8 +685,8 @@ def test_blended_step_on_lanes_against_the_kernel():
         # the samples are off by 2**-F, which moves the step by |x'(y)| = |n / y| times that
         assert abs(want - r) <= ref.ldexp(max(abs(r), floor * (1 + abs(np_ / yp) + abs(nc / yc))), 5 - P)
     one = _lanes(g, [(1 << F, 0)])
-    ici_blend(one, one, one, one, one, one)
-    assert g.dead == {0}                                    # equal residuals
+    one / (one - one)
+    assert g.dead == {0}                                    # equal residuals: no weight u
 
 
 def test_exponent_first_cap_test_decides_as_cmag_at_its_edge(monkeypatch):
@@ -744,7 +786,14 @@ def test_render_equals_the_one_pixel_fixed_point_loop(monkeypatch):
     same_sample = _cube_spec(ftext="sin(10*z)", re_range=("0.132", "0.138"),
                              im_range=("-0.003", "0.003"), width=6, height=6, tol="0.5")
     caps = {id(low_cap): 2, id(same_sample): 3}
-    for spec in (_cube_spec(width=12, height=12), _kepler_spec(width=12, height=12), low_cap, same_sample):
+    # the residuals of the first step's two points differ by 3e-29 and 4.2e-29
+    # times |y| = 4, against the guard's 1e-29: the weight u lies next to
+    # 1/guard, and the exact test decides a safeguard Newton step and a
+    # blended one
+    near_meet = [_cube_spec(ftext=f"z^2+3+{c}*z", re_range=("0.25", "1.75"), im_range=("-0.75", "0.75"),
+                            width=3, height=3) for c in ("1e-29", "1.4e-29")]
+    first = (_cube_spec(width=12, height=12), _kepler_spec(width=12, height=12), low_cap, same_sample)
+    for spec in (*first, *_safeguard_windows(), *near_meet):
         monkeypatch.setattr(basins, "OVERFLOW_BITS", caps.get(id(spec), 1024))
         p = spec.precision
         ctx = p.ctx
@@ -759,9 +808,10 @@ def test_render_equals_the_one_pixel_fixed_point_loop(monkeypatch):
         tol = p.real(spec.tol)
         tol2 = _fixed(tol, F) ** 2
         res, ims = spec.grid()
-        want = [[fp.pixel(fd, (_fixed(re, F), _fixed(im, F)), tol2, spec.max_iter, basins.OVERFLOW_BITS)
-                 for re in res] for im in ims]
-        assert any(w[3] for row in want for w in row) == (spec.ftext != "z^3-1")
+        want = [[fp.pixel(fd, (_fixed(re, F), _fixed(im, F)), tol2, spec.max_iter, basins.OVERFLOW_BITS,
+                          p.digits) for re in res] for im in ims]
+        if spec in first:
+            assert any(w[3] for row in want for w in row) == (spec.ftext != "z^3-1")
         if spec is low_cap:         # every pixel ends at its seed, converged or (f' past the cap) NaN
             assert all(w[1] == 0 for row in want for w in row) and any(w[2] for row in want for w in row)
         if spec is same_sample:

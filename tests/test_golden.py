@@ -132,7 +132,7 @@ RASTERS = {
     ('kepler', 2): ('4d8a54c40d959433', '8d0e25b51f4d7a81'),
 }
 
-SCAN_DIGEST = '3eff1a71b763a4e8'
+SCAN_DIGEST = 'c5e85f93056d6a50'
 
 
 @pytest.mark.parametrize("name, workers", sorted(RASTERS))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from iciroot.kernel import (EqualResidualsError, PointSample, ZeroDerivativeError, ici_step,
-                            newton_step, secant_step)
+                            newton_step, next_step, secant_step)
 from iciroot.mpscalar import Precision
 
 from oracles import (DegenerateIntervalError, hermite_forward_eval, hermite_inverse_eval,
@@ -181,3 +181,30 @@ def test_steps_work_on_complex_scalars():
         assert hasattr(v, "_mpc_")
     a, b = ici_step(pa, pb), ici_step_averaged(pa, pb)
     assert abs(a - b) <= 20 * max(abs(a), p.real(1)) * p.ctx.eps
+
+
+# (method, first, residuals_meet, dead_current, dead_previous) -> kind; None
+# marks a predicate the ladder must not evaluate on its way to the kind
+_LADDER = [
+    (("newton", False, None, False, None), "newton"),
+    (("newton", False, None, True, None), "degenerate"),
+    (("ici", True, None, False, None), "newton"),
+    (("secant", True, None, True, None), "degenerate"),
+    (("ici", False, True, False, None), "safeguard_newton"),
+    (("secant", False, True, True, None), "degenerate"),
+    (("secant", False, False, None, None), "secant"),
+    (("ici", False, False, True, None), "secant"),
+    (("ici", False, False, False, True), "safeguard_newton"),
+    (("ici", False, False, False, False), "ici"),
+]
+
+
+@pytest.mark.parametrize("args, kind", _LADDER)
+def test_next_step_evaluates_only_the_predicates_it_reaches(args, kind):
+    def unread():
+        raise AssertionError("predicate evaluated past its rung")
+
+    method, first, *preds = args
+    assert next_step(method, first, *[unread if v is None else (lambda v=v: v) for v in preds]) == kind
+    for fill in (False, True):      # as bools, the unread ones either way
+        assert next_step(method, first, *[fill if v is None else v for v in preds]) == kind

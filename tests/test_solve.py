@@ -11,7 +11,8 @@ from mpmath import ctx_mp_python
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import libmpc, libmpf
 
-from iciroot.diagnostics import root_multiplicity
+from iciroot.diagnostics import build_report, report_to_text, root_multiplicity
+from iciroot.expr import compile_pair
 from iciroot.kernel import PointSample, ici_step, newton_step, secant_step
 from iciroot.mpscalar import (GUARD_BITS, LOG2_10, Precision, parse_complex, parse_real,
                               to_decimal)
@@ -239,9 +240,10 @@ def test_dfmin_falls_back_to_secant():
         return x * x - 2
 
     def fp(x):
-        # derivative goes numerically dead after the seed evaluation
+        # derivative goes numerically dead after the seed evaluation: 1e-30
+        # times |y|, below the guard's 1e-25 times |y| however small y gets
         calls["n"] += 1
-        return 2 * x if calls["n"] == 1 else p.real("1e-40")
+        return 2 * x if calls["n"] == 1 else f(x) * p.real("1e-30")
 
     trace = solve(f, fp, p.real("1.5"), SolveConfig(precision=p))
     kinds = [r.step_kind for r in trace.records]
@@ -252,7 +254,7 @@ def test_dfmin_falls_back_to_secant():
 
 def test_the_guards_sit_at_ten_to_the_five_minus_digits():
     # at 30 digits: a residual gap of at most 1e-25 times the larger |y|, and
-    # a derivative of at most 1e-25 times max(|y|, 1), count as degenerate
+    # a derivative of at most 1e-25 times |y|, count as degenerate
     p = Precision(30)
     for c, kind in (("0.999", "safeguard_newton"), ("1.001", "ici")):
         small = p.real(c) * p.real("1e-25")
@@ -261,7 +263,8 @@ def test_the_guards_sit_at_ten_to_the_five_minus_digits():
         assert [r.step_kind for r in trace.records] == ["seed", "newton", kind]
     for c, kind in (("0.999", "secant"), ("1.001", "ici")):
         small = p.real(c) * p.real("1e-25")
-        trace = solve(lambda x: x * x - 2, lambda x: 2 * x if x == p.real("1.5") else small,
+        trace = solve(lambda x: x * x - 2,
+                      lambda x: 2 * x if x == p.real("1.5") else small * (x * x - 2),
                       p.real("1.5"), SolveConfig(precision=p, max_iter=2))
         assert [r.step_kind for r in trace.records] == ["seed", "newton", kind]
 
@@ -304,16 +307,15 @@ def test_tolerance_test_at_tol_and_one_ulp_either_side():
 
 
 def test_dead_derivative_floor_at_and_one_ulp_either_side():
-    # a Newton step from a record whose |y'| is at guard * max(|y|, 1)
+    # a Newton step from a record whose |y'| is at guard * |y|
     p = Precision(30)
     cfg = SolveConfig(precision=p, method="newton", max_iter=1)
     outcomes = set()
     for y in (p.real(3), p.real("-0.25"), p.real("1e-10"), p.real(1), p.cplx("0.6", "-2.4")):
-        ay = abs(y)
-        floor = _guard(p) * (ay if ay > 1 else 1)
+        floor = _guard(p) * abs(y)
         for yp in _near(floor) + [p.cplx(0, v) for v in _near(floor)]:
             trace = solve(lambda x: y, lambda x: yp, p.real(0), cfg)
-            want = abs(yp) <= _guard(p) * (ay if ay > 1 else 1)
+            want = abs(yp) <= _guard(p) * abs(y)
             assert (trace.status == "degenerate") == want, (y, yp)
             outcomes.add(want)
     assert outcomes == {True, False}
@@ -339,7 +341,7 @@ def test_exact_fallbacks_compare_against_the_guard_at_1000_digits(monkeypatch):
     guard, one = _guard(p), p.real(1)
     outcomes = set()
     for y in (p.real(3), p.real("-0.25"), p.cplx("0.6", "-2.4")):
-        scale = max(abs(y), one)
+        scale = abs(y)
         for yp in _near(guard * scale):
             trace = solve(lambda x: y, lambda x: yp, p.real(0),
                           SolveConfig(precision=p, method="newton", max_iter=1))
@@ -391,6 +393,59 @@ def test_callables_that_return_ints_decide_as_their_mpf_twins(f, fp, max_iter):
     want = solve(lambda x: p.real(f(x)), lambda x: p.real(fp(x)), p.real(0), cfg)
     assert got.status == want.status
     assert [(r.x, r.step_kind) for r in got.records] == [(r.x, r.step_kind) for r in want.records]
+
+
+@pytest.mark.parametrize("f, fp, x0", [
+    (lambda x: 2 * x - 3, lambda x: 2, 1),                  # an int derivative
+    (lambda x: 0, lambda x: 1, 1),                          # an int residual, converged at the seed
+    (lambda x: float(x) - 1.5, lambda x: 1.0, 1),           # floats
+    (lambda x: complex(x) - (1.5 + 0.5j), lambda x: 1 + 0j, 1j)],     # Python complex values
+    ids=["int-derivative", "int-residual", "float", "complex"])
+def test_plain_number_returns_write_and_report_as_their_mpf_twins(f, fp, x0):
+    # the records keep y and y' as scalars of the working precision, so the
+    # trace writer and the report read them as they read the twin's
+    p = Precision(30)
+    cfg = SolveConfig(precision=p)
+    x0 = p.scalar(x0)
+
+    def texts(trace):
+        buf = io.StringIO()
+        write_trace_text(trace, {"digits": 30}, buf)
+        back, meta = read_trace_text(io.StringIO(buf.getvalue()))
+        again = io.StringIO()
+        write_trace_text(back, meta, again)
+        return buf.getvalue(), again.getvalue(), report_to_text(build_report(trace), 30)
+
+    got = solve(f, fp, x0, cfg)
+    want = solve(lambda x: p.scalar(f(x)), lambda x: p.scalar(fp(x)), x0, cfg)
+    assert got.converged and want.converged
+    assert texts(got) == texts(want)
+    assert texts(got)[0] == texts(got)[1]
+
+
+def _scaled(ftext, j, p):
+    """(f, f') of ftext times 2**j, exactly: the jet's values with their exponents moved."""
+    pair = compile_pair(ftext, p, False)
+    return (lambda x: p.ctx.ldexp(pair(x)[0], j)), (lambda x: p.ctx.ldexp(pair(x)[1], j))
+
+
+@pytest.mark.parametrize("ftext, x0", [("x^3-2*x-5", "1"), ("(x^2+x)*exp(-x)-1/3", "2.0")])
+def test_scaling_f_by_a_power_of_two_changes_no_decision(ftext, x0):
+    # k * f with tol * k, k = 2**j: the tolerance test and both guards are
+    # relative, so every iterate, step kind and status is that of k = 1
+    p = Precision(40)
+    x0 = p.real(x0)
+    tol = SolveConfig(precision=p).tol
+
+    def run(j):
+        f, fp = _scaled(ftext, j, p)
+        trace = solve(f, fp, x0, SolveConfig(precision=p, tol=p.ctx.ldexp(tol, j)))
+        return trace.status, [(r.x._mpf_, r.step_kind) for r in trace.records]
+
+    want = run(0)
+    assert want[0] == "converged"
+    for j in (-600, -200, 200, 600):
+        assert run(j) == want, j
 
 
 @st.composite
