@@ -39,7 +39,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add, floordiv, lshift, mul, neg, rshift, sub, truediv
+from operator import add, floordiv, lshift, mul, neg, rshift, sub
 
 from mpmath.libmp import from_man_exp
 from mpmath.libmp.libelefun import atan_taylor, cos_sin_fixed, exp_basecase, ln2_fixed, pi_fixed
@@ -190,7 +190,7 @@ class _Scale:
         if type(v) is int:
             v = (v << self.F, 0)
         elif type(v) is not tuple:
-            raise OverflowError("not a lane value")     # a failed fold or slot: its cone fails
+            raise OverflowError("not a lane value")     # a constant no pair holds: its reader fails
         return repeat(v[0]), repeat(v[1])
 
     def held(self, re, im):
@@ -295,11 +295,11 @@ def _within(y, tol2):
 
 
 def _power(a, n):
-    """a**n on lanes for an integer n, by repeated squaring (of 1/a for n < 0)."""
+    """a**n on lanes for an integer n, by repeated squaring (of 1/a for n < 0); lanes of 1 for n = 0."""
     if n < 0:
         a, n = 1 / a, -n
     r = square_and_multiply(a, n, mul, lambda u: u * u)
-    return (1 << a.g.F, 0) if r is None else r
+    return a * 0 + 1 if r is None else r
 
 
 # exp and cos_sin run on mpmath's fixed-point kernels at wp = P + _FIXED_GUARD
@@ -354,16 +354,18 @@ def _lanes_lowering(ctx, g: _Scale):
     """The lowering of an expression tape onto lanes at g's scale (complex mode).
 
     A slot holds lanes, or a pair (re, im) of ints for a folded constant, or
-    None for a constant no pair may hold; reading None or a failed slot fails
-    the cone.  add, sub, mul, div, neg, powint and ``pow`` by an integer
-    below 2**16 in magnitude run on lanes; exp and cos_sin per lane on
-    mpmath's fixed-point kernels; anything else (``log``, ``sqrt``, other
-    powers, exp or cos_sin past _FIXED_MAG) per lane through the mpmath
-    lowering, where an exception or a value that is not finite kills the
-    lane.  Constants fold on the mpmath lowering ("fold").
+    None for a constant no pair may hold, which fails its reader through
+    :meth:`_Scale.parts`; :func:`iciroot.expr.lower` fails the readers of a
+    failed slot.  add, sub, mul, div, neg and pick are the mpmath
+    lowering's, Python's operators, which :class:`_Lanes` overloads; powint
+    and ``pow`` by an integer below 2**16 in magnitude run on lanes; exp and
+    cos_sin per lane on mpmath's fixed-point kernels; anything else
+    (``log``, ``sqrt``, other powers, exp or cos_sin past _FIXED_MAG) per
+    lane through the mpmath lowering, where an exception or a value that is
+    not finite kills the lane.  Constants fold on the mpmath lowering ("fold").
     """
     mp = mp_lowering(ctx, complex_mode=True)
-    F, P, h, dead = g.F, ctx.prec, g.hold, g.dead
+    F, P, dead = g.F, ctx.prec, g.dead
 
     def pair(v):
         """mpf or mpc as ints at scale F (a cos_sin pair as four); None where no pair may hold it."""
@@ -379,14 +381,6 @@ def _lanes_lowering(ctx, g: _Scale):
 
     def value(r, i):
         return ctx.make_mpc((from_man_exp(r, -F), from_man_exp(i, -F)))
-
-    def checked(fn):
-        """fn on lanes and pairs; a None or a failed slot's value fails the slot's cone."""
-        def slot(a, b):
-            if type(a) not in (_Lanes, tuple) or type(b) not in (_Lanes, tuple):
-                raise OverflowError("not a lane value")
-            return fn(a, b)
-        return slot
 
     def lanewise(op, kernel=None):
         """op per lane: ``kernel(re, im, F - wp, wp, ln2, pi2)`` below _FIXED_MAG, else mpmath's op."""
@@ -425,23 +419,18 @@ def _lanes_lowering(ctx, g: _Scale):
         # goes to the mpmath lowering, which overflows past 2**1024
         if n is None or abs(n) >> 16:
             return lanewise("pow")(n)
-        return checked(lambda a, _: _power(a, n))
+        return lambda a, _: _power(a, n)
 
     return {
+        **mp,
         "fold": mp,
         "const": lambda v: None if type(v) is tuple else pair(v),
-        "add": lambda _: checked(add),
-        "sub": lambda _: checked(sub),
-        "mul": lambda _: checked(mul),
-        "div": lambda _: checked(truediv),
-        "powint": lambda _: checked(mul),       # u^(n-1) * u
-        "neg": lambda _: checked(lambda a, _: -a),
+        "powint": lambda _: mul,        # u^(n-1) * u
         "pow": pow_,
         "exp": lanewise("exp", _exp_lane),
         "cos_sin": lanewise("cos_sin", _cos_sin_lane),
         "log": lanewise("log"),
         "sqrt": lanewise("sqrt"),
-        "pick": lambda k: checked(lambda t, _: t[k]),   # of a cos_sin slot's tuple of lanes
     }
 
 
@@ -547,35 +536,28 @@ def _lane_iterator(spec: BasinSpec):
         return z, it, conv, False, float(ctx.arg(ctx.make_mpc(z))) if ph is None else ph
 
     def apart(zn, ks, step):
-        """Put step(take) on the lanes ks of zn, ``take`` picking them from a slot; kills stay theirs."""
-        others = set(dead)
-        dead.clear()
-        s = step(lambda v: v.take(ks))
-        others.update(ks[n] for n in dead)
-        dead.clear()
-        dead.update(others)
-        for n, k in enumerate(ks):
-            zn.re[k], zn.im[k] = s.re[n], s.im[n]
+        """Put the lanes ks of ``step()``, a step over the whole group, on zn; only their kills stay."""
+        kept = dead.union(ks)
+        s = step()
+        dead.intersection_update(kept)
+        for k in ks:
+            zn.re[k], zn.im[k] = s.re[k], s.im[k]
 
     def run(z):
         """The outcomes of one group, z its seeds."""
         out = [None] * len(z.re)
         idx = list(range(len(z.re)))        # each lane's seed
-        spent = set()                       # lanes whose previous f' was dead
+        spent = set()                       # seeds whose previous f' was dead
 
         def settle(it, lanes, conv=(), stuck=()):
             """End dead lanes (NaN) and those in conv (limits lanes[0]) at iteration it, and those
             in stuck (NaN) at it - 1; the rest's lanes."""
-            nonlocal spent
             for k in dead.union(conv):
                 out[idx[k]] = (None, it, False, True, None) if k in dead else outcome(lanes[0], k, it, True)
             for k in stuck:
                 out[idx[k]] = (None, it - 1, False, True, None)
             gone = dead.union(conv, stuck)
             keep = [k for k in range(len(idx)) if k not in gone]
-            if spent:
-                new = {k: n for n, k in enumerate(keep)}
-                spent = {new[k] for k in spent if k in new}
             idx[:] = [idx[k] for k in keep]
             dead.clear()
             return [v.take(keep) for v in lanes]
@@ -599,17 +581,17 @@ def _lane_iterator(spec: BasinSpec):
                 u = yp / (yp - yc)
                 met = meet(dead.union(_outside(u.re, u.im, near)).difference(lost), yc, yp)
                 zn = ici_blend(u, zp, np_, zc, nc)
-            kinds = {k: next_step("ici", zp is None, k in met, k in dc_dead, k in spent)
-                     for k in dc_dead.union(met, spent).difference(lost)}
+            dp_dead = {k for k, j in enumerate(idx) if j in spent} if spent else set()
+            kinds = {k: next_step("ici", zp is None, k in met, k in dc_dead, k in dp_dead)
+                     for k in dc_dead.union(met, dp_dead).difference(lost)}
             dead.difference_update(kinds)
             ks = [k for k, s in kinds.items() if s == "safeguard_newton"]
             if ks:
-                apart(zn, ks, lambda t: t(zc) - t(nc))
+                apart(zn, ks, lambda: zc - nc)
             ks = [k for k, s in kinds.items() if s == "secant"]
             if ks:                          # lanes compare by identity: secant_step's check passes
-                apart(zn, ks, lambda t: secant_step(PointSample(t(zp), t(yp), None),
-                                                    PointSample(t(zc), t(yc), None)))
-            spent = set(ks)
+                apart(zn, ks, lambda: secant_step(PointSample(zp, yp, None), PointSample(zc, yc, None)))
+            spent = {idx[k] for k in ks}
             stuck = [k for k, s in kinds.items() if s == "degenerate"]
             g.over_cap(zn)
             if dead or stuck:
@@ -648,18 +630,9 @@ def _rows_renderer(spec: BasinSpec):
     return render_rows
 
 
-# A pool process's row renderer.  Spawn pickles the initializer and the task
-# function by name, so both live at module level and reach the renderer here.
-_worker_render_row = None
-
-
-def _init_worker(spec: BasinSpec):
-    global _worker_render_row
-    _worker_render_row = _rows_renderer(spec)
-
-
-def _render_rows_in_worker(rows):
-    return _worker_render_row(rows)
+def _render_share(spec: BasinSpec, rows):
+    """A pool process's task: those rows of the spec's grid (spawn pickles it by name)."""
+    return _rows_renderer(spec)(rows)
 
 
 def render(spec: BasinSpec) -> BasinRaster:
@@ -683,8 +656,8 @@ def render(spec: BasinSpec) -> BasinRaster:
         # out, each step once it holds the GIL, which this process keeps while
         # it renders (a worker started 10-35 ms late on a 2-CPU host), so it
         # sleeps until the shares are out
-        with ProcessPoolExecutor(max_workers=n - 1, initializer=_init_worker, initargs=(spec,)) as pool:
-            rest = [pool.submit(_render_rows_in_worker, rows) for rows in shares[1:]]
+        with ProcessPoolExecutor(max_workers=n - 1) as pool:
+            rest = [pool.submit(_render_share, spec, rows) for rows in shares[1:]]
             while not all(f.running() or f.done() for f in rest):
                 time.sleep(5e-4)
             time.sleep(5e-4)            # a running share is queued; its feeder thread sends it

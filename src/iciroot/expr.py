@@ -378,16 +378,14 @@ class Tape:
     cos_sin pick``; a unary op ignores vals[j]).  ``consts`` are the steps
     of the constant slots (``num`` of a literal's text, ``pi``, an op on
     constant slots), which :func:`lower` runs once per binding; ``steps``
-    run on each call.  ``outputs`` are f's slot and, if held, f''s.  A
-    division by zero or an overflow in an output's ``cone`` (the slots it
-    depends on) makes it NaN, as in a tree walk that the exception ends:
-    mpmath alone would let a NaN vanish (an mpc NaN**0 is 1).
+    run on each call.  ``outputs`` are f's slot and, if held, f''s.
+    :func:`lower` keeps its one failure rule: a step that raises, or reads
+    a slot that did, fails.
     """
 
     consts: tuple
     steps: tuple
     outputs: tuple
-    cones: tuple
 
 
 _BINARY_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
@@ -439,7 +437,7 @@ def build_tape(e, var: str, derivative: bool = True):
     u^(n-1) of n*u^(n-1); a ``pow`` carries :func:`_int_exponent` as arg.
     """
     consts, steps = [], []
-    cones = [frozenset({0})]    # per slot: the slots it depends on, itself included; 0 is x
+    varies = [True]             # per slot: whether it depends on x, slot 0
     # Equal subtrees share a slot.  A frozen node rehashes its whole subtree on
     # every hash, so subtrees are keyed by a structural id instead: one id per
     # distinct (kind, fields, ids of children), found once per node object.
@@ -464,15 +462,15 @@ def build_tape(e, var: str, derivative: bool = True):
 
     def add(op, i, j=None, arg=None):
         j = i if j is None else j
-        k = len(cones)
-        cones.append(cones[i] | cones[j] | {k})
-        (steps if 0 in cones[k] else consts).append((k, op, i, j, arg))
+        k = len(varies)
+        varies.append(varies[i] or varies[j])
+        (steps if varies[k] else consts).append((k, op, i, j, arg))
         return k
 
     def constant(op, arg=None):
-        consts.append((len(cones), op, 0, 0, arg))
-        cones.append(frozenset())
-        return len(cones) - 1
+        consts.append((len(varies), op, 0, 0, arg))
+        varies.append(False)
+        return len(varies) - 1
 
     def slot(node):
         s = sid(node)
@@ -515,7 +513,7 @@ def build_tape(e, var: str, derivative: bool = True):
     kd = slot(differentiate(e, var)) if derivative else None     # f' first: see powint
     kf = slot(e)
     outputs = (kf,) if kd is None else (kf, kd)
-    return Tape(tuple(consts), tuple(steps), outputs, tuple(cones[k] for k in outputs))
+    return Tape(tuple(consts), tuple(steps), outputs)
 
 
 def square_and_multiply(a, n: int, mul, square):
@@ -536,7 +534,8 @@ def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
 
     Built once per context (a :class:`~iciroot.mpscalar.Precision`'s) and
     mode, and shared, so it is read-only.  "const" (the identity) and "nan"
-    (the mode's NaN) are not ops.  The args: ``num`` takes a literal's text;
+    (a NaN of the mode that no op returns: :func:`lower`'s mark of a failed
+    slot) are not ops.  The args: ``num`` takes a literal's text;
     ``pick`` 0 for cos and 1 for sin of a ``cos_sin`` pair; ``powint`` n;
     ``pow`` its exponent when that is exactly an integer, else None.  In
     real mode a domain violation of ``pow``/``log``/``sqrt`` gives NaN; in
@@ -628,7 +627,7 @@ def mp_lowering(ctx, complex_mode: bool = False) -> MappingProxyType:
 
     return MappingProxyType({
         "const": lambda v: v,
-        "nan": ctx.mpc(nan, nan) if complex_mode else nan,
+        "nan": ctx.mpc(nan, nan) if complex_mode else ctx.make_mpf(nan._mpf_),
         "num": lambda text: lambda a, b: parse_real(text, p),
         "pi": fixed(lambda a, b: +ctx.pi),
         "add": fixed(operator.add),
@@ -651,8 +650,13 @@ def lower(tape: Tape, lowering: dict):
 
     The constant steps run once here, on the mpmath lowering
     ``lowering["fold"]`` (else ``lowering``), at its precision and mode;
-    "const" puts each value in the lowering's form.  An output is NaN (the
-    fold's "nan") where a division by zero or an overflow in its cone did.
+    "const" puts each value in the lowering's form.  One failure rule holds
+    for every lowering, at binding and on each call: a step that raises
+    ZeroDivisionError or OverflowError, or reads a failed slot, fails
+    without running its op, and its slot holds the fold's "nan".  So an
+    output is NaN exactly where a slot it depends on raised, as in a tree
+    walk that the exception ends: mpmath alone would let a NaN vanish (an
+    mpc NaN**0 is 1), and no op sees a failed slot's value.
 
     Under :func:`mp_lowering` one call runs the tape once, so each distinct
     subexpression is evaluated once, and each output keeps the semantics of
@@ -664,32 +668,29 @@ def lower(tape: Tape, lowering: dict):
     (:func:`mp_lowering`), whose last bits may differ above mpmath's
     exact-power cutoff.
     """
-    def execute(vals, steps, failed):
+    def execute(vals, steps):
         for k, fn, i, j in steps:
+            a, b = vals[i], vals[j]
+            if a is nan or b is nan:
+                vals[k] = nan
+                continue
             try:
-                vals[k] = fn(vals[i], vals[j])
+                vals[k] = fn(a, b)
             except (ZeroDivisionError, OverflowError):
                 vals[k] = nan
-                failed = failed | {k}
-        return failed
 
     fold = lowering.get("fold", lowering)
     nan, const = fold["nan"], lowering["const"]
     vals = [None] * (1 + len(tape.consts) + len(tape.steps))
-    raised = execute(vals, [(k, fold[op](arg), i, j) for k, op, i, j, arg in tape.consts], frozenset())
+    execute(vals, [(k, fold[op](arg), i, j) for k, op, i, j, arg in tape.consts])
     template = [None if v is None else const(v) for v in vals]
     steps = [(k, lowering[op](arg), i, j) for k, op, i, j, arg in tape.steps]
-    outputs = tuple(zip(tape.outputs, tape.cones))
     get = operator.itemgetter(*tape.outputs)
 
     def run(x):
         vals = template.copy()
         vals[0] = x
-        failed = execute(vals, steps, raised)
-        if failed:
-            for k, cone in outputs:
-                if not failed.isdisjoint(cone):
-                    vals[k] = nan
+        execute(vals, steps)
         return get(vals)
     return run
 

@@ -320,13 +320,13 @@ def test_raster_csv_writes_a_deep_zoom_window_at_the_spec_precision():
 def test_render_starts_no_more_workers_than_rows(monkeypatch):
     # fork starts every worker of a pool up front, so 8 workers for 4 rows
     # would be 4 idle processes, and the calling process renders one share
-    # itself; a serial stand-in records the pool size
+    # itself; a serial stand-in records the pool size and runs each share
+    # on a round trip of its pickled task
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -335,12 +335,13 @@ def test_render_starts_no_more_workers_than_rows(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            sent = pickle.loads(pickle.dumps((fn, *args)))
+            assert sent[1:] == args
             done = concurrent.futures.Future()
-            done.set_result(fn(*args))
+            done.set_result(sent[0](*sent[1:]))
             return done
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(basins, "_worker_render_row", None)
     want = _outcome(render(_cube_spec(width=3, height=4)))
     assert sizes == []
     for workers, height, size in ((8, 4, 3), (3, 4, 2), (2, 5, 1), (8, 1, None)):
@@ -441,9 +442,24 @@ def test_pixel_iteration_matches_the_solver_over_a_grid():
     assert raster.iterations[0][0] == 0
 
 
+def test_a_safeguard_step_keeps_only_its_own_lanes_kills():
+    # one group, one iteration: from 1, z^2+3 meets f = 4 again at -1
+    # (safeguard_newton) while from sqrt(3) Newton lands next to the critical
+    # point 0 (secant); the secant runs over the whole group and divides the
+    # first lane by its zero residual gap, a kill that lane must not keep
+    spec = BasinSpec("z^2+3", max_iter=5)
+    p = spec.precision
+    seeds = [p.real(1), p.ctx.sqrt(3)]
+    cfg = SolveConfig(precision=p, tol=spec.tol, max_iter=spec.max_iter)
+    for z0, (_, it, conv, nan, _) in zip(seeds, basins._lane_iterator(spec)(seeds, [p.real(0)] * 2)):
+        trace = solve_expr(spec.ftext, p.ctx.mpc(z0), cfg)
+        assert {"secant", "safeguard_newton"} & {r.step_kind for r in trace.records}
+        assert (trace.status, len(trace) - 1) == ("max_iter", it) and not (conv or nan)
+
+
 def test_render_of_mpf_valued_spec_under_spawn(monkeypatch):
-    # spawn pickles the pool's initargs, which fork, the Linux default, does
-    # not; a spec keeps its numbers as text, so one given mpf values pickles
+    # spawn pickles each task with its spec, which fork, the Linux default,
+    # does not; a spec keeps its numbers as text, so one given mpf values pickles
     p = Precision(34)
     window = {"re_range": ("-1.5", "0.5"), "im_range": ("-0.75", "1.25"), "tol": "1e-8"}
     kinds = {"str": window,
@@ -451,12 +467,16 @@ def test_render_of_mpf_valued_spec_under_spawn(monkeypatch):
                        for k, v in window.items()},
              "mpf": {k: tuple(map(p.real, v)) if type(v) is tuple else p.real(v)
                      for k, v in window.items()}}
-    initargs = []
+    sizes, submitted = [], []
 
     class SpawnPool(ProcessPoolExecutor):
         def __init__(self, **kw):
-            initargs.append(kw["initargs"])
+            sizes.append(kw["max_workers"])
             super().__init__(mp_context=multiprocessing.get_context("spawn"), **kw)
+
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return super().submit(fn, *args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
     want = render(_cube_spec(width=5, height=4, **window))
@@ -468,8 +488,8 @@ def test_render_of_mpf_valued_spec_under_spawn(monkeypatch):
                  tuple(map(str, values["im_range"]))), kind
             got = render(spec)
             assert _outcome(got) == _outcome(want), (kind, workers)
-    assert len(initargs) == 3 and all(args[0].workers == 2 for args in initargs)
-    assert all(pickle.loads(pickle.dumps(args)) == args for args in initargs)
+    assert sizes == [1] * 3 and len(submitted) == 3
+    assert all(args[0].workers == 2 and pickle.loads(pickle.dumps(args)) == args for args in submitted)
 
 
 def _scale(P):

@@ -778,3 +778,11 @@ def test_an_overflowing_basin_writes_its_nan_pixels_without_a_traceback(tmp_path
     assert "Traceback" not in done.stderr
     assert int(re.search(r"nan (\d+)", done.stdout).group(1)) > 0
     assert out.read_bytes().startswith(b"P6\n4 4\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "order"])
+@pytest.mark.parametrize("ftext, x0", [("sin(x)-1", "1e30000"), ("cos(x)", "1e30000+0i")])
+def test_a_failed_cos_sin_pair_ends_nan_without_a_traceback(tmp_path, command, ftext, x0):
+    done = _run_iciroot([command, "--f", ftext, "--x0", x0, "--digits", "20"], tmp_path)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "" and "status: nan" in done.stdout

@@ -199,6 +199,18 @@ def test_an_overflow_in_the_pair_gives_a_nan_record():
     assert p.ctx.isnan(trace.final.y) and p.ctx.isnan(trace.final.yp)
 
 
+@pytest.mark.parametrize("ftext", ["sin(x)-1", "cos(x)"])
+@pytest.mark.parametrize("complex_seed", [False, True], ids=["real", "complex"])
+def test_a_failed_cos_sin_pair_ends_nan_at_the_seed(ftext, complex_seed):
+    # cos_sin of 1e30000 overflows (past 2**_MAX_ARG_MAG), and each pick of
+    # its pair, f's and f''s, fails with it instead of indexing a NaN
+    p = Precision(20)
+    x0 = p.cplx("1e30000", 0) if complex_seed else p.real("1e30000")
+    trace = solve_expr(ftext, x0, SolveConfig(precision=p))
+    assert trace.status == "nan" and len(trace) == 1
+    assert p.ctx.isnan(trace.final.y) and p.ctx.isnan(trace.final.yp)
+
+
 def test_non_finite_step_stops_with_status_nan():
     p = Precision(30)
     trace = solve(lambda x: 1, lambda x: 1, p.inf, SolveConfig(precision=p))
